@@ -20,6 +20,8 @@ from mpmath import mp
 from qwave.qgrid import GridFunction, QGrid
 
 EPS = 2.0 ** -52
+# A q-Pochhammer factor 1 - Q^{order+n} below this counts as vanished.
+DEGENERATE_TOL = 1e-14
 
 
 class DegenerateParameterError(ValueError):
@@ -64,7 +66,7 @@ def _series_sum(order, x, q, tol):
     for n in range(1, tol.max_terms + 1):
         denom_a = 1.0 - Q ** (order + n)
         denom_b = 1.0 - Q ** n
-        if abs(denom_a) < 1e-14 or abs(denom_b) < 1e-14:
+        if abs(denom_a) < DEGENERATE_TOL or abs(denom_b) < DEGENERATE_TOL:
             raise DegenerateParameterError(
                 f"q-Pochhammer factor ~0 at n={n} for order {order}")
         term *= -(Q ** n) * x2 / (denom_a * denom_b)
@@ -135,40 +137,64 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
     recurrence downward in depth (the target solution dominates in that
     direction, so backward recursion is stable), seeded past the range
     and normalized at s = 0 against the series value.
+
+    No mpmath power runs inside a loop. The series ratios
+    r_k = -Q^k / ((1 - Q^{nu+k})(1 - Q^k)), Q = q^2, do not depend on s:
+    they are built once, from running products of Q, and every s reuses
+    them (term_k = term_{k-1} r_k x^2). The arguments x^2 = Q^s and the
+    recurrence's q^{-2k} are running products too.
     """
     with MP_LOCK, mp.workdps(dps):
         qq = mp.mpf(q)
         Q = qq * qq
-        numu = mp.mpf(nu)
+        Qnu = Q ** mp.mpf(nu)
+        tiny = mp.mpf(10) ** (-dps - 5)
+        ratios = [None]  # ratios[k] is r_k, built on first use
+        Qk = mp.mpf(1)
         out = {}
 
-        def series(s):
-            x2 = qq ** (2 * mp.mpf(s))
+        def ratio(k):
+            nonlocal Qk
+            while len(ratios) <= k:
+                Qk *= Q
+                denom_a = 1 - Qnu * Qk
+                if abs(denom_a) < DEGENERATE_TOL:
+                    raise DegenerateParameterError(
+                        f"q-Pochhammer factor ~0 at n={len(ratios)} "
+                        f"for order {nu}")
+                ratios.append(-Qk / (denom_a * (1 - Qk)))
+            return ratios[k]
+
+        def series(s, x2):
             term = mp.mpf(1)
             tot = mp.mpf(1)
             n = 0
             while True:
                 n += 1
-                term *= -(Q ** n) * x2 / ((1 - Q ** (numu + n)) * (1 - Q ** n))
+                term *= ratio(n) * x2
                 tot += term
-                if abs(term) < mp.mpf(10) ** (-dps - 5) * abs(tot):
+                if abs(term) < tiny * abs(tot):
                     return tot
                 if n > 800:
                     raise TruncationError(f"high-precision series stalled at s={s}")
 
-        for s in range(max(s_min, 0), s_max + 1):
-            out[s] = series(s)
+        s0 = max(s_min, 0)
+        x2 = Q ** s0
+        for s in range(s0, s_max + 1):
+            out[s] = series(s, x2)
+            x2 *= Q
         if s_min < 0:
             kmax = -s_min
-            q2nu = qq ** (2 * numu)
             y_hi = mp.mpf(0)
             y = mp.mpf(1)
+            q_m2k = Q ** -(kmax + buffer)
             vals = {}
             for k in range(kmax + buffer, -1, -1):
                 vals[k] = y
-                y_lo = ((1 + q2nu - qq ** (-2 * k)) * y - y_hi) / q2nu
+                y_lo = ((1 + Qnu - q_m2k) * y - y_hi) / Qnu
                 y_hi = y
                 y = y_lo
+                q_m2k *= Q
             scale = out[0] / vals[0]
             for k in range(1, kmax + 1):
                 out[-k] = vals[k] * scale

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from qwave.qbessel import normalized_q_bessel_bound, generalized_q_bessel_operator
+from qwave.qbessel import (TruncationError, generalized_q_bessel_operator,
+                           normalized_q_bessel_bound)
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          jackson_integral, jackson_weights, q_derivative,
                          read_function, write_function, dilate)
@@ -619,7 +620,7 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write(f"qwave: {exc}\n")
         return 2
-    except (CalibrationError, ValueError) as exc:
+    except (CalibrationError, TruncationError, ValueError) as exc:
         sys.stderr.write(f"qwave: {exc}\n")
         return 1
 

@@ -58,15 +58,32 @@ class TransformPlan:
         return math.fsum(values * values * self.weights)
 
 
+def mp_kappa_row(qmp, beta, tab, t_lo, t_hi):
+    """kappa(t) = q^{-2 beta (t+beta)} tab[t] for t in [t_lo, t_hi], at the
+    caller's working precision, as a list starting at t_lo.
+
+    One power for t_lo, then one multiply by q^{-2 beta} per step, so
+    the row costs no mpmath power per entry. Call it inside the mp
+    precision block that the values are meant for.
+    """
+    b = mp.mpf(beta)
+    step = qmp ** (-2 * b)
+    p = qmp ** (-2 * b * (t_lo + b))
+    row = []
+    for t in range(t_lo, t_hi + 1):
+        row.append(p * tab[t])
+        p *= step
+    return row
+
+
 def _kernel_row(grid, v):
     """Float64 kernel values kappa(s) = q^{-2 beta (s+beta)} j_nu(q^s; q^2)
     for every index sum s in [2 n_low, 2 n_high]."""
     tab = lattice_kernel(v.nu, grid.q, 2 * grid.n_low, 2 * grid.n_high)
     with MP_LOCK, mp.workdps(60):
-        qmp = mp.mpf(grid.q)
-        return np.array([
-            float((qmp ** (-2.0 * v.beta * (s + v.beta))) * tab[s])
-            for s in range(2 * grid.n_low, 2 * grid.n_high + 1)])
+        row = mp_kappa_row(mp.mpf(grid.q), v.beta, tab,
+                           2 * grid.n_low, 2 * grid.n_high)
+        return np.array([float(k) for k in row])
 
 
 def _default_calibration_probes(grid):
@@ -165,6 +182,13 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
 
 
 def _spectrum_mp(f, plan, s_lo=None, s_hi=None, extra_dps=0):
+    """mpf transform values {s: F f(s)} over [s_lo, s_hi].
+
+    The kernel row kappa(t) is built once per call over every index sum
+    t = n + s the outputs need (mp_kappa_row), and each output is
+    c * fdot(weighted f, kappa shifted by s): a dot product of exact
+    products, rounded once.
+    """
     grid, v = plan.grid, plan.v
     if s_lo is None:
         s_lo, s_hi = grid.n_low, grid.n_high
@@ -178,7 +202,8 @@ def _spectrum_mp(f, plan, s_lo=None, s_hi=None, extra_dps=0):
     if not support:
         return {s: mp.mpf(0) for s in range(s_lo, s_hi + 1)}
     ns = list(support)
-    tab = lattice_kernel(v.nu, grid.q, min(ns) + s_lo, max(ns) + s_hi)
+    t_lo, t_hi = min(ns) + s_lo, max(ns) + s_hi
+    tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
     depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
                 *(abs(n) for n in ns))
     dps = int(2 * depth * math.log10(1.0 / grid.q)) + 80 + extra_dps
@@ -187,11 +212,10 @@ def _spectrum_mp(f, plan, s_lo=None, s_hi=None, extra_dps=0):
         qmp = mp.mpf(grid.q)
         cmp_ = mp.mpf(plan.c_qv)
         wexp = 2.0 * v.abs_v + 2.0
-        weighted = {n: (1 - qmp) * qmp ** (n * wexp) * mp.mpf(val)
-                    for n, val in support.items()}
+        weighted = [(1 - qmp) * qmp ** (n * wexp) * mp.mpf(val)
+                    for n, val in support.items()]
+        kap = mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
+        offsets = [n - t_lo for n in ns]
         for s in range(s_lo, s_hi + 1):
-            acc = mp.mpf(0)
-            for n, wval in weighted.items():
-                acc += wval * (qmp ** (-2.0 * v.beta * (n + s + v.beta))) * tab[n + s]
-            out[s] = cmp_ * acc
+            out[s] = cmp_ * mp.fdot(weighted, [kap[o + s] for o in offsets])
     return out

@@ -24,7 +24,7 @@ from mpmath import mp
 
 from qwave.qbessel import MP_LOCK, lattice_kernel
 from qwave.qgrid import GridFunction, dilate
-from qwave.qtransform import spectrum, translate
+from qwave.qtransform import mp_kappa_row, spectrum, translate
 
 GATE_REL_TAIL = 1e-13
 GATE_RUN = 3
@@ -175,27 +175,29 @@ def daughter_wavelet(spec, m, n_b):
     return shifted.scaled(math.sqrt(grid.q ** m))
 
 
-def _profile_slice(spec, m):
-    grid = spec.plan.grid
-    return np.array([spec.profile[m + k] for k in grid.indices])
-
-
 def scale_rows(f, spec, scale_indices=None):
     """Coefficient rows C(q^m, .) over the full position grid, one scale
     at a time, via the spectral route. Returns {m: row array}."""
     plan = spec.plan
-    if f.grid != plan.grid:
+    grid = plan.grid
+    if f.grid != grid:
         raise ValueError("grid function and plan use different grids")
     if scale_indices is None:
         scale_indices = spec.scale_indices
     Ff_map = spectrum(f, plan)
-    Ff = np.array([Ff_map[s] for s in plan.grid.indices])
+    Ff = np.array([Ff_map[s] for s in grid.indices])
+    # profile[i] is spec.profile[prof_lo + i]; row m needs m + n for grid n
+    prof_lo = spec.scale_indices[0] + grid.n_low
+    prof_hi = spec.scale_indices[-1] + grid.n_high
+    profile = np.array([spec.profile[k] for k in range(prof_lo, prof_hi + 1)])
     rows = {}
     for m in scale_indices:
         if m not in spec.scale_indices:
             raise ValueError(f"scale index {m} pushes the mother off the grid")
-        a = plan.grid.q ** float(m)
-        rows[m] = math.sqrt(a) * plan.fourier_values(_profile_slice(spec, m) * Ff)
+        a = grid.q ** float(m)
+        start = m + grid.n_low - prof_lo
+        rows[m] = math.sqrt(a) * plan.fourier_values(
+            profile[start:start + grid.size] * Ff)
     return rows
 
 
@@ -293,6 +295,13 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     transformed. Right side: the mother profile times one kernel value.
     Both sides are assembled in mpmath; per (a, b) pair the mismatch is
     normalized by the largest right-side magnitude over the xi window.
+
+    Every sum is an mp.fdot (exact products, one rounding) against the
+    kernel row, which mp_kappa_row builds once. The factors that do not
+    depend on the summation index are multiplied in first: the Jackson
+    weight into the mother, the dilated mother and the daughter, and
+    FPa(s) kappa(n_b + s) w(s) once per position. The mother profile is
+    evaluated once per scale, not once per position.
     """
     plan = spec.plan
     grid, v = plan.grid, plan.v
@@ -301,42 +310,41 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     else:
         psi = {int(grid.indices[i]): spec.mother.values[i]
                for i in np.nonzero(spec.mother.values)[0]}
-    tab = lattice_kernel(v.nu, grid.q, 2 * grid.n_low, 2 * grid.n_high)
+    k_lo, k_hi = 2 * grid.n_low, 2 * grid.n_high
+    tab = lattice_kernel(v.nu, grid.q, k_lo, k_hi)
+    idx = [int(n) for n in grid.indices]
     worst = 0.0
     with MP_LOCK, mp.workdps(dps):
         qmp = mp.mpf(grid.q)
         cmp_ = mp.mpf(plan.c_qv)
         wexp = 2.0 * v.abs_v + 2.0
-        kap = {s: (qmp ** (-2.0 * v.beta * (s + v.beta))) * tab[s]
-               for s in range(2 * grid.n_low, 2 * grid.n_high + 1)}
-        w = {int(n): (1 - qmp) * qmp ** (int(n) * wexp) for n in grid.indices}
+        kap = dict(zip(range(k_lo, k_hi + 1),
+                       mp_kappa_row(qmp, v.beta, tab, k_lo, k_hi)))
+        w = {n: (1 - qmp) * qmp ** (n * wexp) for n in idx}
         psi_mp = {n: mp.mpf(val) for n, val in psi.items()}
 
-        def mother_profile(u):
-            return cmp_ * mp.fsum(val * kap[n + u] * w[n]
-                                  for n, val in psi_mp.items())
+        def transform(weighted, s):
+            """c * sum_n weighted[n] kappa(n + s), weights already in."""
+            return cmp_ * mp.fdot((val, kap[n + s]) for n, val in weighted)
 
+        psi_w = [(n, val * w[n]) for n, val in psi_mp.items()]
         for m in scale_indices:
             root_a = mp.sqrt(qmp ** m)
-            psi_a = {n + m: qmp ** (-m * wexp) * val for n, val in psi_mp.items()}
+            dil = qmp ** (-m * wexp)
+            psi_a = {n + m: dil * val for n, val in psi_mp.items()}
             if min(psi_a) < grid.n_low or max(psi_a) > grid.n_high:
                 raise ValueError(f"scale index {m} pushes the mother off the grid")
-            FPa = {int(s): cmp_ * mp.fsum(val * kap[n + s] * w[n]
-                                          for n, val in psi_a.items())
-                   for s in grid.indices}
+            psi_a_w = [(n, val * w[n]) for n, val in psi_a.items()]
+            FPa_w = {s: transform(psi_a_w, s) * w[s] for s in idx}
+            profile = {s: root_a * transform(psi_w, m + s) for s in xi_indices}
+            root_c = root_a * cmp_
             for n_b in position_indices:
-                daughter = {}
-                for n in grid.indices:
-                    n = int(n)
-                    daughter[n] = root_a * cmp_ * mp.fsum(
-                        FPa[s] * kap[n + s] * kap[n_b + s] * w[s]
-                        for s in FPa)
-                lhs = {}
-                rhs = {}
-                for s in xi_indices:
-                    lhs[s] = cmp_ * mp.fsum(val * kap[n + s] * w[n]
-                                            for n, val in daughter.items())
-                    rhs[s] = root_a * mother_profile(m + s) * kap[n_b + s]
+                u = [(s, val * kap[n_b + s]) for s, val in FPa_w.items()]
+                daughter_w = [(n, root_c * mp.fdot((val, kap[n + s])
+                                                   for s, val in u) * w[n])
+                              for n in idx]
+                lhs = {s: transform(daughter_w, s) for s in xi_indices}
+                rhs = {s: profile[s] * kap[n_b + s] for s in xi_indices}
                 ref = max(abs(val) for val in rhs.values())
                 err = max(abs(lhs[s] - rhs[s]) for s in xi_indices) / ref
                 worst = max(worst, float(err))

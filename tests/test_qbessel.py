@@ -10,6 +10,7 @@ import pytest
 from qwave.qbessel import (
     DegenerateParameterError,
     SeriesTolerance,
+    _kernel_values,
     generalized_q_bessel_operator,
     lattice_kernel,
     modified_q_bessel,
@@ -205,3 +206,70 @@ class TestLatticeTable:
         large = lattice_kernel(nu, q, -10, 12)
         for s, val in small.items():
             assert float(large[s]) == val
+
+
+def per_term_kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
+    """The kernel table as first written: every series term recomputes
+    Q^n and Q^{nu+n} with mpmath powers, and the recurrence computes
+    q^{-2k} per step. The library hoists all of them; rounded to float64
+    the two tables must not differ."""
+    with mp.workdps(dps):
+        qq = mp.mpf(q)
+        Q = qq * qq
+        numu = mp.mpf(nu)
+        out = {}
+
+        def series(s):
+            x2 = qq ** (2 * mp.mpf(s))
+            term = mp.mpf(1)
+            tot = mp.mpf(1)
+            n = 0
+            while True:
+                n += 1
+                term *= -(Q ** n) * x2 / ((1 - Q ** (numu + n)) * (1 - Q ** n))
+                tot += term
+                if abs(term) < mp.mpf(10) ** (-dps - 5) * abs(tot):
+                    return tot
+
+        for s in range(max(s_min, 0), s_max + 1):
+            out[s] = series(s)
+        if s_min < 0:
+            kmax = -s_min
+            q2nu = qq ** (2 * numu)
+            y_hi = mp.mpf(0)
+            y = mp.mpf(1)
+            vals = {}
+            for k in range(kmax + buffer, -1, -1):
+                vals[k] = y
+                y_lo = ((1 + q2nu - qq ** (-2 * k)) * y - y_hi) / q2nu
+                y_hi = y
+                y = y_lo
+            scale = out[0] / vals[0]
+            for k in range(1, kmax + 1):
+                out[-k] = vals[k] * scale
+    return {s: float(val) for s, val in out.items()}
+
+
+# (nu, q) of the acceptance lattice's three orders, one q each
+_TABLE_CELLS = [(0.0, 0.3), (0.25, 0.5), (1.25, 0.7)]
+
+
+class TestLatticeTableBitwise:
+    @pytest.mark.parametrize("nu,q", _TABLE_CELLS)
+    def test_series_entries(self, nu, q):
+        tab = lattice_kernel(nu, q, 0, 24)
+        want = per_term_kernel_values(nu, q, 0, 24)
+        assert {s: float(tab[s]) for s in range(0, 25)} == want
+
+    @pytest.mark.parametrize("nu,q", _TABLE_CELLS)
+    def test_recurrence_entries(self, nu, q):
+        # the negative half depends on where the recurrence is seeded, so
+        # both sides build the same range from scratch
+        got = _kernel_values(nu, q, -40, 4)
+        want = per_term_kernel_values(nu, q, -40, 4)
+        assert {s: float(val) for s, val in got.items()} == want
+
+    def test_degenerate_order_rejected(self):
+        # nu = -3: the factor 1 - Q^{nu+3} vanishes in the third term
+        with pytest.raises(DegenerateParameterError):
+            _kernel_values(-3.0, 0.5, -4, 4)

@@ -95,6 +95,24 @@ class TestExitCodes:
         assert rc == 2
         assert "outside available" in err
 
+    def test_degenerate_order_exits_1(self, capsys):
+        # nu = alpha - beta = -3 makes (q^{2 nu + 2}; q^2)_n vanish at n = 3
+        # inside the high-precision kernel table
+        rc, out, err = run(capsys, "fourier", "--calibrate",
+                           "--alpha", "0", "--beta", "3")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("qwave: q-Pochhammer factor ~0")
+        assert err.count("\n") == 1
+
+    def test_series_truncation_exits_1(self, capsys):
+        # near q = 1 the float64 series needs more than max_terms terms
+        rc, out, err = run(capsys, "bessel", "--q", "0.999")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("qwave: series did not converge")
+        assert err.count("\n") == 1
+
 
 class TestGridCommand:
     def test_schema_and_values(self, capsys):

@@ -3,10 +3,11 @@ columns, translation, and the high-precision spectrum route."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from qwave.qbessel import modified_q_bessel
+from qwave.qbessel import lattice_kernel, modified_q_bessel
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
     CalibrationError,
@@ -16,6 +17,7 @@ from qwave.qtransform import (
     spectrum,
     translate,
 )
+from qwave.qwavelet import operator_mother
 
 from conftest import rel_err
 
@@ -174,3 +176,72 @@ class TestSpectrum:
         # with the leading order cancelled the tail decays like q^{2s}
         for s in (29, 30, 31):
             assert rel_err(abs(deep[s + 1] / deep[s]), q * q) < 1e-6
+
+
+def per_term_spectrum(f, plan, s_lo, s_hi):
+    """The entrywise spectrum as first written: one mpmath power and two
+    roundings per (n, s) pair, summed in order. The library hoists the
+    powers and sums exact products; rounded to float64 the two must not
+    differ."""
+    grid, v = plan.grid, plan.v
+    if isinstance(f, GridFunction):
+        support = {int(grid.indices[i]): f.values[i]
+                   for i in np.nonzero(f.values)[0]}
+    else:
+        support = dict(f)
+    ns = list(support)
+    tab = lattice_kernel(v.nu, grid.q, min(ns) + s_lo, max(ns) + s_hi)
+    depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
+                *(abs(n) for n in ns))
+    dps = int(2 * depth * math.log10(1.0 / grid.q)) + 80
+    out = {}
+    with mpmath.mp.workdps(dps):
+        qmp = mpmath.mpf(grid.q)
+        cmp_ = mpmath.mpf(plan.c_qv)
+        wexp = 2.0 * v.abs_v + 2.0
+        weighted = {n: (1 - qmp) * qmp ** (n * wexp) * mpmath.mpf(val)
+                    for n, val in support.items()}
+        for s in range(s_lo, s_hi + 1):
+            acc = mpmath.mpf(0)
+            for n, wval in weighted.items():
+                acc += wval * (qmp ** (-2.0 * v.beta * (n + s + v.beta))) \
+                    * tab[n + s]
+            out[s] = float(cmp_ * acc)
+    return out
+
+
+_ORACLE_CELLS = [(q, alpha, beta) for q in (0.3, 0.7)
+                 for alpha, beta in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))]
+
+
+@pytest.fixture(scope="module", params=_ORACLE_CELLS,
+                ids=lambda c: "q{}-a{}-b{}".format(*c))
+def oracle_plan(request):
+    q, alpha, beta = request.param
+    return make_plan(build_grid(q, -20, 40), BesselParams(alpha, beta))
+
+
+class TestSpectrumBitwise:
+    def test_dense_input(self, oracle_plan):
+        grid = oracle_plan.grid
+        vals = np.random.default_rng(11).standard_normal(grid.size)
+        f = GridFunction(grid, vals)
+        want = per_term_spectrum(f, oracle_plan, grid.n_low, grid.n_high)
+        assert spectrum(f, oracle_plan) == want
+
+    def test_mean_free_input_at_depth(self, oracle_plan):
+        # the zeroth moment cancels, so deep outputs sit far below the
+        # individual terms
+        grid, v = oracle_plan.grid, oracle_plan.v
+        q = grid.q
+        f = GridFunction.from_pairs(
+            grid, [(0, 1.0), (2, -q ** (-2.0 * (2.0 * v.abs_v + 2.0)))])
+        want = per_term_spectrum(f, oracle_plan, -10, 70)
+        assert spectrum(f, oracle_plan, -10, 70) == want
+
+    def test_mother_profile_range(self, oracle_plan):
+        # the mp-valued mother over the extended range make_wavelet asks
+        spec = operator_mother(oracle_plan)
+        lo, hi = min(spec.profile), max(spec.profile)
+        want = per_term_spectrum(spec.mp_values, oracle_plan, lo, hi)
+        assert spec.profile == want

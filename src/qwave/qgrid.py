@@ -222,8 +222,20 @@ def weight_exponent(v):
 
 
 def jackson_weights(grid, v):
-    """(1-q) q^{n(2|v|+2)} for every grid index, as an array."""
-    return (1.0 - grid.q) * grid.q ** (grid.indices * weight_exponent(v))
+    """(1-q) q^{n(2|v|+2)} for every grid index, as an array.
+
+    Raises ValueError when a weight overflows float64, which happens at
+    negative indices once n (2|v|+2) log2(q) passes 1024.
+    """
+    with np.errstate(over="ignore"):
+        w = (1.0 - grid.q) * grid.q ** (grid.indices * weight_exponent(v))
+    bad = np.flatnonzero(~np.isfinite(w))
+    if len(bad):
+        raise ValueError(
+            f"Jackson weight (1-q) q^(n(2|v|+2)) overflows float64 at "
+            f"n = {int(grid.indices[bad[0]])} (q = {grid.q}, "
+            f"|v| = {v.abs_v})")
+    return w
 
 
 def weighted_p_norm(f, p, v):
@@ -231,14 +243,14 @@ def weighted_p_norm(f, p, v):
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     w = jackson_weights(f.grid, v)
-    s = math.fsum(np.abs(f.values) ** p * w)
+    s = math.fsum((np.abs(f.values) ** p * w).tolist())
     return s ** (1.0 / p)
 
 
 def norm_sq(f, v):
     """Squared L^2 norm against the x^{2|v|+1} d_q x measure."""
     w = jackson_weights(f.grid, v)
-    return math.fsum(f.values * f.values * w)
+    return math.fsum((f.values * f.values * w).tolist())
 
 
 def dilate(f, m):

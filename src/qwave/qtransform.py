@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_float
 
 from qwave.qbessel import MP_LOCK, lattice_kernel
 from qwave.qgrid import GridFunction, jackson_weights
@@ -55,24 +56,78 @@ class TransformPlan:
         return self.c_qv * (self.matrix @ (self.weights * values))
 
     def norm_sq(self, values):
-        return math.fsum(values * values * self.weights)
+        return math.fsum((values * values * self.weights).tolist())
+
+
+def mp_dot(A, B, prec):
+    """sum_k A[k] B[k] over raw mpf tuples (mpf._mpf_), rounded once to
+    nearest at prec bits: the raw tuple that mpmath.fdot(A, B) returns at
+    that precision.
+
+    Each product is exact (sign xor, mantissa product, exponent sum) and
+    is accumulated by the rules of mpmath's libmp.mpf_sum, including its
+    two branches that drop a term more than 2*prec bits below the running
+    sum or replace a sum that far below the term (man.bit_length() is
+    libmp.bitcount(abs(man)) for a signed mantissa). So the result is
+    bit-identical to fdot, without fdot's per-pair type checks, the
+    bit count inside each exact multiply, or its second pass over a list
+    of products.
+
+    mpmath encodes +-inf and nan with a zero mantissa; they raise
+    ValueError here rather than be summed as zeros.
+    """
+    man = 0
+    exp = 0
+    max_extra = 2 * prec
+    for (asign, aman, aexp, _), (bsign, bman, bexp, _) in zip(A, B):
+        xman = aman * bman
+        if not xman:
+            if (aexp and not aman) or (bexp and not bman):
+                raise ValueError("mp_dot operand is inf or nan")
+            continue
+        if asign ^ bsign:
+            xman = -xman
+        xexp = aexp + bexp
+        delta = xexp - exp
+        if delta >= 0:
+            # the product far above the running sum replaces it
+            if delta > max_extra and (
+                    not man or delta - man.bit_length() > max_extra):
+                man = xman
+                exp = xexp
+            else:
+                man += xman << delta
+        else:
+            delta = -delta
+            # the product far below the running sum is dropped
+            if delta > max_extra and delta - xman.bit_length() > max_extra:
+                if not man:
+                    man = xman
+                    exp = xexp
+            else:
+                man = (man << delta) + xman
+                exp = xexp
+    return from_man_exp(man, exp, prec, round_nearest)
 
 
 def mp_kappa_row(qmp, beta, tab, t_lo, t_hi):
     """kappa(t) = q^{-2 beta (t+beta)} tab[t] for t in [t_lo, t_hi], at the
-    caller's working precision, as a list starting at t_lo.
+    caller's working precision, as a list of raw mpf tuples starting at
+    t_lo (mp_dot's operand form; mp.make_mpf wraps one back).
 
     One power for t_lo, then one multiply by q^{-2 beta} per step, so
-    the row costs no mpmath power per entry. Call it inside the mp
-    precision block that the values are meant for.
+    the row costs no mpmath power per entry. Each multiply is the
+    libmp.mpf_mul call that mpf * mpf makes, without the object. Call it
+    inside the mp precision block that the values are meant for.
     """
+    prec = mp.prec
     b = mp.mpf(beta)
-    step = qmp ** (-2 * b)
-    p = qmp ** (-2 * b * (t_lo + b))
+    step = (qmp ** (-2 * b))._mpf_
+    p = (qmp ** (-2 * b * (t_lo + b)))._mpf_
     row = []
     for t in range(t_lo, t_hi + 1):
-        row.append(p * tab[t])
-        p *= step
+        row.append(mpf_mul(p, tab[t]._mpf_, prec, round_nearest))
+        p = mpf_mul(p, step, prec, round_nearest)
     return row
 
 
@@ -83,7 +138,7 @@ def _kernel_row(grid, v):
     with MP_LOCK, mp.workdps(60):
         row = mp_kappa_row(mp.mpf(grid.q), v.beta, tab,
                            2 * grid.n_low, 2 * grid.n_high)
-        return np.array([float(k) for k in row])
+        return np.array([to_float(k, rnd=round_nearest) for k in row])
 
 
 def _default_calibration_probes(grid):
@@ -113,7 +168,8 @@ def _calibrate(v, grid, probes):
         denom = trial.norm_sq(f.values)
         if denom == 0.0:
             raise ValueError("calibration probe is identically zero")
-        rhos.append(math.fsum(g * f.values * trial.weights) / denom)
+        rhos.append(math.fsum((g * f.values * trial.weights).tolist())
+                    / denom)
     rho = rhos[0]
     spread = max(abs(r / rho - 1.0) for r in rhos)
     if spread > CALIBRATION_SPREAD_TOL:
@@ -185,9 +241,9 @@ def _spectrum_mp(f, plan, s_lo=None, s_hi=None, extra_dps=0):
     """mpf transform values {s: F f(s)} over [s_lo, s_hi].
 
     The kernel row kappa(t) is built once per call over every index sum
-    t = n + s the outputs need (mp_kappa_row), and each output is
-    c * fdot(weighted f, kappa shifted by s): a dot product of exact
-    products, rounded once.
+    t = n + s the outputs need (mp_kappa_row, raw tuples), and each
+    output is c * mp_dot(weighted f, kappa shifted by s): a dot product
+    of exact products, rounded once, bit-identical to mpmath.fdot.
     """
     grid, v = plan.grid, plan.v
     if s_lo is None:
@@ -209,13 +265,15 @@ def _spectrum_mp(f, plan, s_lo=None, s_hi=None, extra_dps=0):
     dps = int(2 * depth * math.log10(1.0 / grid.q)) + 80 + extra_dps
     out = {}
     with MP_LOCK, mp.workdps(dps):
+        prec = mp.prec
         qmp = mp.mpf(grid.q)
         cmp_ = mp.mpf(plan.c_qv)
         wexp = 2.0 * v.abs_v + 2.0
-        weighted = [(1 - qmp) * qmp ** (n * wexp) * mp.mpf(val)
+        weighted = [((1 - qmp) * qmp ** (n * wexp) * mp.mpf(val))._mpf_
                     for n, val in support.items()]
         kap = mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
         offsets = [n - t_lo for n in ns]
         for s in range(s_lo, s_hi + 1):
-            out[s] = cmp_ * mp.fdot(weighted, [kap[o + s] for o in offsets])
+            out[s] = cmp_ * mp.make_mpf(
+                mp_dot(weighted, [kap[o + s] for o in offsets], prec))
     return out

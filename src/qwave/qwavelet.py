@@ -21,10 +21,11 @@ import math
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import mpf_mul, round_nearest
 
 from qwave.qbessel import MP_LOCK, lattice_kernel
 from qwave.qgrid import GridFunction, dilate
-from qwave.qtransform import mp_kappa_row, spectrum, translate
+from qwave.qtransform import mp_dot, mp_kappa_row, spectrum, translate
 
 GATE_REL_TAIL = 1e-13
 GATE_RUN = 3
@@ -280,7 +281,7 @@ def wavelet_plancherel_ratio(f, spec, scale_indices=None):
     contrib = {}
     for m, row in rows.items():
         contrib[m] = (1.0 - q) / (q ** float(m)) * math.fsum(
-            row * row * plan.weights)
+            (row * row * plan.weights).tolist())
     total, _ = gated_scale_sum(contrib)
     return total / nf
 
@@ -296,12 +297,13 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     Both sides are assembled in mpmath; per (a, b) pair the mismatch is
     normalized by the largest right-side magnitude over the xi window.
 
-    Every sum is an mp.fdot (exact products, one rounding) against the
-    kernel row, which mp_kappa_row builds once. The factors that do not
-    depend on the summation index are multiplied in first: the Jackson
-    weight into the mother, the dilated mother and the daughter, and
-    FPa(s) kappa(n_b + s) w(s) once per position. The mother profile is
-    evaluated once per scale, not once per position.
+    Every sum is an mp_dot (exact products, one rounding, bit-identical
+    to mpmath.fdot) against the kernel row, which mp_kappa_row builds
+    once as raw tuples in a list indexed by t - 2 n_low. The factors
+    that do not depend on the summation index are multiplied in first:
+    the Jackson weight into the mother, the dilated mother and the
+    daughter, and FPa(s) kappa(n_b + s) w(s) once per position. The
+    mother profile is evaluated once per scale, not once per position.
     """
     plan = spec.plan
     grid, v = plan.grid, plan.v
@@ -310,22 +312,37 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     else:
         psi = {int(grid.indices[i]): spec.mother.values[i]
                for i in np.nonzero(spec.mother.values)[0]}
+    # kap is a list: an index sum off [k_lo, k_hi] would wrap or shorten
+    # a slice rather than fail
+    off = [n for n in (*position_indices, *xi_indices)
+           if not grid.n_low <= n <= grid.n_high]
+    if off:
+        raise ValueError(f"position or spectral index {off[0]} is off the "
+                         f"grid [{grid.n_low}, {grid.n_high}]")
     k_lo, k_hi = 2 * grid.n_low, 2 * grid.n_high
     tab = lattice_kernel(v.nu, grid.q, k_lo, k_hi)
     idx = [int(n) for n in grid.indices]
     worst = 0.0
     with MP_LOCK, mp.workdps(dps):
+        prec = mp.prec
+        make = mp.make_mpf
         qmp = mp.mpf(grid.q)
         cmp_ = mp.mpf(plan.c_qv)
         wexp = 2.0 * v.abs_v + 2.0
-        kap = dict(zip(range(k_lo, k_hi + 1),
-                       mp_kappa_row(qmp, v.beta, tab, k_lo, k_hi)))
+        kap = mp_kappa_row(qmp, v.beta, tab, k_lo, k_hi)
         w = {n: (1 - qmp) * qmp ** (n * wexp) for n in idx}
         psi_mp = {n: mp.mpf(val) for n, val in psi.items()}
 
         def transform(weighted, s):
             """c * sum_n weighted[n] kappa(n + s), weights already in."""
-            return cmp_ * mp.fdot((val, kap[n + s]) for n, val in weighted)
+            return cmp_ * make(mp_dot(
+                [val._mpf_ for _, val in weighted],
+                [kap[n + s - k_lo] for n, _ in weighted], prec))
+
+        def window(t):
+            """kappa(n + t) for every grid index n, in idx order."""
+            lo = t + grid.n_low - k_lo
+            return kap[lo:lo + grid.size]
 
         psi_w = [(n, val * w[n]) for n, val in psi_mp.items()]
         for m in scale_indices:
@@ -335,16 +352,18 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
             if min(psi_a) < grid.n_low or max(psi_a) > grid.n_high:
                 raise ValueError(f"scale index {m} pushes the mother off the grid")
             psi_a_w = [(n, val * w[n]) for n, val in psi_a.items()]
-            FPa_w = {s: transform(psi_a_w, s) * w[s] for s in idx}
+            FPa_w = [(transform(psi_a_w, s) * w[s])._mpf_ for s in idx]
             profile = {s: root_a * transform(psi_w, m + s) for s in xi_indices}
             root_c = root_a * cmp_
             for n_b in position_indices:
-                u = [(s, val * kap[n_b + s]) for s, val in FPa_w.items()]
-                daughter_w = [(n, root_c * mp.fdot((val, kap[n + s])
-                                                   for s, val in u) * w[n])
-                              for n in idx]
-                lhs = {s: transform(daughter_w, s) for s in xi_indices}
-                rhs = {s: profile[s] * kap[n_b + s] for s in xi_indices}
+                u = [mpf_mul(val, k, prec, round_nearest)
+                     for val, k in zip(FPa_w, window(n_b))]
+                daughter_w = [(root_c * make(mp_dot(u, window(n), prec))
+                               * w[n])._mpf_ for n in idx]
+                lhs = {s: cmp_ * make(mp_dot(daughter_w, window(s), prec))
+                       for s in xi_indices}
+                rhs = {s: profile[s] * make(kap[n_b + s - k_lo])
+                       for s in xi_indices}
                 ref = max(abs(val) for val in rhs.values())
                 err = max(abs(lhs[s] - rhs[s]) for s in xi_indices) / ref
                 worst = max(worst, float(err))

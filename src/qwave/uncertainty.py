@@ -114,7 +114,8 @@ def _position_moment_contrib(f, spec):
     q = plan.grid.q
     x2w = plan.grid.points ** 2 * plan.weights
     rows = scale_rows(f, spec)
-    contrib = {m: (1.0 - q) / (q ** float(m)) * math.fsum(x2w * row * row)
+    contrib = {m: (1.0 - q) / (q ** float(m))
+               * math.fsum((x2w * row * row).tolist())
                for m, row in rows.items()}
     return contrib, rows
 
@@ -184,14 +185,15 @@ def weighted_energy_ratio(f, spec):
     x2wp = points ** 2 * wb_plain
     spec_map = spectrum(f, plan)
     Ff = np.array([spec_map[s] for s in grid.indices])
-    den = math.fsum(points ** 2 * Ff ** 2 * wb_plain)
+    den = math.fsum((points ** 2 * Ff ** 2 * wb_plain).tolist())
     if den == 0.0:
         raise ValueError("input has no spectral energy on the grid")
     rows = scale_rows(f, spec)
     contrib = {}
     for m, row in rows.items():
         frow = plan.fourier_values(row)
-        contrib[m] = (1.0 - q) / (q ** float(m)) * math.fsum(x2wp * frow ** 2)
+        contrib[m] = (1.0 - q) / (q ** float(m)) * math.fsum(
+            (x2wp * frow ** 2).tolist())
     num, _ = gated_scale_sum(contrib)
     return num / den
 

@@ -113,6 +113,17 @@ class TestExitCodes:
         assert err.startswith("qwave: series did not converge")
         assert err.count("\n") == 1
 
+    def test_jackson_weight_overflow_exits_1(self, capsys, recwarn):
+        # verify's x4 grid reaches n = -160, where q^{n(2|v|+2)} = 2^1280
+        rc, out, err = run(capsys, "verify", "--q", "0.5", "--alpha", "2",
+                           "--beta", "1", "--nlow", "-40", "--nhigh", "80")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("qwave: Jackson weight")
+        assert "overflows float64 at n = -160" in err
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+
 
 class TestGridCommand:
     def test_schema_and_values(self, capsys):

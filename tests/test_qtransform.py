@@ -2,6 +2,7 @@
 columns, translation, and the high-precision spectrum route."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from qwave.qtransform import (
     CalibrationError,
     calibrate_normalization,
     make_plan,
+    mp_dot,
     q_bessel_fourier,
     spectrum,
     translate,
@@ -245,3 +247,92 @@ class TestSpectrumBitwise:
         lo, hi = min(spec.profile), max(spec.profile)
         want = per_term_spectrum(spec.mp_values, oracle_plan, lo, hi)
         assert spec.profile == want
+
+
+def _random_mpf(rng, spread):
+    """A random mpf at the current precision: zero one time in ten, else
+    a signed mantissa of up to 2*prec bits times 2^e, |e| <= spread."""
+    if rng.random() < 0.1:
+        return mpmath.mpf(0)
+    man = rng.getrandbits(rng.randint(1, 2 * mpmath.mp.prec)) or 1
+    return mpmath.ldexp(rng.choice((-1, 1)) * mpmath.mpf(man),
+                        rng.randint(-spread, spread))
+
+
+def _both(A, B):
+    """(mp_dot, fdot) at the current precision, as raw tuples."""
+    A = [mpmath.mpf(a) for a in A]
+    B = [mpmath.mpf(b) for b in B]
+    got = mp_dot([a._mpf_ for a in A], [b._mpf_ for b in B],
+                 mpmath.mp.prec)
+    return got, mpmath.fdot(A, B)._mpf_
+
+
+class TestMpDot:
+    """mp_dot against mpmath's fdot, which it replaces: the raw tuples
+    must be equal, not merely close."""
+
+    @pytest.mark.parametrize("dps", [15, 40, 120, 300, 900])
+    def test_random_vectors(self, dps):
+        rng = random.Random(dps)
+        with mpmath.workdps(dps):
+            for length in range(71):
+                spread = rng.choice((0, 20, 300, 5000, 20000))
+                A = [_random_mpf(rng, spread) for _ in range(length)]
+                B = [_random_mpf(rng, spread) for _ in range(length)]
+                if length >= 3 and rng.random() < 0.3:
+                    # cancel the first product exactly at the end
+                    A[-1], B[-1] = -A[0], B[0]
+                got, want = _both(A, B)
+                assert got == want, (dps, length, spread)
+
+    @pytest.mark.parametrize("dps", [15, 300])
+    def test_drop_and_replace_branches(self, dps):
+        # mpf_sum drops a term more than 2*prec bits below the running
+        # sum and replaces a running sum that far below a new term; each
+        # case below enters one of those branches
+        with mpmath.workdps(dps):
+            far = 5 * mpmath.mp.prec
+            big, tiny = mpmath.ldexp(3, far), mpmath.ldexp(5, -far)
+            cases = [
+                ([tiny, big], [1, 1]),          # replace a nonzero sum
+                ([big], [7]),                   # replace the empty sum
+                ([big, tiny], [1, -1]),         # drop the smaller term
+                ([big, -big, tiny], [1, 1, 1]),  # cancelled sum: take it
+                ([1, tiny, -1, big, tiny], [tiny, big, 3, big, 1]),
+            ]
+            for A, B in cases:
+                got, want = _both(A, B)
+                assert got == want
+
+    @pytest.mark.parametrize("dps", [15, 100])
+    def test_threshold_edges(self, dps):
+        # a term d bits away from the running sum survives (d <= 2*prec
+        # plus its own width) or not; a later exact cancellation of the
+        # larger term leaves either it or zero, so an off-by-one in
+        # either threshold changes the result
+        with mpmath.workdps(dps):
+            prec = mpmath.mp.prec
+            for man in (1, 5, 2 ** 70 + 1):
+                for d in range(prec - 2, 2 * prec + 80):
+                    big = mpmath.ldexp(man, d)
+                    for A in ([man, big, -big], [big, man, -big]):
+                        got, want = _both(A, [1, 1, 1])
+                        assert got == want, (man, d, A.index(man))
+
+    def test_empty_and_zero(self):
+        with mpmath.workdps(30):
+            assert _both([], []) == (mpmath.mpf(0)._mpf_,) * 2
+            assert _both([0, 2], [5, 0]) == (mpmath.mpf(0)._mpf_,) * 2
+            assert _both([3, -3], [2, 2]) == (mpmath.mpf(0)._mpf_,) * 2
+
+    @pytest.mark.parametrize("special", ["+inf", "-inf", "nan"])
+    @pytest.mark.parametrize("other", [1, 0])
+    def test_special_operands_raise(self, special, other):
+        # mpmath stores +-inf and nan with a zero mantissa; summed as
+        # zeros they would give a finite number where fdot gives inf/nan
+        x = mpmath.mpf(special)._mpf_
+        y = mpmath.mpf(other)._mpf_
+        for A, B in (([x, y], [y, y]), ([y, y], [y, x])):
+            with pytest.raises(ValueError, match="inf or nan"):
+                mp_dot(A, B, 53)

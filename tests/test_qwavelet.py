@@ -3,9 +3,11 @@ gated scale summation."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from qwave.qbessel import lattice_kernel
 from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan
 from qwave.qwavelet import (
@@ -197,3 +199,81 @@ class TestPlancherel:
     def test_zero_input_rejected(self, spec00, grid00):
         with pytest.raises(ValueError, match="zero function"):
             wavelet_plancherel_ratio(GridFunction.zeros(grid00), spec00)
+
+
+def fdot_factorization_error(spec, scale_indices, position_indices,
+                             xi_indices, dps=100):
+    """factorization_error as it was written with mpmath's fdot and a
+    kappa row of mpf objects, kept as the reference: the library's
+    mp_dot on raw tuples must reproduce it bit for bit."""
+    plan = spec.plan
+    grid, v = plan.grid, plan.v
+    psi = spec.mp_values
+    k_lo, k_hi = 2 * grid.n_low, 2 * grid.n_high
+    tab = lattice_kernel(v.nu, grid.q, k_lo, k_hi)
+    idx = [int(n) for n in grid.indices]
+    worst = 0.0
+    with mpmath.workdps(dps):
+        mp = mpmath.mp
+        qmp = mp.mpf(grid.q)
+        cmp_ = mp.mpf(plan.c_qv)
+        wexp = 2.0 * v.abs_v + 2.0
+        b = mp.mpf(v.beta)
+        step = qmp ** (-2 * b)
+        p = qmp ** (-2 * b * (k_lo + b))
+        kap = {}
+        for t in range(k_lo, k_hi + 1):
+            kap[t] = p * tab[t]
+            p *= step
+        w = {n: (1 - qmp) * qmp ** (n * wexp) for n in idx}
+        psi_mp = {n: mp.mpf(val) for n, val in psi.items()}
+
+        def transform(weighted, s):
+            return cmp_ * mp.fdot((val, kap[n + s]) for n, val in weighted)
+
+        psi_w = [(n, val * w[n]) for n, val in psi_mp.items()]
+        for m in scale_indices:
+            root_a = mp.sqrt(qmp ** m)
+            dil = qmp ** (-m * wexp)
+            psi_a = {n + m: dil * val for n, val in psi_mp.items()}
+            psi_a_w = [(n, val * w[n]) for n, val in psi_a.items()]
+            FPa_w = {s: transform(psi_a_w, s) * w[s] for s in idx}
+            profile = {s: root_a * transform(psi_w, m + s) for s in xi_indices}
+            root_c = root_a * cmp_
+            for n_b in position_indices:
+                u = [(s, val * kap[n_b + s]) for s, val in FPa_w.items()]
+                daughter_w = [(n, root_c * mp.fdot((val, kap[n + s])
+                                                   for s, val in u) * w[n])
+                              for n in idx]
+                lhs = {s: transform(daughter_w, s) for s in xi_indices}
+                rhs = {s: profile[s] * kap[n_b + s] for s in xi_indices}
+                ref = max(abs(val) for val in rhs.values())
+                err = max(abs(lhs[s] - rhs[s]) for s in xi_indices) / ref
+                worst = max(worst, float(err))
+    return worst
+
+
+class TestFactorizationBitwise:
+    # q = 0.5, v = (0, 0) leaves an error near 1e-73 at dps = 100: the
+    # value most exposed to a change in mp rounding. At dps = 20 the
+    # error is mp rounding alone, so a one-bit change anywhere shows.
+    @pytest.mark.parametrize("dps", [100, 20])
+    @pytest.mark.parametrize("q,alpha,beta", [(0.5, 0.0, 0.0),
+                                              (0.3, 0.5, 0.25),
+                                              (0.7, 1.0, -0.25)])
+    def test_matches_fdot_reference(self, q, alpha, beta, dps):
+        spec = operator_mother(make_plan(build_grid(q, -20, 40),
+                                         BesselParams(alpha, beta)))
+        mid = spec.scale_indices[len(spec.scale_indices) // 2]
+        args = (spec, [mid - 1, mid], (-2, 0, 3), range(-5, 6), dps)
+        got = factorization_error(*args)
+        assert got == fdot_factorization_error(*args)
+        assert 0.0 < got < 1e-8
+
+    @pytest.mark.parametrize("positions,xis", [([41], range(-2, 3)),
+                                               ([0], range(-21, -18)),
+                                               ([0], range(38, 42))])
+    def test_off_grid_indices_rejected(self, spec00, positions, xis):
+        mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
+        with pytest.raises(ValueError, match="off the grid"):
+            factorization_error(spec00, [mid], positions, xis)

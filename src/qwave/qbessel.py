@@ -130,7 +130,8 @@ MP_LOCK = threading.RLock()
 _tables = {}
 
 
-def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
+def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8, s_first=None,
+                   j0=None):
     """j_nu(q^s; q^2) for integer s in [s_min, s_max] as an mpf dict.
 
     s >= 0 comes straight from the series. s < 0 uses the three-term
@@ -143,6 +144,13 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
     they are built once, from running products of Q, and every s reuses
     them (term_k = term_{k-1} r_k x^2). The arguments x^2 = Q^s and the
     recurrence's q^{-2k} are running products too.
+
+    lattice_kernel extends a table with s_first, the first series entry
+    it lacks, and j0, its value at s = 0. The series then runs over
+    [s_first, s_max] from x^2 = Q^s_first replayed as the running product
+    from Q^0, which is the product a call over s_min <= 0 reaches there,
+    and the recurrence (run when s_min < 0) is normalized against j0.
+    Only the entries computed are returned.
     """
     with MP_LOCK, mp.workdps(dps):
         qq = mp.mpf(q)
@@ -178,9 +186,14 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
                 if n > 800:
                     raise TruncationError(f"high-precision series stalled at s={s}")
 
-        s0 = max(s_min, 0)
-        x2 = Q ** s0
-        for s in range(s0, s_max + 1):
+        if s_first is None:
+            s_first = max(s_min, 0)
+            x2 = Q ** s_first
+        else:
+            x2 = mp.mpf(1)
+            for _ in range(s_first):
+                x2 *= Q
+        for s in range(s_first, s_max + 1):
             out[s] = series(s, x2)
             x2 *= Q
         if s_min < 0:
@@ -195,7 +208,7 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
                 y_hi = y
                 y = y_lo
                 q_m2k *= Q
-            scale = out[0] / vals[0]
+            scale = (out[0] if j0 is None else j0) / vals[0]
             for k in range(1, kmax + 1):
                 out[-k] = vals[k] * scale
     return out
@@ -204,19 +217,33 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
 def lattice_kernel(nu, q, s_min, s_max):
     """Cached j_nu(q^s; q^2) table over [s_min, s_max] (mpf values).
 
-    Extending a cached range recomputes the whole table. Entries at
-    s >= 0 come from the series and stay bit-identical across calls.
-    Entries at s < 0 do not: the backward recurrence is seeded at
-    -s_min + 8, so a deeper table changes them in their last digits.
-    On the acceptance lattice, growing [-40, 80] to [-160, 320] changes
-    31 to 40 of the 40 entries at s in [-40, -1], by at most 3e-239
-    relative; none of their float64 values changes.
+    The first request for a (nu, q) builds the table over
+    [min(s_min, 0), max(s_max, 0)]. A request past its range extends it:
+    entries at s >= 0 are evaluated only where new, from the series'
+    running product replayed from Q^0, so each is evaluated once per
+    process and stays bit-identical across calls. Entries at s < 0 are
+    recomputed when s_min deepens, because the backward recurrence is
+    seeded at -s_min + 8 and a deeper seed changes them in their last
+    digits: on the acceptance lattice, growing [-40, 80] to [-160, 320]
+    changes 31 to 40 of the 40 entries at s in [-40, -1], by at most
+    3e-239 relative, and none of their float64 values. Either way every entry
+    equals what a one-shot _kernel_values over the final range gives.
+
+    An extension stores a new dict and never changes one returned
+    before, so a caller holding a table (or anything built from it) can
+    tell by identity whether it is still current.
     """
     key = (float(nu), float(q))
     with MP_LOCK:
         tab = _tables.get(key)
-        if tab is None or min(tab) > s_min or max(tab) < s_max:
-            lo = min(s_min, min(tab) if tab else 0)
-            hi = max(s_max, max(tab) if tab else 0)
-            _tables[key] = _kernel_values(nu, q, lo, hi)
-        return _tables[key]
+        if tab is None:
+            tab = _kernel_values(nu, q, min(s_min, 0), max(s_max, 0))
+        elif min(tab) > s_min or max(tab) < s_max:
+            lo, hi = min(tab), max(tab)
+            # new series entries above hi; the recurrence only when s_min
+            # deepens (a call with s_min = 0 runs none)
+            tab = {**tab, **_kernel_values(
+                nu, q, s_min if s_min < lo else 0, max(s_max, hi),
+                s_first=hi + 1, j0=tab[0])}
+        _tables[key] = tab
+        return tab

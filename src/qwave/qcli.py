@@ -292,6 +292,12 @@ def cmd_uncertainty(cfg, args):
     spec = _MOTHERS[cfg.mother](plan)
     probes = probe_family(plan)
     reports = parallel_map(lambda f: uncertainty_report(f, spec), probes)
+    for i, r in enumerate(reports):
+        if not math.isfinite(r.ratio):
+            raise ValueError(
+                f"uncertainty ratio of probe {i} is {r.ratio:g} "
+                f"(I_R = {r.I_R:g}, I_S = {r.I_S:g}) "
+                f"{_cell_text(cfg.q, cfg.alpha, cfg.beta, cfg)}")
     lines = [_json_text({"I_R": r.I_R, "I_S": r.I_S, "norm_sq": r.norm_sq,
                          "ratio": r.ratio}) for r in reports]
     lines.append(_json_text({"K_emp": min(r.ratio for r in reports),
@@ -299,6 +305,11 @@ def cmd_uncertainty(cfg, args):
                              "alpha": cfg.alpha, "beta": cfg.beta}))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _cell_text(q, alpha, beta, cfg):
+    return (f"at q = {q:g}, alpha = {alpha:g}, beta = {beta:g} "
+            f"on grid [{cfg.n_low}, {cfg.n_high}]")
 
 
 def _run_sweep(cfg, args):
@@ -319,6 +330,9 @@ def _run_sweep(cfg, args):
             plan = make_plan(cell.grid(), cell.v)
             spec = _MOTHERS[cell.mother](plan)
             K = empirical_lower_constant(probe_family(plan), spec)
+            if not math.isfinite(K):
+                raise ValueError(f"K_emp is {K:g} "
+                                 f"{_cell_text(q, alpha, beta, cfg)}")
             lines.append(f"{fmt17(q)},{fmt17(alpha)},{fmt17(beta)},{fmt17(K)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest, to_float
+from mpmath.libmp import (from_float, from_man_exp, mpf_mul, round_nearest,
+                          to_float)
 
 from qwave.qbessel import MP_LOCK, lattice_kernel
 from qwave.qgrid import GridFunction, jackson_weights
@@ -33,10 +34,14 @@ class CalibrationError(RuntimeError):
 
 class TransformPlan:
     """Immutable transform state for one (grid, v) pair: the kernel table
-    over all index sums, the Jackson weights, and the calibrated c."""
+    over all index sums, the Jackson weights, and the calibrated c.
+
+    Its high-precision operands (raw-tuple Jackson weights and kappa
+    rows, per working precision) are filled on demand by _plan_weights
+    and _plan_kappa_row and kept with the plan."""
 
     __slots__ = ("grid", "v", "c_qv", "kernel_by_sum", "matrix", "weights",
-                 "calibration_spread", "calibration_residual")
+                 "calibration_spread", "calibration_residual", "_mp_operands")
 
     def __init__(self, grid, v, c_qv, kernel_by_sum, calibration_spread=0.0,
                  calibration_residual=0.0):
@@ -50,6 +55,8 @@ class TransformPlan:
         self.weights = jackson_weights(grid, v)
         self.calibration_spread = float(calibration_spread)
         self.calibration_residual = float(calibration_residual)
+        # mp.prec -> ({n: weight}, {t_lo: (kernel table, kappa row)})
+        self._mp_operands = {}
 
     def fourier_values(self, values):
         """Raw transform of a value array (same index range in and out)."""
@@ -128,6 +135,44 @@ def mp_kappa_row(qmp, beta, tab, t_lo, t_hi):
     for t in range(t_lo, t_hi + 1):
         row.append(mpf_mul(p, tab[t]._mpf_, prec, round_nearest))
         p = mpf_mul(p, step, prec, round_nearest)
+    return row
+
+
+def _plan_weights(plan, ns):
+    """Jackson weights (1-q) q^{n(2|v|+2)} for every n in ns, as raw mpf
+    tuples at the working precision, in a {n: weight} dict holding at
+    least ns. Each is the power the plan's first request for it at this
+    precision evaluated; later calls only look it up. Call inside
+    MP_LOCK and the mp precision block the values are meant for.
+    """
+    weights, _ = plan._mp_operands.setdefault(mp.prec, ({}, {}))
+    missing = [n for n in ns if n not in weights]
+    if missing:
+        qmp = mp.mpf(plan.grid.q)
+        wexp = 2.0 * plan.v.abs_v + 2.0
+        for n in missing:
+            weights[n] = ((1 - qmp) * qmp ** (n * wexp))._mpf_
+    return weights
+
+
+def _plan_kappa_row(plan, tab, t_lo, t_hi):
+    """mp_kappa_row over [t_lo, t_hi] at the working precision (a list
+    starting at t_lo, possibly running past t_hi), kept with the plan
+    per (precision, t_lo).
+
+    A stored row is served only while tab is the table it was built
+    from and it reaches t_hi. lattice_kernel hands out a new table
+    whenever it extends one, and deepening changes the s < 0 entries,
+    so a row from an older table is rebuilt. A row is never sliced out
+    of one that starts lower: the running product's rounding depends on
+    where it starts. Call inside MP_LOCK and the precision block.
+    """
+    _, rows = plan._mp_operands.setdefault(mp.prec, ({}, {}))
+    hit = rows.get(t_lo)
+    if hit is not None and hit[0] is tab and len(hit[1]) > t_hi - t_lo:
+        return hit[1]
+    row = mp_kappa_row(mp.mpf(plan.grid.q), plan.v.beta, tab, t_lo, t_hi)
+    rows[t_lo] = (tab, row)
     return row
 
 
@@ -232,18 +277,15 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     f is a GridFunction (values converted exactly) or a dict of
     {index: mpf} for inputs that must carry excess precision. Returns
     {s: float} over [s_lo, s_hi], defaulting to the grid index range.
-    """
-    out = _spectrum_mp(f, plan, s_lo, s_hi)
-    return {s: float(val) for s, val in out.items()}
 
-
-def _spectrum_mp(f, plan, s_lo=None, s_hi=None, extra_dps=0):
-    """mpf transform values {s: F f(s)} over [s_lo, s_hi].
-
-    The kernel row kappa(t) is built once per call over every index sum
-    t = n + s the outputs need (mp_kappa_row, raw tuples), and each
-    output is c * mp_dot(weighted f, kappa shifted by s): a dot product
-    of exact products, rounded once, bit-identical to mpmath.fdot.
+    Each output is c * mp_dot(weighted f, kappa shifted by s): a dot
+    product of exact products, rounded once, bit-identical to
+    mpmath.fdot, then multiplied by c and rounded to float64 with the
+    libmp calls that mpf * mpf and float() make. The operands that
+    depend only on the plan, the Jackson weights and the kappa row over
+    every index sum t = n + s the outputs need, come from the plan's
+    cache (_plan_weights, _plan_kappa_row), so a call on a warm plan
+    computes one multiply per support entry and the dot products.
     """
     grid, v = plan.grid, plan.v
     if s_lo is None:
@@ -256,24 +298,24 @@ def _spectrum_mp(f, plan, s_lo=None, s_hi=None, extra_dps=0):
     else:
         support = dict(f)
     if not support:
-        return {s: mp.mpf(0) for s in range(s_lo, s_hi + 1)}
+        return {s: 0.0 for s in range(s_lo, s_hi + 1)}
     ns = list(support)
     t_lo, t_hi = min(ns) + s_lo, max(ns) + s_hi
     tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
     depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
                 *(abs(n) for n in ns))
-    dps = int(2 * depth * math.log10(1.0 / grid.q)) + 80 + extra_dps
+    dps = int(2 * depth * math.log10(1.0 / grid.q)) + 80
     out = {}
     with MP_LOCK, mp.workdps(dps):
         prec = mp.prec
-        qmp = mp.mpf(grid.q)
-        cmp_ = mp.mpf(plan.c_qv)
-        wexp = 2.0 * v.abs_v + 2.0
-        weighted = [((1 - qmp) * qmp ** (n * wexp) * mp.mpf(val))._mpf_
+        weights = _plan_weights(plan, ns)
+        kap = _plan_kappa_row(plan, tab, t_lo, t_hi)
+        weighted = [mpf_mul(weights[n], mp.mpf(val)._mpf_, prec, round_nearest)
                     for n, val in support.items()]
-        kap = mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
+        c = from_float(plan.c_qv)
         offsets = [n - t_lo for n in ns]
         for s in range(s_lo, s_hi + 1):
-            out[s] = cmp_ * mp.make_mpf(
-                mp_dot(weighted, [kap[o + s] for o in offsets], prec))
+            dot = mp_dot(weighted, [kap[o + s] for o in offsets], prec)
+            out[s] = to_float(mpf_mul(c, dot, prec, round_nearest),
+                              rnd=round_nearest)
     return out

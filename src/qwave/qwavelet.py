@@ -25,7 +25,8 @@ from mpmath.libmp import mpf_mul, round_nearest
 
 from qwave.qbessel import MP_LOCK, lattice_kernel
 from qwave.qgrid import GridFunction, dilate
-from qwave.qtransform import mp_dot, mp_kappa_row, spectrum, translate
+from qwave.qtransform import (_plan_kappa_row, _plan_weights, mp_dot,
+                              spectrum, translate)
 
 GATE_REL_TAIL = 1e-13
 GATE_RUN = 3
@@ -183,10 +184,22 @@ def scale_rows(f, spec, scale_indices=None):
     grid = plan.grid
     if f.grid != grid:
         raise ValueError("grid function and plan use different grids")
+    return _spectral_rows(_spectrum_array(f, plan), spec, scale_indices)
+
+
+def _spectrum_array(f, plan):
+    """spectrum(f, plan) over the grid's index range, as an array."""
+    Ff_map = spectrum(f, plan)
+    return np.array([Ff_map[s] for s in plan.grid.indices])
+
+
+def _spectral_rows(Ff, spec, scale_indices=None):
+    """scale_rows from the input's spectrum array Ff, for callers that
+    need Ff themselves and so compute it once."""
+    plan = spec.plan
+    grid = plan.grid
     if scale_indices is None:
         scale_indices = spec.scale_indices
-    Ff_map = spectrum(f, plan)
-    Ff = np.array([Ff_map[s] for s in grid.indices])
     # profile[i] is spec.profile[prof_lo + i]; row m needs m + n for grid n
     prof_lo = spec.scale_indices[0] + grid.n_low
     prof_hi = spec.scale_indices[-1] + grid.n_high
@@ -298,8 +311,9 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     normalized by the largest right-side magnitude over the xi window.
 
     Every sum is an mp_dot (exact products, one rounding, bit-identical
-    to mpmath.fdot) against the kernel row, which mp_kappa_row builds
-    once as raw tuples in a list indexed by t - 2 n_low. The factors
+    to mpmath.fdot) against the kernel row, raw tuples in a list indexed
+    by t - 2 n_low. The row and the Jackson weights come from the plan's
+    cache of high-precision operands, which spectrum shares. The factors
     that do not depend on the summation index are multiplied in first:
     the Jackson weight into the mother, the dilated mother and the
     daughter, and FPa(s) kappa(n_b + s) w(s) once per position. The
@@ -329,8 +343,9 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
         qmp = mp.mpf(grid.q)
         cmp_ = mp.mpf(plan.c_qv)
         wexp = 2.0 * v.abs_v + 2.0
-        kap = mp_kappa_row(qmp, v.beta, tab, k_lo, k_hi)
-        w = {n: (1 - qmp) * qmp ** (n * wexp) for n in idx}
+        kap = _plan_kappa_row(plan, tab, k_lo, k_hi)
+        weights = _plan_weights(plan, idx)
+        w = {n: make(weights[n]) for n in idx}
         psi_mp = {n: mp.mpf(val) for n, val in psi.items()}
 
         def transform(weighted, s):

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwave.qgrid import GridFunction
-from qwave.qtransform import spectrum
-from qwave.qwavelet import Scaleogram, gated_scale_sum, scale_rows
+from qwave.qwavelet import (Scaleogram, _spectral_rows, _spectrum_array,
+                            gated_scale_sum, scale_rows)
 
 SLICE_NORM_FLOOR = 1e-22
 
@@ -103,21 +103,22 @@ def op_S(f, plan):
     The transform values come from the entrywise high-precision route;
     the float64 matrix route loses mean-free inputs at deep indices and
     those are exactly the inputs the moment integrals care about."""
-    spec_map = spectrum(f, plan)
-    vals = plan.grid.points * np.array([spec_map[s] for s in plan.grid.indices])
-    return GridFunction(plan.grid, vals)
+    return GridFunction(plan.grid, plan.grid.points * _spectrum_array(f, plan))
 
 
-def _position_moment_contrib(f, spec):
-    """Per-scale contributions to I_R: (1-q)/a * sum_b b^2 |C|^2 w(b)."""
-    plan = spec.plan
+def _position_moment_contrib(rows, plan):
+    """Per-scale contributions to I_R: (1-q)/a * sum_b b^2 |C|^2 w(b),
+    from the coefficient rows {m: C(q^m, .)}.
+
+    On a deep grid b^2 w(b) itself can overflow float64 (q = 0.3 on
+    [-160, 320]); the products are then inf or nan, and so is the sum,
+    which the caller's ratio carries without a numpy warning."""
     q = plan.grid.q
-    x2w = plan.grid.points ** 2 * plan.weights
-    rows = scale_rows(f, spec)
-    contrib = {m: (1.0 - q) / (q ** float(m))
-               * math.fsum((x2w * row * row).tolist())
-               for m, row in rows.items()}
-    return contrib, rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2w = plan.grid.points ** 2 * plan.weights
+        return {m: (1.0 - q) / (q ** float(m))
+                * math.fsum((x2w * row * row).tolist())
+                for m, row in rows.items()}
 
 
 def uncertainty_report(f, spec):
@@ -127,9 +128,11 @@ def uncertainty_report(f, spec):
     nf = plan.norm_sq(f.values)
     if nf == 0.0:
         raise ValueError("uncertainty ratio undefined for the zero function")
-    contrib, _ = _position_moment_contrib(f, spec)
+    # one spectrum serves both moments (I_S is the norm of op_S(f, plan))
+    Ff = _spectrum_array(f, plan)
+    contrib = _position_moment_contrib(_spectral_rows(Ff, spec), plan)
     I_R, _ = gated_scale_sum(contrib)
-    I_S = plan.norm_sq(op_S(f, plan).values)
+    I_S = plan.norm_sq(plan.grid.points * Ff)
     return UncertaintyReport(I_R=I_R, I_S=I_S, norm_sq=nf,
                              ratio=math.sqrt(I_R * I_S) / nf)
 
@@ -154,8 +157,8 @@ def heisenberg_slice_minimum(f, spec):
     uses, skipping slices whose norm sits at the noise floor."""
     plan = spec.plan
     points = plan.grid.points
-    contrib, rows = _position_moment_contrib(f, spec)
-    _, used = gated_scale_sum(contrib)
+    rows = scale_rows(f, spec)
+    _, used = gated_scale_sum(_position_moment_contrib(rows, plan))
     norms = {m: plan.norm_sq(rows[m]) for m in used}
     top = max(norms.values())
     best = math.inf
@@ -183,12 +186,11 @@ def weighted_energy_ratio(f, spec):
     points = grid.points
     wb_plain = (1.0 - q) * points
     x2wp = points ** 2 * wb_plain
-    spec_map = spectrum(f, plan)
-    Ff = np.array([spec_map[s] for s in grid.indices])
+    Ff = _spectrum_array(f, plan)
     den = math.fsum((points ** 2 * Ff ** 2 * wb_plain).tolist())
     if den == 0.0:
         raise ValueError("input has no spectral energy on the grid")
-    rows = scale_rows(f, spec)
+    rows = _spectral_rows(Ff, spec)
     contrib = {}
     for m, row in rows.items():
         frow = plan.fourier_values(row)

@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qwave import qbessel
 from qwave.qbessel import (
     DegenerateParameterError,
     SeriesTolerance,
@@ -273,3 +274,88 @@ class TestLatticeTableBitwise:
         # nu = -3: the factor 1 - Q^{nu+3} vanishes in the third term
         with pytest.raises(DegenerateParameterError):
             _kernel_values(-3.0, 0.5, -4, 4)
+
+
+@pytest.fixture()
+def fresh_tables(monkeypatch):
+    """An empty table cache, and every _kernel_values call recorded as
+    (s_min, s_max, keys of the entries it returned)."""
+    calls = []
+    build = qbessel._kernel_values
+
+    def recording(nu, q, s_min, s_max, *args, **kwargs):
+        out = build(nu, q, s_min, s_max, *args, **kwargs)
+        calls.append((s_min, s_max, sorted(out)))
+        return out
+
+    monkeypatch.setattr(qbessel, "_tables", {})
+    monkeypatch.setattr(qbessel, "_kernel_values", recording)
+    return calls
+
+
+def assert_one_shot(nu, q, tab):
+    # extension must leave every entry, s < 0 included, exactly where a
+    # single build over the final range puts it
+    want = _kernel_values(nu, q, min(tab), max(tab))
+    assert tab.keys() == want.keys()
+    assert all(tab[s] == want[s] for s in want)
+
+
+class TestLatticeTableExtension:
+    @pytest.mark.parametrize("nu,q", _TABLE_CELLS)
+    def test_growth_both_ways(self, fresh_tables, nu, q):
+        for lo, hi in ((-40, 80), (-80, 160), (-160, 320)):
+            tab = lattice_kernel(nu, q, lo, hi)
+            assert (min(tab), max(tab)) == (lo, hi)
+            assert_one_shot(nu, q, tab)
+
+    # at (0, 0.9) a series entry evaluated at x^2 = Q^14 as a fresh power
+    # differs from the one at the running product Q^13 * Q
+    @pytest.mark.parametrize("nu,q", _TABLE_CELLS + [(0.0, 0.9)])
+    def test_growth_above_only(self, fresh_tables, nu, q):
+        for hi in (2, 6, 13, 20, 90):
+            tab = lattice_kernel(nu, q, -30, hi)
+            assert_one_shot(nu, q, tab)
+        # the recurrence did not run again
+        assert fresh_tables[-1][2] == list(range(21, 91))
+
+    def test_growth_below_only(self, fresh_tables):
+        nu, q = 0.25, 0.5
+        lattice_kernel(nu, q, -30, 20)
+        tab = lattice_kernel(nu, q, -90, 20)
+        assert_one_shot(nu, q, tab)
+        # no series entry again, every s < 0 entry from the new seed
+        assert fresh_tables[-1][2] == list(range(-90, 0))
+
+    def test_first_request_above_zero(self, fresh_tables):
+        # a first build spans s = 0, so the series' running product
+        # starts at Q^0 and later growth continues it
+        nu, q = 1.25, 0.7
+        tab = lattice_kernel(nu, q, 5, 30)
+        assert (min(tab), max(tab)) == (0, 30)
+        assert_one_shot(nu, q, tab)
+        tab = lattice_kernel(nu, q, -20, 50)
+        assert_one_shot(nu, q, tab)
+        tab = lattice_kernel(nu, q, 10, 70)
+        assert_one_shot(nu, q, tab)
+
+    def test_each_series_entry_evaluated_once(self, fresh_tables):
+        nu, q = 0.0, 0.3
+        for lo, hi in ((-40, 80), (-20, 40), (-80, 160), (0, 200),
+                       (-160, 320), (-100, 300)):
+            lattice_kernel(nu, q, lo, hi)
+        series = [s for _, _, keys in fresh_tables for s in keys if s >= 0]
+        assert sorted(series) == list(range(0, 321))
+        # in-range requests are hits and build nothing
+        assert len(fresh_tables) == 4
+
+    def test_extension_returns_a_new_table(self, fresh_tables):
+        # spectrum's kappa-row cache tells a current table by identity
+        nu, q = 0.25, 0.5
+        small = lattice_kernel(nu, q, -10, 20)
+        snapshot = dict(small)
+        assert lattice_kernel(nu, q, -5, 15) is small
+        large = lattice_kernel(nu, q, -20, 20)
+        assert large is not small
+        assert small == snapshot
+        assert lattice_kernel(nu, q, -20, 10) is large

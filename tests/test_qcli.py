@@ -124,6 +124,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("sweep", [False, True], ids=("single", "sweep"))
+    def test_non_finite_uncertainty_exits_1(self, capsys, recwarn, tmp_path,
+                                            sweep):
+        # at q = 0.3 on [-160, 320], b^2 w(b) overflows float64, so I_R
+        # and every ratio come out nan; the library returns them, the
+        # command refuses to print them
+        grid = ("--nlow", "-160", "--nhigh", "320")
+        if sweep:
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text("q_list=0.3\nalpha_list=0\nbeta_list=0\n")
+            rc, out, err = run(capsys, "uncertainty", "--sweep", str(cfg),
+                               *grid)
+            assert err.startswith("qwave: K_emp is nan at q = 0.3")
+        else:
+            rc, out, err = run(capsys, "uncertainty", "--q", "0.3", *grid)
+            assert err.startswith("qwave: uncertainty ratio of probe 0 is nan")
+        assert rc == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+
 
 class TestGridCommand:
     def test_schema_and_values(self, capsys):

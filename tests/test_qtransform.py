@@ -8,13 +8,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from qwave.qbessel import lattice_kernel, modified_q_bessel
+from qwave.qbessel import MP_LOCK, lattice_kernel, modified_q_bessel
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
     CalibrationError,
+    TransformPlan,
+    _plan_kappa_row,
+    _plan_weights,
     calibrate_normalization,
     make_plan,
     mp_dot,
+    mp_kappa_row,
     q_bessel_fourier,
     spectrum,
     translate,
@@ -247,6 +251,106 @@ class TestSpectrumBitwise:
         lo, hi = min(spec.profile), max(spec.profile)
         want = per_term_spectrum(spec.mp_values, oracle_plan, lo, hi)
         assert spec.profile == want
+
+
+def cold_spectrum(f, plan, s_lo=None, s_hi=None):
+    """spectrum on a copy of plan with an empty operand cache."""
+    fresh = TransformPlan(plan.grid, plan.v, plan.c_qv, plan.kernel_by_sum)
+    return spectrum(f, fresh, s_lo, s_hi)
+
+
+class TestSpectrumOperandCache:
+    """spectrum keeps the Jackson weights and kappa rows with the plan;
+    a warm plan must give exactly what a cold computation gives. The
+    per-term oracle holds for beta = 0.25 only: for beta = 0.3, which
+    is not exact in a few binary digits, it rounds kappa differently,
+    and there a row's start matters most."""
+
+    @pytest.fixture(params=[(0.75, 0.25), (0.7, 0.3)], ids=("b0.25", "b0.3"))
+    def plan(self, request):
+        # a q no other test uses, so deepening its tables here does not
+        # reach another test's values
+        return make_plan(build_grid(0.45, -20, 40), BesselParams(*request.param))
+
+    def oracles(self, f, plan, s_lo, s_hi):
+        yield cold_spectrum(f, plan, s_lo, s_hi)
+        if plan.v.beta == 0.25:
+            yield per_term_spectrum(f, plan, s_lo, s_hi)
+
+    def inputs(self, plan):
+        grid, v = plan.grid, plan.v
+        rng = random.Random(3)
+        out = []
+        for lo in (-20, -7, 0, 4, 12, -7):
+            ns = sorted(rng.sample(range(lo, lo + 12), 4))
+            out.append(GridFunction.from_pairs(
+                grid, [(n, rng.uniform(-1.0, 1.0)) for n in ns]))
+        # mean-free, so deep outputs sit far below the individual terms
+        q = grid.q
+        out.append(GridFunction.from_pairs(
+            grid, [(0, 1.0), (2, -q ** (-2.0 * (2.0 * v.abs_v + 2.0)))]))
+        return out
+
+    def test_repeated_calls_across_supports(self, plan):
+        grid = plan.grid
+        for f in self.inputs(plan) * 2:
+            for s_lo, s_hi in ((grid.n_low, grid.n_high), (-5, 70)):
+                got = spectrum(f, plan, s_lo, s_hi)
+                for want in self.oracles(f, plan, s_lo, s_hi):
+                    assert got == want
+
+    def test_dict_input_after_grid_function(self, plan):
+        # the same support as a GridFunction first, then as mpf values at
+        # excess precision, which round to the working precision
+        f = GridFunction.from_pairs(plan.grid, [(0, 1.0), (2, -0.5)])
+        spectrum(f, plan, -10, 30)
+        with mpmath.mp.workdps(400):
+            d = {0: mpmath.mpf(1) / 3, 2: -mpmath.mpf(2) / 7}
+        got = spectrum(d, plan, -10, 30)
+        for want in self.oracles(d, plan, -10, 30):
+            assert got == want
+
+    def test_table_deepened_between_calls(self, plan):
+        grid, v = plan.grid, plan.v
+        f = self.inputs(plan)[1]
+        first = spectrum(f, plan)
+        (row_tab, _), = [hit for _, rows in plan._mp_operands.values()
+                         for hit in rows.values()]
+        lattice_kernel(v.nu, grid.q, -200, 120)
+        # the stored row came from the shallower table and is not served
+        assert lattice_kernel(v.nu, grid.q, 0, 0) is not row_tab
+        again = spectrum(f, plan)
+        (row_tab, _), = [hit for _, rows in plan._mp_operands.values()
+                         for hit in rows.values()]
+        assert row_tab is lattice_kernel(v.nu, grid.q, 0, 0)
+        for want in self.oracles(f, plan, grid.n_low, grid.n_high):
+            assert again == want
+        assert again == first
+
+
+class TestPlanOperands:
+    """The plan's cached weights and kappa rows, raw tuple for raw tuple
+    against a fresh computation at the same precision. Float outputs
+    cannot show a row rounded from another start or precision: spectrum
+    works 80 digits beyond the depth its outputs need."""
+
+    def test_rows_and_weights_match_fresh(self):
+        plan = make_plan(build_grid(0.35, -20, 40), BesselParams(0.7, 0.3))
+        grid, v = plan.grid, plan.v
+        requests = [(120, -25, 60), (120, -10, 60), (160, -10, 90),
+                    (120, -30, 50), (120, -10, 75), (160, -25, 90)]
+        for dps, t_lo, t_hi in requests * 2:
+            tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
+            ns = range(t_lo // 2, t_hi // 2)
+            with MP_LOCK, mpmath.mp.workdps(dps):
+                row = _plan_kappa_row(plan, tab, t_lo, t_hi)
+                weights = _plan_weights(plan, ns)
+                qmp = mpmath.mpf(grid.q)
+                want = mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
+                wexp = 2.0 * v.abs_v + 2.0
+                assert row[:len(want)] == want
+                for n in ns:
+                    assert weights[n] == ((1 - qmp) * qmp ** (n * wexp))._mpf_
 
 
 def _random_mpf(rng, spread):

@@ -3,12 +3,15 @@ empirical uncertainty constant, and the threading knobs."""
 
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from qwave.qgrid import GridFunction
-from qwave.qwavelet import cwt
+from qwave.qgrid import BesselParams, GridFunction, build_grid
+from qwave.qtransform import make_plan
+from qwave import qwavelet
+from qwave.qwavelet import cwt, operator_mother
 from qwave.uncertainty import (
     empirical_lower_constant,
     heisenberg_slice_minimum,
@@ -93,6 +96,24 @@ class TestUncertaintyReport:
     def test_empty_probe_list_rejected(self, spec00):
         with pytest.raises(ValueError, match="at least one probe"):
             empirical_lower_constant([], spec00)
+
+
+class TestOneSpectrumPerCall:
+    # both moments, or both sides of the energy ratio, read one spectrum
+    @pytest.mark.parametrize("fn", [uncertainty_report, weighted_energy_ratio])
+    def test_single_spectrum(self, monkeypatch, spec00, fn):
+        calls = []
+        spectrum = qwavelet.spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spectrum(*args, **kwargs)
+
+        f = probe_family(spec00.plan)[-1]
+        want = fn(f, spec00)
+        monkeypatch.setattr(qwavelet, "spectrum", counted)
+        assert fn(f, spec00) == want
+        assert len(calls) == 1
 
 
 class TestSliceRatios:
@@ -181,3 +202,25 @@ class TestThreading:
         monkeypatch.setenv("QWAVE_THREADS", "4")
         threaded = empirical_lower_constant(probes, spec00)
         assert serial == threaded
+
+    def test_cold_plan_cache_filled_from_threads(self, monkeypatch):
+        # the plan's high-precision operands are filled on first use; with
+        # more workers than cores and frequent switches, threads that fill
+        # one plan's cache at once must give what a serial run gives
+        def reports(threads):
+            plan = make_plan(build_grid(0.55, -20, 40),
+                             BesselParams(0.5, 0.25))
+            spec = operator_mother(plan)
+            monkeypatch.setenv("QWAVE_THREADS", str(threads))
+            return parallel_map(lambda f: uncertainty_report(f, spec),
+                                probe_family(plan))
+
+        serial = reports(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = [reports(2 * (os.cpu_count() or 1) + 1)
+                        for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(t == serial for t in threaded)

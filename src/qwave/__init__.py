@@ -22,7 +22,6 @@ from qwave.qbessel import (
 from qwave.qtransform import (
     TransformPlan,
     make_plan,
-    calibrate_normalization,
     q_bessel_fourier,
     translate,
 )

@@ -12,6 +12,7 @@ every lattice depth.
 """
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -124,9 +125,17 @@ def generalized_q_bessel_operator(f, v):
 # --- on-lattice kernel table ---------------------------------------------
 
 # mpmath's mp context is a process-global; every block that changes its
-# precision must hold this. Reentrant so nested holders (a spectrum
-# evaluation extending the kernel table) don't deadlock.
+# precision must hold this. The library itself calls in from one thread
+# (parallel work runs in processes), but callers may call in from
+# several. Reentrant so nested holders (a spectrum evaluation extending
+# the kernel table) don't deadlock. A fork waits for the lock, so a
+# forked worker never starts inside another thread's precision block or
+# with the lock held by a thread it does not have.
 MP_LOCK = threading.RLock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=MP_LOCK.acquire,
+                        after_in_parent=MP_LOCK.release,
+                        after_in_child=MP_LOCK.release)
 _tables = {}
 
 

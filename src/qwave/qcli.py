@@ -22,7 +22,7 @@ from qwave.qgrid import (BesselParams, GridFunction, build_grid,
 from qwave.qtransform import CalibrationError, make_plan, q_bessel_fourier
 from qwave.qwavelet import (cwt, factorization_error, indicator_difference_mother,
                             operator_mother, wavelet_plancherel_ratio)
-from qwave.uncertainty import (empirical_lower_constant,
+from qwave.uncertainty import (WorkerError, empirical_lower_constant,
                                heisenberg_slice_minimum, parallel_map,
                                probe_family, uncertainty_report,
                                weighted_energy_ratio)
@@ -277,7 +277,7 @@ def cmd_plancherel(cfg, args):
     plan = make_plan(cfg.grid(), cfg.v)
     spec = _MOTHERS[cfg.mother](plan)
     probes = probe_family(plan)
-    ratios = parallel_map(lambda f: wavelet_plancherel_ratio(f, spec), probes)
+    ratios = [wavelet_plancherel_ratio(f, spec) for f in probes]
     payload = {"ratio": ratios[0], "C_v_psi": spec.admissibility,
                "ratio_over_C": ratios[0] / spec.admissibility,
                "probes": len(probes)}
@@ -291,7 +291,7 @@ def cmd_uncertainty(cfg, args):
     plan = make_plan(cfg.grid(), cfg.v)
     spec = _MOTHERS[cfg.mother](plan)
     probes = probe_family(plan)
-    reports = parallel_map(lambda f: uncertainty_report(f, spec), probes)
+    reports = [uncertainty_report(f, spec) for f in probes]
     for i, r in enumerate(reports):
         if not math.isfinite(r.ratio):
             raise ValueError(
@@ -323,19 +323,23 @@ def _run_sweep(cfg, args):
     if len(alphas) != len(betas):
         raise UsageError("alpha_list and beta_list must pair up "
                          f"({len(alphas)} vs {len(betas)} entries)")
+    cells = [RunConfig(q, alpha, beta, cfg.n_low, cfg.n_high, cfg.mother)
+             for q in qs for alpha, beta in zip(alphas, betas)]
     lines = ["q,alpha,beta,K_emp"]
-    for q in qs:
-        for alpha, beta in zip(alphas, betas):
-            cell = RunConfig(q, alpha, beta, cfg.n_low, cfg.n_high, cfg.mother)
-            plan = make_plan(cell.grid(), cell.v)
-            spec = _MOTHERS[cell.mother](plan)
-            K = empirical_lower_constant(probe_family(plan), spec)
-            if not math.isfinite(K):
-                raise ValueError(f"K_emp is {K:g} "
-                                 f"{_cell_text(q, alpha, beta, cfg)}")
-            lines.append(f"{fmt17(q)},{fmt17(alpha)},{fmt17(beta)},{fmt17(K)}")
+    for c, K in zip(cells, parallel_map(_sweep_cell, cells)):
+        if not math.isfinite(K):
+            raise ValueError(f"K_emp is {K:g} "
+                             f"{_cell_text(c.q, c.alpha, c.beta, cfg)}")
+        lines.append(f"{fmt17(c.q)},{fmt17(c.alpha)},{fmt17(c.beta)},{fmt17(K)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _sweep_cell(cell):
+    """K_emp of one sweep cell (a RunConfig)."""
+    plan = make_plan(cell.grid(), cell.v)
+    return empirical_lower_constant(probe_family(plan),
+                                    _MOTHERS[cell.mother](plan))
 
 
 # --- verification suite ----------------------------------------------------
@@ -446,8 +450,7 @@ def _check_factorization(cell):
 
 def _check_weighted_energy(cell):
     spec = cell.wavelet(2)
-    kappas = parallel_map(lambda f: weighted_energy_ratio(f, spec),
-                          cell.probes(2))
+    kappas = [weighted_energy_ratio(f, spec) for f in cell.probes(2)]
     spread = max(abs(k / kappas[0] - 1.0) for k in kappas)
     C = spec.admissibility
     return spread < 1e-6, {"kappa": kappas[0], "spread": spread, "C_v_psi": C,
@@ -456,8 +459,7 @@ def _check_weighted_energy(cell):
 
 def _check_plancherel(cell):
     spec = cell.wavelet(2)
-    ratios = parallel_map(lambda f: wavelet_plancherel_ratio(f, spec),
-                          cell.probes(2))
+    ratios = [wavelet_plancherel_ratio(f, spec) for f in cell.probes(2)]
     spread = max(abs(r / ratios[0] - 1.0) for r in ratios)
     fine = wavelet_plancherel_ratio(cell.probes(4)[0], cell.wavelet(4))
     drift = abs(fine / ratios[0] - 1.0)
@@ -472,8 +474,7 @@ def _check_plancherel(cell):
 
 def _check_heisenberg(cell):
     spec = cell.wavelet()
-    minima = parallel_map(lambda f: heisenberg_slice_minimum(f, spec),
-                          cell.probes())
+    minima = [heisenberg_slice_minimum(f, spec) for f in cell.probes()]
     worst = min(minima)
     bound = 0.5 - 1e-3
     return worst >= bound, {"min_slice": worst, "bound": bound}
@@ -482,7 +483,7 @@ def _check_heisenberg(cell):
 def _check_uncertainty(cell):
     spec = cell.wavelet()
     probes = cell.probes()
-    reports = parallel_map(lambda f: uncertainty_report(f, spec), probes)
+    reports = [uncertainty_report(f, spec) for f in probes]
     K = min(r.ratio for r in reports)
     fine = empirical_lower_constant(cell.probes(2), cell.wavelet(2))
     drift = abs(fine / K - 1.0)
@@ -523,6 +524,11 @@ def run_cell_checks(q, alpha, beta, n_low=-20, n_high=40):
             "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
+def _cell_report(cell):
+    """run_cell_checks on one (q, alpha, beta, n_low, n_high) tuple."""
+    return run_cell_checks(*cell)
+
+
 def _format_table(report):
     head = (f"cell q={fmt17(report['q'])} alpha={fmt17(report['alpha'])} "
             f"beta={fmt17(report['beta'])}")
@@ -541,9 +547,9 @@ def cmd_verify(cfg, args):
         cells = [(cfg.q, cfg.alpha, cfg.beta)]
     else:
         cells = [(q, a, b) for q in ACCEPTANCE_Q for a, b in ACCEPTANCE_V]
+    grid = (cfg.n_low, cfg.n_high)
     reports = []
-    for q, alpha, beta in cells:
-        report = run_cell_checks(q, alpha, beta, cfg.n_low, cfg.n_high)
+    for report in parallel_map(_cell_report, [c + grid for c in cells]):
         reports.append(report)
         sys.stdout.write(_format_table(report) + "\n")
     passed = all(r["passed"] for r in reports)
@@ -634,7 +640,7 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write(f"qwave: {exc}\n")
         return 2
-    except (CalibrationError, TruncationError, ValueError) as exc:
+    except (CalibrationError, TruncationError, ValueError, WorkerError) as exc:
         sys.stderr.write(f"qwave: {exc}\n")
         return 1
 

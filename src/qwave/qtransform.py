@@ -238,11 +238,6 @@ def make_plan(grid, v, probes=None):
     return _calibrate(v, grid, probes or _default_calibration_probes(grid))
 
 
-def calibrate_normalization(v, grid, probes=None):
-    """The calibrated normalization constant alone."""
-    return make_plan(grid, v, probes).c_qv
-
-
 def q_bessel_fourier(f, plan):
     """Transform of a finitely supported grid function.
 

@@ -10,11 +10,15 @@ dilations and the sum tracks the scale cutoff, not the function. The
 probe family therefore carries mean-free members, and the minimizing
 probe is always one of them, which is what makes the reported lower
 constant stable under grid refinement.
+
+Everything here runs in the calling thread. The one parallel path is
+``parallel_map``, which runs independent cells (a verify cell, a sweep
+cell) in worker processes: the work is mpmath and small float64 kernels
+that hold the interpreter lock, so threads cannot overlap it.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,26 +39,42 @@ class UncertaintyReport:
     ratio: float
 
 
-def thread_count():
-    """Worker cap from QWAVE_THREADS; absent means all cores."""
-    raw = os.environ.get("QWAVE_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        raise ValueError(f"QWAVE_THREADS must be an integer, got {raw!r}")
+class WorkerError(RuntimeError):
+    """A worker process of ``parallel_map`` ended before returning its
+    result (killed, or out of memory)."""
 
 
 def parallel_map(fn, items):
-    """Map over independent per-probe work, in order. Thread count comes
-    from QWAVE_THREADS; results are positionally collected, so the output
-    does not depend on scheduling."""
-    k = thread_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as ex:
-        return list(ex.map(fn, items))
+    """Map fn over independent items on worker processes, yielding the
+    results in input order as they arrive.
+
+    fn must be a module-level function and the items and results
+    picklable. One worker per CPU in the affinity mask, at most one per
+    item. Workers are forked, so each starts from the caller's state.
+    fn runs inline, in this process, when that count is 1, inside a
+    daemonic process (which may not start children) or where the
+    affinity mask is unavailable (not Linux). An exception fn raises in
+    a worker is raised here, at its item's position; a worker that dies
+    raises WorkerError."""
+    items = list(items)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers > 1:
+        import multiprocessing
+        if multiprocessing.current_process().daemon:
+            workers = 1
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            yield from pool.map(fn, items)
+        except BrokenProcessPool as exc:
+            raise WorkerError("a worker process ended before returning "
+                              "its result") from exc
 
 
 def probe_family(plan):
@@ -205,5 +225,4 @@ def empirical_lower_constant(probes, spec):
     empirical stand-in for the uncertainty inequality's constant."""
     if not probes:
         raise ValueError("need at least one probe")
-    reports = parallel_map(lambda f: uncertainty_report(f, spec), list(probes))
-    return min(r.ratio for r in reports)
+    return min(uncertainty_report(f, spec).ratio for f in probes)

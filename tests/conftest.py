@@ -1,6 +1,9 @@
 """Shared fixtures: one calibrated plan and wavelet per parameter cell
 used across the suite. Session scope, because calibration and the
-high-precision mother construction dominate test runtime."""
+high-precision mother construction dominate test runtime. Also the
+helpers the process-pool tests share."""
+
+import os
 
 import pytest
 
@@ -11,6 +14,16 @@ from qwave.qwavelet import operator_mother
 
 def rel_err(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def set_cpus(monkeypatch, n):
+    """Make parallel_map see n CPUs in the affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def exit_abruptly(*args):
+    """A worker function that kills its process."""
+    os._exit(3)
 
 
 @pytest.fixture(scope="session")

@@ -8,16 +8,23 @@ import math
 import numpy as np
 import pytest
 
+from qwave import qcli
 from qwave.qcli import fmt17, main
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          read_function, write_function)
 from qwave.qtransform import make_plan, q_bessel_fourier
+
+from conftest import exit_abruptly, set_cpus
 
 
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _reject_cell(*cell):
+    raise ValueError(f"cell {cell[:3]} rejected")
 
 
 @pytest.fixture()
@@ -144,6 +151,23 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert len(recwarn) == 0
+
+    def test_dead_worker_exits_1(self, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(qcli, "run_cell_checks", exit_abruptly)
+        rc, out, err = run(capsys, "verify")
+        assert rc == 1
+        assert out == ""
+        assert err == ("qwave: a worker process ended before returning "
+                       "its result\n")
+
+    def test_worker_value_error_exits_1(self, capsys, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(qcli, "run_cell_checks", _reject_cell)
+        rc, out, err = run(capsys, "verify")
+        assert rc == 1
+        assert out == ""
+        assert err == "qwave: cell (0.3, 0.0, 0.0) rejected\n"
 
 
 class TestGridCommand:
@@ -292,6 +316,21 @@ class TestUncertaintyCommand:
         for line in lines[1:]:
             assert float(line.split(",")[3]) > 0.0
 
+    def test_sweep_pooled_equals_inline(self, capsys, monkeypatch, tmp_path):
+        # (alpha, beta) = (0, 0) and (0.25, 0.25) share nu = 0, so inline
+        # the second cell at each q finds the first one's kernel table
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("q_list=0.4,0.6\nalpha_list=0,0.25\nbeta_list=0,0.25\n")
+        outs = []
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            rc, out, err = run(capsys, "uncertainty", "--sweep", str(cfg),
+                               "--nlow", "-12", "--nhigh", "24")
+            assert (rc, err) == (0, "")
+            outs.append(out)
+        assert len(outs[0].splitlines()) == 5
+        assert outs[0] == outs[1]
+
 
 class TestConfigMerging:
     def test_config_file_sets_parameters(self, capsys, tmp_path):
@@ -325,3 +364,17 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["checks"]]
         assert names[0] == "jackson-power-rule"
         assert names[-1] == "uncertainty-constant"
+
+    def test_pooled_equals_inline(self, capsys, monkeypatch, tmp_path):
+        # the whole lattice, on a grid small enough to be quick (some
+        # checks fail there, which does not matter for the comparison)
+        runs = []
+        for cpus in (2, 1):
+            set_cpus(monkeypatch, cpus)
+            out_path = tmp_path / f"report_{cpus}.json"
+            rc, out, err = run(capsys, "verify", "--nlow", "-10", "--nhigh",
+                               "20", "--out", str(out_path))
+            assert err == ""
+            runs.append((rc, out, out_path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert len(json.loads(runs[0][2])["cells"]) == 9

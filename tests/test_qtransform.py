@@ -15,7 +15,6 @@ from qwave.qtransform import (
     TransformPlan,
     _plan_kappa_row,
     _plan_weights,
-    calibrate_normalization,
     make_plan,
     mp_dot,
     mp_kappa_row,
@@ -32,8 +31,7 @@ class TestCalibration:
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
     def test_constant_closed_form(self, q):
         # at v = (0, 0) the normalization is 1 / (1 - q)
-        c = calibrate_normalization(BesselParams(0.0, 0.0),
-                                    build_grid(q, -20, 40))
+        c = make_plan(build_grid(q, -20, 40), BesselParams(0.0, 0.0)).c_qv
         assert rel_err(c, 1.0 / (1.0 - q)) < 1e-9
 
     def test_exact_at_half(self, plan00):

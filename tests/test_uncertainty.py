@@ -1,18 +1,25 @@
 """Position/spectral moment operators, per-scale slice ratios, the
-empirical uncertainty constant, and the threading knobs."""
+empirical uncertainty constant, the process-pool map, and calls from
+several caller threads."""
 
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import sys
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 
+from qwave.qbessel import MP_LOCK
 from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan
 from qwave import qwavelet
 from qwave.qwavelet import cwt, operator_mother
 from qwave.uncertainty import (
+    WorkerError,
     empirical_lower_constant,
     heisenberg_slice_minimum,
     intermediate_heisenberg_check,
@@ -20,12 +27,11 @@ from qwave.uncertainty import (
     op_S,
     parallel_map,
     probe_family,
-    thread_count,
     uncertainty_report,
     weighted_energy_ratio,
 )
 
-from conftest import rel_err
+from conftest import exit_abruptly, rel_err, set_cpus
 
 
 class TestProbeFamily:
@@ -163,64 +169,151 @@ class TestEnergyRatio:
             weighted_energy_ratio(GridFunction.zeros(grid00), spec00)
 
 
+def _square_minus_one(x):
+    return x * x - 1
+
+
+def _pid_of(_):
+    return os.getpid()
+
+
+def _reject_three(x):
+    if x == 3:
+        raise ValueError("item 3 rejected")
+    return x
+
+
+def _mp_dps(_):
+    return mpmath.mp.dps
+
+
+def _map_in_daemon(items):
+    return list(parallel_map(_pid_of, items))
+
+
+class TestParallelMap:
+    def test_one_cpu_runs_inline(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        assert list(parallel_map(_pid_of, range(4))) == [os.getpid()] * 4
+
+    def test_several_cpus_run_in_workers(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        assert os.getpid() not in parallel_map(_pid_of, range(4))
+
+    def test_single_item_runs_inline(self, monkeypatch):
+        set_cpus(monkeypatch, 4)
+        assert list(parallel_map(_pid_of, [0])) == [os.getpid()]
+        assert list(parallel_map(_pid_of, [])) == []
+
+    def test_daemonic_process_runs_inline(self, monkeypatch):
+        # a multiprocessing.Pool worker is daemonic and may not start
+        # children; the map must fall back to running in that worker
+        set_cpus(monkeypatch, 4)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            pids = pool.apply_async(_map_in_daemon, ([0, 1, 2],)).get(60)
+        assert len(set(pids)) == 1
+        assert pids[0] != os.getpid()
+
+    def test_worker_exception_raised_at_its_item(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        results = parallel_map(_reject_three, range(6))
+        assert [next(results) for _ in range(3)] == [0, 1, 2]
+        with pytest.raises(ValueError, match="item 3 rejected"):
+            next(results)
+
+    def test_dead_worker_raises_worker_error(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        with pytest.raises(WorkerError, match="ended before returning"):
+            list(parallel_map(exit_abruptly, range(3)))
+
+    def test_fork_waits_for_precision_block(self, monkeypatch):
+        # a caller thread inside a precision block holds MP_LOCK; a worker
+        # forked then would start at that thread's precision (and could
+        # never take the lock), so the fork waits until the block ends
+        set_cpus(monkeypatch, 2)
+        default = mpmath.mp.dps
+        entered, leave = threading.Event(), threading.Event()
+
+        def hold():
+            with MP_LOCK, mpmath.mp.workdps(300):
+                entered.set()
+                leave.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert entered.wait(10)
+            threading.Timer(0.3, leave.set).start()
+            dps = list(parallel_map(_mp_dps, range(2)))
+        finally:
+            leave.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert dps == [default, default]
+
+
 class TestThreading:
+    # results must not depend on how many worker processes or caller
+    # threads compute them; the library itself runs in the calling
+    # thread, and MP_LOCK keeps the shared mp context consistent for
+    # callers that call in from several threads at once
     def test_default_uses_all_cores(self, monkeypatch):
-        monkeypatch.delenv("QWAVE_THREADS", raising=False)
-        assert thread_count() == (os.cpu_count() or 1)
+        # one worker per CPU in the affinity mask, capped at the items,
+        # on forked workers
+        pools = []
 
-    def test_explicit_count(self, monkeypatch):
-        monkeypatch.setenv("QWAVE_THREADS", "4")
-        assert thread_count() == 4
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                pools.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
 
-    def test_floor_at_one(self, monkeypatch):
-        monkeypatch.setenv("QWAVE_THREADS", "0")
-        assert thread_count() == 1
-        monkeypatch.setenv("QWAVE_THREADS", "-3")
-        assert thread_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("QWAVE_THREADS", "many")
-        with pytest.raises(ValueError, match="QWAVE_THREADS"):
-            thread_count()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        set_cpus(monkeypatch, 3)
+        assert list(parallel_map(_square_minus_one, range(5))) == \
+            [x * x - 1 for x in range(5)]
+        assert list(parallel_map(_square_minus_one, range(2))) == [-1, 0]
+        assert pools == [(3, "fork"), (2, "fork")]
 
     def test_map_order_independent_of_workers(self, monkeypatch):
         items = list(range(40))
-        fn = lambda x: x * x - 1
-        monkeypatch.setenv("QWAVE_THREADS", "1")
-        serial = parallel_map(fn, items)
-        monkeypatch.setenv("QWAVE_THREADS", "5")
-        threaded = parallel_map(fn, items)
-        assert serial == threaded == [fn(x) for x in items]
+        set_cpus(monkeypatch, 1)
+        inline = list(parallel_map(_square_minus_one, items))
+        set_cpus(monkeypatch, 5)
+        pooled = list(parallel_map(_square_minus_one, items))
+        assert inline == pooled == [_square_minus_one(x) for x in items]
 
     def test_transform_results_identical_across_thread_counts(
-            self, monkeypatch, plan00, spec00):
+            self, plan00, spec00):
         # the mp context is guarded by a lock; results must not depend
-        # on scheduling
+        # on how many caller threads compute at once
         probes = probe_family(plan00)[:4]
-        monkeypatch.setenv("QWAVE_THREADS", "1")
         serial = empirical_lower_constant(probes, spec00)
-        monkeypatch.setenv("QWAVE_THREADS", "4")
-        threaded = empirical_lower_constant(probes, spec00)
-        assert serial == threaded
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(
+                lambda _: empirical_lower_constant(probes, spec00), range(4)))
+        assert threaded == [serial] * 4
 
-    def test_cold_plan_cache_filled_from_threads(self, monkeypatch):
+    def test_cold_plan_cache_filled_from_threads(self):
         # the plan's high-precision operands are filled on first use; with
-        # more workers than cores and frequent switches, threads that fill
+        # more threads than cores and frequent switches, threads that fill
         # one plan's cache at once must give what a serial run gives
-        def reports(threads):
+        def cold_spec():
             plan = make_plan(build_grid(0.55, -20, 40),
                              BesselParams(0.5, 0.25))
-            spec = operator_mother(plan)
-            monkeypatch.setenv("QWAVE_THREADS", str(threads))
-            return parallel_map(lambda f: uncertainty_report(f, spec),
-                                probe_family(plan))
+            return operator_mother(plan)
 
-        serial = reports(1)
+        spec = cold_spec()
+        serial = [uncertainty_report(f, spec) for f in probe_family(spec.plan)]
+        threads = 2 * (os.cpu_count() or 1) + 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threaded = [reports(2 * (os.cpu_count() or 1) + 1)
-                        for _ in range(5)]
+            for _ in range(5):
+                spec = cold_spec()
+                with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+                    threaded = list(pool.map(
+                        lambda f: uncertainty_report(f, spec),
+                        probe_family(spec.plan)))
+                assert threaded == serial
         finally:
             sys.setswitchinterval(interval)
-        assert all(t == serial for t in threaded)

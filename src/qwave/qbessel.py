@@ -11,12 +11,11 @@ against the series at the origin, which is exact to working precision at
 every lattice depth.
 """
 
+import functools
 import math
-import os
-import threading
 
+import mpmath
 import numpy as np
-from mpmath import mp
 
 from qwave.qgrid import GridFunction, QGrid
 
@@ -124,19 +123,19 @@ def generalized_q_bessel_operator(f, v):
 
 # --- on-lattice kernel table ---------------------------------------------
 
-# mpmath's mp context is a process-global; every block that changes its
-# precision must hold this. The library itself calls in from one thread
-# (parallel work runs in processes), but callers may call in from
-# several. Reentrant so nested holders (a spectrum evaluation extending
-# the kernel table) don't deadlock. A fork waits for the lock, so a
-# forked worker never starts inside another thread's precision block or
-# with the lock held by a thread it does not have.
-MP_LOCK = threading.RLock()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=MP_LOCK.acquire,
-                        after_in_parent=MP_LOCK.release,
-                        after_in_child=MP_LOCK.release)
 _tables = {}
+
+
+@functools.lru_cache(maxsize=None)
+def mp_context(dps):
+    """The library's private mpmath context at dps digits, one per dps.
+
+    Its precision is set before it is returned and never changed, so a
+    block computing on it depends on neither mpmath.mp nor other threads.
+    """
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return ctx
 
 
 def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8, s_first=None,
@@ -161,65 +160,65 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8, s_first=None,
     and the recurrence (run when s_min < 0) is normalized against j0.
     Only the entries computed are returned.
     """
-    with MP_LOCK, mp.workdps(dps):
-        qq = mp.mpf(q)
-        Q = qq * qq
-        Qnu = Q ** mp.mpf(nu)
-        tiny = mp.mpf(10) ** (-dps - 5)
-        ratios = [None]  # ratios[k] is r_k, built on first use
-        Qk = mp.mpf(1)
-        out = {}
+    ctx = mp_context(dps)
+    qq = ctx.mpf(q)
+    Q = qq * qq
+    Qnu = Q ** ctx.mpf(nu)
+    tiny = ctx.mpf(10) ** (-dps - 5)
+    ratios = [None]  # ratios[k] is r_k, built on first use
+    Qk = ctx.mpf(1)
+    out = {}
 
-        def ratio(k):
-            nonlocal Qk
-            while len(ratios) <= k:
-                Qk *= Q
-                denom_a = 1 - Qnu * Qk
-                if abs(denom_a) < DEGENERATE_TOL:
-                    raise DegenerateParameterError(
-                        f"q-Pochhammer factor ~0 at n={len(ratios)} "
-                        f"for order {nu}")
-                ratios.append(-Qk / (denom_a * (1 - Qk)))
-            return ratios[k]
+    def ratio(k):
+        nonlocal Qk
+        while len(ratios) <= k:
+            Qk *= Q
+            denom_a = 1 - Qnu * Qk
+            if abs(denom_a) < DEGENERATE_TOL:
+                raise DegenerateParameterError(
+                    f"q-Pochhammer factor ~0 at n={len(ratios)} "
+                    f"for order {nu}")
+            ratios.append(-Qk / (denom_a * (1 - Qk)))
+        return ratios[k]
 
-        def series(s, x2):
-            term = mp.mpf(1)
-            tot = mp.mpf(1)
-            n = 0
-            while True:
-                n += 1
-                term *= ratio(n) * x2
-                tot += term
-                if abs(term) < tiny * abs(tot):
-                    return tot
-                if n > 800:
-                    raise TruncationError(f"high-precision series stalled at s={s}")
+    def series(s, x2):
+        term = ctx.mpf(1)
+        tot = ctx.mpf(1)
+        n = 0
+        while True:
+            n += 1
+            term *= ratio(n) * x2
+            tot += term
+            if abs(term) < tiny * abs(tot):
+                return tot
+            if n > 800:
+                raise TruncationError(f"high-precision series stalled at s={s}")
 
-        if s_first is None:
-            s_first = max(s_min, 0)
-            x2 = Q ** s_first
-        else:
-            x2 = mp.mpf(1)
-            for _ in range(s_first):
-                x2 *= Q
-        for s in range(s_first, s_max + 1):
-            out[s] = series(s, x2)
+    if s_first is None:
+        s_first = max(s_min, 0)
+        x2 = Q ** s_first
+    else:
+        x2 = ctx.mpf(1)
+        for _ in range(s_first):
             x2 *= Q
-        if s_min < 0:
-            kmax = -s_min
-            y_hi = mp.mpf(0)
-            y = mp.mpf(1)
-            q_m2k = Q ** -(kmax + buffer)
-            vals = {}
-            for k in range(kmax + buffer, -1, -1):
-                vals[k] = y
-                y_lo = ((1 + Qnu - q_m2k) * y - y_hi) / Qnu
-                y_hi = y
-                y = y_lo
-                q_m2k *= Q
-            scale = (out[0] if j0 is None else j0) / vals[0]
-            for k in range(1, kmax + 1):
-                out[-k] = vals[k] * scale
+    for s in range(s_first, s_max + 1):
+        out[s] = series(s, x2)
+        x2 *= Q
+    if s_min < 0:
+        kmax = -s_min
+        y_hi = ctx.mpf(0)
+        y = ctx.mpf(1)
+        q_m2k = Q ** -(kmax + buffer)
+        vals = {}
+        for k in range(kmax + buffer, -1, -1):
+            vals[k] = y
+            y_lo = ((1 + Qnu - q_m2k) * y - y_hi) / Qnu
+            y_hi = y
+            y = y_lo
+            q_m2k *= Q
+        scale = (out[0] if j0 is None else j0) / vals[0]
+        for k in range(1, kmax + 1):
+            out[-k] = vals[k] * scale
     return out
 
 
@@ -240,19 +239,19 @@ def lattice_kernel(nu, q, s_min, s_max):
 
     An extension stores a new dict and never changes one returned
     before, so a caller holding a table (or anything built from it) can
-    tell by identity whether it is still current.
+    tell by identity whether it is still current. So it needs no lock:
+    threads racing on one table cost at most a duplicate build.
     """
     key = (float(nu), float(q))
-    with MP_LOCK:
-        tab = _tables.get(key)
-        if tab is None:
-            tab = _kernel_values(nu, q, min(s_min, 0), max(s_max, 0))
-        elif min(tab) > s_min or max(tab) < s_max:
-            lo, hi = min(tab), max(tab)
-            # new series entries above hi; the recurrence only when s_min
-            # deepens (a call with s_min = 0 runs none)
-            tab = {**tab, **_kernel_values(
-                nu, q, s_min if s_min < lo else 0, max(s_max, hi),
-                s_first=hi + 1, j0=tab[0])}
-        _tables[key] = tab
-        return tab
+    tab = _tables.get(key)
+    if tab is None:
+        tab = _tables[key] = _kernel_values(nu, q, min(s_min, 0),
+                                            max(s_max, 0))
+    elif min(tab) > s_min or max(tab) < s_max:
+        lo, hi = min(tab), max(tab)
+        # new series entries above hi; the recurrence only when s_min
+        # deepens (a call with s_min = 0 runs none)
+        tab = _tables[key] = {**tab, **_kernel_values(
+            nu, q, s_min if s_min < lo else 0, max(s_max, hi),
+            s_first=hi + 1, j0=tab[0])}
+    return tab

@@ -18,11 +18,10 @@ v = (0, 0) the calibrated value reproduces 1/(1-q).
 import math
 
 import numpy as np
-from mpmath import mp
 from mpmath.libmp import (from_float, from_man_exp, mpf_mul, round_nearest,
                           to_float)
 
-from qwave.qbessel import MP_LOCK, lattice_kernel
+from qwave.qbessel import lattice_kernel, mp_context
 from qwave.qgrid import GridFunction, jackson_weights
 
 CALIBRATION_SPREAD_TOL = 1e-6
@@ -37,7 +36,7 @@ class TransformPlan:
     over all index sums, the Jackson weights, and the calibrated c.
 
     Its high-precision operands (raw-tuple Jackson weights and kappa
-    rows, per working precision) are filled on demand by _plan_weights
+    rows, per context precision) are filled on demand by _plan_weights
     and _plan_kappa_row and kept with the plan."""
 
     __slots__ = ("grid", "v", "c_qv", "kernel_by_sum", "matrix", "weights",
@@ -55,7 +54,7 @@ class TransformPlan:
         self.weights = jackson_weights(grid, v)
         self.calibration_spread = float(calibration_spread)
         self.calibration_residual = float(calibration_residual)
-        # mp.prec -> ({n: weight}, {t_lo: (kernel table, kappa row)})
+        # context prec -> ({n: weight}, {t_lo: (kernel table, kappa row)})
         self._mp_operands = {}
 
     def fourier_values(self, values):
@@ -119,16 +118,16 @@ def mp_dot(A, B, prec):
 
 def mp_kappa_row(qmp, beta, tab, t_lo, t_hi):
     """kappa(t) = q^{-2 beta (t+beta)} tab[t] for t in [t_lo, t_hi], at the
-    caller's working precision, as a list of raw mpf tuples starting at
-    t_lo (mp_dot's operand form; mp.make_mpf wraps one back).
+    precision of qmp's mpmath context, as a list of raw mpf tuples
+    starting at t_lo (mp_dot's operand form; ctx.make_mpf wraps one back).
 
     One power for t_lo, then one multiply by q^{-2 beta} per step, so
     the row costs no mpmath power per entry. Each multiply is the
-    libmp.mpf_mul call that mpf * mpf makes, without the object. Call it
-    inside the mp precision block that the values are meant for.
+    libmp.mpf_mul call that mpf * mpf makes, without the object.
     """
-    prec = mp.prec
-    b = mp.mpf(beta)
+    ctx = qmp.context
+    prec = ctx.prec
+    b = ctx.mpf(beta)
     step = (qmp ** (-2 * b))._mpf_
     p = (qmp ** (-2 * b * (t_lo + b)))._mpf_
     row = []
@@ -138,40 +137,39 @@ def mp_kappa_row(qmp, beta, tab, t_lo, t_hi):
     return row
 
 
-def _plan_weights(plan, ns):
+def _plan_weights(plan, ns, ctx):
     """Jackson weights (1-q) q^{n(2|v|+2)} for every n in ns, as raw mpf
-    tuples at the working precision, in a {n: weight} dict holding at
-    least ns. Each is the power the plan's first request for it at this
-    precision evaluated; later calls only look it up. Call inside
-    MP_LOCK and the mp precision block the values are meant for.
+    tuples at the precision of the mpmath context ctx, in a {n: weight}
+    dict holding at least ns. Each is the power the plan's first request
+    for it at this precision evaluated; later calls only look it up.
     """
-    weights, _ = plan._mp_operands.setdefault(mp.prec, ({}, {}))
+    weights, _ = plan._mp_operands.setdefault(ctx.prec, ({}, {}))
     missing = [n for n in ns if n not in weights]
     if missing:
-        qmp = mp.mpf(plan.grid.q)
+        qmp = ctx.mpf(plan.grid.q)
         wexp = 2.0 * plan.v.abs_v + 2.0
         for n in missing:
             weights[n] = ((1 - qmp) * qmp ** (n * wexp))._mpf_
     return weights
 
 
-def _plan_kappa_row(plan, tab, t_lo, t_hi):
-    """mp_kappa_row over [t_lo, t_hi] at the working precision (a list
-    starting at t_lo, possibly running past t_hi), kept with the plan
-    per (precision, t_lo).
+def _plan_kappa_row(plan, tab, t_lo, t_hi, ctx):
+    """mp_kappa_row over [t_lo, t_hi] at the precision of the mpmath
+    context ctx (a list starting at t_lo, possibly running past t_hi),
+    kept with the plan per (precision, t_lo).
 
     A stored row is served only while tab is the table it was built
     from and it reaches t_hi. lattice_kernel hands out a new table
     whenever it extends one, and deepening changes the s < 0 entries,
     so a row from an older table is rebuilt. A row is never sliced out
     of one that starts lower: the running product's rounding depends on
-    where it starts. Call inside MP_LOCK and the precision block.
+    where it starts.
     """
-    _, rows = plan._mp_operands.setdefault(mp.prec, ({}, {}))
+    _, rows = plan._mp_operands.setdefault(ctx.prec, ({}, {}))
     hit = rows.get(t_lo)
     if hit is not None and hit[0] is tab and len(hit[1]) > t_hi - t_lo:
         return hit[1]
-    row = mp_kappa_row(mp.mpf(plan.grid.q), plan.v.beta, tab, t_lo, t_hi)
+    row = mp_kappa_row(ctx.mpf(plan.grid.q), plan.v.beta, tab, t_lo, t_hi)
     rows[t_lo] = (tab, row)
     return row
 
@@ -180,10 +178,9 @@ def _kernel_row(grid, v):
     """Float64 kernel values kappa(s) = q^{-2 beta (s+beta)} j_nu(q^s; q^2)
     for every index sum s in [2 n_low, 2 n_high]."""
     tab = lattice_kernel(v.nu, grid.q, 2 * grid.n_low, 2 * grid.n_high)
-    with MP_LOCK, mp.workdps(60):
-        row = mp_kappa_row(mp.mpf(grid.q), v.beta, tab,
-                           2 * grid.n_low, 2 * grid.n_high)
-        return np.array([to_float(k, rnd=round_nearest) for k in row])
+    row = mp_kappa_row(mp_context(60).mpf(grid.q), v.beta, tab,
+                       2 * grid.n_low, 2 * grid.n_high)
+    return np.array([to_float(k, rnd=round_nearest) for k in row])
 
 
 def _default_calibration_probes(grid):
@@ -301,16 +298,16 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
                 *(abs(n) for n in ns))
     dps = int(2 * depth * math.log10(1.0 / grid.q)) + 80
     out = {}
-    with MP_LOCK, mp.workdps(dps):
-        prec = mp.prec
-        weights = _plan_weights(plan, ns)
-        kap = _plan_kappa_row(plan, tab, t_lo, t_hi)
-        weighted = [mpf_mul(weights[n], mp.mpf(val)._mpf_, prec, round_nearest)
-                    for n, val in support.items()]
-        c = from_float(plan.c_qv)
-        offsets = [n - t_lo for n in ns]
-        for s in range(s_lo, s_hi + 1):
-            dot = mp_dot(weighted, [kap[o + s] for o in offsets], prec)
-            out[s] = to_float(mpf_mul(c, dot, prec, round_nearest),
-                              rnd=round_nearest)
+    ctx = mp_context(dps)
+    prec = ctx.prec
+    weights = _plan_weights(plan, ns, ctx)
+    kap = _plan_kappa_row(plan, tab, t_lo, t_hi, ctx)
+    weighted = [mpf_mul(weights[n], ctx.mpf(val)._mpf_, prec, round_nearest)
+                for n, val in support.items()]
+    c = from_float(plan.c_qv)
+    offsets = [n - t_lo for n in ns]
+    for s in range(s_lo, s_hi + 1):
+        dot = mp_dot(weighted, [kap[o + s] for o in offsets], prec)
+        out[s] = to_float(mpf_mul(c, dot, prec, round_nearest),
+                          rnd=round_nearest)
     return out

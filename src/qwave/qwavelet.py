@@ -20,10 +20,9 @@ a few hundred digits pushes that crossover far past any usable grid.
 import math
 
 import numpy as np
-from mpmath import mp
 from mpmath.libmp import mpf_mul, round_nearest
 
-from qwave.qbessel import MP_LOCK, lattice_kernel
+from qwave.qbessel import lattice_kernel, mp_context
 from qwave.qgrid import GridFunction, dilate
 from qwave.qtransform import (_plan_kappa_row, _plan_weights, mp_dot,
                               spectrum, translate)
@@ -100,39 +99,41 @@ def make_wavelet(mother, plan, mp_values=None):
     prof_hi = scale_indices[-1] + grid.n_high
     source = mp_values if mp_values is not None else mother
     profile = spectrum(source, plan, prof_lo, prof_hi)
-    adm = (1.0 - grid.q) * math.fsum(
-        profile[s] ** 2 for s in range(grid.n_low, grid.n_high + 1))
+    adm = _admissibility_sum(profile, grid)
     if not (math.isfinite(adm) and adm > 0.0):
         raise ValueError(f"admissibility constant {adm} not finite positive")
     return WaveletSpec(mother, plan, adm, mp_values, scale_indices, profile)
 
 
+def _admissibility_sum(spec, grid):
+    """(1-q) * sum of the squared spectrum {s: value} over the grid range;
+    the d_q a / a measure collapses the weight to the bare (1-q)."""
+    return (1.0 - grid.q) * math.fsum(
+        spec[s] ** 2 for s in range(grid.n_low, grid.n_high + 1))
+
+
 def admissibility_constant(psi, plan):
-    """(1-q) * sum over the grid range of the squared spectrum; the
-    d_q a / a measure collapses the weight to the bare (1-q)."""
+    """_admissibility_sum of psi's spectrum over the grid range."""
     sup = psi.support()
     if sup is None:
         raise ValueError("zero function is not admissible")
-    spec = spectrum(psi, plan)
-    total = (1.0 - plan.grid.q) * math.fsum(
-        spec[s] ** 2 for s in range(plan.grid.n_low, plan.grid.n_high + 1))
+    total = _admissibility_sum(spectrum(psi, plan), plan.grid)
     if not math.isfinite(total):
         raise ValueError("admissibility sum is not finite")
     return total
 
 
 def _normalized_mp_mother(plan, raw):
-    """Normalize an mp-valued mother dict and produce its float64 view."""
-    grid, v = plan.grid, plan.v
-    with MP_LOCK, mp.workdps(MOTHER_DPS):
-        qmp = mp.mpf(grid.q)
-        wexp = 2.0 * v.abs_v + 2.0
-        nsq = (1 - qmp) * mp.fsum(qmp ** (n * wexp) * val * val
-                                  for n, val in raw.items())
-        nrm = mp.sqrt(nsq)
-        mp_values = {n: val / nrm for n, val in raw.items()}
+    """Normalize an mp-valued mother dict at MOTHER_DPS with the plan's
+    Jackson weights, and produce its float64 view."""
+    ctx = mp_context(MOTHER_DPS)
+    weights = _plan_weights(plan, raw, ctx)
+    nsq = ctx.fsum(ctx.make_mpf(weights[n]) * val * val
+                   for n, val in raw.items())
+    nrm = ctx.sqrt(nsq)
+    mp_values = {n: val / nrm for n, val in raw.items()}
     mother = GridFunction.from_pairs(
-        grid, [(n, float(val)) for n, val in mp_values.items()])
+        plan.grid, [(n, float(val)) for n, val in mp_values.items()])
     return make_wavelet(mother, plan, mp_values)
 
 
@@ -140,10 +141,9 @@ def indicator_difference_mother(plan):
     """Difference of two point indicators with the amplitude ratio that
     kills the zeroth spectral moment; without that the admissibility
     integral diverges at the origin for beta >= 0."""
-    grid, v = plan.grid, plan.v
-    with MP_LOCK, mp.workdps(MOTHER_DPS):
-        qmp = mp.mpf(grid.q)
-        raw = {0: mp.mpf(1), 2: -qmp ** (-2 * (2.0 * v.alpha + 2.0))}
+    ctx = mp_context(MOTHER_DPS)
+    qmp = ctx.mpf(plan.grid.q)
+    raw = {0: ctx.mpf(1), 2: -qmp ** (-2 * (2.0 * plan.v.alpha + 2.0))}
     return _normalized_mp_mother(plan, raw)
 
 
@@ -152,16 +152,15 @@ def operator_mother(plan):
     indices (-1, 0, 1); the operator output is mean-free by construction.
     Mirrors the float64 generalized_q_bessel_operator stencil in mp."""
     grid, v = plan.grid, plan.v
-    with MP_LOCK, mp.workdps(MOTHER_DPS):
-        qmp = mp.mpf(grid.q)
-        A = qmp ** (2.0 * v.alpha) + qmp ** (2.0 * v.beta)
-        B = qmp ** (2.0 * v.alpha + 2.0 * v.beta)
-        bump = {-1: mp.mpf(1), 0: mp.mpf(2), 1: mp.mpf(1)}
-        raw = {}
-        for n in range(-2, 3):
-            val = (bump.get(n - 1, mp.mpf(0)) - A * bump.get(n, mp.mpf(0))
-                   + B * bump.get(n + 1, mp.mpf(0))) / qmp ** (2 * n)
-            raw[n] = val
+    ctx = mp_context(MOTHER_DPS)
+    qmp = ctx.mpf(grid.q)
+    A = qmp ** (2.0 * v.alpha) + qmp ** (2.0 * v.beta)
+    B = qmp ** (2.0 * v.alpha + 2.0 * v.beta)
+    bump = {-1: ctx.mpf(1), 0: ctx.mpf(2), 1: ctx.mpf(1)}
+    zero = ctx.mpf(0)
+    raw = {n: (bump.get(n - 1, zero) - A * bump.get(n, zero)
+               + B * bump.get(n + 1, zero)) / qmp ** (2 * n)
+           for n in range(-2, 3)}
     return _normalized_mp_mother(plan, raw)
 
 
@@ -337,49 +336,49 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     tab = lattice_kernel(v.nu, grid.q, k_lo, k_hi)
     idx = [int(n) for n in grid.indices]
     worst = 0.0
-    with MP_LOCK, mp.workdps(dps):
-        prec = mp.prec
-        make = mp.make_mpf
-        qmp = mp.mpf(grid.q)
-        cmp_ = mp.mpf(plan.c_qv)
-        wexp = 2.0 * v.abs_v + 2.0
-        kap = _plan_kappa_row(plan, tab, k_lo, k_hi)
-        weights = _plan_weights(plan, idx)
-        w = {n: make(weights[n]) for n in idx}
-        psi_mp = {n: mp.mpf(val) for n, val in psi.items()}
+    ctx = mp_context(dps)
+    prec = ctx.prec
+    make = ctx.make_mpf
+    qmp = ctx.mpf(grid.q)
+    cmp_ = ctx.mpf(plan.c_qv)
+    wexp = 2.0 * v.abs_v + 2.0
+    kap = _plan_kappa_row(plan, tab, k_lo, k_hi, ctx)
+    weights = _plan_weights(plan, idx, ctx)
+    w = {n: make(weights[n]) for n in idx}
+    psi_mp = {n: ctx.mpf(val) for n, val in psi.items()}
 
-        def transform(weighted, s):
-            """c * sum_n weighted[n] kappa(n + s), weights already in."""
-            return cmp_ * make(mp_dot(
-                [val._mpf_ for _, val in weighted],
-                [kap[n + s - k_lo] for n, _ in weighted], prec))
+    def transform(weighted, s):
+        """c * sum_n weighted[n] kappa(n + s), weights already in."""
+        return cmp_ * make(mp_dot(
+            [val._mpf_ for _, val in weighted],
+            [kap[n + s - k_lo] for n, _ in weighted], prec))
 
-        def window(t):
-            """kappa(n + t) for every grid index n, in idx order."""
-            lo = t + grid.n_low - k_lo
-            return kap[lo:lo + grid.size]
+    def window(t):
+        """kappa(n + t) for every grid index n, in idx order."""
+        lo = t + grid.n_low - k_lo
+        return kap[lo:lo + grid.size]
 
-        psi_w = [(n, val * w[n]) for n, val in psi_mp.items()]
-        for m in scale_indices:
-            root_a = mp.sqrt(qmp ** m)
-            dil = qmp ** (-m * wexp)
-            psi_a = {n + m: dil * val for n, val in psi_mp.items()}
-            if min(psi_a) < grid.n_low or max(psi_a) > grid.n_high:
-                raise ValueError(f"scale index {m} pushes the mother off the grid")
-            psi_a_w = [(n, val * w[n]) for n, val in psi_a.items()]
-            FPa_w = [(transform(psi_a_w, s) * w[s])._mpf_ for s in idx]
-            profile = {s: root_a * transform(psi_w, m + s) for s in xi_indices}
-            root_c = root_a * cmp_
-            for n_b in position_indices:
-                u = [mpf_mul(val, k, prec, round_nearest)
-                     for val, k in zip(FPa_w, window(n_b))]
-                daughter_w = [(root_c * make(mp_dot(u, window(n), prec))
-                               * w[n])._mpf_ for n in idx]
-                lhs = {s: cmp_ * make(mp_dot(daughter_w, window(s), prec))
-                       for s in xi_indices}
-                rhs = {s: profile[s] * make(kap[n_b + s - k_lo])
-                       for s in xi_indices}
-                ref = max(abs(val) for val in rhs.values())
-                err = max(abs(lhs[s] - rhs[s]) for s in xi_indices) / ref
-                worst = max(worst, float(err))
+    psi_w = [(n, val * w[n]) for n, val in psi_mp.items()]
+    for m in scale_indices:
+        root_a = ctx.sqrt(qmp ** m)
+        dil = qmp ** (-m * wexp)
+        psi_a = {n + m: dil * val for n, val in psi_mp.items()}
+        if min(psi_a) < grid.n_low or max(psi_a) > grid.n_high:
+            raise ValueError(f"scale index {m} pushes the mother off the grid")
+        psi_a_w = [(n, val * w[n]) for n, val in psi_a.items()]
+        FPa_w = [(transform(psi_a_w, s) * w[s])._mpf_ for s in idx]
+        profile = {s: root_a * transform(psi_w, m + s) for s in xi_indices}
+        root_c = root_a * cmp_
+        for n_b in position_indices:
+            u = [mpf_mul(val, k, prec, round_nearest)
+                 for val, k in zip(FPa_w, window(n_b))]
+            daughter_w = [(root_c * make(mp_dot(u, window(n), prec))
+                           * w[n])._mpf_ for n in idx]
+            lhs = {s: cmp_ * make(mp_dot(daughter_w, window(s), prec))
+                   for s in xi_indices}
+            rhs = {s: profile[s] * make(kap[n_b + s - k_lo])
+                   for s in xi_indices}
+            ref = max(abs(val) for val in rhs.values())
+            err = max(abs(lhs[s] - rhs[s]) for s in xi_indices) / ref
+            worst = max(worst, float(err))
     return worst

@@ -14,7 +14,9 @@ constant stable under grid refinement.
 Everything here runs in the calling thread. The one parallel path is
 ``parallel_map``, which runs independent cells (a verify cell, a sweep
 cell) in worker processes: the work is mpmath and small float64 kernels
-that hold the interpreter lock, so threads cannot overlap it.
+that hold the interpreter lock, so threads cannot overlap it. Callers may
+still call in from several threads: no result depends on threads, workers
+or ``mpmath.mp``, as each high-precision block has its own mpmath context.
 """
 
 import math
@@ -157,26 +159,30 @@ def uncertainty_report(f, spec):
                              ratio=math.sqrt(I_R * I_S) / nf)
 
 
-def intermediate_heisenberg_check(f, spec, m):
-    """Slice ratio N1(m) N2(m) / ||C(a_m, .)||^2 at one scale, where N1
-    weights the slice by position and N2 its transform by position.
-    Callers assert it stays >= 1/2 - eps; a zero slice is an error."""
-    plan = spec.plan
+def _slice_ratio(row, n2, plan):
+    """N1 N2 / ||C||^2 for one coefficient slice C of squared norm n2,
+    where N1 weights C by position and N2 its transform by position."""
     points = plan.grid.points
+    return (math.sqrt(plan.norm_sq(points * row))
+            * math.sqrt(plan.norm_sq(points * plan.fourier_values(row))) / n2)
+
+
+def intermediate_heisenberg_check(f, spec, m):
+    """Slice ratio N1(m) N2(m) / ||C(a_m, .)||^2 at one scale (see
+    _slice_ratio). Callers assert it stays >= 1/2 - eps; a zero slice is
+    an error."""
+    plan = spec.plan
     row = scale_rows(f, spec, [m])[m]
     n2 = plan.norm_sq(row)
     if n2 == 0.0:
         raise ValueError(f"coefficient slice at scale index {m} is zero")
-    n_pos = math.sqrt(plan.norm_sq(points * row))
-    n_spec = math.sqrt(plan.norm_sq(points * plan.fourier_values(row)))
-    return n_pos * n_spec / n2
+    return _slice_ratio(row, n2, plan)
 
 
 def heisenberg_slice_minimum(f, spec):
     """Minimum slice ratio over the scales the gated plane sum actually
     uses, skipping slices whose norm sits at the noise floor."""
     plan = spec.plan
-    points = plan.grid.points
     rows = scale_rows(f, spec)
     _, used = gated_scale_sum(_position_moment_contrib(rows, plan))
     norms = {m: plan.norm_sq(rows[m]) for m in used}
@@ -185,10 +191,7 @@ def heisenberg_slice_minimum(f, spec):
     for m in sorted(used):
         if norms[m] <= SLICE_NORM_FLOOR * top:
             continue
-        row = rows[m]
-        n_pos = math.sqrt(plan.norm_sq(points * row))
-        n_spec = math.sqrt(plan.norm_sq(points * plan.fourier_values(row)))
-        best = min(best, n_pos * n_spec / norms[m])
+        best = min(best, _slice_ratio(rows[m], norms[m], plan))
     if not math.isfinite(best):
         raise ValueError("no coefficient slice rises above the noise floor")
     return best

@@ -2,6 +2,9 @@
 difference operator, and the high-precision lattice table."""
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -363,3 +366,23 @@ class TestLatticeTableExtension:
         assert large is not small
         assert small == snapshot
         assert lattice_kernel(nu, q, -20, 10) is large
+
+    def test_grown_from_threads(self, fresh_tables):
+        # the cache has no lock: threads growing one table at once may
+        # each build, but every table returned covers its request and
+        # equals a one-shot build over its own range
+        nu, q = 0.25, 0.5
+        requests = [(-8 * k, 16 * k) for k in range(1, 6)] * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                qbessel._tables.clear()
+                with ThreadPoolExecutor(2 * (os.cpu_count() or 1) + 1) as pool:
+                    tabs = list(pool.map(
+                        lambda r: lattice_kernel(nu, q, *r), requests))
+                for (lo, hi), tab in zip(requests, tabs):
+                    assert min(tab) <= lo and max(tab) >= hi
+                    assert_one_shot(nu, q, tab)
+        finally:
+            sys.setswitchinterval(interval)

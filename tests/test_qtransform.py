@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from qwave.qbessel import MP_LOCK, lattice_kernel, modified_q_bessel
+from qwave.qbessel import lattice_kernel, modified_q_bessel, mp_context
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
     CalibrationError,
@@ -340,9 +340,11 @@ class TestPlanOperands:
         for dps, t_lo, t_hi in requests * 2:
             tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
             ns = range(t_lo // 2, t_hi // 2)
-            with MP_LOCK, mpmath.mp.workdps(dps):
-                row = _plan_kappa_row(plan, tab, t_lo, t_hi)
-                weights = _plan_weights(plan, ns)
+            ctx = mp_context(dps)
+            row = _plan_kappa_row(plan, tab, t_lo, t_hi, ctx)
+            weights = _plan_weights(plan, ns, ctx)
+            # the fresh values come from mpmath's global context
+            with mpmath.mp.workdps(dps):
                 qmp = mpmath.mpf(grid.q)
                 want = mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
                 wexp = 2.0 * v.abs_v + 2.0

@@ -13,11 +13,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from qwave.qbessel import MP_LOCK
 from qwave.qgrid import BesselParams, GridFunction, build_grid
-from qwave.qtransform import make_plan
+from qwave.qtransform import make_plan, spectrum
 from qwave import qwavelet
-from qwave.qwavelet import cwt, operator_mother
+from qwave.qwavelet import cwt, factorization_error, operator_mother
 from qwave.uncertainty import (
     WorkerError,
     empirical_lower_constant,
@@ -183,10 +182,6 @@ def _reject_three(x):
     return x
 
 
-def _mp_dps(_):
-    return mpmath.mp.dps
-
-
 def _map_in_daemon(items):
     return list(parallel_map(_pid_of, items))
 
@@ -226,37 +221,12 @@ class TestParallelMap:
         with pytest.raises(WorkerError, match="ended before returning"):
             list(parallel_map(exit_abruptly, range(3)))
 
-    def test_fork_waits_for_precision_block(self, monkeypatch):
-        # a caller thread inside a precision block holds MP_LOCK; a worker
-        # forked then would start at that thread's precision (and could
-        # never take the lock), so the fork waits until the block ends
-        set_cpus(monkeypatch, 2)
-        default = mpmath.mp.dps
-        entered, leave = threading.Event(), threading.Event()
-
-        def hold():
-            with MP_LOCK, mpmath.mp.workdps(300):
-                entered.set()
-                leave.wait(10)
-
-        holder = threading.Thread(target=hold)
-        holder.start()
-        try:
-            assert entered.wait(10)
-            threading.Timer(0.3, leave.set).start()
-            dps = list(parallel_map(_mp_dps, range(2)))
-        finally:
-            leave.set()
-            holder.join(10)
-        assert not holder.is_alive()
-        assert dps == [default, default]
-
 
 class TestThreading:
     # results must not depend on how many worker processes or caller
     # threads compute them; the library itself runs in the calling
-    # thread, and MP_LOCK keeps the shared mp context consistent for
-    # callers that call in from several threads at once
+    # thread, and every high-precision block works on a private mpmath
+    # context, so callers may call in from several threads at once
     def test_default_uses_all_cores(self, monkeypatch):
         # one worker per CPU in the affinity mask, capped at the items,
         # on forked workers
@@ -284,8 +254,8 @@ class TestThreading:
 
     def test_transform_results_identical_across_thread_counts(
             self, plan00, spec00):
-        # the mp context is guarded by a lock; results must not depend
-        # on how many caller threads compute at once
+        # results must not depend on how many caller threads compute at
+        # once
         probes = probe_family(plan00)[:4]
         serial = empirical_lower_constant(probes, spec00)
         with concurrent.futures.ThreadPoolExecutor(4) as pool:
@@ -317,3 +287,38 @@ class TestThreading:
                 assert threaded == serial
         finally:
             sys.setswitchinterval(interval)
+
+    def test_results_independent_of_global_precision(self, spec00):
+        # another mpmath user in the same process may set mpmath.mp.dps
+        # at any moment; the library's high-precision blocks must not see
+        # it, so every result equals the one from a quiet run
+        plan = spec00.plan
+        f = probe_family(plan)[-1]
+        mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
+
+        def run():
+            return (spectrum(f, plan),
+                    factorization_error(spec00, [mid - 1, mid], (-2, 0, 3),
+                                        range(-5, 6), dps=20))
+
+        quiet = run()
+        stop = threading.Event()
+
+        def toggle():
+            while not stop.is_set():
+                mpmath.mp.dps = 15
+                mpmath.mp.dps = 500
+
+        default = mpmath.mp.dps
+        interval = sys.getswitchinterval()
+        toggler = threading.Thread(target=toggle, daemon=True)
+        sys.setswitchinterval(1e-5)
+        toggler.start()
+        try:
+            noisy = [run() for _ in range(20)]
+        finally:
+            stop.set()
+            toggler.join(10)
+            sys.setswitchinterval(interval)
+            mpmath.mp.dps = default
+        assert noisy == [quiet] * 20

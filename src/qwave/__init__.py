@@ -28,7 +28,6 @@ from qwave.qtransform import (
 from qwave.qwavelet import (
     WaveletSpec,
     Scaleogram,
-    admissibility_constant,
     make_wavelet,
     indicator_difference_mother,
     operator_mother,
@@ -40,9 +39,7 @@ from qwave.qwavelet import (
 from qwave.uncertainty import (
     UncertaintyReport,
     probe_family,
-    op_R,
     op_S,
-    intermediate_heisenberg_check,
     uncertainty_report,
     empirical_lower_constant,
 )

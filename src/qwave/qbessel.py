@@ -12,10 +12,8 @@ every lattice depth.
 """
 
 import functools
-import math
 
 import mpmath
-import numpy as np
 
 from qwave.qgrid import GridFunction, QGrid
 
@@ -99,10 +97,18 @@ def modified_q_bessel(v, x, q, tol=None):
 
     x must be positive: the prefactor is singular at 0 when beta > 0.
     """
+    value, _ = modified_q_bessel_bound(v, x, q, tol)
+    return value
+
+
+def modified_q_bessel_bound(v, x, q, tol=None):
+    """Same as modified_q_bessel but returns (value, err_bound)."""
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"modified kernel needs x > 0, got {x}")
-    return x ** (-2.0 * v.beta) * normalized_q_bessel(v.nu, q ** (-v.beta) * x, q, tol)
+    scale = x ** (-2.0 * v.beta)
+    base, bound = normalized_q_bessel_bound(v.nu, q ** (-v.beta) * x, q, tol)
+    return scale * base, abs(scale) * bound
 
 
 def generalized_q_bessel_operator(f, v):
@@ -125,6 +131,11 @@ def generalized_q_bessel_operator(f, v):
 
 _tables = {}
 
+# Working precision of every table entry, and how far past the deepest
+# requested index the backward recurrence is seeded.
+KERNEL_DPS = 240
+RECURRENCE_BUFFER = 8
+
 
 @functools.lru_cache(maxsize=None)
 def mp_context(dps):
@@ -138,8 +149,7 @@ def mp_context(dps):
     return ctx
 
 
-def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8, s_first=None,
-                   j0=None):
+def _kernel_values(nu, q, s_min, s_max, s_first=None, j0=None):
     """j_nu(q^s; q^2) for integer s in [s_min, s_max] as an mpf dict.
 
     s >= 0 comes straight from the series. s < 0 uses the three-term
@@ -160,11 +170,11 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8, s_first=None,
     and the recurrence (run when s_min < 0) is normalized against j0.
     Only the entries computed are returned.
     """
-    ctx = mp_context(dps)
+    ctx = mp_context(KERNEL_DPS)
     qq = ctx.mpf(q)
     Q = qq * qq
     Qnu = Q ** ctx.mpf(nu)
-    tiny = ctx.mpf(10) ** (-dps - 5)
+    tiny = ctx.mpf(10) ** (-KERNEL_DPS - 5)
     ratios = [None]  # ratios[k] is r_k, built on first use
     Qk = ctx.mpf(1)
     out = {}
@@ -208,9 +218,9 @@ def _kernel_values(nu, q, s_min, s_max, dps=240, buffer=8, s_first=None,
         kmax = -s_min
         y_hi = ctx.mpf(0)
         y = ctx.mpf(1)
-        q_m2k = Q ** -(kmax + buffer)
+        q_m2k = Q ** -(kmax + RECURRENCE_BUFFER)
         vals = {}
-        for k in range(kmax + buffer, -1, -1):
+        for k in range(kmax + RECURRENCE_BUFFER, -1, -1):
             vals[k] = y
             y_lo = ((1 + Qnu - q_m2k) * y - y_hi) / Qnu
             y_hi = y

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from qwave.qbessel import (TruncationError, generalized_q_bessel_operator,
-                           normalized_q_bessel_bound)
+                           modified_q_bessel_bound)
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          jackson_integral, jackson_weights, q_derivative,
                          read_function, write_function, dilate)
@@ -146,9 +146,7 @@ def build_config(args):
             except ValueError:
                 raise UsageError(f"config key {key!r}: cannot parse {raw!r}")
             given.add(_FIELD_OF[key])
-    for flag, field in (("q", "q"), ("alpha", "alpha"), ("beta", "beta"),
-                        ("nlow", "n_low"), ("nhigh", "n_high"),
-                        ("mother", "mother")):
+    for flag, field in _FIELD_OF.items():
         val = getattr(args, flag, None)
         if val is not None:
             fields[field] = val
@@ -199,7 +197,7 @@ def cmd_bessel(cfg, args):
         lam = float(args.lam)
         if lam <= 0.0:
             raise UsageError(f"lam must be positive, got {fmt17(lam)}")
-        vals = np.array([_modified_with_bound(v, lam * x, cfg.q)[0]
+        vals = np.array([modified_q_bessel_bound(v, lam * x, cfg.q)[0]
                          for x in grid.points])
         f = GridFunction(grid, vals)
         op = generalized_q_bessel_operator(f, v)
@@ -211,16 +209,10 @@ def cmd_bessel(cfg, args):
         return 0
     lines = ["x,value,err_bound"]
     for x in grid.points:
-        val, bound = _modified_with_bound(v, x, cfg.q)
+        val, bound = modified_q_bessel_bound(v, x, cfg.q)
         lines.append(f"{fmt17(x)},{fmt17(val)},{fmt17(bound)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
-
-
-def _modified_with_bound(v, x, q):
-    base, bound = normalized_q_bessel_bound(v.nu, q ** (-v.beta) * x, q)
-    scale = x ** (-2.0 * v.beta)
-    return scale * base, abs(scale) * bound
 
 
 def cmd_fourier(cfg, args):
@@ -277,9 +269,9 @@ def cmd_plancherel(cfg, args):
     plan = make_plan(cfg.grid(), cfg.v)
     spec = _MOTHERS[cfg.mother](plan)
     probes = probe_family(plan)
-    ratios = [wavelet_plancherel_ratio(f, spec) for f in probes]
-    payload = {"ratio": ratios[0], "C_v_psi": spec.admissibility,
-               "ratio_over_C": ratios[0] / spec.admissibility,
+    ratio = wavelet_plancherel_ratio(probes[0], spec)
+    payload = {"ratio": ratio, "C_v_psi": spec.admissibility,
+               "ratio_over_C": ratio / spec.admissibility,
                "probes": len(probes)}
     _emit(_json_text(payload) + "\n", args.out)
     return 0
@@ -427,11 +419,7 @@ def _check_change_of_variables(cell):
 
 def _check_involution(cell):
     plan = cell.plan()
-    resid = 0.0
-    for f in cell.probes():
-        g = plan.fourier_values(plan.fourier_values(f.values))
-        resid = max(resid, math.sqrt(
-            plan.norm_sq(g - f.values) / plan.norm_sq(f.values)))
+    resid = plan.involution_residual(cell.probes())
     c_fine = cell.plan(2).c_qv
     drift = abs(c_fine / plan.c_qv - 1.0)
     ok = resid < 1e-6 and drift < 1e-3

@@ -133,6 +133,11 @@ class GridFunction:
             return None
         return int(nz[0]) + self.grid.n_low, int(nz[-1]) + self.grid.n_low
 
+    def nonzero_values(self):
+        """{grid index: value} over the nonzero entries, in index order."""
+        nz = np.nonzero(self.values)[0]
+        return {int(self.grid.indices[i]): self.values[i] for i in nz}
+
     def scaled(self, factor):
         return GridFunction(self.grid, self.values * factor)
 

@@ -22,7 +22,7 @@ from mpmath.libmp import (from_float, from_man_exp, mpf_mul, round_nearest,
                           to_float)
 
 from qwave.qbessel import lattice_kernel, mp_context
-from qwave.qgrid import GridFunction, jackson_weights
+from qwave.qgrid import GridFunction, jackson_weights, weight_exponent
 
 CALIBRATION_SPREAD_TOL = 1e-6
 
@@ -42,8 +42,7 @@ class TransformPlan:
     __slots__ = ("grid", "v", "c_qv", "kernel_by_sum", "matrix", "weights",
                  "calibration_spread", "calibration_residual", "_mp_operands")
 
-    def __init__(self, grid, v, c_qv, kernel_by_sum, calibration_spread=0.0,
-                 calibration_residual=0.0):
+    def __init__(self, grid, v, c_qv, kernel_by_sum, calibration_spread=0.0):
         self.grid = grid
         self.v = v
         self.c_qv = float(c_qv)
@@ -53,7 +52,7 @@ class TransformPlan:
         self.matrix = kernel_by_sum[sums]
         self.weights = jackson_weights(grid, v)
         self.calibration_spread = float(calibration_spread)
-        self.calibration_residual = float(calibration_residual)
+        self.calibration_residual = 0.0  # make_plan measures it
         # context prec -> ({n: weight}, {t_lo: (kernel table, kappa row)})
         self._mp_operands = {}
 
@@ -63,6 +62,15 @@ class TransformPlan:
 
     def norm_sq(self, values):
         return math.fsum((values * values * self.weights).tolist())
+
+    def involution_residual(self, probes):
+        """Worst relative norm of (double transform - input) over probes."""
+        resid = 0.0
+        for f in probes:
+            g = self.fourier_values(self.fourier_values(f.values))
+            resid = max(resid, math.sqrt(
+                self.norm_sq(g - f.values) / self.norm_sq(f.values)))
+        return resid
 
 
 def mp_dot(A, B, prec):
@@ -147,7 +155,7 @@ def _plan_weights(plan, ns, ctx):
     missing = [n for n in ns if n not in weights]
     if missing:
         qmp = ctx.mpf(plan.grid.q)
-        wexp = 2.0 * plan.v.abs_v + 2.0
+        wexp = weight_exponent(plan.v)
         for n in missing:
             weights[n] = ((1 - qmp) * qmp ** (n * wexp))._mpf_
     return weights
@@ -220,13 +228,8 @@ def _calibrate(v, grid, probes):
             "grid too small for this (q, v)")
     c = 1.0 / math.sqrt(rho)
     plan = TransformPlan(grid, v, c, kernel_by_sum, calibration_spread=spread)
-    resid = 0.0
-    for f in probes:
-        g = plan.fourier_values(plan.fourier_values(f.values))
-        resid = max(resid, math.sqrt(
-            plan.norm_sq(g - f.values) / plan.norm_sq(f.values)))
-    return TransformPlan(grid, v, c, kernel_by_sum, calibration_spread=spread,
-                         calibration_residual=resid)
+    plan.calibration_residual = plan.involution_residual(probes)
+    return plan
 
 
 def make_plan(grid, v, probes=None):
@@ -266,9 +269,10 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     below the individual terms. Each output here is assembled in mpmath
     at a precision scaled to the requested depth, then rounded once.
 
-    f is a GridFunction (values converted exactly) or a dict of
-    {index: mpf} for inputs that must carry excess precision. Returns
-    {s: float} over [s_lo, s_hi], defaulting to the grid index range.
+    f is a GridFunction or an {index: value} dict: float values are
+    converted exactly, and mpf values let an input carry excess
+    precision. Returns {s: float} over [s_lo, s_hi], defaulting to the
+    grid index range.
 
     Each output is c * mp_dot(weighted f, kappa shifted by s): a dot
     product of exact products, rounded once, bit-identical to
@@ -285,8 +289,7 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     if isinstance(f, GridFunction):
         if f.grid != grid:
             raise ValueError("grid function and plan use different grids")
-        support = {int(grid.indices[i]): f.values[i]
-                   for i in np.nonzero(f.values)[0]}
+        support = f.nonzero_values()
     else:
         support = dict(f)
     if not support:

@@ -23,7 +23,7 @@ import numpy as np
 from mpmath.libmp import mpf_mul, round_nearest
 
 from qwave.qbessel import lattice_kernel, mp_context
-from qwave.qgrid import GridFunction, dilate
+from qwave.qgrid import GridFunction, dilate, weight_exponent
 from qwave.qtransform import (_plan_kappa_row, _plan_weights, mp_dot,
                               spectrum, translate)
 
@@ -85,8 +85,11 @@ def make_wavelet(mother, plan, mp_values=None):
     """Wrap a finitely supported mother into a WaveletSpec.
 
     mp_values, when given, is a {grid index: mpf} dict carrying the
-    mother at excess precision; the spectrum profile is computed from it.
-    Rejected if the admissibility constant is not finite and positive.
+    mother at excess precision; by default it is the mother's nonzero
+    float values. The spectrum profile is computed from it, and the
+    admissibility constant is (1-q) times the profile's squared sum over
+    the grid range (the d_q a / a measure collapses the weight to the
+    bare 1-q). Rejected if that constant is not finite and positive.
     """
     if mother.grid != plan.grid:
         raise ValueError("mother and plan use different grids")
@@ -97,30 +100,14 @@ def make_wavelet(mother, plan, mp_values=None):
     scale_indices = mother_scale_range(sup, grid)
     prof_lo = scale_indices[0] + grid.n_low
     prof_hi = scale_indices[-1] + grid.n_high
-    source = mp_values if mp_values is not None else mother
-    profile = spectrum(source, plan, prof_lo, prof_hi)
-    adm = _admissibility_sum(profile, grid)
+    if mp_values is None:
+        mp_values = mother.nonzero_values()
+    profile = spectrum(mp_values, plan, prof_lo, prof_hi)
+    adm = (1.0 - grid.q) * math.fsum(
+        profile[s] ** 2 for s in range(grid.n_low, grid.n_high + 1))
     if not (math.isfinite(adm) and adm > 0.0):
         raise ValueError(f"admissibility constant {adm} not finite positive")
     return WaveletSpec(mother, plan, adm, mp_values, scale_indices, profile)
-
-
-def _admissibility_sum(spec, grid):
-    """(1-q) * sum of the squared spectrum {s: value} over the grid range;
-    the d_q a / a measure collapses the weight to the bare (1-q)."""
-    return (1.0 - grid.q) * math.fsum(
-        spec[s] ** 2 for s in range(grid.n_low, grid.n_high + 1))
-
-
-def admissibility_constant(psi, plan):
-    """_admissibility_sum of psi's spectrum over the grid range."""
-    sup = psi.support()
-    if sup is None:
-        raise ValueError("zero function is not admissible")
-    total = _admissibility_sum(spectrum(psi, plan), plan.grid)
-    if not math.isfinite(total):
-        raise ValueError("admissibility sum is not finite")
-    return total
 
 
 def _normalized_mp_mother(plan, raw):
@@ -170,7 +157,7 @@ def daughter_wavelet(spec, m, n_b):
     grid = plan.grid
     if m not in spec.scale_indices:
         raise ValueError(f"scale index {m} pushes the mother off the grid")
-    wexp = 2.0 * spec.v.abs_v + 2.0
+    wexp = weight_exponent(spec.v)
     psi_a = dilate(spec.mother, m).scaled(grid.q ** (-m * wexp))
     shifted = translate(psi_a, n_b, plan)
     return shifted.scaled(math.sqrt(grid.q ** m))
@@ -247,10 +234,10 @@ def cwt_direct(f, spec, scale_indices, position_indices):
     return Scaleogram(scale_indices, position_indices, coeffs, grid, plan.v)
 
 
-def gated_scale_sum(contrib, rel_tail=GATE_REL_TAIL, run=GATE_RUN):
+def gated_scale_sum(contrib):
     """Sum per-scale contributions walking outward from the peak; each
-    direction stops after `run` consecutive scales below rel_tail of the
-    running total.
+    direction stops after GATE_RUN consecutive scales below GATE_REL_TAIL
+    of the running total.
 
     True contributions decay super-geometrically away from the peak, but
     the float64 noise floor under them grows like 1/a toward deep
@@ -269,9 +256,9 @@ def gated_scale_sum(contrib, rel_tail=GATE_REL_TAIL, run=GATE_RUN):
             m += step
             if m not in contrib:
                 break
-            if contrib[m] < rel_tail * total:
+            if contrib[m] < GATE_REL_TAIL * total:
                 falling += 1
-                if falling >= run:
+                if falling >= GATE_RUN:
                     break
             else:
                 falling = 0
@@ -280,7 +267,7 @@ def gated_scale_sum(contrib, rel_tail=GATE_REL_TAIL, run=GATE_RUN):
     return math.fsum(contrib[m] for m in used), set(used)
 
 
-def wavelet_plancherel_ratio(f, spec, scale_indices=None):
+def wavelet_plancherel_ratio(f, spec):
     """[double Jackson sum of |C(a,b)|^2 b^{2|v|+1} d_q a d_q b / a^2]
     over ||f||^2. The position integral always runs over the whole grid;
     restricting it would break the identity being measured."""
@@ -289,7 +276,7 @@ def wavelet_plancherel_ratio(f, spec, scale_indices=None):
     if nf == 0.0:
         raise ValueError("Plancherel ratio undefined for the zero function")
     q = plan.grid.q
-    rows = scale_rows(f, spec, scale_indices)
+    rows = scale_rows(f, spec)
     contrib = {}
     for m, row in rows.items():
         contrib[m] = (1.0 - q) / (q ** float(m)) * math.fsum(
@@ -320,11 +307,6 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     """
     plan = spec.plan
     grid, v = plan.grid, plan.v
-    if spec.mp_values is not None:
-        psi = spec.mp_values
-    else:
-        psi = {int(grid.indices[i]): spec.mother.values[i]
-               for i in np.nonzero(spec.mother.values)[0]}
     # kap is a list: an index sum off [k_lo, k_hi] would wrap or shorten
     # a slice rather than fail
     off = [n for n in (*position_indices, *xi_indices)
@@ -341,11 +323,11 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     make = ctx.make_mpf
     qmp = ctx.mpf(grid.q)
     cmp_ = ctx.mpf(plan.c_qv)
-    wexp = 2.0 * v.abs_v + 2.0
+    wexp = weight_exponent(v)
     kap = _plan_kappa_row(plan, tab, k_lo, k_hi, ctx)
     weights = _plan_weights(plan, idx, ctx)
     w = {n: make(weights[n]) for n in idx}
-    psi_mp = {n: ctx.mpf(val) for n, val in psi.items()}
+    psi_mp = {n: ctx.mpf(val) for n, val in spec.mp_values.items()}
 
     def transform(weighted, s):
         """c * sum_n weighted[n] kappa(n + s), weights already in."""

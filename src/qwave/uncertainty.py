@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwave.qgrid import GridFunction
-from qwave.qwavelet import (Scaleogram, _spectral_rows, _spectrum_array,
-                            gated_scale_sum, scale_rows)
+from qwave.qwavelet import (_spectral_rows, _spectrum_array, gated_scale_sum,
+                            scale_rows)
 
 SLICE_NORM_FLOOR = 1e-22
 
@@ -109,16 +109,6 @@ def probe_family(plan):
     return fam
 
 
-def op_R(f, spec, scale_indices=None):
-    """Position-side operator: the scaleogram of f with each coefficient
-    multiplied by its position, entries b * C(a, b)."""
-    rows = scale_rows(f, spec, scale_indices)
-    ms = sorted(rows)
-    grid = spec.plan.grid
-    coeffs = np.vstack([rows[m] * grid.points for m in ms])
-    return Scaleogram(ms, [int(n) for n in grid.indices], coeffs, grid, spec.v)
-
-
 def op_S(f, plan):
     """Spectral-side operator xi * Ff(xi) on the spectral lattice.
 
@@ -133,13 +123,17 @@ def _position_moment_contrib(rows, plan):
     from the coefficient rows {m: C(q^m, .)}.
 
     On a deep grid b^2 w(b) itself can overflow float64 (q = 0.3 on
-    [-160, 320]); the products are then inf or nan, and so is the sum,
-    which the caller's ratio carries without a numpy warning."""
+    [-160, 320]). Where it does, the term is formed as (b sqrt(w(b)) C)^2,
+    which stays finite. Elsewhere it is (b^2 w(b)) C C, whose rounding
+    the frozen verify numbers were computed with."""
     q = plan.grid.q
+    points, weights = plan.grid.points, plan.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        x2w = plan.grid.points ** 2 * plan.weights
-        return {m: (1.0 - q) / (q ** float(m))
-                * math.fsum((x2w * row * row).tolist())
+        x2w = points ** 2 * weights
+        finite = np.isfinite(x2w)
+        xsw = points * np.sqrt(weights)
+        return {m: (1.0 - q) / (q ** float(m)) * math.fsum(np.where(
+                    finite, x2w * row * row, (xsw * row) ** 2).tolist())
                 for m, row in rows.items()}
 
 
@@ -165,18 +159,6 @@ def _slice_ratio(row, n2, plan):
     points = plan.grid.points
     return (math.sqrt(plan.norm_sq(points * row))
             * math.sqrt(plan.norm_sq(points * plan.fourier_values(row))) / n2)
-
-
-def intermediate_heisenberg_check(f, spec, m):
-    """Slice ratio N1(m) N2(m) / ||C(a_m, .)||^2 at one scale (see
-    _slice_ratio). Callers assert it stays >= 1/2 - eps; a zero slice is
-    an error."""
-    plan = spec.plan
-    row = scale_rows(f, spec, [m])[m]
-    n2 = plan.norm_sq(row)
-    if n2 == 0.0:
-        raise ValueError(f"coefficient slice at scale index {m} is zero")
-    return _slice_ratio(row, n2, plan)
 
 
 def heisenberg_slice_minimum(f, spec):

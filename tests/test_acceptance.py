@@ -5,12 +5,16 @@ v in {(0,0), (0.5,0.25), (1,-0.25)} on the default grid [-20, 40].
 Each cell runs the verification suite once (module-scoped fixture); the
 tests then hold the individual checks to their pinned tolerances and pin
 the cell's computed constants against values frozen from a verified
-high-precision run. The final test reruns the CLI twice and demands
-byte-identical output."""
+high-precision run. The last two tests rerun the CLI: twice on one
+cell, demanding byte-identical output, and once on the whole lattice,
+demanding the report the benchmark pins."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,3 +170,14 @@ def test_verify_is_byte_deterministic(tmp_path):
     assert stdout_a == stdout_b
     assert file_a == file_b
     assert b"verify: PASS" in stdout_a
+
+
+def test_full_lattice_report_matches_benchmark_reference(tmp_path):
+    refs = Path(__file__).resolve().parent.parent / "bench" / "references.json"
+    want = json.loads(refs.read_text())["verify-lattice"]["sha256"]
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwave.qcli", "verify", "--out", str(out)],
+        capture_output=True, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want

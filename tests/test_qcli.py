@@ -8,13 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from qwave import qcli
+from qwave import qcli, uncertainty
 from qwave.qcli import fmt17, main
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          read_function, write_function)
 from qwave.qtransform import make_plan, q_bessel_fourier
+from qwave.uncertainty import UncertaintyReport
 
-from conftest import exit_abruptly, set_cpus
+from conftest import exit_abruptly, rel_err, set_cpus
 
 
 def run(capsys, *argv):
@@ -25,6 +26,11 @@ def run(capsys, *argv):
 
 def _reject_cell(*cell):
     raise ValueError(f"cell {cell[:3]} rejected")
+
+
+def _nan_report(f, spec):
+    return UncertaintyReport(I_R=math.nan, I_S=1.0, norm_sq=1.0,
+                             ratio=math.nan)
 
 
 @pytest.fixture()
@@ -133,19 +139,18 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("sweep", [False, True], ids=("single", "sweep"))
     def test_non_finite_uncertainty_exits_1(self, capsys, recwarn, tmp_path,
-                                            sweep):
-        # at q = 0.3 on [-160, 320], b^2 w(b) overflows float64, so I_R
-        # and every ratio come out nan; the library returns them, the
-        # command refuses to print them
-        grid = ("--nlow", "-160", "--nhigh", "320")
+                                            monkeypatch, sweep):
+        # the library returns a non-finite ratio as it is; the command
+        # refuses to print it
+        monkeypatch.setattr(qcli, "uncertainty_report", _nan_report)
+        monkeypatch.setattr(uncertainty, "uncertainty_report", _nan_report)
         if sweep:
             cfg = tmp_path / "sweep.cfg"
             cfg.write_text("q_list=0.3\nalpha_list=0\nbeta_list=0\n")
-            rc, out, err = run(capsys, "uncertainty", "--sweep", str(cfg),
-                               *grid)
+            rc, out, err = run(capsys, "uncertainty", "--sweep", str(cfg))
             assert err.startswith("qwave: K_emp is nan at q = 0.3")
         else:
-            rc, out, err = run(capsys, "uncertainty", "--q", "0.3", *grid)
+            rc, out, err = run(capsys, "uncertainty", "--q", "0.3")
             assert err.startswith("qwave: uncertainty ratio of probe 0 is nan")
         assert rc == 1
         assert out == ""
@@ -279,13 +284,26 @@ class TestCwtCommand:
 
 
 class TestPlancherelCommand:
-    def test_schema_and_identity(self, capsys):
+    def test_schema_and_identity(self, capsys, monkeypatch):
+        calls = []
+        ratio = qcli.wavelet_plancherel_ratio
+
+        def counted(f, spec):
+            calls.append(f)
+            return ratio(f, spec)
+
+        monkeypatch.setattr(qcli, "wavelet_plancherel_ratio", counted)
         rc, out, _ = run(capsys, "plancherel")
         assert rc == 0
         payload = json.loads(out)
         assert set(payload) == {"ratio", "C_v_psi", "ratio_over_C", "probes"}
         assert payload["probes"] == 9
         assert payload["ratio_over_C"] == pytest.approx(1.0, abs=1e-6)
+        assert out == ('{"ratio": 0.19937694696288444, '
+                       '"C_v_psi": 0.19937694704049844, '
+                       '"ratio_over_C": 0.99999999961071728, "probes": 9}\n')
+        # only the printed ratio is computed
+        assert len(calls) == 1
 
 
 class TestUncertaintyCommand:
@@ -304,6 +322,16 @@ class TestUncertaintyCommand:
         assert set(summary) == {"K_emp", "probes", "q", "alpha", "beta"}
         assert summary["probes"] == 9
         assert summary["K_emp"] == min(ratios)
+
+    def test_deep_grid_moment_is_finite(self, capsys, recwarn):
+        # at q = 0.3 on [-160, 320], b^2 w(b) overflows float64
+        rc, out, err = run(capsys, "uncertainty", "--q", "0.3",
+                           "--nlow", "-160", "--nhigh", "320")
+        assert (rc, err) == (0, "")
+        K = json.loads(out.splitlines()[-1])["K_emp"]
+        # the K_emp the default grid [-20, 40] gives (test_acceptance FROZEN)
+        assert rel_err(K, 0.3406470336786589) < 1e-9
+        assert len(recwarn) == 0
 
     def test_sweep_schema(self, capsys, tmp_path):
         cfg = tmp_path / "sweep.cfg"

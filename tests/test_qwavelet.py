@@ -12,7 +12,6 @@ from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan
 from qwave.qwavelet import (
     Scaleogram,
-    admissibility_constant,
     cwt,
     cwt_direct,
     daughter_wavelet,
@@ -57,8 +56,17 @@ class TestMothers:
         assert abs(prof[keys[-1]]) < 1e-6 * top
 
     def test_float_route_matches_mp_route(self, spec00, plan00):
-        got = admissibility_constant(spec00.mother, plan00)
+        got = make_wavelet(spec00.mother, plan00).admissibility
         assert rel_err(got, spec00.admissibility) < 1e-10
+
+    def test_float_mother_factorizes(self, spec00, plan00):
+        # a mother given only as float values takes the same route
+        spec = make_wavelet(spec00.mother, plan00)
+        assert spec.mp_values == spec00.mother.nonzero_values()
+        mid = spec.scale_indices[len(spec.scale_indices) // 2]
+        err = factorization_error(spec, [mid - 1, mid, mid + 1], [0, 2],
+                                  range(-6, 7))
+        assert err < 1e-8
 
     def test_zero_mother_rejected(self, plan00, grid00):
         with pytest.raises(ValueError, match="zero mother"):
@@ -166,13 +174,13 @@ class TestGatedSum:
 
     def test_short_gap_is_bridged(self):
         contrib = {0: 1.0, 1: 1e-20, 2: 1e-20, 3: 0.5, 4: 1e-20}
-        total, used = gated_scale_sum(contrib, rel_tail=1e-13, run=3)
+        total, used = gated_scale_sum(contrib)
         assert used == {0, 3}
         assert total == pytest.approx(1.5, rel=1e-15)
 
     def test_run_length_terminates_walk(self):
         contrib = {0: 1.0, 1: 1e-20, 2: 1e-20, 3: 1e-20, 4: 0.5}
-        total, used = gated_scale_sum(contrib, rel_tail=1e-13, run=3)
+        total, used = gated_scale_sum(contrib)
         assert used == {0}
         assert total == pytest.approx(1.0, rel=1e-15)
 

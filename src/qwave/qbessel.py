@@ -163,12 +163,13 @@ def _kernel_values(nu, q, s_min, s_max, s_first=None, j0=None):
     them (term_k = term_{k-1} r_k x^2). The arguments x^2 = Q^s and the
     recurrence's q^{-2k} are running products too.
 
+    The series runs over [s_first, s_max], s_first defaulting to
+    max(s_min, 0), from x^2 = Q^s_first replayed as the running product
+    from Q^0, so an entry does not depend on where its call started.
     lattice_kernel extends a table with s_first, the first series entry
-    it lacks, and j0, its value at s = 0. The series then runs over
-    [s_first, s_max] from x^2 = Q^s_first replayed as the running product
-    from Q^0, which is the product a call over s_min <= 0 reaches there,
-    and the recurrence (run when s_min < 0) is normalized against j0.
-    Only the entries computed are returned.
+    it lacks, and j0, its value at s = 0, against which the recurrence
+    (run when s_min < 0) is normalized. Only the entries computed are
+    returned.
     """
     ctx = mp_context(KERNEL_DPS)
     qq = ctx.mpf(q)
@@ -206,11 +207,9 @@ def _kernel_values(nu, q, s_min, s_max, s_first=None, j0=None):
 
     if s_first is None:
         s_first = max(s_min, 0)
-        x2 = Q ** s_first
-    else:
-        x2 = ctx.mpf(1)
-        for _ in range(s_first):
-            x2 *= Q
+    x2 = ctx.mpf(1)
+    for _ in range(s_first):
+        x2 *= Q
     for s in range(s_first, s_max + 1):
         out[s] = series(s, x2)
         x2 *= Q
@@ -248,9 +247,9 @@ def lattice_kernel(nu, q, s_min, s_max):
     equals what a one-shot _kernel_values over the final range gives.
 
     An extension stores a new dict and never changes one returned
-    before, so a caller holding a table (or anything built from it) can
-    tell by identity whether it is still current. So it needs no lock:
-    threads racing on one table cost at most a duplicate build.
+    before, so a caller may keep reading a table while another extends
+    it. So it needs no lock: threads racing on one table cost at most a
+    duplicate build.
     """
     key = (float(nu), float(q))
     tab = _tables.get(key)

@@ -150,7 +150,7 @@ def qpochhammer(a, q, n=math.inf):
     product, truncated once |a q^k| < 1e-16."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    if n is math.inf:
+    if n == math.inf:
         prod = 1.0
         factor = float(a)
         while abs(factor) >= POCHHAMMER_CUTOFF:
@@ -198,7 +198,7 @@ def jackson_integral(f, grid, a=0.0, b=math.inf):
             raise ValueError(f"endpoint {endpoint} is not a grid point")
     if a > b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
-    if b is math.inf:
+    if b == math.inf:
         pts = grid.points
         total = (1.0 - q) * math.fsum(pts[i] * f(pts[i]) for i in range(grid.size))
         if not math.isfinite(total):

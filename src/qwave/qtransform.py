@@ -35,9 +35,10 @@ class TransformPlan:
     """Immutable transform state for one (grid, v) pair: the kernel table
     over all index sums, the Jackson weights, and the calibrated c.
 
-    Its high-precision operands (raw-tuple Jackson weights and kappa
-    rows, per context precision) are filled on demand by _plan_weights
-    and _plan_kappa_row and kept with the plan."""
+    Its high-precision operands, per context precision, are filled on
+    demand by _plan_weights (raw-tuple Jackson weights) and
+    _plan_kappa_row (one raw-tuple kappa row over every index sum
+    [2 n_low, 2 n_high]) and kept with the plan."""
 
     __slots__ = ("grid", "v", "c_qv", "kernel_by_sum", "matrix", "weights",
                  "calibration_spread", "calibration_residual", "_mp_operands")
@@ -53,7 +54,7 @@ class TransformPlan:
         self.weights = jackson_weights(grid, v)
         self.calibration_spread = float(calibration_spread)
         self.calibration_residual = 0.0  # make_plan measures it
-        # context prec -> ({n: weight}, {t_lo: (kernel table, kappa row)})
+        # context prec -> [{n: weight}, kappa row or None]
         self._mp_operands = {}
 
     def fourier_values(self, values):
@@ -151,7 +152,7 @@ def _plan_weights(plan, ns, ctx):
     dict holding at least ns. Each is the power the plan's first request
     for it at this precision evaluated; later calls only look it up.
     """
-    weights, _ = plan._mp_operands.setdefault(ctx.prec, ({}, {}))
+    weights = plan._mp_operands.setdefault(ctx.prec, [{}, None])[0]
     missing = [n for n in ns if n not in weights]
     if missing:
         qmp = ctx.mpf(plan.grid.q)
@@ -161,34 +162,29 @@ def _plan_weights(plan, ns, ctx):
     return weights
 
 
-def _plan_kappa_row(plan, tab, t_lo, t_hi, ctx):
-    """mp_kappa_row over [t_lo, t_hi] at the precision of the mpmath
-    context ctx (a list starting at t_lo, possibly running past t_hi),
-    kept with the plan per (precision, t_lo).
+def _kappa_row(grid, v, ctx):
+    """mp_kappa_row over every index sum [2 n_low, 2 n_high] of the grid,
+    at the precision of the mpmath context ctx."""
+    t_lo, t_hi = 2 * grid.n_low, 2 * grid.n_high
+    tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
+    return mp_kappa_row(ctx.mpf(grid.q), v.beta, tab, t_lo, t_hi)
 
-    A stored row is served only while tab is the table it was built
-    from and it reaches t_hi. lattice_kernel hands out a new table
-    whenever it extends one, and deepening changes the s < 0 entries,
-    so a row from an older table is rebuilt. A row is never sliced out
-    of one that starts lower: the running product's rounding depends on
-    where it starts.
-    """
-    _, rows = plan._mp_operands.setdefault(ctx.prec, ({}, {}))
-    hit = rows.get(t_lo)
-    if hit is not None and hit[0] is tab and len(hit[1]) > t_hi - t_lo:
-        return hit[1]
-    row = mp_kappa_row(ctx.mpf(plan.grid.q), plan.v.beta, tab, t_lo, t_hi)
-    rows[t_lo] = (tab, row)
-    return row
+
+def _plan_kappa_row(plan, ctx):
+    """The plan's kappa row at the precision of the mpmath context ctx:
+    a list of raw mpf tuples, entry t - 2 n_low holding kappa(t). Built
+    on the first request at this precision and kept with the plan."""
+    ops = plan._mp_operands.setdefault(ctx.prec, [{}, None])
+    if ops[1] is None:
+        ops[1] = _kappa_row(plan.grid, plan.v, ctx)
+    return ops[1]
 
 
 def _kernel_row(grid, v):
     """Float64 kernel values kappa(s) = q^{-2 beta (s+beta)} j_nu(q^s; q^2)
     for every index sum s in [2 n_low, 2 n_high]."""
-    tab = lattice_kernel(v.nu, grid.q, 2 * grid.n_low, 2 * grid.n_high)
-    row = mp_kappa_row(mp_context(60).mpf(grid.q), v.beta, tab,
-                       2 * grid.n_low, 2 * grid.n_high)
-    return np.array([to_float(k, rnd=round_nearest) for k in row])
+    return np.array([to_float(k, rnd=round_nearest)
+                     for k in _kappa_row(grid, v, mp_context(60))])
 
 
 def _default_calibration_probes(grid):
@@ -279,11 +275,12 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     mpmath.fdot, then multiplied by c and rounded to float64 with the
     libmp calls that mpf * mpf and float() make. The operands that
     depend only on the plan, the Jackson weights and the kappa row over
-    every index sum t = n + s the outputs need, come from the plan's
+    the plan's index sums [2 n_low, 2 n_high], come from the plan's
     cache (_plan_weights, _plan_kappa_row), so a call on a warm plan
-    computes one multiply per support entry and the dot products.
+    computes one multiply per support entry and the dot products. An
+    index sum n + s outside that range raises ValueError.
     """
-    grid, v = plan.grid, plan.v
+    grid = plan.grid
     if s_lo is None:
         s_lo, s_hi = grid.n_low, grid.n_high
     if isinstance(f, GridFunction):
@@ -295,8 +292,11 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     if not support:
         return {s: 0.0 for s in range(s_lo, s_hi + 1)}
     ns = list(support)
-    t_lo, t_hi = min(ns) + s_lo, max(ns) + s_hi
-    tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
+    t_lo, t_hi = 2 * grid.n_low, 2 * grid.n_high
+    if min(ns) + s_lo < t_lo or max(ns) + s_hi > t_hi:
+        raise ValueError(
+            f"index sums [{min(ns) + s_lo}, {max(ns) + s_hi}] leave the "
+            f"plan's range [{t_lo}, {t_hi}]")
     depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
                 *(abs(n) for n in ns))
     dps = int(2 * depth * math.log10(1.0 / grid.q)) + 80
@@ -304,7 +304,7 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     ctx = mp_context(dps)
     prec = ctx.prec
     weights = _plan_weights(plan, ns, ctx)
-    kap = _plan_kappa_row(plan, tab, t_lo, t_hi, ctx)
+    kap = _plan_kappa_row(plan, ctx)
     weighted = [mpf_mul(weights[n], ctx.mpf(val)._mpf_, prec, round_nearest)
                 for n, val in support.items()]
     c = from_float(plan.c_qv)

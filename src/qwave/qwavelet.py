@@ -22,7 +22,7 @@ import math
 import numpy as np
 from mpmath.libmp import mpf_mul, round_nearest
 
-from qwave.qbessel import lattice_kernel, mp_context
+from qwave.qbessel import mp_context
 from qwave.qgrid import GridFunction, dilate, weight_exponent
 from qwave.qtransform import (_plan_kappa_row, _plan_weights, mp_dot,
                               spectrum, translate)
@@ -307,15 +307,14 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     """
     plan = spec.plan
     grid, v = plan.grid, plan.v
-    # kap is a list: an index sum off [k_lo, k_hi] would wrap or shorten
-    # a slice rather than fail
+    # kap is a list: an index sum off [2 n_low, 2 n_high] would wrap or
+    # shorten a slice rather than fail
     off = [n for n in (*position_indices, *xi_indices)
            if not grid.n_low <= n <= grid.n_high]
     if off:
         raise ValueError(f"position or spectral index {off[0]} is off the "
                          f"grid [{grid.n_low}, {grid.n_high}]")
-    k_lo, k_hi = 2 * grid.n_low, 2 * grid.n_high
-    tab = lattice_kernel(v.nu, grid.q, k_lo, k_hi)
+    k_lo = 2 * grid.n_low
     idx = [int(n) for n in grid.indices]
     worst = 0.0
     ctx = mp_context(dps)
@@ -324,7 +323,7 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     qmp = ctx.mpf(grid.q)
     cmp_ = ctx.mpf(plan.c_qv)
     wexp = weight_exponent(v)
-    kap = _plan_kappa_row(plan, tab, k_lo, k_hi, ctx)
+    kap = _plan_kappa_row(plan, ctx)
     weights = _plan_weights(plan, idx, ctx)
     w = {n: make(weights[n]) for n in idx}
     psi_mp = {n: ctx.mpf(val) for n, val in spec.mp_values.items()}

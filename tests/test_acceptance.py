@@ -22,6 +22,7 @@ from qwave.qcli import run_cell_checks
 from qwave.qgrid import BesselParams, build_grid
 from qwave.qtransform import make_plan
 from qwave.qwavelet import operator_mother
+from qwave.uncertainty import empirical_lower_constant, probe_family
 
 from conftest import rel_err
 
@@ -172,12 +173,34 @@ def test_verify_is_byte_deterministic(tmp_path):
     assert b"verify: PASS" in stdout_a
 
 
+REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
+
+
 def test_full_lattice_report_matches_benchmark_reference(tmp_path):
-    refs = Path(__file__).resolve().parent.parent / "bench" / "references.json"
-    want = json.loads(refs.read_text())["verify-lattice"]["sha256"]
+    want = json.loads(REFERENCES.read_text())["verify-lattice"]["sha256"]
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, "-m", "qwave.qcli", "verify", "--out", str(out)],
         capture_output=True, env=dict(os.environ))
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def sweep_constant(q, alpha, beta):
+    """K_emp on the sweep grid [-160, 320], built the way
+    `qwave uncertainty --sweep` builds it, as the 17 digits it reports."""
+    plan = make_plan(build_grid(q, -160, 320), BesselParams(alpha, beta))
+    K = empirical_lower_constant(probe_family(plan), operator_mother(plan))
+    return "%.17g" % K
+
+
+def test_sweep_shifted_cell_matches_benchmark_reference():
+    sweep = json.loads(REFERENCES.read_text())["uncertainty-sweep"]
+    assert sweep["grid"] == [-160, 320]
+    assert sweep_constant(0.5, 1.0, -0.25) == sweep["K_emp"]["0.5,1,-0.25"]
+
+
+def test_sweep_deep_cell_pinned():
+    # the benchmark reference still reads "nan" here, from before the
+    # deep-grid position moment was made overflow-safe
+    assert sweep_constant(0.3, 0.0, 0.0) == "0.34064703367865895"

@@ -357,7 +357,8 @@ class TestLatticeTableExtension:
         assert len(fresh_tables) == 4
 
     def test_extension_returns_a_new_table(self, fresh_tables):
-        # spectrum's kappa-row cache tells a current table by identity
+        # an extension never changes a table handed out before, so a
+        # caller reading one needs no lock while another extends it
         nu, q = 0.25, 0.5
         small = lattice_kernel(nu, q, -10, 20)
         snapshot = dict(small)

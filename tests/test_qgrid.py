@@ -118,6 +118,12 @@ class TestQPochhammer:
             ref = float(ref)
         assert math.isclose(qpochhammer(0.1, 0.99), ref, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("inf", [float("inf"), np.inf],
+                             ids=("float", "numpy"))
+    def test_any_infinite_n_gives_the_infinite_product(self, inf):
+        # n is compared with infinity by value, not by identity
+        assert qpochhammer(0.3, 0.5, inf) == qpochhammer(0.3, 0.5, math.inf)
+
 
 class TestJacksonIntegral:
     def test_constant_over_interval_gives_length(self):
@@ -168,6 +174,16 @@ class TestJacksonIntegral:
         split = (jackson_integral(f, g, 0.0, 1.0)
                  + jackson_integral(f, g, 1.0, math.inf))
         assert math.isclose(whole, split, rel_tol=1e-13)
+
+    @pytest.mark.parametrize("inf", [float("inf"), np.inf],
+                             ids=("float", "numpy"))
+    def test_any_infinite_upper_limit(self, inf):
+        # b is compared with infinity by value, not by identity
+        g = build_grid(0.5, -10, 30)
+        f = lambda x: 1.0 / (1.0 + x ** 4)
+        for a in (0.0, 1.0):
+            assert (jackson_integral(f, g, a, inf)
+                    == jackson_integral(f, g, a, math.inf))
 
 
 class TestQDerivative:

@@ -181,6 +181,15 @@ class TestSpectrum:
         for s in (29, 30, 31):
             assert rel_err(abs(deep[s + 1] / deep[s]), q * q) < 1e-6
 
+    def test_index_sum_off_the_plan_range_rejected(self, plan00, grid00):
+        # the plan's kappa row spans the index sums [2 n_low, 2 n_high]
+        f = GridFunction.from_pairs(grid00, [(0, 1.0), (2, -0.5)])
+        for s_lo, s_hi in ((-41, 0), (0, 79)):
+            with pytest.raises(ValueError, match="plan's range"):
+                spectrum(f, plan00, s_lo, s_hi)
+        edges = spectrum(f, plan00, -40, 78)
+        assert all(math.isfinite(val) for val in edges.values())
+
 
 def per_term_spectrum(f, plan, s_lo, s_hi):
     """The entrywise spectrum as first written: one mpmath power and two
@@ -258,11 +267,11 @@ def cold_spectrum(f, plan, s_lo=None, s_hi=None):
 
 
 class TestSpectrumOperandCache:
-    """spectrum keeps the Jackson weights and kappa rows with the plan;
-    a warm plan must give exactly what a cold computation gives. The
-    per-term oracle holds for beta = 0.25 only: for beta = 0.3, which
-    is not exact in a few binary digits, it rounds kappa differently,
-    and there a row's start matters most."""
+    """spectrum keeps the Jackson weights and one kappa row per working
+    precision with the plan; a warm plan must give exactly what a cold
+    computation gives. The per-term oracle holds for beta = 0.25 only:
+    for beta = 0.3, which is not exact in a few binary digits, it rounds
+    kappa differently."""
 
     @pytest.fixture(params=[(0.75, 0.25), (0.7, 0.3)], ids=("b0.25", "b0.3"))
     def plan(self, request):
@@ -292,10 +301,24 @@ class TestSpectrumOperandCache:
     def test_repeated_calls_across_supports(self, plan):
         grid = plan.grid
         for f in self.inputs(plan) * 2:
-            for s_lo, s_hi in ((grid.n_low, grid.n_high), (-5, 70)):
+            # (-5, 57) is the widest window whose index sums stay in range
+            for s_lo, s_hi in ((grid.n_low, grid.n_high), (-5, 57)):
                 got = spectrum(f, plan, s_lo, s_hi)
                 for want in self.oracles(f, plan, s_lo, s_hi):
                     assert got == want
+
+    def test_one_row_per_precision(self, plan):
+        grid = plan.grid
+        for f in self.inputs(plan):
+            for s_lo, s_hi in ((grid.n_low, grid.n_high), (-5, 57)):
+                spectrum(f, plan, s_lo, s_hi)
+        operator_mother(plan)
+        # depths 40, 57 and 78 (the mother's profile range): three
+        # working precisions, each with one row over every index sum
+        rows = [row for _, row in plan._mp_operands.values()
+                if row is not None]
+        assert len(rows) == 3
+        assert all(len(row) == 2 * grid.size - 1 for row in rows)
 
     def test_dict_input_after_grid_function(self, plan):
         # the same support as a GridFunction first, then as mpf values at
@@ -312,22 +335,17 @@ class TestSpectrumOperandCache:
         grid, v = plan.grid, plan.v
         f = self.inputs(plan)[1]
         first = spectrum(f, plan)
-        (row_tab, _), = [hit for _, rows in plan._mp_operands.values()
-                         for hit in rows.values()]
+        # deepening changes the table's s < 0 entries in their last
+        # digits, far below the row's float64 outputs
         lattice_kernel(v.nu, grid.q, -200, 120)
-        # the stored row came from the shallower table and is not served
-        assert lattice_kernel(v.nu, grid.q, 0, 0) is not row_tab
         again = spectrum(f, plan)
-        (row_tab, _), = [hit for _, rows in plan._mp_operands.values()
-                         for hit in rows.values()]
-        assert row_tab is lattice_kernel(v.nu, grid.q, 0, 0)
         for want in self.oracles(f, plan, grid.n_low, grid.n_high):
             assert again == want
         assert again == first
 
 
 class TestPlanOperands:
-    """The plan's cached weights and kappa rows, raw tuple for raw tuple
+    """The plan's cached weights and kappa row, raw tuple for raw tuple
     against a fresh computation at the same precision. Float outputs
     cannot show a row rounded from another start or precision: spectrum
     works 80 digits beyond the depth its outputs need."""
@@ -335,20 +353,20 @@ class TestPlanOperands:
     def test_rows_and_weights_match_fresh(self):
         plan = make_plan(build_grid(0.35, -20, 40), BesselParams(0.7, 0.3))
         grid, v = plan.grid, plan.v
-        requests = [(120, -25, 60), (120, -10, 60), (160, -10, 90),
-                    (120, -30, 50), (120, -10, 75), (160, -25, 90)]
-        for dps, t_lo, t_hi in requests * 2:
-            tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
-            ns = range(t_lo // 2, t_hi // 2)
+        t_lo, t_hi = 2 * grid.n_low, 2 * grid.n_high
+        requests = [(120, -13, 30), (120, -5, 30), (160, -5, 45),
+                    (120, -15, 25), (120, -5, 37), (160, -13, 45)]
+        for dps, n_lo, n_hi in requests * 2:
+            ns = range(n_lo, n_hi)
             ctx = mp_context(dps)
-            row = _plan_kappa_row(plan, tab, t_lo, t_hi, ctx)
+            row = _plan_kappa_row(plan, ctx)
             weights = _plan_weights(plan, ns, ctx)
+            tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
             # the fresh values come from mpmath's global context
             with mpmath.mp.workdps(dps):
                 qmp = mpmath.mpf(grid.q)
-                want = mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
+                assert row == mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
                 wexp = 2.0 * v.abs_v + 2.0
-                assert row[:len(want)] == want
                 for n in ns:
                     assert weights[n] == ((1 - qmp) * qmp ** (n * wexp))._mpf_
 

@@ -14,7 +14,6 @@ from qwave.qgrid import (
     dilate,
 )
 from qwave.qbessel import (
-    SeriesTolerance,
     normalized_q_bessel,
     modified_q_bessel,
     generalized_q_bessel_operator,

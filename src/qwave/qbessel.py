@@ -20,6 +20,9 @@ from qwave.qgrid import GridFunction, QGrid
 EPS = 2.0 ** -52
 # A q-Pochhammer factor 1 - Q^{order+n} below this counts as vanished.
 DEGENERATE_TOL = 1e-14
+# The float64 series stops at a term below SERIES_REL_TOL times the sum.
+SERIES_REL_TOL = 1e-15
+SERIES_MAX_TERMS = 200
 
 
 class DegenerateParameterError(ValueError):
@@ -27,25 +30,10 @@ class DegenerateParameterError(ValueError):
 
 
 class TruncationError(RuntimeError):
-    """Series failed to meet rel_tol within max_terms."""
+    """A series did not converge within its term cap."""
 
 
-class SeriesTolerance:
-    __slots__ = ("rel_tol", "max_terms")
-
-    def __init__(self, rel_tol=1e-15, max_terms=200):
-        if not 0.0 < rel_tol < 1.0:
-            raise ValueError(f"rel_tol must lie in (0,1), got {rel_tol}")
-        if max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {max_terms}")
-        self.rel_tol = float(rel_tol)
-        self.max_terms = int(max_terms)
-
-
-_DEFAULT_TOL = SeriesTolerance()
-
-
-def _series_sum(order, x, q, tol):
+def _series_sum(order, x, q):
     """Partial sum of sum_n (-1)^n q^{n(n+1)} x^{2n} / ((q^{2a+2};q^2)_n (q^2;q^2)_n).
 
     Returns (value, err_bound). The bound is the first omitted term plus
@@ -61,7 +49,7 @@ def _series_sum(order, x, q, tol):
     term = 1.0
     total = 1.0
     peak = 1.0
-    for n in range(1, tol.max_terms + 1):
+    for n in range(1, SERIES_MAX_TERMS + 1):
         denom_a = 1.0 - Q ** (order + n)
         denom_b = 1.0 - Q ** n
         if abs(denom_a) < DEGENERATE_TOL or abs(denom_b) < DEGENERATE_TOL:
@@ -70,44 +58,44 @@ def _series_sum(order, x, q, tol):
         term *= -(Q ** n) * x2 / (denom_a * denom_b)
         total += term
         peak = max(peak, abs(term), abs(total))
-        if abs(term) < tol.rel_tol * abs(total):
+        if abs(term) < SERIES_REL_TOL * abs(total):
             denom_a = 1.0 - Q ** (order + n + 1)
             denom_b = 1.0 - Q ** (n + 1)
             omitted = abs(term * (Q ** (n + 1)) * x2 / (denom_a * denom_b))
             return total, omitted + EPS * peak * (5 * n + 5)
     raise TruncationError(
-        f"series did not converge within {tol.max_terms} terms (x={x})")
+        f"series did not converge within {SERIES_MAX_TERMS} terms (x={x})")
 
 
-def normalized_q_bessel(alpha, x, q, tol=None):
+def normalized_q_bessel(alpha, x, q):
     """Normalized q-Bessel series j_alpha(x, q^2); equals 1 at x = 0."""
-    value, _ = normalized_q_bessel_bound(alpha, x, q, tol)
+    value, _ = normalized_q_bessel_bound(alpha, x, q)
     return value
 
 
-def normalized_q_bessel_bound(alpha, x, q, tol=None):
+def normalized_q_bessel_bound(alpha, x, q):
     """Same as normalized_q_bessel but returns (value, err_bound)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
-    return _series_sum(float(alpha), float(x), float(q), tol or _DEFAULT_TOL)
+    return _series_sum(float(alpha), float(x), float(q))
 
 
-def modified_q_bessel(v, x, q, tol=None):
+def modified_q_bessel(v, x, q):
     """Two-parameter kernel x^{-2 beta} j_{alpha-beta}(q^{-beta} x, q^2).
 
     x must be positive: the prefactor is singular at 0 when beta > 0.
     """
-    value, _ = modified_q_bessel_bound(v, x, q, tol)
+    value, _ = modified_q_bessel_bound(v, x, q)
     return value
 
 
-def modified_q_bessel_bound(v, x, q, tol=None):
+def modified_q_bessel_bound(v, x, q):
     """Same as modified_q_bessel but returns (value, err_bound)."""
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"modified kernel needs x > 0, got {x}")
     scale = x ** (-2.0 * v.beta)
-    base, bound = normalized_q_bessel_bound(v.nu, q ** (-v.beta) * x, q, tol)
+    base, bound = normalized_q_bessel_bound(v.nu, q ** (-v.beta) * x, q)
     return scale * base, abs(scale) * bound
 
 
@@ -149,8 +137,9 @@ def mp_context(dps):
     return ctx
 
 
-def _kernel_values(nu, q, s_min, s_max, s_first=None, j0=None):
-    """j_nu(q^s; q^2) for integer s in [s_min, s_max] as an mpf dict.
+def _kernel_values(nu, q, s_min, s_max):
+    """j_nu(q^s; q^2) for integer s in [s_min, s_max], s_min <= 0 <= s_max,
+    as an mpf dict.
 
     s >= 0 comes straight from the series. s < 0 uses the three-term
     recurrence downward in depth (the target solution dominates in that
@@ -162,14 +151,6 @@ def _kernel_values(nu, q, s_min, s_max, s_first=None, j0=None):
     they are built once, from running products of Q, and every s reuses
     them (term_k = term_{k-1} r_k x^2). The arguments x^2 = Q^s and the
     recurrence's q^{-2k} are running products too.
-
-    The series runs over [s_first, s_max], s_first defaulting to
-    max(s_min, 0), from x^2 = Q^s_first replayed as the running product
-    from Q^0, so an entry does not depend on where its call started.
-    lattice_kernel extends a table with s_first, the first series entry
-    it lacks, and j0, its value at s = 0, against which the recurrence
-    (run when s_min < 0) is normalized. Only the entries computed are
-    returned.
     """
     ctx = mp_context(KERNEL_DPS)
     qq = ctx.mpf(q)
@@ -205,12 +186,8 @@ def _kernel_values(nu, q, s_min, s_max, s_first=None, j0=None):
             if n > 800:
                 raise TruncationError(f"high-precision series stalled at s={s}")
 
-    if s_first is None:
-        s_first = max(s_min, 0)
     x2 = ctx.mpf(1)
-    for _ in range(s_first):
-        x2 *= Q
-    for s in range(s_first, s_max + 1):
+    for s in range(s_max + 1):
         out[s] = series(s, x2)
         x2 *= Q
     if s_min < 0:
@@ -225,7 +202,7 @@ def _kernel_values(nu, q, s_min, s_max, s_first=None, j0=None):
             y_hi = y
             y = y_lo
             q_m2k *= Q
-        scale = (out[0] if j0 is None else j0) / vals[0]
+        scale = out[0] / vals[0]
         for k in range(1, kmax + 1):
             out[-k] = vals[k] * scale
     return out
@@ -235,32 +212,24 @@ def lattice_kernel(nu, q, s_min, s_max):
     """Cached j_nu(q^s; q^2) table over [s_min, s_max] (mpf values).
 
     The first request for a (nu, q) builds the table over
-    [min(s_min, 0), max(s_max, 0)]. A request past its range extends it:
-    entries at s >= 0 are evaluated only where new, from the series'
-    running product replayed from Q^0, so each is evaluated once per
-    process and stays bit-identical across calls. Entries at s < 0 are
-    recomputed when s_min deepens, because the backward recurrence is
-    seeded at -s_min + 8 and a deeper seed changes them in their last
-    digits: on the acceptance lattice, growing [-40, 80] to [-160, 320]
-    changes 31 to 40 of the 40 entries at s in [-40, -1], by at most
-    3e-239 relative, and none of their float64 values. Either way every entry
-    equals what a one-shot _kernel_values over the final range gives.
+    [min(s_min, 0), max(s_max, 0)]. A request past the stored range
+    rebuilds it with one _kernel_values call over the union of the two
+    ranges; a request inside it builds nothing. So every table is what a
+    one-shot _kernel_values over its range gives. A deeper rebuild seeds
+    the backward recurrence deeper, which moves the s < 0 entries in
+    their last digits only: on the acceptance lattice, [-40, 80] against
+    [-160, 320] differ by at most 3e-239 relative at s in [-40, -1], and
+    in none of their float64 values.
 
-    An extension stores a new dict and never changes one returned
-    before, so a caller may keep reading a table while another extends
-    it. So it needs no lock: threads racing on one table cost at most a
+    A rebuild stores a new dict and never changes one returned before,
+    so a caller may keep reading a table while another rebuilds it. So
+    it needs no lock: threads racing on one table cost at most a
     duplicate build.
     """
     key = (float(nu), float(q))
     tab = _tables.get(key)
-    if tab is None:
-        tab = _tables[key] = _kernel_values(nu, q, min(s_min, 0),
-                                            max(s_max, 0))
-    elif min(tab) > s_min or max(tab) < s_max:
-        lo, hi = min(tab), max(tab)
-        # new series entries above hi; the recurrence only when s_min
-        # deepens (a call with s_min = 0 runs none)
-        tab = _tables[key] = {**tab, **_kernel_values(
-            nu, q, s_min if s_min < lo else 0, max(s_max, hi),
-            s_first=hi + 1, j0=tab[0])}
+    lo, hi = (0, 0) if tab is None else (min(tab), max(tab))
+    if tab is None or lo > s_min or hi < s_max:
+        tab = _tables[key] = _kernel_values(nu, q, min(s_min, lo),
+                                            max(s_max, hi))
     return tab

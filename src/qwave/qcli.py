@@ -90,6 +90,10 @@ class RunConfig:
     def validate(self):
         if not 0.0 < self.q < 1.0:
             raise UsageError(f"q must lie in (0,1), got {fmt17(self.q)}")
+        for name, val in (("alpha", self.alpha), ("beta", self.beta),
+                          ("alpha + beta", self.alpha + self.beta)):
+            if not math.isfinite(val):
+                raise UsageError(f"{name} must be finite, got {fmt17(val)}")
         if not self.alpha + self.beta > -1.0:
             raise UsageError(
                 f"alpha + beta must exceed -1, got {fmt17(self.alpha + self.beta)}")
@@ -112,7 +116,7 @@ def parse_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}")
     out = {}
     for lineno, line in enumerate(raw.splitlines(), 1):
@@ -502,6 +506,9 @@ def run_cell_checks(q, alpha, beta, n_low=-20, n_high=40):
     """All verification checks for one (q, v) cell; returns a report dict
     with one entry per check, in fixed order."""
     cell = _Cell(q, alpha, beta, n_low, n_high)
+    # The x4 plan first: its kernel table then covers the index sums of
+    # the x1 and x2 plans, so the cell builds one table.
+    cell.plan(4)
     checks = []
     for name, fn in _CHECKS:
         ok, details = fn(cell)

@@ -300,8 +300,21 @@ def write_function(f, path):
 
 
 def read_function(path):
+    """The GridFunction write_function stored at path. Raises ValueError
+    on a malformed CSV or sidecar: the sidecar must be a JSON object with
+    a real q and int n_low and n_high."""
     with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
         desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise ValueError("sidecar is not a JSON object")
+    for key, kind, want in (("q", (int, float), "a real number"),
+                            ("n_low", int, "an int"),
+                            ("n_high", int, "an int")):
+        if key not in desc:
+            raise ValueError(f"sidecar lacks key {key!r}")
+        if not isinstance(desc[key], kind) or isinstance(desc[key], bool):
+            raise ValueError(
+                f"sidecar key {key!r} must be {want}, got {desc[key]!r}")
     grid = QGrid(desc["q"], desc["n_low"], desc["n_high"])
     vals = np.zeros(grid.size)
     with open(path, "r", encoding="utf-8") as fh:

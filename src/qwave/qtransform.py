@@ -32,28 +32,29 @@ class CalibrationError(RuntimeError):
 
 
 class TransformPlan:
-    """Immutable transform state for one (grid, v) pair: the kernel table
-    over all index sums, the Jackson weights, and the calibrated c.
+    """Transform state for one (grid, v) pair: the float64 kernel matrix
+    over all index sums, the Jackson weights, and the normalization c.
+    A new plan has c = 1; make_plan calibrates c on it and records the
+    calibration's spread and residual, and nothing changes after that.
 
     Its high-precision operands, per context precision, are filled on
     demand by _plan_weights (raw-tuple Jackson weights) and
     _plan_kappa_row (one raw-tuple kappa row over every index sum
     [2 n_low, 2 n_high]) and kept with the plan."""
 
-    __slots__ = ("grid", "v", "c_qv", "kernel_by_sum", "matrix", "weights",
+    __slots__ = ("grid", "v", "c_qv", "matrix", "weights",
                  "calibration_spread", "calibration_residual", "_mp_operands")
 
-    def __init__(self, grid, v, c_qv, kernel_by_sum, calibration_spread=0.0):
+    def __init__(self, grid, v):
         self.grid = grid
         self.v = v
-        self.c_qv = float(c_qv)
-        self.kernel_by_sum = kernel_by_sum
+        self.c_qv = 1.0
         # matrix[i, j] = kernel at index sum n_i + n_j; symmetric by construction
         sums = np.add.outer(grid.indices, grid.indices) - 2 * grid.n_low
-        self.matrix = kernel_by_sum[sums]
+        self.matrix = _kernel_row(grid, v)[sums]
         self.weights = jackson_weights(grid, v)
-        self.calibration_spread = float(calibration_spread)
-        self.calibration_residual = 0.0  # make_plan measures it
+        self.calibration_spread = 0.0
+        self.calibration_residual = 0.0
         # context prec -> [{n: weight}, kappa row or None]
         self._mp_operands = {}
 
@@ -205,16 +206,21 @@ def _default_calibration_probes(grid):
     return probes
 
 
-def _calibrate(v, grid, probes):
-    kernel_by_sum = _kernel_row(grid, v)
-    trial = TransformPlan(grid, v, 1.0, kernel_by_sum)
+def make_plan(grid, v, probes=None):
+    """Build and calibrate a TransformPlan. probes defaults to a small
+    interior family; pass your own to recheck probe-independence.
+
+    The double-transform ratio rho is measured on the new plan at c = 1,
+    then c = 1/sqrt(rho) is set on that same plan."""
+    probes = probes or _default_calibration_probes(grid)
+    plan = TransformPlan(grid, v)
     rhos = []
     for f in probes:
-        g = trial.fourier_values(trial.fourier_values(f.values))
-        denom = trial.norm_sq(f.values)
+        g = plan.fourier_values(plan.fourier_values(f.values))
+        denom = plan.norm_sq(f.values)
         if denom == 0.0:
             raise ValueError("calibration probe is identically zero")
-        rhos.append(math.fsum((g * f.values * trial.weights).tolist())
+        rhos.append(math.fsum((g * f.values * plan.weights).tolist())
                     / denom)
     rho = rhos[0]
     spread = max(abs(r / rho - 1.0) for r in rhos)
@@ -222,16 +228,10 @@ def _calibrate(v, grid, probes):
         raise CalibrationError(
             f"double-transform ratios spread {spread:.3e} across probes; "
             "grid too small for this (q, v)")
-    c = 1.0 / math.sqrt(rho)
-    plan = TransformPlan(grid, v, c, kernel_by_sum, calibration_spread=spread)
+    plan.c_qv = 1.0 / math.sqrt(rho)
+    plan.calibration_spread = spread
     plan.calibration_residual = plan.involution_residual(probes)
     return plan
-
-
-def make_plan(grid, v, probes=None):
-    """Build and calibrate a TransformPlan. probes defaults to a small
-    interior family; pass your own to recheck probe-independence."""
-    return _calibrate(v, grid, probes or _default_calibration_probes(grid))
 
 
 def q_bessel_fourier(f, plan):

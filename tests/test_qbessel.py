@@ -13,7 +13,7 @@ import pytest
 from qwave import qbessel
 from qwave.qbessel import (
     DegenerateParameterError,
-    SeriesTolerance,
+    TruncationError,
     _kernel_values,
     generalized_q_bessel_operator,
     lattice_kernel,
@@ -77,18 +77,10 @@ class TestSeries:
         with pytest.raises(ValueError, match="q must lie in"):
             normalized_q_bessel(0.0, 0.5, 1.5)
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            SeriesTolerance(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesTolerance(rel_tol=2.0)
-        with pytest.raises(ValueError):
-            SeriesTolerance(max_terms=0)
-
     def test_tight_term_cap_raises(self):
-        from qwave.qbessel import TruncationError
+        # near q = 1 the series needs more than SERIES_MAX_TERMS terms
         with pytest.raises(TruncationError):
-            normalized_q_bessel(0.0, 8.0, 0.9, SeriesTolerance(max_terms=3))
+            normalized_q_bessel(0.0, 1.0, 0.999)
 
 
 class TestModifiedKernel:
@@ -290,8 +282,8 @@ def fresh_tables(monkeypatch):
     calls = []
     build = qbessel._kernel_values
 
-    def recording(nu, q, s_min, s_max, *args, **kwargs):
-        out = build(nu, q, s_min, s_max, *args, **kwargs)
+    def recording(nu, q, s_min, s_max):
+        out = build(nu, q, s_min, s_max)
         calls.append((s_min, s_max, sorted(out)))
         return out
 
@@ -301,7 +293,7 @@ def fresh_tables(monkeypatch):
 
 
 def assert_one_shot(nu, q, tab):
-    # extension must leave every entry, s < 0 included, exactly where a
+    # growth must leave every entry, s < 0 included, exactly where a
     # single build over the final range puts it
     want = _kernel_values(nu, q, min(tab), max(tab))
     assert tab.keys() == want.keys()
@@ -323,20 +315,16 @@ class TestLatticeTableExtension:
         for hi in (2, 6, 13, 20, 90):
             tab = lattice_kernel(nu, q, -30, hi)
             assert_one_shot(nu, q, tab)
-        # the recurrence did not run again
-        assert fresh_tables[-1][2] == list(range(21, 91))
 
     def test_growth_below_only(self, fresh_tables):
         nu, q = 0.25, 0.5
         lattice_kernel(nu, q, -30, 20)
         tab = lattice_kernel(nu, q, -90, 20)
         assert_one_shot(nu, q, tab)
-        # no series entry again, every s < 0 entry from the new seed
-        assert fresh_tables[-1][2] == list(range(-90, 0))
 
     def test_first_request_above_zero(self, fresh_tables):
         # a first build spans s = 0, so the series' running product
-        # starts at Q^0 and later growth continues it
+        # starts at Q^0, and so does every rebuild over a union
         nu, q = 1.25, 0.7
         tab = lattice_kernel(nu, q, 5, 30)
         assert (min(tab), max(tab)) == (0, 30)
@@ -346,19 +334,20 @@ class TestLatticeTableExtension:
         tab = lattice_kernel(nu, q, 10, 70)
         assert_one_shot(nu, q, tab)
 
-    def test_each_series_entry_evaluated_once(self, fresh_tables):
+    def test_one_build_per_wider_request(self, fresh_tables):
+        # a request past the stored range rebuilds it with one call over
+        # the union of the two ranges; a request inside it builds nothing
         nu, q = 0.0, 0.3
         for lo, hi in ((-40, 80), (-20, 40), (-80, 160), (0, 200),
-                       (-160, 320), (-100, 300)):
+                       (-160, 320), (-100, 300), (-170, 10)):
             lattice_kernel(nu, q, lo, hi)
-        series = [s for _, _, keys in fresh_tables for s in keys if s >= 0]
-        assert sorted(series) == list(range(0, 321))
-        # in-range requests are hits and build nothing
-        assert len(fresh_tables) == 4
+        builds = [(-40, 80), (-80, 160), (-80, 200), (-160, 320), (-170, 320)]
+        assert fresh_tables == [(lo, hi, list(range(lo, hi + 1)))
+                                for lo, hi in builds]
 
     def test_extension_returns_a_new_table(self, fresh_tables):
-        # an extension never changes a table handed out before, so a
-        # caller reading one needs no lock while another extends it
+        # a rebuild never changes a table handed out before, so a
+        # caller reading one needs no lock while another rebuilds it
         nu, q = 0.25, 0.5
         small = lattice_kernel(nu, q, -10, 20)
         snapshot = dict(small)

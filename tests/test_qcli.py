@@ -2,13 +2,16 @@
 17-digit formatting, and exit codes. Commands run in-process through
 main(argv) so stdout/stderr land in capsys."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qwave import qcli, uncertainty
+from qwave import qbessel, qcli, uncertainty
 from qwave.qcli import fmt17, main
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          read_function, write_function)
@@ -31,6 +34,57 @@ def _reject_cell(*cell):
 def _nan_report(f, spec):
     return UncertaintyReport(I_R=math.nan, I_S=1.0, norm_sq=1.0,
                              ratio=math.nan)
+
+
+# A sidecar field of the wrong JSON type: q wants a real number, n_low and
+# n_high want ints; a bool is neither.
+_NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.integers(-50, 50), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-50, 50), max_size=1))
+_BAD_FIELD = {
+    "q": st.one_of(_NOT_A_NUMBER, st.integers(-50, 50),
+                   st.floats().filter(lambda x: not 0.0 < x < 1.0)),
+    "n_low": st.one_of(_NOT_A_NUMBER, st.floats(-50, 50)),
+    "n_high": st.one_of(_NOT_A_NUMBER, st.floats(-50, 50)),
+}
+_GOOD_SIDECAR = {"q": 0.5, "n_low": -20, "n_high": 40}
+
+
+@st.composite
+def malformed_sidecars(draw):
+    """Sidecar JSON values with at least one field missing or of the
+    wrong type, or no JSON object at all. Every |n| stays <= 50."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.one_of(st.none(), st.integers(-50, 50),
+                              st.text(max_size=4),
+                              st.lists(st.integers(-50, 50), max_size=3)))
+    desc = dict(_GOOD_SIDECAR)
+    for key in draw(st.sets(st.sampled_from(sorted(desc)), min_size=1)):
+        if draw(st.booleans()):
+            del desc[key]
+        else:
+            desc[key] = draw(_BAD_FIELD[key])
+    return desc
+
+
+@pytest.fixture(scope="module")
+def sidecar_csv(tmp_path_factory):
+    """A valid f.csv whose sidecar f.json each test writes itself."""
+    path = tmp_path_factory.mktemp("sidecar") / "f.csv"
+    path.write_text("n,value\n0,1\n2,-0.5\n", encoding="utf-8")
+    return path
+
+
+def fourier_on_sidecar(csv_path, desc):
+    """Exit status, stdout and stderr of qwave fourier --in csv_path with
+    desc written as its sidecar."""
+    csv_path.with_suffix(".json").write_text(json.dumps(desc),
+                                             encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["fourier", "--in", str(csv_path)])
+    return rc, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture()
@@ -108,6 +162,55 @@ class TestExitCodes:
         assert rc == 2
         assert "outside available" in err
 
+    @pytest.mark.parametrize("flag", ["--config", "--sweep"])
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path, flag):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"q_list=0.5\nalpha_list=\xff\nbeta_list=0\n")
+        command = "grid" if flag == "--config" else "uncertainty"
+        rc, out, err = run(capsys, command, flag, str(cfg))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("qwave: cannot read config file")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,name", [
+        (("fourier", "--calibrate", "--alpha", "inf"), "alpha"),
+        (("bessel", "--alpha", "1e308", "--beta", "1e308", "--nlow", "0",
+          "--nhigh", "1"), "alpha + beta"),
+        (("grid", "--beta", "inf"), "beta"),
+    ], ids=("alpha-inf", "sum-overflows", "beta-inf"))
+    def test_non_finite_parameter_exits_2(self, capsys, recwarn, argv, name):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"qwave: {name} must be finite")
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("desc,key", [
+        ({"q": 0.5, "n_low": -20}, "n_high"),
+        ({"q": 0.5, "n_low": [1], "n_high": 40}, "n_low"),
+        ([1, 2], "JSON object"),
+        ({"q": "0.5", "n_low": -20, "n_high": 40}, "q"),
+        ({"q": 0.5, "n_low": -20.5, "n_high": 40}, "n_low"),
+        ({"q": 0.5, "n_low": True, "n_high": 40}, "n_low"),
+    ], ids=("missing", "list", "array", "string", "fraction", "bool"))
+    def test_malformed_sidecar_exits_2(self, sidecar_csv, desc, key):
+        rc, out, err = fourier_on_sidecar(sidecar_csv, desc)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith(f"qwave: malformed input {sidecar_csv}")
+        assert key in err
+        assert err.count("\n") == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(desc=malformed_sidecars())
+    def test_any_malformed_sidecar_exits_2(self, sidecar_csv, desc):
+        rc, out, err = fourier_on_sidecar(sidecar_csv, desc)
+        assert (rc, out) == (2, "")
+        assert err.startswith("qwave: malformed input")
+        assert err.count("\n") == 1
+
     def test_degenerate_order_exits_1(self, capsys):
         # nu = alpha - beta = -3 makes (q^{2 nu + 2}; q^2)_n vanish at n = 3
         # inside the high-precision kernel table
@@ -119,7 +222,7 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     def test_series_truncation_exits_1(self, capsys):
-        # near q = 1 the float64 series needs more than max_terms terms
+        # near q = 1 the float64 series needs more than SERIES_MAX_TERMS terms
         rc, out, err = run(capsys, "bessel", "--q", "0.999")
         assert rc == 1
         assert out == ""
@@ -392,6 +495,21 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["checks"]]
         assert names[0] == "jackson-power-rule"
         assert names[-1] == "uncertainty-constant"
+
+    def test_cell_builds_one_kernel_table(self, monkeypatch):
+        # the x4 plan comes first, so its table covers the x1 and x2 plans
+        calls = []
+        build = qbessel._kernel_values
+
+        def recording(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(qbessel, "_tables", {})
+        monkeypatch.setattr(qbessel, "_kernel_values", recording)
+        report = qcli.run_cell_checks(0.45, 0.5, 0.25, -12, 24)
+        assert report["passed"]
+        assert calls == [(0.25, 0.45, -96, 192)]
 
     def test_pooled_equals_inline(self, capsys, monkeypatch, tmp_path):
         # the whole lattice, on a grid small enough to be quick (some

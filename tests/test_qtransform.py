@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from qwave import qtransform
 from qwave.qbessel import lattice_kernel, modified_q_bessel, mp_context
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
@@ -48,6 +49,22 @@ class TestCalibration:
             grid00, [(mid, 1.0), (mid + 3, -0.5)]))
         alt = make_plan(grid00, BesselParams(0.0, 0.0), probes=probes)
         assert rel_err(alt.c_qv, plan00.c_qv) < 1e-9
+
+    def test_one_plan_per_call(self, grid00, monkeypatch):
+        # c is calibrated on the plan it is measured on, not on a copy
+        built = []
+
+        class Recorded(TransformPlan):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(qtransform, "TransformPlan", Recorded)
+        plan = make_plan(grid00, BesselParams(0.0, 0.0))
+        assert built == [(grid00, plan.v)]
+        assert plan.c_qv == pytest.approx(2.0, rel=1e-12)
 
     def test_cramped_grid_fails_calibration(self):
         with pytest.raises(CalibrationError, match="grid too small"):
@@ -262,7 +279,7 @@ class TestSpectrumBitwise:
 
 def cold_spectrum(f, plan, s_lo=None, s_hi=None):
     """spectrum on a copy of plan with an empty operand cache."""
-    fresh = TransformPlan(plan.grid, plan.v, plan.c_qv, plan.kernel_by_sum)
+    fresh = make_plan(plan.grid, plan.v)
     return spectrum(f, fresh, s_lo, s_hi)
 
 

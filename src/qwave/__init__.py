@@ -26,6 +26,7 @@ from qwave.qtransform import (
 )
 from qwave.qwavelet import (
     WaveletSpec,
+    WaveletPlane,
     Scaleogram,
     make_wavelet,
     indicator_difference_mother,

@@ -20,8 +20,9 @@ from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          jackson_integral, jackson_weights, q_derivative,
                          read_function, write_function, dilate)
 from qwave.qtransform import CalibrationError, make_plan, q_bessel_fourier
-from qwave.qwavelet import (cwt, factorization_error, indicator_difference_mother,
-                            operator_mother, wavelet_plancherel_ratio)
+from qwave.qwavelet import (WaveletPlane, cwt, factorization_error,
+                            indicator_difference_mother, operator_mother,
+                            wavelet_plancherel_ratio)
 from qwave.uncertainty import (WorkerError, empirical_lower_constant,
                                heisenberg_slice_minimum, parallel_map,
                                probe_family, uncertainty_report,
@@ -273,7 +274,7 @@ def cmd_plancherel(cfg, args):
     plan = make_plan(cfg.grid(), cfg.v)
     spec = _MOTHERS[cfg.mother](plan)
     probes = probe_family(plan)
-    ratio = wavelet_plancherel_ratio(probes[0], spec)
+    ratio = wavelet_plancherel_ratio(WaveletPlane(probes[0], spec))
     payload = {"ratio": ratio, "C_v_psi": spec.admissibility,
                "ratio_over_C": ratio / spec.admissibility,
                "probes": len(probes)}
@@ -287,7 +288,7 @@ def cmd_uncertainty(cfg, args):
     plan = make_plan(cfg.grid(), cfg.v)
     spec = _MOTHERS[cfg.mother](plan)
     probes = probe_family(plan)
-    reports = [uncertainty_report(f, spec) for f in probes]
+    reports = [uncertainty_report(WaveletPlane(f, spec)) for f in probes]
     for i, r in enumerate(reports):
         if not math.isfinite(r.ratio):
             raise ValueError(
@@ -342,39 +343,22 @@ def _sweep_cell(cell):
 
 
 class _Cell:
-    """Lazily built plans, wavelets, and probe families for one (q, v)
-    cell at the grid sizes the checks need."""
+    """Plans, wavelets and probe families for one (q, v) cell, keyed by
+    grid factor 4, 2, 1, and the probe planes at factors 1 and 2, all
+    built once, when the cell is constructed."""
 
     def __init__(self, q, alpha, beta, n_low, n_high):
         self.q = q
-        self.alpha = alpha
-        self.beta = beta
         self.v = BesselParams(alpha, beta)
         self.base = (n_low, n_high)
-        self._plans = {}
-        self._specs = {}
-        self._probes = {}
-
-    def bounds(self, factor):
-        return (factor * self.base[0], factor * self.base[1])
-
-    def plan(self, factor=1):
-        key = self.bounds(factor)
-        if key not in self._plans:
-            self._plans[key] = make_plan(build_grid(self.q, *key), self.v)
-        return self._plans[key]
-
-    def wavelet(self, factor=1):
-        key = self.bounds(factor)
-        if key not in self._specs:
-            self._specs[key] = operator_mother(self.plan(factor))
-        return self._specs[key]
-
-    def probes(self, factor=1):
-        key = self.bounds(factor)
-        if key not in self._probes:
-            self._probes[key] = probe_family(self.plan(factor))
-        return self._probes[key]
+        # The x4 plan first: its kernel table then covers the index sums
+        # of the x2 and x1 plans, so the cell builds one table.
+        self.plans = {k: make_plan(build_grid(q, k * n_low, k * n_high),
+                                   self.v) for k in (4, 2, 1)}
+        self.specs = {k: operator_mother(p) for k, p in self.plans.items()}
+        self.probes = {k: probe_family(p) for k, p in self.plans.items()}
+        self.planes = {k: [WaveletPlane(f, self.specs[k])
+                           for f in self.probes[k]] for k in (1, 2)}
 
 
 def _check_jackson_power(cell):
@@ -422,9 +406,9 @@ def _check_change_of_variables(cell):
 
 
 def _check_involution(cell):
-    plan = cell.plan()
-    resid = plan.involution_residual(cell.probes())
-    c_fine = cell.plan(2).c_qv
+    plan = cell.plans[1]
+    resid = plan.involution_residual(cell.probes[1])
+    c_fine = cell.plans[2].c_qv
     drift = abs(c_fine / plan.c_qv - 1.0)
     ok = resid < 1e-6 and drift < 1e-3
     return ok, {"residual": resid, "c_qv": plan.c_qv, "c_refined": c_fine,
@@ -432,7 +416,7 @@ def _check_involution(cell):
 
 
 def _check_factorization(cell):
-    spec = cell.wavelet()
+    spec = cell.specs[1]
     scales = spec.scale_indices
     mid = len(scales) // 2
     sample = scales[mid - 2: mid + 3]
@@ -441,21 +425,20 @@ def _check_factorization(cell):
 
 
 def _check_weighted_energy(cell):
-    spec = cell.wavelet(2)
-    kappas = [weighted_energy_ratio(f, spec) for f in cell.probes(2)]
+    kappas = [weighted_energy_ratio(p) for p in cell.planes[2]]
     spread = max(abs(k / kappas[0] - 1.0) for k in kappas)
-    C = spec.admissibility
+    C = cell.specs[2].admissibility
     return spread < 1e-6, {"kappa": kappas[0], "spread": spread, "C_v_psi": C,
                            "kappa_over_C": kappas[0] / C, "tol": 1e-6}
 
 
 def _check_plancherel(cell):
-    spec = cell.wavelet(2)
-    ratios = [wavelet_plancherel_ratio(f, spec) for f in cell.probes(2)]
+    ratios = [wavelet_plancherel_ratio(p) for p in cell.planes[2]]
     spread = max(abs(r / ratios[0] - 1.0) for r in ratios)
-    fine = wavelet_plancherel_ratio(cell.probes(4)[0], cell.wavelet(4))
+    fine = wavelet_plancherel_ratio(
+        WaveletPlane(cell.probes[4][0], cell.specs[4]))
     drift = abs(fine / ratios[0] - 1.0)
-    C = spec.admissibility
+    C = cell.specs[2].admissibility
     qpow = cell.q ** (4.0 * cell.v.abs_v + 2.0)
     ok = spread < 1e-6 and drift < 1e-2
     return ok, {"ratio": ratios[0], "spread": spread, "C_v_psi": C,
@@ -465,24 +448,19 @@ def _check_plancherel(cell):
 
 
 def _check_heisenberg(cell):
-    spec = cell.wavelet()
-    minima = [heisenberg_slice_minimum(f, spec) for f in cell.probes()]
+    minima = [heisenberg_slice_minimum(p) for p in cell.planes[1]]
     worst = min(minima)
     bound = 0.5 - 1e-3
     return worst >= bound, {"min_slice": worst, "bound": bound}
 
 
 def _check_uncertainty(cell):
-    spec = cell.wavelet()
-    probes = cell.probes()
-    reports = [uncertainty_report(f, spec) for f in probes]
+    reports = [uncertainty_report(p) for p in cell.planes[1]]
     K = min(r.ratio for r in reports)
-    fine = empirical_lower_constant(cell.probes(2), cell.wavelet(2))
+    fine = min(uncertainty_report(p).ratio for p in cell.planes[2])
     drift = abs(fine / K - 1.0)
-    f0 = probes[0]
-    scaled = GridFunction(f0.grid, 7.0 * f0.values)
-    inv_err = abs(uncertainty_report(scaled, spec).ratio
-                  / reports[0].ratio - 1.0)
+    scaled = WaveletPlane(cell.probes[1][0].scaled(7.0), cell.specs[1])
+    inv_err = abs(uncertainty_report(scaled).ratio / reports[0].ratio - 1.0)
     ok = K > 0.0 and drift < 1e-2 and inv_err < 1e-13
     return ok, {"K_emp": K, "K_refined": fine, "refinement_drift": drift,
                 "scale_invariance_err": inv_err, "tol_drift": 1e-2,
@@ -506,9 +484,6 @@ def run_cell_checks(q, alpha, beta, n_low=-20, n_high=40):
     """All verification checks for one (q, v) cell; returns a report dict
     with one entry per check, in fixed order."""
     cell = _Cell(q, alpha, beta, n_low, n_high)
-    # The x4 plan first: its kernel table then covers the index sums of
-    # the x1 and x2 plans, so the cell builds one table.
-    cell.plan(4)
     checks = []
     for name, fn in _CHECKS:
         ok, details = fn(cell)

@@ -33,7 +33,13 @@ class QGrid:
         self.n_low = int(n_low)
         self.n_high = int(n_high)
         self.indices = np.arange(self.n_low, self.n_high + 1)
-        self.points = self.q ** self.indices.astype(float)
+        with np.errstate(over="ignore"):
+            self.points = self.q ** self.indices.astype(float)
+        bad = np.flatnonzero(~np.isfinite(self.points) | (self.points == 0))
+        if len(bad):
+            raise ValueError(
+                f"grid point q^n = {self.points[bad[0]]:g} leaves float64 "
+                f"at n = {self.indices[bad[0]]} (q = {self.q})")
 
     @property
     def size(self):
@@ -302,7 +308,8 @@ def write_function(f, path):
 def read_function(path):
     """The GridFunction write_function stored at path. Raises ValueError
     on a malformed CSV or sidecar: the sidecar must be a JSON object with
-    a real q and int n_low and n_high."""
+    a real q and int n_low and n_high, and the CSV may list each index
+    at most once."""
     with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
         desc = json.load(fh)
     if not isinstance(desc, dict):
@@ -317,6 +324,7 @@ def read_function(path):
                 f"sidecar key {key!r} must be {want}, got {desc[key]!r}")
     grid = QGrid(desc["q"], desc["n_low"], desc["n_high"])
     vals = np.zeros(grid.size)
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if header.strip() != "n,value":
@@ -326,5 +334,9 @@ def read_function(path):
             if not line:
                 continue
             n_str, v_str = line.split(",")
-            vals[grid.pos(int(n_str))] = float(v_str)
+            n = int(n_str)
+            if n in seen:
+                raise ValueError(f"index {n} listed twice")
+            seen.add(n)
+            vals[grid.pos(n)] = float(v_str)
     return GridFunction(grid, vals)

@@ -163,25 +163,16 @@ def daughter_wavelet(spec, m, n_b):
     return shifted.scaled(math.sqrt(grid.q ** m))
 
 
-def scale_rows(f, spec, scale_indices=None):
-    """Coefficient rows C(q^m, .) over the full position grid, one scale
-    at a time, via the spectral route. Returns {m: row array}."""
-    plan = spec.plan
-    grid = plan.grid
-    if f.grid != grid:
-        raise ValueError("grid function and plan use different grids")
-    return _spectral_rows(_spectrum_array(f, plan), spec, scale_indices)
-
-
 def _spectrum_array(f, plan):
     """spectrum(f, plan) over the grid's index range, as an array."""
     Ff_map = spectrum(f, plan)
     return np.array([Ff_map[s] for s in plan.grid.indices])
 
 
-def _spectral_rows(Ff, spec, scale_indices=None):
-    """scale_rows from the input's spectrum array Ff, for callers that
-    need Ff themselves and so compute it once."""
+def scale_rows(Ff, spec, scale_indices=None):
+    """Coefficient rows C(q^m, .) over the full position grid, one scale
+    at a time, via the spectral route from the input's spectrum array Ff
+    (every admissible scale by default). Returns {m: row array}."""
     plan = spec.plan
     grid = plan.grid
     if scale_indices is None:
@@ -201,13 +192,28 @@ def _spectral_rows(Ff, spec, scale_indices=None):
     return rows
 
 
+class WaveletPlane:
+    """The coefficient plane C(a, b) of one input f under one wavelet,
+    built once, when constructed: f's spectrum array Ff and the rows
+    {m: C(q^m, .)} at every scale in spec.scale_indices. Every plane
+    integral reads it."""
+
+    __slots__ = ("f", "spec", "Ff", "rows")
+
+    def __init__(self, f, spec):
+        self.f = f
+        self.spec = spec
+        self.Ff = _spectrum_array(f, spec.plan)
+        self.rows = scale_rows(self.Ff, spec)
+
+
 def cwt(f, spec, scale_indices=None, position_indices=None):
     """Continuous wavelet transform as a Scaleogram.
 
     Defaults to every admissible scale and the full position grid."""
     plan = spec.plan
     grid = plan.grid
-    rows = scale_rows(f, spec, scale_indices)
+    rows = scale_rows(_spectrum_array(f, plan), spec, scale_indices)
     ms = sorted(rows)
     if position_indices is None:
         position_indices = list(grid.indices)
@@ -267,18 +273,17 @@ def gated_scale_sum(contrib):
     return math.fsum(contrib[m] for m in used), set(used)
 
 
-def wavelet_plancherel_ratio(f, spec):
+def wavelet_plancherel_ratio(plane):
     """[double Jackson sum of |C(a,b)|^2 b^{2|v|+1} d_q a d_q b / a^2]
-    over ||f||^2. The position integral always runs over the whole grid;
-    restricting it would break the identity being measured."""
-    plan = spec.plan
-    nf = plan.norm_sq(f.values)
+    over ||f||^2 for a WaveletPlane. The position integral always runs
+    over the whole grid; restricting it would break the identity."""
+    plan = plane.spec.plan
+    nf = plan.norm_sq(plane.f.values)
     if nf == 0.0:
         raise ValueError("Plancherel ratio undefined for the zero function")
     q = plan.grid.q
-    rows = scale_rows(f, spec)
     contrib = {}
-    for m, row in rows.items():
+    for m, row in plane.rows.items():
         contrib[m] = (1.0 - q) / (q ** float(m)) * math.fsum(
             (row * row * plan.weights).tolist())
     total, _ = gated_scale_sum(contrib)

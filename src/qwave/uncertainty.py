@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwave.qgrid import GridFunction
-from qwave.qwavelet import (_spectral_rows, _spectrum_array, gated_scale_sum,
-                            scale_rows)
+from qwave.qwavelet import WaveletPlane, _spectrum_array, gated_scale_sum
 
 SLICE_NORM_FLOOR = 1e-22
 
@@ -137,18 +136,16 @@ def _position_moment_contrib(rows, plan):
                 for m, row in rows.items()}
 
 
-def uncertainty_report(f, spec):
-    """I_R (gated plane sum), I_S (spectral moment), and their
-    Heisenberg-type ratio sqrt(I_R * I_S) / ||f||^2."""
-    plan = spec.plan
-    nf = plan.norm_sq(f.values)
+def uncertainty_report(plane):
+    """I_R (gated sum over the plane's rows), I_S (the norm of op_S, from
+    its spectrum), and their Heisenberg-type ratio sqrt(I_R I_S) / ||f||^2
+    for a WaveletPlane."""
+    plan = plane.spec.plan
+    nf = plan.norm_sq(plane.f.values)
     if nf == 0.0:
         raise ValueError("uncertainty ratio undefined for the zero function")
-    # one spectrum serves both moments (I_S is the norm of op_S(f, plan))
-    Ff = _spectrum_array(f, plan)
-    contrib = _position_moment_contrib(_spectral_rows(Ff, spec), plan)
-    I_R, _ = gated_scale_sum(contrib)
-    I_S = plan.norm_sq(plan.grid.points * Ff)
+    I_R, _ = gated_scale_sum(_position_moment_contrib(plane.rows, plan))
+    I_S = plan.norm_sq(plan.grid.points * plane.Ff)
     return UncertaintyReport(I_R=I_R, I_S=I_S, norm_sq=nf,
                              ratio=math.sqrt(I_R * I_S) / nf)
 
@@ -161,11 +158,10 @@ def _slice_ratio(row, n2, plan):
             * math.sqrt(plan.norm_sq(points * plan.fourier_values(row))) / n2)
 
 
-def heisenberg_slice_minimum(f, spec):
-    """Minimum slice ratio over the scales the gated plane sum actually
-    uses, skipping slices whose norm sits at the noise floor."""
-    plan = spec.plan
-    rows = scale_rows(f, spec)
+def heisenberg_slice_minimum(plane):
+    """Minimum slice ratio over the rows of a WaveletPlane that the gated
+    plane sum uses, skipping slices at the noise floor."""
+    plan, rows = plane.spec.plan, plane.rows
     _, used = gated_scale_sum(_position_moment_contrib(rows, plan))
     norms = {m: plan.norm_sq(rows[m]) for m in used}
     top = max(norms.values())
@@ -179,25 +175,23 @@ def heisenberg_slice_minimum(f, spec):
     return best
 
 
-def weighted_energy_ratio(f, spec):
-    """Ratio of the b-weighted spectral plane energy to the matching
-    spectral moment of f: integrate |b F[C(a,.)](b)|^2 against the plain
-    d_q b measure and d_q a / a^2, divide by ||xi Ff||^2 under the same
-    plain measure. Scale-invariant in the exact identity; the constant it
-    returns equals the wavelet's admissibility constant."""
-    plan = spec.plan
+def weighted_energy_ratio(plane):
+    """Ratio of the b-weighted spectral energy of a WaveletPlane to the
+    matching spectral moment of its input: integrate |b F[C(a,.)](b)|^2
+    against the plain d_q b measure and d_q a / a^2, divide by
+    ||xi Ff||^2 under the same plain measure. Scale-invariant in the
+    exact identity; it returns the wavelet's admissibility constant."""
+    plan = plane.spec.plan
     grid = plan.grid
     q = grid.q
     points = grid.points
     wb_plain = (1.0 - q) * points
     x2wp = points ** 2 * wb_plain
-    Ff = _spectrum_array(f, plan)
-    den = math.fsum((points ** 2 * Ff ** 2 * wb_plain).tolist())
+    den = math.fsum((points ** 2 * plane.Ff ** 2 * wb_plain).tolist())
     if den == 0.0:
         raise ValueError("input has no spectral energy on the grid")
-    rows = _spectral_rows(Ff, spec)
     contrib = {}
-    for m, row in rows.items():
+    for m, row in plane.rows.items():
         frow = plan.fourier_values(row)
         contrib[m] = (1.0 - q) / (q ** float(m)) * math.fsum(
             (x2wp * frow ** 2).tolist())
@@ -207,7 +201,9 @@ def weighted_energy_ratio(f, spec):
 
 def empirical_lower_constant(probes, spec):
     """min over probes of sqrt(I_R * I_S) / ||f||^2; the reported
-    empirical stand-in for the uncertainty inequality's constant."""
+    empirical stand-in for the uncertainty inequality's constant, from
+    one WaveletPlane per probe, built one at a time."""
     if not probes:
         raise ValueError("need at least one probe")
-    return min(uncertainty_report(f, spec).ratio for f in probes)
+    return min(uncertainty_report(WaveletPlane(f, spec)).ratio
+               for f in probes)

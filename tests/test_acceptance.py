@@ -200,7 +200,13 @@ def test_sweep_shifted_cell_matches_benchmark_reference():
     assert sweep_constant(0.5, 1.0, -0.25) == sweep["K_emp"]["0.5,1,-0.25"]
 
 
-def test_sweep_deep_cell_pinned():
-    # the benchmark reference still reads "nan" here, from before the
-    # deep-grid position moment was made overflow-safe
-    assert sweep_constant(0.3, 0.0, 0.0) == "0.34064703367865895"
+@pytest.mark.parametrize("alpha,beta,want", [
+    (0.0, 0.0, "0.34064703367865895"),
+    (0.5, 0.25, "2.0762414231899764"),
+    (1.0, -0.25, "3.5213551066400464"),
+], ids=("0.3,0,0", "0.3,0.5,0.25", "0.3,1,-0.25"))
+def test_sweep_deep_cell_pinned(alpha, beta, want):
+    # the benchmark reference still reads "nan" at q = 0.3, from before
+    # the deep-grid position moment was made overflow-safe, and its gate
+    # accepts any finite positive K_emp there
+    assert sweep_constant(0.3, alpha, beta) == want

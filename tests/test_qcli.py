@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwave import qbessel, qcli, uncertainty
+from qwave import qbessel, qcli, qtransform, qwavelet, uncertainty
 from qwave.qcli import fmt17, main
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          read_function, write_function)
@@ -31,7 +31,7 @@ def _reject_cell(*cell):
     raise ValueError(f"cell {cell[:3]} rejected")
 
 
-def _nan_report(f, spec):
+def _nan_report(plane):
     return UncertaintyReport(I_R=math.nan, I_S=1.0, norm_sq=1.0,
                              ratio=math.nan)
 
@@ -210,6 +210,35 @@ class TestExitCodes:
         assert (rc, out) == (2, "")
         assert err.startswith("qwave: malformed input")
         assert err.count("\n") == 1
+
+    def test_index_listed_twice_exits_2(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("n,value\n0,1\n0,2\n", encoding="utf-8")
+        rc, out, err = fourier_on_sidecar(path, _GOOD_SIDECAR)
+        assert (rc, out) == (2, "")
+        assert err == (f"qwave: malformed input {path}: "
+                       "index 0 listed twice\n")
+
+    def test_sidecar_grid_off_float64_exits_2(self, sidecar_csv, recwarn):
+        rc, out, err = fourier_on_sidecar(
+            sidecar_csv, {"q": 0.5, "n_low": -1100, "n_high": -1097})
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"qwave: malformed input {sidecar_csv}")
+        assert "at n = -1100" in err
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("command", ["grid", "bessel"])
+    def test_grid_off_float64_exits_1(self, capsys, recwarn, command):
+        # q^-1100 overflows float64; the grid refuses it rather than
+        # printing x = inf or blaming the kernel series
+        rc, out, err = run(capsys, command, "--alpha", "-0.5", "--beta",
+                           "-0.49", "--nlow", "-1100", "--nhigh", "-1097")
+        assert (rc, out) == (1, "")
+        assert err.startswith("qwave: grid point q^n = inf")
+        assert "at n = -1100" in err
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
 
     def test_degenerate_order_exits_1(self, capsys):
         # nu = alpha - beta = -3 makes (q^{2 nu + 2}; q^2)_n vanish at n = 3
@@ -391,9 +420,9 @@ class TestPlancherelCommand:
         calls = []
         ratio = qcli.wavelet_plancherel_ratio
 
-        def counted(f, spec):
-            calls.append(f)
-            return ratio(f, spec)
+        def counted(plane):
+            calls.append(plane)
+            return ratio(plane)
 
         monkeypatch.setattr(qcli, "wavelet_plancherel_ratio", counted)
         rc, out, _ = run(capsys, "plancherel")
@@ -510,6 +539,21 @@ class TestVerifyCommand:
         report = qcli.run_cell_checks(0.45, 0.5, 0.25, -12, 24)
         assert report["passed"]
         assert calls == [(0.25, 0.45, -96, 192)]
+
+    def test_cell_reads_one_spectrum_per_plane(self, monkeypatch):
+        # one per wavelet (x1, x2, x4), one per x1 and x2 probe plane, one
+        # for the x4 plane of probe 0 and one for the scaled x1 probe 0
+        calls = []
+        spectrum = qtransform.spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(qtransform, "spectrum", counted)
+        monkeypatch.setattr(qwavelet, "spectrum", counted)
+        qcli.run_cell_checks(0.5, 0.5, 0.25, -12, 24)
+        assert len(calls) == 3 + 9 + 9 + 1 + 1
 
     def test_pooled_equals_inline(self, capsys, monkeypatch, tmp_path):
         # the whole lattice, on a grid small enough to be quick (some

@@ -52,6 +52,24 @@ class TestGrid:
         with pytest.raises(ValueError, match="empty grid"):
             build_grid(0.5, 3, 2)
 
+    @pytest.mark.parametrize("n_low,n_high,bad,value", [
+        (-1100, -1097, -1100, "inf"),
+        (-1024, -1021, -1024, "inf"),
+        (1072, 1075, 1075, "0"),
+    ], ids=("overflow", "one-point-overflows", "underflow"))
+    def test_points_off_float64_rejected(self, recwarn, n_low, n_high, bad,
+                                         value):
+        # 0.5^-1024 overflows and 0.5^1075 underflows to 0, which the grid
+        # promises never to hold; 0.5^1074 is the smallest subnormal
+        with pytest.raises(ValueError,
+                           match=rf"q\^n = {value} .* at n = {bad} "):
+            build_grid(0.5, n_low, n_high)
+        assert len(recwarn) == 0
+
+    def test_subnormal_points_allowed(self):
+        g = build_grid(0.5, 1072, 1074)
+        assert g.points[-1] == 2.0 ** -1074
+
     def test_pos_rejects_off_grid_index(self):
         g = build_grid(0.5, -2, 3)
         assert g.pos(-2) == 0
@@ -318,6 +336,14 @@ class TestFileRoundTrip:
         raw = open(path).read()
         open(path, "w").write(raw.replace("n,value", "index,val"))
         with pytest.raises(ValueError, match="header"):
+            read_function(path)
+
+    def test_index_listed_twice_rejected(self, tmp_path):
+        g = build_grid(0.5, 0, 3)
+        path = str(tmp_path / "d.csv")
+        write_function(GridFunction.zeros(g), path)
+        open(path, "w").write("n,value\n0,1\n2,3\n0,2\n")
+        with pytest.raises(ValueError, match="index 0 listed twice"):
             read_function(path)
 
     def test_outputs_are_lf_terminated(self, tmp_path):

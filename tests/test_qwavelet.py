@@ -12,6 +12,7 @@ from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan
 from qwave.qwavelet import (
     Scaleogram,
+    WaveletPlane,
     cwt,
     cwt_direct,
     daughter_wavelet,
@@ -126,7 +127,8 @@ class TestTransformRoutes:
     def test_scale_rows_rejects_foreign_scale(self, spec00, grid00):
         f = GridFunction.from_pairs(grid00, [(1, 1.0)])
         with pytest.raises(ValueError, match="off the grid"):
-            scale_rows(f, spec00, [spec00.scale_indices[0] - 1])
+            scale_rows(WaveletPlane(f, spec00).Ff, spec00,
+                       [spec00.scale_indices[0] - 1])
 
     def test_transform_is_linear(self, spec00, grid00):
         f = GridFunction.from_pairs(grid00, [(0, 1.0)])
@@ -189,24 +191,25 @@ class TestPlancherel:
     def test_ratio_is_input_independent(self, spec00, grid00):
         f = GridFunction.from_pairs(grid00, [(0, 1.0)])
         g = GridFunction.from_pairs(grid00, [(2, 1.0), (4, -0.7)])
-        r1 = wavelet_plancherel_ratio(f, spec00)
-        r2 = wavelet_plancherel_ratio(g, spec00)
+        r1 = wavelet_plancherel_ratio(WaveletPlane(f, spec00))
+        r2 = wavelet_plancherel_ratio(WaveletPlane(g, spec00))
         assert rel_err(r1, r2) < 1e-6
 
     def test_ratio_equals_admissibility(self, spec00, grid00):
         f = GridFunction.from_pairs(grid00, [(1, 1.0)])
-        r = wavelet_plancherel_ratio(f, spec00)
+        r = wavelet_plancherel_ratio(WaveletPlane(f, spec00))
         assert rel_err(r, spec00.admissibility) < 1e-6
 
     def test_ratio_scale_invariant(self, spec00, grid00):
         f = GridFunction.from_pairs(grid00, [(1, 1.0)])
-        r1 = wavelet_plancherel_ratio(f, spec00)
-        r2 = wavelet_plancherel_ratio(f.scaled(37.0), spec00)
+        r1 = wavelet_plancherel_ratio(WaveletPlane(f, spec00))
+        r2 = wavelet_plancherel_ratio(WaveletPlane(f.scaled(37.0), spec00))
         assert rel_err(r1, r2) < 1e-13
 
     def test_zero_input_rejected(self, spec00, grid00):
         with pytest.raises(ValueError, match="zero function"):
-            wavelet_plancherel_ratio(GridFunction.zeros(grid00), spec00)
+            wavelet_plancherel_ratio(
+                WaveletPlane(GridFunction.zeros(grid00), spec00))
 
 
 def fdot_factorization_error(spec, scale_indices, position_indices,

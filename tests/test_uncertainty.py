@@ -15,8 +15,9 @@ import pytest
 
 from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan, spectrum
-from qwave import qwavelet
-from qwave.qwavelet import factorization_error, operator_mother, scale_rows
+from qwave import qtransform, qwavelet
+from qwave.qwavelet import (WaveletPlane, factorization_error, operator_mother,
+                            wavelet_plancherel_ratio)
 from qwave.uncertainty import (
     WorkerError,
     _slice_ratio,
@@ -68,14 +69,14 @@ class TestMomentOperators:
 
 class TestUncertaintyReport:
     def test_ratio_consistent_with_fields(self, plan00, spec00):
-        r = uncertainty_report(probe_family(plan00)[1], spec00)
+        r = uncertainty_report(WaveletPlane(probe_family(plan00)[1], spec00))
         assert r.ratio == pytest.approx(
             math.sqrt(r.I_R * r.I_S) / r.norm_sq, rel=1e-15)
 
     def test_ratio_scale_invariant(self, plan00, spec00):
         f = probe_family(plan00)[-1]
-        r1 = uncertainty_report(f, spec00)
-        r2 = uncertainty_report(f.scaled(13.0), spec00)
+        r1 = uncertainty_report(WaveletPlane(f, spec00))
+        r2 = uncertainty_report(WaveletPlane(f.scaled(13.0), spec00))
         assert rel_err(r2.ratio, r1.ratio) < 1e-13
         # the moments themselves scale quadratically
         assert rel_err(r2.I_R, 169.0 * r1.I_R) < 1e-12
@@ -83,11 +84,13 @@ class TestUncertaintyReport:
 
     def test_zero_input_rejected(self, spec00, grid00):
         with pytest.raises(ValueError, match="zero function"):
-            uncertainty_report(GridFunction.zeros(grid00), spec00)
+            uncertainty_report(
+                WaveletPlane(GridFunction.zeros(grid00), spec00))
 
     def test_empirical_constant_is_family_minimum(self, plan00, spec00):
         probes = probe_family(plan00)[:3]
-        ratios = [uncertainty_report(p, spec00).ratio for p in probes]
+        ratios = [uncertainty_report(WaveletPlane(p, spec00)).ratio
+                  for p in probes]
         assert empirical_lower_constant(probes, spec00) == min(ratios)
 
     def test_empty_probe_list_rejected(self, spec00):
@@ -96,20 +99,25 @@ class TestUncertaintyReport:
 
 
 class TestOneSpectrumPerCall:
-    # both moments, or both sides of the energy ratio, read one spectrum
-    @pytest.mark.parametrize("fn", [uncertainty_report, weighted_energy_ratio])
+    # a plane reads one spectrum when it is built; every integral over it
+    # (both moments, both sides of the energy ratio) reads the plane
+    @pytest.mark.parametrize("fn", [uncertainty_report, weighted_energy_ratio,
+                                    heisenberg_slice_minimum,
+                                    wavelet_plancherel_ratio])
     def test_single_spectrum(self, monkeypatch, spec00, fn):
         calls = []
-        spectrum = qwavelet.spectrum
 
         def counted(*args, **kwargs):
             calls.append(args)
             return spectrum(*args, **kwargs)
 
         f = probe_family(spec00.plan)[-1]
-        want = fn(f, spec00)
+        want = fn(WaveletPlane(f, spec00))
         monkeypatch.setattr(qwavelet, "spectrum", counted)
-        assert fn(f, spec00) == want
+        monkeypatch.setattr(qtransform, "spectrum", counted)
+        plane = WaveletPlane(f, spec00)
+        assert len(calls) == 1
+        assert fn(plane) == want
         assert len(calls) == 1
 
 
@@ -117,7 +125,7 @@ class TestSliceRatios:
     def test_slice_value_matches_by_hand(self, plan00, spec00):
         f = probe_family(plan00)[1]
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
-        row = scale_rows(f, spec00, [mid])[mid]
+        row = WaveletPlane(f, spec00).rows[mid]
         pts = plan00.grid.points
         n2 = plan00.norm_sq(row)
         ref = (math.sqrt(plan00.norm_sq(pts * row))
@@ -128,34 +136,39 @@ class TestSliceRatios:
     def test_zero_slice_rejected(self, spec00, grid00):
         # a zero input leaves every slice at the noise floor
         with pytest.raises(ValueError, match="noise floor"):
-            heisenberg_slice_minimum(GridFunction.zeros(grid00), spec00)
+            heisenberg_slice_minimum(
+                WaveletPlane(GridFunction.zeros(grid00), spec00))
 
     def test_minimum_over_used_scales_exceeds_half(self, plan00, spec00):
         for p in probe_family(plan00)[:2]:
-            assert heisenberg_slice_minimum(p, spec00) >= 0.5 - 1e-3
+            assert heisenberg_slice_minimum(WaveletPlane(p, spec00)) \
+                >= 0.5 - 1e-3
 
     def test_minimum_bounded_by_any_used_slice(self, plan00, spec00):
         f = probe_family(plan00)[1]
-        msl = heisenberg_slice_minimum(f, spec00)
+        plane = WaveletPlane(f, spec00)
+        msl = heisenberg_slice_minimum(plane)
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
-        row = scale_rows(f, spec00, [mid])[mid]
+        row = plane.rows[mid]
         assert msl <= _slice_ratio(row, plan00.norm_sq(row), plan00) + 1e-12
 
 
 class TestEnergyRatio:
     def test_input_independent(self, plan00, spec00):
         probes = probe_family(plan00)
-        k1 = weighted_energy_ratio(probes[0], spec00)
-        k2 = weighted_energy_ratio(probes[4], spec00)
+        k1 = weighted_energy_ratio(WaveletPlane(probes[0], spec00))
+        k2 = weighted_energy_ratio(WaveletPlane(probes[4], spec00))
         assert rel_err(k1, k2) < 1e-6
 
     def test_equals_admissibility(self, plan00, spec00):
-        k = weighted_energy_ratio(probe_family(plan00)[1], spec00)
+        plane = WaveletPlane(probe_family(plan00)[1], spec00)
+        k = weighted_energy_ratio(plane)
         assert rel_err(k, spec00.admissibility) < 1e-6
 
     def test_zero_input_rejected(self, spec00, grid00):
         with pytest.raises(ValueError, match="no spectral energy"):
-            weighted_energy_ratio(GridFunction.zeros(grid00), spec00)
+            weighted_energy_ratio(
+                WaveletPlane(GridFunction.zeros(grid00), spec00))
 
 
 def _square_minus_one(x):
@@ -263,7 +276,8 @@ class TestThreading:
             return operator_mother(plan)
 
         spec = cold_spec()
-        serial = [uncertainty_report(f, spec) for f in probe_family(spec.plan)]
+        serial = [uncertainty_report(WaveletPlane(f, spec))
+                  for f in probe_family(spec.plan)]
         threads = 2 * (os.cpu_count() or 1) + 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -272,7 +286,7 @@ class TestThreading:
                 spec = cold_spec()
                 with concurrent.futures.ThreadPoolExecutor(threads) as pool:
                     threaded = list(pool.map(
-                        lambda f: uncertainty_report(f, spec),
+                        lambda f: uncertainty_report(WaveletPlane(f, spec)),
                         probe_family(spec.plan)))
                 assert threaded == serial
         finally:

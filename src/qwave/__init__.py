@@ -39,7 +39,6 @@ from qwave.qwavelet import (
 from qwave.uncertainty import (
     UncertaintyReport,
     probe_family,
-    op_S,
     uncertainty_report,
     empirical_lower_constant,
 )

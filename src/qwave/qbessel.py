@@ -1,5 +1,7 @@
 """q-Bessel kernels: the normalized series, the two-parameter modified
-kernel, and the generalized second-order q-difference operator.
+kernel, the generalized second-order q-difference operator, and the
+library's one high-precision layer: the on-lattice kernel table, kappa
+rows, the exact dot product, and the table of working precisions.
 
 Two evaluation routes coexist on purpose. The series is the definition
 and works at any real argument, but in float64 it loses digits once the
@@ -12,8 +14,10 @@ every lattice depth.
 """
 
 import functools
+import math
 
 import mpmath
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 
 from qwave.qgrid import GridFunction, QGrid
 
@@ -115,13 +119,27 @@ def generalized_q_bessel_operator(f, v):
     return GridFunction(out_grid, vals)
 
 
+# --- precision table -----------------------------------------------------
+
+# Digits of every high-precision block: kernel table entries, the kappa
+# row a plan's float64 matrix is rounded from, the two mothers, and
+# factorization_error's sums. spectrum_dps gives spectrum's.
+KERNEL_DPS = 240
+FLOAT_ROW_DPS = 60
+MOTHER_DPS = 300
+FACTORIZATION_DPS = 100
+
+
+def spectrum_dps(q, depth):
+    """spectrum's working precision when its indices reach |n| = depth."""
+    return int(2 * depth * math.log10(1.0 / q)) + 80
+
+
 # --- on-lattice kernel table ---------------------------------------------
 
 _tables = {}
 
-# Working precision of every table entry, and how far past the deepest
-# requested index the backward recurrence is seeded.
-KERNEL_DPS = 240
+# How far past the deepest requested index the recurrence is seeded.
 RECURRENCE_BUFFER = 8
 
 
@@ -233,3 +251,77 @@ def lattice_kernel(nu, q, s_min, s_max):
         tab = _tables[key] = _kernel_values(nu, q, min(s_min, lo),
                                             max(s_max, hi))
     return tab
+
+
+def kappa_row(grid, v, dps):
+    """kappa(t) = q^{-2 beta (t+beta)} j_nu(q^t; q^2) at dps digits for
+    every index sum t in [2 n_low, 2 n_high] of the grid, as a list of
+    raw mpf tuples (mp_dot's operand form) starting at 2 n_low.
+
+    One power, then one libmp.mpf_mul by q^{-2 beta} per step (the call
+    mpf * mpf makes, without the object): no mpmath power per entry.
+    """
+    t_lo, t_hi = 2 * grid.n_low, 2 * grid.n_high
+    tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
+    ctx = mp_context(dps)
+    prec = ctx.prec
+    qmp = ctx.mpf(grid.q)
+    b = ctx.mpf(v.beta)
+    step = (qmp ** (-2 * b))._mpf_
+    p = (qmp ** (-2 * b * (t_lo + b)))._mpf_
+    row = []
+    for t in range(t_lo, t_hi + 1):
+        row.append(mpf_mul(p, tab[t]._mpf_, prec, round_nearest))
+        p = mpf_mul(p, step, prec, round_nearest)
+    return row
+
+
+def mp_dot(A, B, prec):
+    """sum_k A[k] B[k] over raw mpf tuples (mpf._mpf_), rounded once to
+    nearest at prec bits: the raw tuple that mpmath.fdot(A, B) returns at
+    that precision.
+
+    Each product is exact (sign xor, mantissa product, exponent sum) and
+    is accumulated by the rules of mpmath's libmp.mpf_sum, including its
+    two branches that drop a term more than 2*prec bits below the running
+    sum or replace a sum that far below the term (man.bit_length() is
+    libmp.bitcount(abs(man)) for a signed mantissa). So the result is
+    bit-identical to fdot, without fdot's per-pair type checks, the
+    bit count inside each exact multiply, or its second pass over a list
+    of products.
+
+    mpmath encodes +-inf and nan with a zero mantissa; they raise
+    ValueError here rather than be summed as zeros.
+    """
+    man = 0
+    exp = 0
+    max_extra = 2 * prec
+    for (asign, aman, aexp, _), (bsign, bman, bexp, _) in zip(A, B):
+        xman = aman * bman
+        if not xman:
+            if (aexp and not aman) or (bexp and not bman):
+                raise ValueError("mp_dot operand is inf or nan")
+            continue
+        if asign ^ bsign:
+            xman = -xman
+        xexp = aexp + bexp
+        delta = xexp - exp
+        if delta >= 0:
+            # the product far above the running sum replaces it
+            if delta > max_extra and (
+                    not man or delta - man.bit_length() > max_extra):
+                man = xman
+                exp = xexp
+            else:
+                man += xman << delta
+        else:
+            delta = -delta
+            # the product far below the running sum is dropped
+            if delta > max_extra and delta - xman.bit_length() > max_extra:
+                if not man:
+                    man = xman
+                    exp = xexp
+            else:
+                man = (man << delta) + xman
+                exp = xexp
+    return from_man_exp(man, exp, prec, round_nearest)

@@ -236,7 +236,9 @@ def jackson_weights(grid, v):
     """(1-q) q^{n(2|v|+2)} for every grid index, as an array.
 
     Raises ValueError when a weight overflows float64, which happens at
-    negative indices once n (2|v|+2) log2(q) passes 1024.
+    negative indices once n (2|v|+2) log2(q) passes 1024, or when every
+    weight underflows to 0. Weights at the deep end alone may underflow:
+    on the sweep grid [-160, 320], 144 do at q = 0.3, |v| = 0.75.
     """
     with np.errstate(over="ignore"):
         w = (1.0 - grid.q) * grid.q ** (grid.indices * weight_exponent(v))
@@ -246,6 +248,10 @@ def jackson_weights(grid, v):
             f"Jackson weight (1-q) q^(n(2|v|+2)) overflows float64 at "
             f"n = {int(grid.indices[bad[0]])} (q = {grid.q}, "
             f"|v| = {v.abs_v})")
+    if not w.any():
+        raise ValueError(
+            f"every Jackson weight (1-q) q^(n(2|v|+2)) underflows to 0 on "
+            f"[{grid.n_low}, {grid.n_high}] (q = {grid.q}, |v| = {v.abs_v})")
     return w
 
 
@@ -256,12 +262,6 @@ def weighted_p_norm(f, p, v):
     w = jackson_weights(f.grid, v)
     s = math.fsum((np.abs(f.values) ** p * w).tolist())
     return s ** (1.0 / p)
-
-
-def norm_sq(f, v):
-    """Squared L^2 norm against the x^{2|v|+1} d_q x measure."""
-    w = jackson_weights(f.grid, v)
-    return math.fsum((f.values * f.values * w).tolist())
 
 
 def dilate(f, m):

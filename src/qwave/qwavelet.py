@@ -22,28 +22,24 @@ import math
 import numpy as np
 from mpmath.libmp import mpf_mul, round_nearest
 
-from qwave.qbessel import mp_context
+from qwave.qbessel import FACTORIZATION_DPS, MOTHER_DPS, mp_context, mp_dot
 from qwave.qgrid import GridFunction, dilate, weight_exponent
-from qwave.qtransform import (_plan_kappa_row, _plan_weights, mp_dot,
-                              spectrum, translate)
+from qwave.qtransform import spectrum, translate
 
 GATE_REL_TAIL = 1e-13
 GATE_RUN = 3
-
-MOTHER_DPS = 300
 
 
 class WaveletSpec:
     """A mother wavelet with its admissibility constant and the spectrum
     profile over the extended index range the transform needs."""
 
-    __slots__ = ("mother", "v", "admissibility", "plan", "mp_values",
+    __slots__ = ("mother", "admissibility", "plan", "mp_values",
                  "scale_indices", "profile")
 
     def __init__(self, mother, plan, admissibility, mp_values, scale_indices,
                  profile):
         self.mother = mother
-        self.v = plan.v
         self.plan = plan
         self.admissibility = admissibility
         self.mp_values = mp_values
@@ -114,7 +110,7 @@ def _normalized_mp_mother(plan, raw):
     """Normalize an mp-valued mother dict at MOTHER_DPS with the plan's
     Jackson weights, and produce its float64 view."""
     ctx = mp_context(MOTHER_DPS)
-    weights = _plan_weights(plan, raw, ctx)
+    weights = plan.mp_weights(raw, MOTHER_DPS)
     nsq = ctx.fsum(ctx.make_mpf(weights[n]) * val * val
                    for n, val in raw.items())
     nrm = ctx.sqrt(nsq)
@@ -157,7 +153,7 @@ def daughter_wavelet(spec, m, n_b):
     grid = plan.grid
     if m not in spec.scale_indices:
         raise ValueError(f"scale index {m} pushes the mother off the grid")
-    wexp = weight_exponent(spec.v)
+    wexp = weight_exponent(plan.v)
     psi_a = dilate(spec.mother, m).scaled(grid.q ** (-m * wexp))
     shifted = translate(psi_a, n_b, plan)
     return shifted.scaled(math.sqrt(grid.q ** m))
@@ -291,23 +287,24 @@ def wavelet_plancherel_ratio(plane):
 
 
 def factorization_error(spec, scale_indices, position_indices, xi_indices,
-                        dps=100):
+                        dps=FACTORIZATION_DPS):
     """Worst relative mismatch of the daughter-spectrum factorization
     F[daughter(a,b)](xi) = sqrt(a) F[mother](a xi) kernel(b xi)
     over the given (scale, position, xi) sample.
 
     Left side: the daughter is built by dilation and translation and then
     transformed. Right side: the mother profile times one kernel value.
-    Both sides are assembled in mpmath; per (a, b) pair the mismatch is
+    Both sides are assembled in mpmath at dps digits (qbessel's
+    FACTORIZATION_DPS by default); per (a, b) pair the mismatch is
     normalized by the largest right-side magnitude over the xi window.
 
     Every sum is an mp_dot (exact products, one rounding, bit-identical
     to mpmath.fdot) against the kernel row, raw tuples in a list indexed
     by t - 2 n_low. The row and the Jackson weights come from the plan's
-    cache of high-precision operands, which spectrum shares. The factors
-    that do not depend on the summation index are multiplied in first:
-    the Jackson weight into the mother, the dilated mother and the
-    daughter, and FPa(s) kappa(n_b + s) w(s) once per position. The
+    cache (plan.kappa_row, plan.mp_weights), which spectrum shares. The
+    factors that do not depend on the summation index are multiplied in
+    first: the Jackson weight into the mother, the dilated mother and
+    the daughter, and FPa(s) kappa(n_b + s) w(s) once per position. The
     mother profile is evaluated once per scale, not once per position.
     """
     plan = spec.plan
@@ -328,8 +325,8 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     qmp = ctx.mpf(grid.q)
     cmp_ = ctx.mpf(plan.c_qv)
     wexp = weight_exponent(v)
-    kap = _plan_kappa_row(plan, ctx)
-    weights = _plan_weights(plan, idx, ctx)
+    kap = plan.kappa_row(dps)
+    weights = plan.mp_weights(idx, dps)
     w = {n: make(weights[n]) for n in idx}
     psi_mp = {n: ctx.mpf(val) for n, val in spec.mp_values.items()}
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qwave.qgrid import GridFunction
-from qwave.qwavelet import WaveletPlane, _spectrum_array, gated_scale_sum
+from qwave.qwavelet import WaveletPlane, gated_scale_sum
 
 SLICE_NORM_FLOOR = 1e-22
 
@@ -108,15 +108,6 @@ def probe_family(plan):
     return fam
 
 
-def op_S(f, plan):
-    """Spectral-side operator xi * Ff(xi) on the spectral lattice.
-
-    The transform values come from the entrywise high-precision route;
-    the float64 matrix route loses mean-free inputs at deep indices and
-    those are exactly the inputs the moment integrals care about."""
-    return GridFunction(plan.grid, plan.grid.points * _spectrum_array(f, plan))
-
-
 def _position_moment_contrib(rows, plan):
     """Per-scale contributions to I_R: (1-q)/a * sum_b b^2 |C|^2 w(b),
     from the coefficient rows {m: C(q^m, .)}.
@@ -137,9 +128,9 @@ def _position_moment_contrib(rows, plan):
 
 
 def uncertainty_report(plane):
-    """I_R (gated sum over the plane's rows), I_S (the norm of op_S, from
-    its spectrum), and their Heisenberg-type ratio sqrt(I_R I_S) / ||f||^2
-    for a WaveletPlane."""
+    """I_R (gated sum over the plane's rows), I_S = ||xi Ff||^2 (from the
+    plane's high-precision spectrum Ff), and their Heisenberg-type ratio
+    sqrt(I_R I_S) / ||f||^2 for a WaveletPlane."""
     plan = plane.spec.plan
     nf = plan.norm_sq(plane.f.values)
     if nf == 0.0:

@@ -240,6 +240,28 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(recwarn) == 0
 
+    def test_zero_calibration_ratio_exits_1(self, capsys):
+        # on [-40, -5] at q = 0.5 all six probe ratios are exactly 0
+        rc, out, err = run(capsys, "fourier", "--calibrate",
+                           "--nlow", "-40", "--nhigh", "-5")
+        assert (rc, out) == (1, "")
+        assert err.startswith("qwave: double-transform ratio 0 ")
+        assert "not finite positive" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,n_high", [("grid", "1001"),
+                                                ("fourier", "1074")])
+    def test_all_weights_underflowing_exits_1(self, capsys, command, n_high):
+        # every weight (1-q) q^{2n} underflows to 0 here; neither a CSV of
+        # zero weights nor a "probe is identically zero" blame may result
+        extra = ["--calibrate"] if command == "fourier" else []
+        rc, out, err = run(capsys, command, *extra, "--nlow", "1000",
+                           "--nhigh", n_high)
+        assert (rc, out) == (1, "")
+        assert err.startswith("qwave: every Jackson weight")
+        assert f"underflows to 0 on [1000, {n_high}]" in err
+        assert err.count("\n") == 1
+
     def test_degenerate_order_exits_1(self, capsys):
         # nu = alpha - beta = -3 makes (q^{2 nu + 2}; q^2)_n vanish at n = 3
         # inside the high-precision kernel table

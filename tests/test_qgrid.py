@@ -18,7 +18,6 @@ from qwave.qgrid import (
     dilate,
     jackson_integral,
     jackson_weights,
-    norm_sq,
     q_derivative,
     qpochhammer,
     read_function,
@@ -248,7 +247,6 @@ class TestWeightedNorms:
         v = BesselParams(0.0, 0.0)
         f = GridFunction.from_pairs(g, [(1, 1.0)])
         assert weighted_p_norm(f, 2, v) ** 2 == pytest.approx(0.125, rel=1e-15)
-        assert norm_sq(f, v) == pytest.approx(0.125, rel=1e-15)
 
     def test_scaling_homogeneity(self):
         g = build_grid(0.5, -10, 20)
@@ -272,6 +270,31 @@ class TestWeightedNorms:
         expo = 2.0 * v.abs_v + 2.0
         ref = (1.0 - q) * g.points ** expo
         np.testing.assert_allclose(w, ref, rtol=1e-14)
+
+    @pytest.mark.parametrize("q,n_low,n_high", [(0.5, 1000, 1001),
+                                                (0.5, 1000, 1074),
+                                                (0.3, 400, 410)])
+    def test_all_weights_underflowing_rejected(self, q, n_low, n_high):
+        # every q^{2n} sits below the smallest subnormal: a weight vector
+        # of zeros would make every Jackson sum on the grid 0
+        with pytest.raises(ValueError, match=rf"every Jackson weight .* "
+                           rf"underflows to 0 on \[{n_low}, {n_high}\]"):
+            jackson_weights(build_grid(q, n_low, n_high),
+                            BesselParams(0.0, 0.0))
+
+    @pytest.mark.parametrize("q,zeros,first", [(0.3, 144, 177),
+                                               (0.5, 14, 307),
+                                               (0.7, 0, None)])
+    def test_sweep_grid_keeps_its_deep_underflow(self, q, zeros, first):
+        # the sweep grid [-160, 320] underflows at its deep end only; it
+        # must still build
+        g = build_grid(q, -160, 320)
+        w = jackson_weights(g, BesselParams(0.5, 0.25))
+        bad = np.flatnonzero(w == 0.0)
+        assert len(bad) == zeros
+        if zeros:
+            assert g.indices[bad[0]] == first
+            assert np.all(w[bad[0]:] == 0.0) and np.all(w[:bad[0]] > 0.0)
 
 
 class TestDilate:

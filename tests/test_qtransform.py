@@ -9,16 +9,12 @@ import numpy as np
 import pytest
 
 from qwave import qtransform
-from qwave.qbessel import lattice_kernel, modified_q_bessel, mp_context
+from qwave.qbessel import lattice_kernel, modified_q_bessel, mp_dot
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
     CalibrationError,
     TransformPlan,
-    _plan_kappa_row,
-    _plan_weights,
     make_plan,
-    mp_dot,
-    mp_kappa_row,
     q_bessel_fourier,
     spectrum,
     translate,
@@ -37,7 +33,6 @@ class TestCalibration:
 
     def test_exact_at_half(self, plan00):
         assert plan00.c_qv == pytest.approx(2.0, rel=1e-12)
-        assert plan00.calibration_spread < 1e-6
         assert plan00.calibration_residual < 1e-6
 
     def test_probe_independent(self, grid00, plan00):
@@ -69,6 +64,11 @@ class TestCalibration:
     def test_cramped_grid_fails_calibration(self):
         with pytest.raises(CalibrationError, match="grid too small"):
             make_plan(build_grid(0.5, -2, 2), BesselParams(0.0, 0.0))
+
+    def test_zero_ratio_fails_calibration(self):
+        # every probe's double-transform ratio is exactly 0 on this grid
+        with pytest.raises(CalibrationError, match="ratio 0 of the first"):
+            make_plan(build_grid(0.5, -40, -5), BesselParams(0.0, 0.0))
 
     def test_sub_minimal_grid_rejected(self):
         with pytest.raises(ValueError, match="four grid points"):
@@ -375,14 +375,21 @@ class TestPlanOperands:
                     (120, -15, 25), (120, -5, 37), (160, -13, 45)]
         for dps, n_lo, n_hi in requests * 2:
             ns = range(n_lo, n_hi)
-            ctx = mp_context(dps)
-            row = _plan_kappa_row(plan, ctx)
-            weights = _plan_weights(plan, ns, ctx)
+            row = plan.kappa_row(dps)
+            weights = plan.mp_weights(ns, dps)
             tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
-            # the fresh values come from mpmath's global context
+            # the fresh values come from mpmath's global context: one
+            # power, then one multiply by q^{-2 beta} per step
             with mpmath.mp.workdps(dps):
                 qmp = mpmath.mpf(grid.q)
-                assert row == mp_kappa_row(qmp, v.beta, tab, t_lo, t_hi)
+                b = mpmath.mpf(v.beta)
+                step = qmp ** (-2 * b)
+                p = qmp ** (-2 * b * (t_lo + b))
+                fresh = []
+                for t in range(t_lo, t_hi + 1):
+                    fresh.append((p * tab[t])._mpf_)
+                    p *= step
+                assert row == fresh
                 wexp = 2.0 * v.abs_v + 2.0
                 for n in ns:
                     assert weights[n] == ((1 - qmp) * qmp ** (n * wexp))._mpf_

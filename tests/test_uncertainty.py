@@ -23,7 +23,6 @@ from qwave.uncertainty import (
     _slice_ratio,
     empirical_lower_constant,
     heisenberg_slice_minimum,
-    op_S,
     parallel_map,
     probe_family,
     uncertainty_report,
@@ -53,18 +52,6 @@ class TestProbeFamily:
     def test_mean_free_probes_are_normalized(self, plan00):
         probes = probe_family(plan00)
         assert plan00.norm_sq(probes[-1].values) == pytest.approx(1.0, rel=1e-12)
-
-
-class TestMomentOperators:
-    def test_spectral_operator_is_homogeneous(self, plan00):
-        f = probe_family(plan00)[-1]
-        base = op_S(f, plan00).values
-        scaled = op_S(f.scaled(-4.0), plan00).values
-        np.testing.assert_allclose(scaled, -4.0 * base, rtol=1e-13)
-
-    def test_spectral_operator_vanishes_on_zero(self, plan00, grid00):
-        out = op_S(GridFunction.zeros(grid00), plan00)
-        assert np.all(out.values == 0.0)
 
 
 class TestUncertaintyReport:

@@ -15,6 +15,7 @@ every lattice depth.
 
 import functools
 import math
+import weakref
 
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
@@ -137,7 +138,14 @@ def spectrum_dps(q, depth):
 
 # --- on-lattice kernel table ---------------------------------------------
 
-_tables = {}
+class _Table(dict):
+    """A kernel table: {s: mpf}. A dict that _tables can refer to weakly."""
+    __slots__ = ("__weakref__",)
+
+
+# (nu, q) -> the table last built for it, while something else (a plan)
+# holds it.
+_tables = weakref.WeakValueDictionary()
 
 # How far past the deepest requested index the recurrence is seeded.
 RECURRENCE_BUFFER = 8
@@ -177,7 +185,7 @@ def _kernel_values(nu, q, s_min, s_max):
     tiny = ctx.mpf(10) ** (-KERNEL_DPS - 5)
     ratios = [None]  # ratios[k] is r_k, built on first use
     Qk = ctx.mpf(1)
-    out = {}
+    out = _Table()
 
     def ratio(k):
         nonlocal Qk
@@ -228,6 +236,11 @@ def _kernel_values(nu, q, s_min, s_max):
 
 def lattice_kernel(nu, q, s_min, s_max):
     """Cached j_nu(q^s; q^2) table over [s_min, s_max] (mpf values).
+
+    The cache refers to a table weakly: it keeps it while a caller holds
+    it (each TransformPlan holds its own), and drops it after the last
+    holder goes. So a sweep over many (nu, q) keeps only the tables its
+    live plans use.
 
     The first request for a (nu, q) builds the table over
     [min(s_min, 0), max(s_max, 0)]. A request past the stored range

@@ -10,6 +10,7 @@ keep construction order. Output files are UTF-8 with LF line ends.
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,8 +26,8 @@ from qwave.qwavelet import (WaveletPlane, cwt, factorization_error,
                             wavelet_plancherel_ratio)
 from qwave.uncertainty import (WorkerError, empirical_lower_constant,
                                heisenberg_slice_minimum, parallel_map,
-                               probe_family, uncertainty_report,
-                               weighted_energy_ratio)
+                               probe_family, probe_reports,
+                               uncertainty_report, weighted_energy_ratio)
 
 ACCEPTANCE_Q = (0.3, 0.5, 0.7)
 ACCEPTANCE_V = ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))
@@ -288,8 +289,7 @@ def cmd_uncertainty(cfg, args):
         return _run_sweep(cfg, args)
     plan = make_plan(cfg.grid(), cfg.v)
     spec = _MOTHERS[cfg.mother](plan)
-    probes = probe_family(plan)
-    reports = [uncertainty_report(WaveletPlane(f, spec)) for f in probes]
+    reports = probe_reports(probe_family(plan), spec)
     for i, r in enumerate(reports):
         if not math.isfinite(r.ratio):
             raise ValueError(
@@ -537,6 +537,20 @@ def cmd_verify(cfg, args):
 # --- argument wiring --------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse takes a token that starts with '-' for an option name
+    unless it is digits with at most a point: `--lam -inf` or `--q -1e5`
+    would fail as a missing argument. This parser, and the subcommand
+    parsers made from it, read every negative float literal (exponent,
+    inf, nan) as a value, so the value reaches the checks."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+            re.IGNORECASE)
+
+
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=float, default=None)
@@ -548,7 +562,7 @@ def _build_parser():
                         help="flat key=value file; flags override it")
     common.add_argument("--out", default=None, help="output file (default stdout)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwave",
         description="Harmonic analysis on the geometric grid {q^n}.")
     sub = parser.add_subparsers(dest="command", required=True)

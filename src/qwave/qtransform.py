@@ -20,8 +20,8 @@ import math
 import numpy as np
 from mpmath.libmp import from_float, mpf_mul, round_nearest, to_float
 
-from qwave.qbessel import (FLOAT_ROW_DPS, kappa_row, mp_context, mp_dot,
-                           spectrum_dps)
+from qwave.qbessel import (FLOAT_ROW_DPS, kappa_row, lattice_kernel,
+                           mp_context, mp_dot, spectrum_dps)
 from qwave.qgrid import GridFunction, jackson_weights, weight_exponent
 
 CALIBRATION_SPREAD_TOL = 1e-6
@@ -40,16 +40,20 @@ class TransformPlan:
 
     Its high-precision operands are kept with it, per working precision
     from qbessel's table: kappa_row(dps) and mp_weights(ns, dps) build
-    each on its first request and look it up after that."""
+    each on its first request and look it up after that. It holds its
+    kernel table, which keeps the table in qbessel's cache while the
+    plan lives, so a kappa_row at a new dps builds no table entries."""
 
     __slots__ = ("grid", "v", "c_qv", "matrix", "weights",
-                 "calibration_residual", "_mp_operands")
+                 "calibration_residual", "_table", "_mp_operands")
 
     def __init__(self, grid, v):
         self.grid = grid
         self.v = v
         self.c_qv = 1.0
         self.weights = jackson_weights(grid, v)
+        self._table = lattice_kernel(v.nu, grid.q, 2 * grid.n_low,
+                                     2 * grid.n_high)
         # matrix[i, j] = kernel at index sum n_i + n_j; symmetric by construction
         sums = np.add.outer(grid.indices, grid.indices) - 2 * grid.n_low
         row = [to_float(k, rnd=round_nearest)
@@ -82,8 +86,8 @@ class TransformPlan:
     def mp_transform(self, values, s_values, dps):
         """The transform sum c * sum_n w(n) values[n] kappa(n + s) at dps
         digits for each s in s_values, as {s: raw mpf tuple}. values is
-        {n: raw mpf tuple}; every index sum n + s must lie in the plan's
-        range [2 n_low, 2 n_high].
+        {n: raw mpf tuple}; an index sum n + s outside the plan's range
+        [2 n_low, 2 n_high] raises ValueError.
 
         Each w(n) values[n] is an exact product rounded once, each sum
         is one mp_dot against the kappa row (exact products, rounded
@@ -92,12 +96,21 @@ class TransformPlan:
         the row come from the plan's cache, so a call on a warm plan
         computes one multiply per entry of values and the dot products.
         """
+        s_values = list(s_values)
+        t_lo, t_hi = 2 * self.grid.n_low, 2 * self.grid.n_high
+        if values and s_values and (
+                min(values) + min(s_values) < t_lo
+                or max(values) + max(s_values) > t_hi):
+            raise ValueError(
+                f"index sums [{min(values) + min(s_values)}, "
+                f"{max(values) + max(s_values)}] leave the plan's range "
+                f"[{t_lo}, {t_hi}]")
         prec = mp_context(dps).prec
         weights = self.mp_weights(values, dps)
         kap = self.kappa_row(dps)
         weighted = [mpf_mul(weights[n], val, prec, round_nearest)
                     for n, val in values.items()]
-        offsets = [n - 2 * self.grid.n_low for n in values]
+        offsets = [n - t_lo for n in values]
         c = from_float(self.c_qv)
         return {s: mpf_mul(c, mp_dot(weighted, [kap[o + s] for o in offsets],
                                      prec), prec, round_nearest)
@@ -205,7 +218,7 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     converted exactly, and mpf values let an input carry excess
     precision. Returns {s: float} over [s_lo, s_hi], defaulting to the
     grid index range. An index sum n + s outside the plan's range
-    [2 n_low, 2 n_high] raises ValueError.
+    [2 n_low, 2 n_high] raises ValueError (from plan.mp_transform).
     """
     grid = plan.grid
     if s_lo is None:
@@ -218,14 +231,8 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
         support = dict(f)
     if not support:
         return {s: 0.0 for s in range(s_lo, s_hi + 1)}
-    ns = list(support)
-    t_lo, t_hi = 2 * grid.n_low, 2 * grid.n_high
-    if min(ns) + s_lo < t_lo or max(ns) + s_hi > t_hi:
-        raise ValueError(
-            f"index sums [{min(ns) + s_lo}, {max(ns) + s_hi}] leave the "
-            f"plan's range [{t_lo}, {t_hi}]")
     depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
-                *(abs(n) for n in ns))
+                *(abs(n) for n in support))
     dps = spectrum_dps(grid.q, depth)
     ctx = mp_context(dps)
     values = {n: ctx.mpf(val)._mpf_ for n, val in support.items()}

@@ -11,12 +11,15 @@ probe family therefore carries mean-free members, and the minimizing
 probe is always one of them, which is what makes the reported lower
 constant stable under grid refinement.
 
-Everything here runs in the calling thread. The one parallel path is
-``parallel_map``, which runs independent cells (a verify cell, a sweep
-cell) in worker processes: the work is mpmath and small float64 kernels
-that hold the interpreter lock, so threads cannot overlap it. Callers may
-still call in from several threads: no result depends on threads, workers
-or ``mpmath.mp``, as each high-precision block has its own mpmath context.
+The one parallel path is ``parallel_map``, which runs independent work
+in forked worker processes: a verify or sweep cell, or one probe's plane
+and report (``probe_reports``). The work is mpmath and small float64
+kernels that hold the interpreter lock, so threads cannot overlap it.
+Workers never nest: inside a worker, ``parallel_map`` runs inline, so a
+sweep runs its cells on workers and each cell's probes in its worker.
+Callers may still call in from several threads: no result depends on
+threads, workers or ``mpmath.mp``, as each high-precision block has its
+own mpmath context.
 """
 
 import math
@@ -45,34 +48,56 @@ class WorkerError(RuntimeError):
     result (killed, or out of memory)."""
 
 
-def parallel_map(fn, items):
-    """Map fn over independent items on worker processes, yielding the
-    results in input order as they arrive.
+# fn and the shared arguments of the parallel_map that started this
+# worker process; fork hands them over, so they are never pickled.
+_worker_call = None
 
-    fn must be a module-level function and the items and results
-    picklable. One worker per CPU in the affinity mask, at most one per
-    item. Workers are forked, so each starts from the caller's state.
-    fn runs inline, in this process, when that count is 1, inside a
-    daemonic process (which may not start children) or where the
-    affinity mask is unavailable (not Linux). An exception fn raises in
-    a worker is raised here, at its item's position; a worker that dies
-    raises WorkerError."""
+
+def _start_worker(fn, shared):
+    global _worker_call
+    _worker_call = fn, shared
+
+
+def _run_in_worker(item):
+    fn, shared = _worker_call
+    return fn(*shared, item)
+
+
+def parallel_map(fn, items, shared=()):
+    """Map fn(*shared, item) over independent items on worker processes,
+    yielding the results in input order as they arrive.
+
+    Workers are forked, so each starts from the caller's state: fn and
+    shared reach them through fork and are never pickled (shared may
+    hold mpf values of a private mpmath context); only the items and
+    the results are. One worker per CPU in the affinity mask, at most
+    one per item. fn runs inline, in this process, when that count is
+    1, inside any multiprocessing child (so workers never nest: a
+    parallel_map inside a worker runs in that worker), outside the main
+    thread (fork copies only the calling thread, and a lock another
+    thread holds stays held in the child) or where the affinity mask is
+    unavailable (not Linux). An exception fn raises in a worker is
+    raised here, at its item's position; a worker that dies raises
+    WorkerError."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(items))
     if workers > 1:
         import multiprocessing
-        if multiprocessing.current_process().daemon:
+        import threading
+        if (multiprocessing.parent_process() is not None
+                or threading.current_thread() is not threading.main_thread()):
             workers = 1
     if workers <= 1:
-        yield from map(fn, items)
+        yield from (fn(*shared, item) for item in items)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(fn, shared)) as pool:
         try:
-            yield from pool.map(fn, items)
+            yield from pool.map(_run_in_worker, items)
         except BrokenProcessPool as exc:
             raise WorkerError("a worker process ended before returning "
                               "its result") from exc
@@ -183,11 +208,22 @@ def weighted_energy_ratio(plane):
     return num / den
 
 
+def _probe_report(spec, f):
+    return uncertainty_report(WaveletPlane(f, spec))
+
+
+def probe_reports(probes, spec):
+    """uncertainty_report of each probe's WaveletPlane under spec, in
+    probe order. The planes are built and reported on parallel_map's
+    workers, which inherit spec; only the probes and the reports cross
+    between processes. A probe's exception is raised at its position."""
+    return list(parallel_map(_probe_report, probes, (spec,)))
+
+
 def empirical_lower_constant(probes, spec):
     """min over probes of sqrt(I_R * I_S) / ||f||^2; the reported
     empirical stand-in for the uncertainty inequality's constant, from
-    one WaveletPlane per probe, built one at a time."""
+    probe_reports."""
     if not probes:
         raise ValueError("need at least one probe")
-    return min(uncertainty_report(WaveletPlane(f, spec)).ratio
-               for f in probes)
+    return min(r.ratio for r in probe_reports(probes, spec))

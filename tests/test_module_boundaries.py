@@ -1,7 +1,7 @@
 """Module boundaries of the library: qbessel is its one high-precision
 layer and the one place that sets a working precision, no module
-reaches into another module's private names, and each kind of sum has
-one home."""
+reaches into another module's private names, each kind of sum has one
+home, and parallel_map is the one place that starts processes."""
 
 import ast
 from collections import Counter
@@ -132,9 +132,17 @@ def test_precision_home_may_set_digits():
     assert boundary_breaches(source, PRECISION_HOME) == []
 
 
-def sum_calls(source, module):
-    """(line, function, scope) for every call of a SUM_HOMES function,
-    scope being the dotted module.class.function path around it."""
+# Calls that make a process pool or a process: parallel_map alone may
+# make them, so that there is one worker path and workers never nest.
+PROCESS_CALLS = ("ProcessPoolExecutor", "Pool", "Process", "get_context",
+                 "fork", "forkpty")
+PROCESS_HOME = "uncertainty.parallel_map"
+
+
+def sum_calls(source, module, names=SUM_HOMES):
+    """(line, function, scope) for every call of a function in names (the
+    SUM_HOMES functions by default), scope being the dotted
+    module.class.function path around it."""
     calls = []
 
     def visit(node, scope):
@@ -147,7 +155,7 @@ def sum_calls(source, module):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else \
                     getattr(func, "id", None)
-                if name in SUM_HOMES:
+                if name in names:
                     calls.append((child.lineno, name, ".".join(scope)))
             visit(child, scope)
 
@@ -222,3 +230,70 @@ def test_sum_guard_flags_each_breach(source, module):
 ])
 def test_sum_guard_allows_the_homes(source, module):
     assert sum_breaches(source, module) == []
+
+
+def process_breaches(source, module):
+    """(line, what) for every call that makes a process pool or a
+    process outside parallel_map, and every import that renames such a
+    function."""
+    found = [(line, f"{name} called in {scope}")
+             for line, name, scope in sum_calls(source, module,
+                                                PROCESS_CALLS)
+             if scope != PROCESS_HOME]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.split(".")[-1] in PROCESS_CALLS and \
+                        alias.asname not in (None, alias.name):
+                    found.append((node.lineno, f"{alias.name} renamed"))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_processes_start_only_in_parallel_map(path):
+    assert process_breaches(path.read_text(), path.stem) == []
+
+
+def test_parallel_map_makes_the_pool():
+    calls = [(name, scope) for path in SRC.glob("*.py")
+             for _, name, scope in sum_calls(path.read_text(), path.stem,
+                                             PROCESS_CALLS)]
+    assert ("ProcessPoolExecutor", PROCESS_HOME) in calls
+
+
+@pytest.mark.parametrize("source,module", [
+    ("import os\npid = os.fork()", "qwavelet"),
+    ("def probe_reports(probes, spec):\n"
+     "    with ProcessPoolExecutor(2) as pool:\n"
+     "        return list(pool.map(f, probes))", "uncertainty"),
+    ("import multiprocessing\n"
+     "def run():\n    return multiprocessing.Pool(2)", "qcli"),
+    ("from multiprocessing import get_context\n"
+     "ctx = get_context('fork')", "qcli"),
+    ("import multiprocessing\n"
+     "p = multiprocessing.Process(target=print)", "qbessel"),
+    ("def parallel_map(fn, items):\n"
+     "    def inner():\n        return os.fork()\n    return inner",
+     "uncertainty"),
+    ("from concurrent.futures import ProcessPoolExecutor as Executor",
+     "uncertainty"),
+    ("from os import fork as spawn_copy", "qcli"),
+])
+def test_process_guard_flags_each_breach(source, module):
+    assert process_breaches(source, module)
+
+
+@pytest.mark.parametrize("source,module", [
+    ("def parallel_map(fn, items):\n"
+     "    import multiprocessing\n"
+     "    ctx = multiprocessing.get_context('fork')\n"
+     "    with ProcessPoolExecutor(2, mp_context=ctx) as pool:\n"
+     "        yield from pool.map(fn, items)", "uncertainty"),
+    ("from concurrent.futures import ProcessPoolExecutor", "uncertainty"),
+    ("def probe_reports(probes, spec):\n"
+     "    return list(parallel_map(f, probes, (spec,)))", "uncertainty"),
+])
+def test_process_guard_allows_parallel_map(source, module):
+    assert process_breaches(source, module) == []
+

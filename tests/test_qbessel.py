@@ -1,6 +1,7 @@
 """q-Bessel series, the modified two-parameter kernel, the second-order
 difference operator, and the high-precision lattice table."""
 
+import gc
 import math
 import os
 import sys
@@ -22,6 +23,7 @@ from qwave.qbessel import (
     normalized_q_bessel_bound,
 )
 from qwave.qgrid import BesselParams, GridFunction, build_grid
+from qwave.qtransform import make_plan
 
 
 def series_reference(alpha, x, q, terms=60, dps=60):
@@ -376,3 +378,36 @@ class TestLatticeTableExtension:
                     assert_one_shot(nu, q, tab)
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestTablesLiveWithTheirPlans:
+    """qbessel._tables refers to its tables weakly, and each plan holds
+    its own: a table stays cached while a plan uses it and no longer."""
+
+    def test_key_leaves_with_its_last_plan(self, monkeypatch):
+        built = []
+        build = qbessel._kernel_values
+
+        def recording(*args):
+            out = build(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(qbessel, "_kernel_values", recording)
+        v, q = BesselParams(0.375, 0.125), 0.4375
+        key = (v.nu, q)
+        assert key not in qbessel._tables
+        # the second plan's index sums lie inside the first one's table
+        plans = [make_plan(build_grid(q, -12, 24), v),
+                 make_plan(build_grid(q, -10, 20), v)]
+        assert key in qbessel._tables
+        assert built == [73]
+        [plan.kappa_row(dps) for dps in (40, 90) for plan in plans]
+        assert built == [73]
+        del plans[0]
+        gc.collect()
+        assert key in qbessel._tables
+        del plans
+        gc.collect()
+        assert key not in qbessel._tables
+

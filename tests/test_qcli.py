@@ -2,10 +2,13 @@
 17-digit formatting, and exit codes. Commands run in-process through
 main(argv) so stdout/stderr land in capsys."""
 
+import concurrent.futures
 import contextlib
+import gc
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -147,6 +150,17 @@ class TestExitCodes:
         rc, _, err = run(capsys, "bessel", "--eigencheck", "--lam", lam)
         assert rc == 2
         assert err == f"qwave: lam must be positive and finite, got {lam}\n"
+
+    @pytest.mark.parametrize("lam", ["-inf", "-nan", "-1e5", "-0.5"])
+    def test_negative_eigencheck_rate_either_spelling(self, capsys, lam):
+        # argparse took "-inf" after "--lam" for an option name
+        runs = [run(capsys, "bessel", "--eigencheck", *argv)
+                for argv in (["--lam", lam], [f"--lam={lam}"])]
+        assert runs[0] == runs[1]
+        rc, out, err = runs[0]
+        assert (rc, out) == (2, "")
+        assert err.startswith("qwave: lam must be positive and finite, got ")
+        assert err.count("\n") == 1
 
     def test_huge_eigencheck_rate_is_numerical(self, capsys):
         rc, _, err = run(capsys, "bessel", "--eigencheck", "--lam", "1e300")
@@ -510,8 +524,8 @@ class TestUncertaintyCommand:
             assert float(line.split(",")[3]) > 0.0
 
     def test_sweep_pooled_equals_inline(self, capsys, monkeypatch, tmp_path):
-        # (alpha, beta) = (0, 0) and (0.25, 0.25) share nu = 0, so inline
-        # the second cell at each q finds the first one's kernel table
+        # (alpha, beta) = (0, 0) and (0.25, 0.25) share nu = 0; a cell's
+        # table goes with its plan, so each cell builds its own either way
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("q_list=0.4,0.6\nalpha_list=0,0.25\nbeta_list=0,0.25\n")
         outs = []
@@ -523,6 +537,47 @@ class TestUncertaintyCommand:
             outs.append(out)
         assert len(outs[0].splitlines()) == 5
         assert outs[0] == outs[1]
+
+
+    def test_sweep_starts_one_level_of_workers(self, capsys, monkeypatch,
+                                               tmp_path):
+        # the cells run on workers, and each cell's probes in its worker:
+        # one pool, made here, and every probe report made in a worker
+        log = tmp_path / "pids.log"
+
+        def record(what):
+            with open(log, "a") as fh:
+                fh.write(f"{what} {os.getpid()}\n")
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                record("pool")
+                super().__init__(*args, **kwargs)
+
+        report = uncertainty.uncertainty_report
+
+        def recorded_report(plane):
+            record("report")
+            return report(plane)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorded)
+        monkeypatch.setattr(uncertainty, "uncertainty_report",
+                            recorded_report)
+        set_cpus(monkeypatch, 2)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("q_list=0.4,0.6\nalpha_list=0\nbeta_list=0\n")
+        rc, out, err = run(capsys, "uncertainty", "--sweep", str(cfg),
+                           "--nlow", "-12", "--nhigh", "24")
+        assert (rc, err) == (0, "")
+        assert len(out.splitlines()) == 3
+        entries = [line.split() for line in log.read_text().splitlines()]
+        assert [pid for what, pid in entries if what == "pool"] == \
+            [str(os.getpid())]
+        reporters = {pid for what, pid in entries if what == "report"}
+        assert len(entries) == 1 + 2 * 9
+        assert 1 <= len(reporters) <= 2
+        assert str(os.getpid()) not in reporters
 
 
 class TestConfigMerging:
@@ -572,6 +627,25 @@ class TestVerifyCommand:
         report = qcli.run_cell_checks(0.45, 0.5, 0.25, -12, 24)
         assert report["passed"]
         assert calls == [(0.25, 0.45, -96, 192)]
+
+    def test_cell_table_lives_as_long_as_the_cell(self, monkeypatch):
+        # in the weak cache too: the x2 and x1 plans find the x4 plan's
+        # table while the cell holds all three, and it goes with the cell
+        calls = []
+        build = qbessel._kernel_values
+
+        def recording(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(qbessel, "_kernel_values", recording)
+        key = (0.25, 0.46)
+        assert key not in qbessel._tables
+        report = qcli.run_cell_checks(0.46, 0.5, 0.25, -12, 24)
+        assert report["passed"]
+        assert calls == [(0.25, 0.46, -96, 192)]
+        gc.collect()
+        assert key not in qbessel._tables
 
     def test_cell_reads_one_spectrum_per_plane(self, monkeypatch):
         # one per wavelet (x1, x2, x4), one per x1 and x2 probe plane, one

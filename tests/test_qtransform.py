@@ -459,6 +459,21 @@ class TestMpTransform:
             global_transform(values, plan, s_values, dps)
 
 
+    def test_index_sum_off_the_plan_range_rejected(self, plan00):
+        # the kappa row is a list over [2 n_low, 2 n_high] = [-40, 80]: a
+        # sum below it must not wrap to the row's far end, and one above
+        # it must not end in an IndexError
+        one = {0: from_float(1.0)}
+        for s in (-41, -50, 81):
+            with pytest.raises(ValueError, match=r"plan's range \[-40, 80\]"):
+                plan00.mp_transform(one, [0, s], 60)
+        with pytest.raises(ValueError, match=r"index sums \[-45, 5\]"):
+            plan00.mp_transform({-5: from_float(1.0), 5: from_float(1.0)},
+                                range(-40, 1), 60)
+        edges = plan00.mp_transform(one, [-40, 80], 60)
+        assert edges == global_transform(one, plan00, [-40, 80], 60)
+
+
 def _random_mpf(rng, spread):
     """A random mpf at the current precision: zero one time in ten, else
     a signed mantissa of up to 2*prec bits times 2^e, |e| <= spread."""

@@ -27,6 +27,7 @@ from qwave.uncertainty import (
     heisenberg_slice_minimum,
     parallel_map,
     probe_family,
+    probe_reports,
     uncertainty_report,
     weighted_energy_ratio,
 )
@@ -174,6 +175,36 @@ class TestPlaneIntegral:
         assert weighted_energy_ratio(plane) == want[0] / den
 
 
+class TestProbeReports:
+    """The probes' planes and reports on parallel_map's workers. The spec
+    reaches them through fork: its mp_values hold mpf values of a private
+    mpmath context, which do not pickle."""
+
+    def test_identical_inline_and_pooled(self, monkeypatch, spec_shifted):
+        probes = probe_family(spec_shifted.plan)
+        runs = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            runs.append((probe_reports(probes, spec_shifted),
+                         empirical_lower_constant(probes, spec_shifted)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [uncertainty_report(
+            WaveletPlane(f, spec_shifted)) for f in probes]
+        assert runs[0][1] == min(r.ratio for r in runs[0][0])
+
+    def test_zero_probe_raises_through_the_pool(self, monkeypatch, spec00,
+                                                grid00):
+        probes = probe_family(spec00.plan)[:2]
+        probes.insert(1, GridFunction.zeros(grid00))
+        errors = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError, match="zero function") as exc:
+                empirical_lower_constant(probes, spec00)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+
 class TestSliceRatios:
     def test_slice_value_matches_by_hand(self, plan00, spec00):
         f = probe_family(plan00)[1]
@@ -242,6 +273,15 @@ def _map_in_daemon(items):
     return list(parallel_map(_pid_of, items))
 
 
+def _pid_and_inner_pids(_):
+    return os.getpid(), list(parallel_map(_pid_of, range(3)))
+
+
+class _Unpicklable:
+    def __reduce__(self):
+        raise TypeError("shared arguments must not be pickled")
+
+
 class TestParallelMap:
     def test_one_cpu_runs_inline(self, monkeypatch):
         set_cpus(monkeypatch, 1)
@@ -264,6 +304,32 @@ class TestParallelMap:
             pids = pool.apply_async(_map_in_daemon, ([0, 1, 2],)).get(60)
         assert len(set(pids)) == 1
         assert pids[0] != os.getpid()
+
+    def test_workers_never_nest(self, monkeypatch):
+        # a parallel_map inside a worker runs in that worker, even though
+        # a ProcessPoolExecutor worker is not daemonic and may fork
+        set_cpus(monkeypatch, 2)
+        results = list(parallel_map(_pid_and_inner_pids, range(4)))
+        for pid, inner in results:
+            assert pid != os.getpid()
+            assert inner == [pid] * 3
+
+    def test_other_threads_run_inline(self, monkeypatch):
+        # fork copies only the calling thread; a call from another
+        # thread runs in that thread instead of forking
+        set_cpus(monkeypatch, 2)
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            pids = pool.submit(
+                lambda: list(parallel_map(_pid_of, range(3)))).result(60)
+        assert pids == [os.getpid()] * 3
+
+    def test_shared_arguments_reach_workers_unpickled(self, monkeypatch):
+        # shared goes to the workers by fork: fn(*shared, item)
+        set_cpus(monkeypatch, 2)
+        shared = (_Unpicklable(), 10)
+        got = list(parallel_map(lambda u, k, x: (type(u).__name__, k + x),
+                                range(4), shared))
+        assert got == [("_Unpicklable", 10 + x) for x in range(4)]
 
     def test_worker_exception_raised_at_its_item(self, monkeypatch):
         set_cpus(monkeypatch, 2)
@@ -289,9 +355,11 @@ class TestThreading:
         pools = []
 
         class Recorded(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer,
+                         initargs):
                 pools.append((max_workers, mp_context.get_start_method()))
-                super().__init__(max_workers, mp_context=mp_context)
+                super().__init__(max_workers, mp_context=mp_context,
+                                 initializer=initializer, initargs=initargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
         set_cpus(monkeypatch, 3)

@@ -266,16 +266,18 @@ def lattice_kernel(nu, q, s_min, s_max):
     return tab
 
 
-def kappa_row(grid, v, dps):
+def kappa_row(tab, grid, v, dps):
     """kappa(t) = q^{-2 beta (t+beta)} j_nu(q^t; q^2) at dps digits for
     every index sum t in [2 n_low, 2 n_high] of the grid, as a list of
-    raw mpf tuples (mp_dot's operand form) starting at 2 n_low.
+    raw mpf tuples (mp_dot's operand form) starting at 2 n_low, from
+    tab, a lattice_kernel table for (v.nu, grid.q) over at least that
+    range. It reads tab only, so the row does not depend on what the
+    cache holds now.
 
     One power, then one libmp.mpf_mul by q^{-2 beta} per step (the call
     mpf * mpf makes, without the object): no mpmath power per entry.
     """
     t_lo, t_hi = 2 * grid.n_low, 2 * grid.n_high
-    tab = lattice_kernel(v.nu, grid.q, t_lo, t_hi)
     ctx = mp_context(dps)
     prec = ctx.prec
     qmp = ctx.mpf(grid.q)

@@ -41,8 +41,10 @@ class TransformPlan:
     Its high-precision operands are kept with it, per working precision
     from qbessel's table: kappa_row(dps) and mp_weights(ns, dps) build
     each on its first request and look it up after that. It holds its
-    kernel table, which keeps the table in qbessel's cache while the
-    plan lives, so a kappa_row at a new dps builds no table entries."""
+    kernel table and builds every kappa row from it, so a kappa_row at a
+    new dps builds no table entries and gives the same row whatever
+    qbessel's cache holds by then; holding it also keeps the table in
+    that cache while the plan lives."""
 
     __slots__ = ("grid", "v", "c_qv", "matrix", "weights",
                  "calibration_residual", "_table", "_mp_operands")
@@ -57,18 +59,19 @@ class TransformPlan:
         # matrix[i, j] = kernel at index sum n_i + n_j; symmetric by construction
         sums = np.add.outer(grid.indices, grid.indices) - 2 * grid.n_low
         row = [to_float(k, rnd=round_nearest)
-               for k in kappa_row(grid, v, FLOAT_ROW_DPS)]
+               for k in kappa_row(self._table, grid, v, FLOAT_ROW_DPS)]
         self.matrix = np.array(row)[sums]
         self.calibration_residual = 0.0
         # dps -> [{n: weight}, kappa row or None]
         self._mp_operands = {}
 
     def kappa_row(self, dps):
-        """qbessel.kappa_row(grid, v, dps), built on the first request at
-        dps and kept with the plan: entry t - 2 n_low holds kappa(t)."""
+        """qbessel.kappa_row of the plan's own table at dps, built on the
+        first request at dps and kept with the plan: entry t - 2 n_low
+        holds kappa(t)."""
         ops = self._mp_operands.setdefault(dps, [{}, None])
         if ops[1] is None:
-            ops[1] = kappa_row(self.grid, self.v, dps)
+            ops[1] = kappa_row(self._table, self.grid, self.v, dps)
         return ops[1]
 
     def mp_weights(self, ns, dps):
@@ -97,24 +100,29 @@ class TransformPlan:
         computes one multiply per entry of values and the dot products.
         """
         s_values = list(s_values)
-        t_lo, t_hi = 2 * self.grid.n_low, 2 * self.grid.n_high
-        if values and s_values and (
-                min(values) + min(s_values) < t_lo
-                or max(values) + max(s_values) > t_hi):
-            raise ValueError(
-                f"index sums [{min(values) + min(s_values)}, "
-                f"{max(values) + max(s_values)}] leave the plan's range "
-                f"[{t_lo}, {t_hi}]")
+        if values and s_values:
+            self.check_index_sums(min(values), max(values), min(s_values),
+                                  max(s_values))
         prec = mp_context(dps).prec
         weights = self.mp_weights(values, dps)
         kap = self.kappa_row(dps)
         weighted = [mpf_mul(weights[n], val, prec, round_nearest)
                     for n, val in values.items()]
-        offsets = [n - t_lo for n in values]
+        offsets = [n - 2 * self.grid.n_low for n in values]
         c = from_float(self.c_qv)
         return {s: mpf_mul(c, mp_dot(weighted, [kap[o + s] for o in offsets],
                                      prec), prec, round_nearest)
                 for s in s_values}
+
+    def check_index_sums(self, n_lo, n_hi, s_lo, s_hi):
+        """Raise ValueError unless every index sum n + s with n in
+        [n_lo, n_hi] and s in [s_lo, s_hi] lies in the plan's range
+        [2 n_low, 2 n_high], where its kappa row is defined."""
+        t_lo, t_hi = 2 * self.grid.n_low, 2 * self.grid.n_high
+        if n_lo + s_lo < t_lo or n_hi + s_hi > t_hi:
+            raise ValueError(
+                f"index sums [{n_lo + s_lo}, {n_hi + s_hi}] leave the "
+                f"plan's range [{t_lo}, {t_hi}]")
 
     def fourier_values(self, values):
         """Raw transform of a value array (same index range in and out)."""
@@ -218,7 +226,8 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     converted exactly, and mpf values let an input carry excess
     precision. Returns {s: float} over [s_lo, s_hi], defaulting to the
     grid index range. An index sum n + s outside the plan's range
-    [2 n_low, 2 n_high] raises ValueError (from plan.mp_transform).
+    [2 n_low, 2 n_high] raises ValueError before any precision is set
+    up for it (plan.check_index_sums).
     """
     grid = plan.grid
     if s_lo is None:
@@ -231,6 +240,8 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
         support = dict(f)
     if not support:
         return {s: 0.0 for s in range(s_lo, s_hi + 1)}
+    if s_lo <= s_hi:
+        plan.check_index_sums(min(support), max(support), s_lo, s_hi)
     depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
                 *(abs(n) for n in support))
     dps = spectrum_dps(grid.q, depth)

@@ -48,54 +48,49 @@ class WorkerError(RuntimeError):
     result (killed, or out of memory)."""
 
 
-# fn and the shared arguments of the parallel_map that started this
-# worker process; fork hands them over, so they are never pickled.
-_worker_call = None
+# fn of the parallel_map that started this worker process; fork hands
+# it over, so it is never pickled.
+_worker_fn = None
 
 
-def _start_worker(fn, shared):
-    global _worker_call
-    _worker_call = fn, shared
+def _start_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
 
 
 def _run_in_worker(item):
-    fn, shared = _worker_call
-    return fn(*shared, item)
+    return _worker_fn(item)
 
 
-def parallel_map(fn, items, shared=()):
-    """Map fn(*shared, item) over independent items on worker processes,
-    yielding the results in input order as they arrive.
+def parallel_map(fn, items):
+    """Map fn over independent items on worker processes, yielding the
+    results in input order as they arrive.
 
-    Workers are forked, so each starts from the caller's state: fn and
-    shared reach them through fork and are never pickled (shared may
-    hold mpf values of a private mpmath context); only the items and
-    the results are. One worker per CPU in the affinity mask, at most
-    one per item. fn runs inline, in this process, when that count is
-    1, inside any multiprocessing child (so workers never nest: a
-    parallel_map inside a worker runs in that worker), outside the main
-    thread (fork copies only the calling thread, and a lock another
-    thread holds stays held in the child) or where the affinity mask is
-    unavailable (not Linux). An exception fn raises in a worker is
-    raised here, at its item's position; a worker that dies raises
-    WorkerError."""
+    Workers are forked, so each starts from the caller's state: fn
+    reaches them through fork and is never pickled (it may be a closure
+    over mpf values of a private mpmath context); only the items and the
+    results are. One worker per CPU in the affinity mask, at most one
+    per item. fn runs inline, in this process, when that count is 1,
+    inside any multiprocessing child (so workers never nest: a
+    parallel_map inside a worker runs in that worker) or where the
+    affinity mask is unavailable (not Linux). An exception fn raises in
+    a worker is raised here, at its item's position; a worker that dies
+    raises WorkerError."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(items))
     if workers > 1:
         import multiprocessing
-        import threading
-        if (multiprocessing.parent_process() is not None
-                or threading.current_thread() is not threading.main_thread()):
+        if multiprocessing.parent_process() is not None:
             workers = 1
     if workers <= 1:
-        yield from (fn(*shared, item) for item in items)
+        yield from map(fn, items)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
     with ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(fn, shared)) as pool:
+            initializer=_start_worker, initargs=(fn,)) as pool:
         try:
             yield from pool.map(_run_in_worker, items)
         except BrokenProcessPool as exc:
@@ -208,16 +203,13 @@ def weighted_energy_ratio(plane):
     return num / den
 
 
-def _probe_report(spec, f):
-    return uncertainty_report(WaveletPlane(f, spec))
-
-
 def probe_reports(probes, spec):
     """uncertainty_report of each probe's WaveletPlane under spec, in
     probe order. The planes are built and reported on parallel_map's
     workers, which inherit spec; only the probes and the reports cross
     between processes. A probe's exception is raised at its position."""
-    return list(parallel_map(_probe_report, probes, (spec,)))
+    return list(parallel_map(
+        lambda f: uncertainty_report(WaveletPlane(f, spec)), probes))
 
 
 def empirical_lower_constant(probes, spec):

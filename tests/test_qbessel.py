@@ -411,3 +411,29 @@ class TestTablesLiveWithTheirPlans:
         gc.collect()
         assert key not in qbessel._tables
 
+    def test_rows_read_the_plans_own_table(self, monkeypatch):
+        # a wider plan on the same (nu, q) replaces the cached table; once
+        # it is gone, the narrow plan's rows still come from its own table
+        built = []
+        build = qbessel._kernel_values
+
+        def recording(*args):
+            out = build(*args)
+            built.append(len(out))
+            return out
+
+        monkeypatch.setattr(qbessel, "_kernel_values", recording)
+        v, q = BesselParams(0.375, 0.125), 0.5625
+        narrow = make_plan(build_grid(q, -10, 20), v)
+        narrow_row = narrow.kappa_row(40)
+        wide = make_plan(build_grid(q, -12, 24), v)
+        assert built == [61, 73]
+        del wide
+        gc.collect()
+        assert (v.nu, q) not in qbessel._tables
+        narrow.kappa_row(70)
+        assert built == [61, 73]
+        fresh = make_plan(build_grid(q, -10, 20), v)
+        assert narrow.kappa_row(70) == fresh.kappa_row(70)
+        assert narrow_row == fresh.kappa_row(40)
+

@@ -10,8 +10,8 @@ import pytest
 from mpmath.libmp import from_float
 
 from qwave import qtransform
-from qwave.qbessel import (lattice_kernel, modified_q_bessel, mp_dot,
-                           spectrum_dps)
+from qwave.qbessel import (lattice_kernel, modified_q_bessel, mp_context,
+                           mp_dot, spectrum_dps)
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
     CalibrationError,
@@ -208,6 +208,16 @@ class TestSpectrum:
                 spectrum(f, plan00, s_lo, s_hi)
         edges = spectrum(f, plan00, -40, 78)
         assert all(math.isfinite(val) for val in edges.values())
+
+    def test_rejected_before_any_precision_is_set_up(self, plan00, grid00):
+        # a far-off index would ask for a context of millions of digits;
+        # the call must raise before it builds one
+        f = GridFunction.from_pairs(grid00, [(0, 1.0), (2, -0.5)])
+        contexts = mp_context.cache_info().currsize
+        for s_lo, s_hi in ((-10 ** 6, 0), (0, 10 ** 6)):
+            with pytest.raises(ValueError, match="plan's range"):
+                spectrum(f, plan00, s_lo, s_hi)
+        assert mp_context.cache_info().currsize == contexts
 
 
 def per_term_spectrum(f, plan, s_lo, s_hi):

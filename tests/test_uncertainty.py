@@ -279,7 +279,7 @@ def _pid_and_inner_pids(_):
 
 class _Unpicklable:
     def __reduce__(self):
-        raise TypeError("shared arguments must not be pickled")
+        raise TypeError("fn must not be pickled")
 
 
 class TestParallelMap:
@@ -314,22 +314,24 @@ class TestParallelMap:
             assert pid != os.getpid()
             assert inner == [pid] * 3
 
-    def test_other_threads_run_inline(self, monkeypatch):
-        # fork copies only the calling thread; a call from another
-        # thread runs in that thread instead of forking
+    def test_other_threads_use_workers(self, monkeypatch):
+        # only the CPU count, nesting and the platform decide; a call
+        # from a thread other than the main one forks workers too
         set_cpus(monkeypatch, 2)
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
             pids = pool.submit(
                 lambda: list(parallel_map(_pid_of, range(3)))).result(60)
-        assert pids == [os.getpid()] * 3
+        assert os.getpid() not in pids
 
-    def test_shared_arguments_reach_workers_unpickled(self, monkeypatch):
-        # shared goes to the workers by fork: fn(*shared, item)
+    def test_fn_closure_reaches_workers_unpickled(self, monkeypatch):
+        # fn goes to the workers by fork, closure and all
         set_cpus(monkeypatch, 2)
-        shared = (_Unpicklable(), 10)
-        got = list(parallel_map(lambda u, k, x: (type(u).__name__, k + x),
-                                range(4), shared))
-        assert got == [("_Unpicklable", 10 + x) for x in range(4)]
+        held = _Unpicklable()
+        got = list(parallel_map(
+            lambda x: (type(held).__name__, os.getpid(), 10 + x), range(4)))
+        assert [(name, k) for name, _, k in got] == \
+            [("_Unpicklable", 10 + x) for x in range(4)]
+        assert os.getpid() not in {pid for _, pid, _ in got}
 
     def test_worker_exception_raised_at_its_item(self, monkeypatch):
         set_cpus(monkeypatch, 2)

@@ -73,8 +73,10 @@ def parallel_map(fn, items):
     per item. fn runs inline, in this process, when that count is 1,
     inside any multiprocessing child (so workers never nest: a
     parallel_map inside a worker runs in that worker) or where the
-    affinity mask is unavailable (not Linux). An exception fn raises in
-    a worker is raised here, at its item's position; a worker that dies
+    affinity mask is unavailable (not Linux). Any thread may call it:
+    fork copies only the calling thread, and qwave's own code holds no
+    lock a worker could inherit held. An exception fn raises in a
+    worker is raised here, at its item's position; a worker that dies
     raises WorkerError."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

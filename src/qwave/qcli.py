@@ -8,6 +8,7 @@ keep construction order. Output files are UTF-8 with LF line ends.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -17,9 +18,9 @@ import numpy as np
 
 from qwave.qbessel import (TruncationError, generalized_q_bessel_operator,
                            modified_q_bessel_bound)
-from qwave.qgrid import (BesselParams, GridFunction, build_grid,
-                         jackson_integral, jackson_weights, q_derivative,
-                         read_function, write_function, dilate)
+from qwave.qgrid import (BesselParams, GridFunction, build_grid, dilate,
+                         function_csv, jackson_integral, jackson_weights,
+                         q_derivative, read_function, write_function)
 from qwave.qtransform import CalibrationError, make_plan, q_bessel_fourier
 from qwave.qwavelet import (WaveletPlane, cwt, factorization_error,
                             indicator_difference_mother, operator_mother,
@@ -33,9 +34,6 @@ ACCEPTANCE_Q = (0.3, 0.5, 0.7)
 ACCEPTANCE_V = ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))
 
 _MOTHERS = {"operator": operator_mother, "indicator": indicator_difference_mother}
-
-_DEFAULTS = {"q": 0.5, "alpha": 0.0, "beta": 0.0, "n_low": -20, "n_high": 40,
-             "mother": "operator"}
 
 _LIST_KEYS = {"q_list", "alpha_list", "beta_list"}
 
@@ -65,31 +63,39 @@ def _json_text(obj):
     raise TypeError(f"no JSON form for {type(obj).__name__}")
 
 
-def _emit(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+def _emit(text, out_path=None, write=None):
+    """The one writer of every output. Without out_path, text goes to
+    sys.stdout, looked up at each call. With it, text goes to that file,
+    or write(out_path) writes it; an unwritable path is a usage error."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        if write:
+            write(out_path)
+        else:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}")
 
 
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters, merged from defaults, a flat key=value
-    config file, and command-line flags (flags win)."""
+    """Validated run parameters, merged from these defaults, a flat
+    key=value config file, and command-line flags (flags win). A field's
+    config key and flag are its name without the underscore: n_low is
+    nlow and --nlow. given holds the fields the file or a flag set."""
 
-    __slots__ = ("q", "alpha", "beta", "n_low", "n_high", "mother", "given")
+    q: float = 0.5
+    alpha: float = 0.0
+    beta: float = 0.0
+    n_low: int = -20
+    n_high: int = 40
+    mother: str = "operator"
+    given: frozenset = frozenset()
 
-    def __init__(self, q, alpha, beta, n_low, n_high, mother, given=()):
-        self.q = float(q)
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.n_low = int(n_low)
-        self.n_high = int(n_high)
-        self.mother = str(mother)
-        self.given = frozenset(given)
-        self.validate()
-
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise UsageError(f"q must lie in (0,1), got {fmt17(self.q)}")
         for name, val in (("alpha", self.alpha), ("beta", self.beta),
@@ -132,34 +138,27 @@ def parse_config_file(path):
     return out
 
 
-_CONFIG_KEYS = {"q": float, "alpha": float, "beta": float,
-                "nlow": int, "nhigh": int, "mother": str}
-_FIELD_OF = {"q": "q", "alpha": "alpha", "beta": "beta",
-             "nlow": "n_low", "nhigh": "n_high", "mother": "mother"}
+# config key and flag -> its RunConfig field (name, type, default)
+_PARAMS = {f.name.replace("_", ""): f
+           for f in dataclasses.fields(RunConfig) if f.name != "given"}
 
 
 def build_config(args):
-    fields = dict(_DEFAULTS)
-    given = set()
+    fields = {}
     if getattr(args, "config", None):
         for key, raw in parse_config_file(args.config).items():
             if key in _LIST_KEYS:
                 continue
-            if key not in _CONFIG_KEYS:
+            if key not in _PARAMS:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                fields[_FIELD_OF[key]] = _CONFIG_KEYS[key](raw)
+                fields[_PARAMS[key].name] = _PARAMS[key].type(raw)
             except ValueError:
                 raise UsageError(f"config key {key!r}: cannot parse {raw!r}")
-            given.add(_FIELD_OF[key])
-    for flag, field in _FIELD_OF.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            fields[field] = val
-            given.add(field)
-    return RunConfig(fields["q"], fields["alpha"], fields["beta"],
-                     fields["n_low"], fields["n_high"], fields["mother"],
-                     given)
+    for key, field in _PARAMS.items():
+        if getattr(args, key, None) is not None:
+            fields[field.name] = getattr(args, key)
+    return RunConfig(**fields, given=frozenset(fields))
 
 
 def _parse_float_list(raw, key):
@@ -212,12 +211,11 @@ def cmd_bessel(cfg, args):
         for i, x in enumerate(op.grid.points):
             denom = f.value_at(op.grid.n_low + i)
             lines.append(f"{fmt17(x)},{fmt17(op.values[i] / denom)}")
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    lines = ["x,value,err_bound"]
-    for x in grid.points:
-        val, bound = modified_q_bessel_bound(v, x, cfg.q)
-        lines.append(f"{fmt17(x)},{fmt17(val)},{fmt17(bound)}")
+    else:
+        lines = ["x,value,err_bound"]
+        for x in grid.points:
+            val, bound = modified_q_bessel_bound(v, x, cfg.q)
+            lines.append(f"{fmt17(x)},{fmt17(val)},{fmt17(bound)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -231,13 +229,7 @@ def cmd_fourier(cfg, args):
     f = _read_input(getattr(args, "infile", None))
     plan = make_plan(f.grid, cfg.v)
     g = q_bessel_fourier(f, plan)
-    if args.out:
-        write_function(g, args.out)
-    else:
-        lines = ["n,value"]
-        for i, n in enumerate(g.grid.indices):
-            lines.append(f"{int(n)},{fmt17(g.values[i])}")
-        _emit("\n".join(lines) + "\n", None)
+    _emit(function_csv(g), args.out, lambda path: write_function(g, path))
     return 0
 
 
@@ -295,7 +287,7 @@ def cmd_uncertainty(cfg, args):
             raise ValueError(
                 f"uncertainty ratio of probe {i} is {r.ratio:g} "
                 f"(I_R = {r.I_R:g}, I_S = {r.I_S:g}) "
-                f"{_cell_text(cfg.q, cfg.alpha, cfg.beta, cfg)}")
+                f"{_cell_text(cfg)}")
     lines = [_json_text({"I_R": r.I_R, "I_S": r.I_S, "norm_sq": r.norm_sq,
                          "ratio": r.ratio}) for r in reports]
     lines.append(_json_text({"K_emp": min(r.ratio for r in reports),
@@ -305,8 +297,8 @@ def cmd_uncertainty(cfg, args):
     return 0
 
 
-def _cell_text(q, alpha, beta, cfg):
-    return (f"at q = {q:g}, alpha = {alpha:g}, beta = {beta:g} "
+def _cell_text(cfg):
+    return (f"at q = {cfg.q:g}, alpha = {cfg.alpha:g}, beta = {cfg.beta:g} "
             f"on grid [{cfg.n_low}, {cfg.n_high}]")
 
 
@@ -321,13 +313,12 @@ def _run_sweep(cfg, args):
     if len(alphas) != len(betas):
         raise UsageError("alpha_list and beta_list must pair up "
                          f"({len(alphas)} vs {len(betas)} entries)")
-    cells = [RunConfig(q, alpha, beta, cfg.n_low, cfg.n_high, cfg.mother)
+    cells = [dataclasses.replace(cfg, q=q, alpha=alpha, beta=beta)
              for q in qs for alpha, beta in zip(alphas, betas)]
     lines = ["q,alpha,beta,K_emp"]
     for c, K in zip(cells, parallel_map(_sweep_cell, cells)):
         if not math.isfinite(K):
-            raise ValueError(f"K_emp is {K:g} "
-                             f"{_cell_text(c.q, c.alpha, c.beta, cfg)}")
+            raise ValueError(f"K_emp is {K:g} {_cell_text(c)}")
         lines.append(f"{fmt17(c.q)},{fmt17(c.alpha)},{fmt17(c.beta)},{fmt17(K)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -351,7 +342,6 @@ class _Cell:
     def __init__(self, q, alpha, beta, n_low, n_high):
         self.q = q
         self.v = BesselParams(alpha, beta)
-        self.base = (n_low, n_high)
         # The x4 plan first: its kernel table then covers the index sums
         # of the x2 and x1 plans, so the cell builds one table.
         self.plans = {k: make_plan(build_grid(q, k * n_low, k * n_high),
@@ -374,7 +364,7 @@ def _check_jackson_power(cell):
 
 
 def _check_q_derivative(cell):
-    grid = build_grid(cell.q, *cell.base)
+    grid = cell.plans[1].grid
     q = cell.q
     worst = 0.0
     for k in range(1, 9):
@@ -387,7 +377,7 @@ def _check_q_derivative(cell):
 
 
 def _check_change_of_variables(cell):
-    grid = build_grid(cell.q, *cell.base)
+    grid = cell.plans[1].grid
     q = cell.q
     probes = [GridFunction.from_pairs(grid, [(0, 1.0)]),
               GridFunction.from_pairs(grid, [(-1, 1.0), (2, -1.0)]),
@@ -481,7 +471,8 @@ _CHECKS = (
 )
 
 
-def run_cell_checks(q, alpha, beta, n_low=-20, n_high=40):
+def run_cell_checks(q, alpha, beta, n_low=RunConfig.n_low,
+                    n_high=RunConfig.n_high):
     """All verification checks for one (q, v) cell; returns a report dict
     with one entry per check, in fixed order."""
     cell = _Cell(q, alpha, beta, n_low, n_high)
@@ -493,11 +484,6 @@ def run_cell_checks(q, alpha, beta, n_low=-20, n_high=40):
         checks.append(entry)
     return {"q": q, "alpha": alpha, "beta": beta,
             "passed": all(c["passed"] for c in checks), "checks": checks}
-
-
-def _cell_report(cell):
-    """run_cell_checks on one (q, alpha, beta, n_low, n_high) tuple."""
-    return run_cell_checks(*cell)
 
 
 def _format_table(report):
@@ -520,17 +506,15 @@ def cmd_verify(cfg, args):
         cells = [(q, a, b) for q in ACCEPTANCE_Q for a, b in ACCEPTANCE_V]
     grid = (cfg.n_low, cfg.n_high)
     reports = []
-    for report in parallel_map(_cell_report, [c + grid for c in cells]):
+    for report in parallel_map(lambda c: run_cell_checks(*c),
+                               [c + grid for c in cells]):
         reports.append(report)
-        sys.stdout.write(_format_table(report) + "\n")
+        _emit(_format_table(report) + "\n")
     passed = all(r["passed"] for r in reports)
     payload = reports[0] if len(reports) == 1 else \
         {"passed": passed, "cells": reports}
-    if args.out:
-        _emit(_json_text(payload) + "\n", args.out)
-    else:
-        sys.stdout.write(_json_text(payload) + "\n")
-    sys.stdout.write(f"verify: {'PASS' if passed else 'FAIL'}\n")
+    _emit(_json_text(payload) + "\n", args.out)
+    _emit(f"verify: {'PASS' if passed else 'FAIL'}\n")
     return 0 if passed else 1
 
 
@@ -553,11 +537,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--q", type=float, default=None)
-    common.add_argument("--alpha", type=float, default=None)
-    common.add_argument("--beta", type=float, default=None)
-    common.add_argument("--nlow", type=int, default=None)
-    common.add_argument("--nhigh", type=int, default=None)
+    for key, field in _PARAMS.items():
+        if key != "mother":  # --mother is on three subcommands only
+            common.add_argument(f"--{key}", type=field.type)
     common.add_argument("--config", default=None,
                         help="flat key=value file; flags override it")
     common.add_argument("--out", default=None, help="output file (default stdout)")
@@ -613,21 +595,12 @@ _HANDLERS = {"grid": cmd_grid, "bessel": cmd_bessel, "fourier": cmd_fourier,
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-    except UsageError as exc:
-        sys.stderr.write(f"qwave: {exc}\n")
-        return 2
-    try:
-        return _HANDLERS[args.command](cfg, args)
-    except UsageError as exc:
-        sys.stderr.write(f"qwave: {exc}\n")
-        return 2
+        return _HANDLERS[args.command](build_config(args), args)
     except (CalibrationError, TruncationError, ValueError, WorkerError) as exc:
         sys.stderr.write(f"qwave: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -293,12 +293,17 @@ def _sidecar_path(path):
     return root + ".json"
 
 
+def function_csv(f):
+    """The `n,value` CSV text of f, values at 17 significant digits."""
+    return "n,value\n" + "".join(
+        "%d,%.17g\n" % nv
+        for nv in zip(f.grid.indices.tolist(), f.values.tolist()))
+
+
 def write_function(f, path):
-    """CSV `n,value` plus a JSON sidecar carrying q, n_low, n_high."""
+    """function_csv(f) plus a JSON sidecar carrying q, n_low, n_high."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,value\n")
-        for n, val in zip(f.grid.indices, f.values):
-            fh.write("%d,%.17g\n" % (n, val))
+        fh.write(function_csv(f))
     desc = {"q": f.grid.q, "n_low": f.grid.n_low, "n_high": f.grid.n_high}
     with open(_sidecar_path(path), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(desc, fh)

@@ -211,21 +211,14 @@ class WaveletPlane:
             for m, row in self.rows.items()})
 
 
-def cwt(f, spec, scale_indices=None, position_indices=None):
-    """Continuous wavelet transform as a Scaleogram.
-
-    Defaults to every admissible scale and the full position grid."""
-    plan = spec.plan
-    grid = plan.grid
-    rows = scale_rows(_spectrum_array(f, plan), spec, scale_indices)
+def cwt(f, spec, scale_indices=None):
+    """Continuous wavelet transform as a Scaleogram over the full position
+    grid; scale_indices defaults to every admissible scale."""
+    grid = spec.plan.grid
+    rows = scale_rows(_spectrum_array(f, spec.plan), spec, scale_indices)
     ms = sorted(rows)
-    if position_indices is None:
-        position_indices = list(grid.indices)
-        coeffs = np.vstack([rows[m] for m in ms])
-    else:
-        cols = [grid.pos(n) for n in position_indices]
-        coeffs = np.vstack([rows[m][cols] for m in ms])
-    return Scaleogram(ms, position_indices, coeffs, grid)
+    return Scaleogram(ms, list(grid.indices),
+                      np.vstack([rows[m] for m in ms]), grid)
 
 
 def cwt_direct(f, spec, scale_indices, position_indices):

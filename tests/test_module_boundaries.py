@@ -1,7 +1,8 @@
 """Module boundaries of the library: qbessel is its one high-precision
 layer and the one place that sets a working precision, no module
 reaches into another module's private names, each kind of sum has one
-home, and parallel_map is the one place that starts processes."""
+home, parallel_map is the one place that starts processes, and qcli's
+_emit is the one place that writes the command line's output."""
 
 import ast
 from collections import Counter
@@ -139,9 +140,8 @@ PROCESS_CALLS = ("ProcessPoolExecutor", "Pool", "Process", "get_context",
 PROCESS_HOME = "uncertainty.parallel_map"
 
 
-def sum_calls(source, module, names=SUM_HOMES):
-    """(line, function, scope) for every call of a function in names (the
-    SUM_HOMES functions by default), scope being the dotted
+def scoped_calls(source, module):
+    """(call node, scope) for every call in source, scope being the dotted
     module.class.function path around it."""
     calls = []
 
@@ -152,14 +152,23 @@ def sum_calls(source, module, names=SUM_HOMES):
                 visit(child, scope + [child.name])
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else \
-                    getattr(func, "id", None)
-                if name in names:
-                    calls.append((child.lineno, name, ".".join(scope)))
+                calls.append((child, ".".join(scope)))
             visit(child, scope)
 
     visit(ast.parse(source), [module])
+    return calls
+
+
+def sum_calls(source, module, names=SUM_HOMES):
+    """(line, function, scope) for every call of a function in names (the
+    SUM_HOMES functions by default)."""
+    calls = []
+    for call, scope in scoped_calls(source, module):
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        if name in names:
+            calls.append((call.lineno, name, scope))
     return calls
 
 
@@ -297,3 +306,74 @@ def test_process_guard_flags_each_breach(source, module):
 def test_process_guard_allows_parallel_map(source, module):
     assert process_breaches(source, module) == []
 
+
+
+# qcli's one writer: every stdout write and every file qcli writes goes
+# through it, so an unwritable --out has one handler.
+WRITER_HOME = "qcli._emit"
+
+
+def output_write(call):
+    """What call does if it writes to stdout or opens a file for writing
+    (a mode that is not a literal counts), else None."""
+    func = _dotted(call.func) or ""
+    if func == "print" or func.startswith("sys.stdout."):
+        return func
+    if func.rpartition(".")[2] in ("write_text", "write_bytes"):
+        return func
+    if func in ("open", "io.open"):
+        modes = call.args[1:2] + [kw.value for kw in call.keywords
+                                  if kw.arg == "mode"]
+        if modes and not (isinstance(modes[0], ast.Constant)
+                          and set(str(modes[0].value)).isdisjoint("wax+")):
+            return f"{func} for writing"
+    return None
+
+
+def write_breaches(source, module="qcli"):
+    """(line, what) for every stdout write and every file opened for
+    writing outside qcli's _emit."""
+    return [(call.lineno, f"{output_write(call)} in {scope}")
+            for call, scope in scoped_calls(source, module)
+            if output_write(call) and scope != WRITER_HOME]
+
+
+def test_qcli_writes_only_in_emit():
+    source = (SRC / "qcli.py").read_text()
+    assert write_breaches(source) == []
+    writes = {output_write(call)
+              for call, scope in scoped_calls(source, "qcli")
+              if scope == WRITER_HOME} - {None}
+    assert writes == {"sys.stdout.write", "open for writing"}
+
+
+@pytest.mark.parametrize("source", [
+    "import sys\ndef cmd_verify(cfg, args):\n    sys.stdout.write('x')",
+    "def cmd_grid(cfg, args):\n    print('n,x,weight')",
+    "def f(p):\n    with open(p, 'w') as fh:\n        fh.write('x')",
+    "def f(p):\n    open(p, mode='a').close()",
+    "def f(p, m):\n    open(p, m)",
+    "import io\ndef f(p):\n    io.open(p, 'r+')",
+    "def f(p):\n    p.write_text('x')",
+    "import sys\nsys.stdout.writelines(['x'])",
+    "class A:\n    def _emit(self, text):\n        sys.stdout.write(text)",
+    "def _emit(text):\n    def later():\n        sys.stdout.write(text)\n"
+    "    return later",
+])
+def test_writer_guard_flags_each_breach(source):
+    assert write_breaches(source)
+
+
+@pytest.mark.parametrize("source", [
+    "import sys\ndef _emit(text, out_path=None):\n    if not out_path:\n"
+    "        sys.stdout.write(text)\n        return\n"
+    "    with open(out_path, 'w', encoding='utf-8', newline='') as fh:\n"
+    "        fh.write(text)",
+    "def f(p):\n    with open(p, encoding='utf-8') as fh:\n"
+    "        return fh.read()",
+    "def f(p):\n    return open(p, 'r').read()",
+    "import sys\ndef main():\n    sys.stderr.write('qwave: bad\\n')",
+    "def cmd_fourier(g, path):\n    write_function(g, path)",
+])
+def test_writer_guard_allows_emit_and_reads(source):
+    assert write_breaches(source) == []

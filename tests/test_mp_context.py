@@ -111,6 +111,14 @@ class TestMpContext:
         assert mp_context(45) is not mp_context(46)
         assert mp_context(45).dps == 45
 
+    def test_cache_stays_bounded(self):
+        bound = mp_context.cache_info().maxsize
+        assert bound >= 32
+        for dps in range(1000, 1000 + 2 * bound):
+            assert mp_context(dps).dps == dps
+        assert mp_context.cache_info().currsize == bound
+        assert mp_context(45) is mp_context(45)
+
     def test_independent_of_global_precision(self):
         ctx = mp_context(60)
         third = (ctx.mpf(1) / 3)._mpf_

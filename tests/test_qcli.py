@@ -353,6 +353,28 @@ class TestExitCodes:
         assert out == ""
         assert err == "qwave: cell (0.3, 0.0, 0.0) rejected\n"
 
+    @pytest.mark.parametrize("command,target", [
+        (command, target) for command in ("grid", "verify", "fourier")
+        for target in ("missing-dir", "directory")] + [
+        ("fourier", "sidecar-is-directory")])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, input_csv,
+                                    command, target):
+        out_path = {"missing-dir": tmp_path / "no" / "such" / "x.csv",
+                    "directory": tmp_path,
+                    "sidecar-is-directory": tmp_path / "x.csv"}[target]
+        if target == "sidecar-is-directory":
+            (tmp_path / "x.json").mkdir()
+        extra = {"grid": [],
+                 "verify": ["--q", "0.5", "--nlow", "-12", "--nhigh", "24"],
+                 "fourier": ["--in", input_csv[0]]}[command]
+        rc, out, err = run(capsys, command, *extra, "--out", str(out_path))
+        assert rc == 2
+        assert err.startswith("qwave: cannot write output: [Errno ")
+        assert err.count("\n") == 1
+        # verify has printed each cell's table by the time it writes
+        assert out.startswith("cell q=0.5 ") if command == "verify" else \
+            out == ""
+
 
 class TestGridCommand:
     def test_schema_and_values(self, capsys):
@@ -434,6 +456,15 @@ class TestFourierCommand:
         lines = out.splitlines()
         assert lines[0] == "n,value"
         assert len(lines) == 62
+
+    def test_stdout_equals_out_file(self, capsys, tmp_path, input_csv):
+        path, _ = input_csv
+        out_path = tmp_path / "spectrum.csv"
+        rc, out, _ = run(capsys, "fourier", "--in", path)
+        assert run(capsys, "fourier", "--in", path, "--out",
+                   str(out_path)) == (0, "", "")
+        assert rc == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
 
     def test_missing_input_rejected(self, capsys):
         rc, _, err = run(capsys, "fourier")
@@ -580,7 +611,32 @@ class TestUncertaintyCommand:
         assert str(os.getpid()) not in reporters
 
 
+# Per config key: the value a config file gives, and the flag's value
+# that overrides it; neither is the default.
+_KEY_VALUES = {"q": ("0.25", "0.75"), "alpha": ("0.5", "1"),
+               "beta": ("0.25", "-0.25"), "nlow": ("-10", "-5"),
+               "nhigh": ("20", "30"), "mother": ("indicator", "operator")}
+
+
 class TestConfigMerging:
+    @pytest.mark.parametrize("key", sorted(qcli._PARAMS))
+    def test_each_key_set_by_file_and_flag(self, tmp_path, key):
+        field = qcli._PARAMS[key]
+        from_file, from_flag = _KEY_VALUES[key]
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(f"{key}={from_file}\n")
+        parser = qcli._build_parser()
+        base = ["uncertainty", "--config", str(cfg_path)]
+        cfg = qcli.build_config(parser.parse_args(base))
+        assert getattr(cfg, field.name) == field.type(from_file) != \
+            field.default
+        assert cfg.given == {field.name}
+        cfg = qcli.build_config(parser.parse_args(
+            base + [f"--{key}", from_flag]))
+        assert getattr(cfg, field.name) == field.type(from_flag) != \
+            field.type(from_file)
+        assert cfg.given == {field.name}
+
     def test_config_file_sets_parameters(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# cell setup\nq=0.25\nnlow=0\nnhigh=2\n")

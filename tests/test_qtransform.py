@@ -213,11 +213,11 @@ class TestSpectrum:
         # a far-off index would ask for a context of millions of digits;
         # the call must raise before it builds one
         f = GridFunction.from_pairs(grid00, [(0, 1.0), (2, -0.5)])
-        contexts = mp_context.cache_info().currsize
+        built = mp_context.cache_info().misses
         for s_lo, s_hi in ((-10 ** 6, 0), (0, 10 ** 6)):
             with pytest.raises(ValueError, match="plan's range"):
                 spectrum(f, plan00, s_lo, s_hi)
-        assert mp_context.cache_info().currsize == contexts
+        assert mp_context.cache_info().misses == built
 
 
 def per_term_spectrum(f, plan, s_lo, s_hi):

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 
@@ -66,13 +67,20 @@ def _json_text(obj):
 def _emit(text, out_path=None, write=None):
     """The one writer of every output. Without out_path, text goes to
     sys.stdout, looked up at each call. With it, text goes to that file,
-    or write(out_path) writes it; an unwritable path is a usage error."""
+    or write(out_path) writes it; an unwritable path is a usage error.
+    With text None, it only checks that out_path can be written: the
+    path is opened for appending, and removed again if it was new."""
     if not out_path:
         sys.stdout.write(text)
         return
     try:
         if write:
             write(out_path)
+        elif text is None:
+            new = not os.path.lexists(out_path)
+            open(out_path, "a").close()
+            if new:
+                os.remove(out_path)
         else:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
@@ -505,6 +513,8 @@ def cmd_verify(cfg, args):
     else:
         cells = [(q, a, b) for q in ACCEPTANCE_Q for a, b in ACCEPTANCE_V]
     grid = (cfg.n_low, cfg.n_high)
+    if args.out:
+        _emit(None, args.out)  # refuse an unwritable path before any cell
     reports = []
     for report in parallel_map(lambda c: run_cell_checks(*c),
                                [c + grid for c in cells]):

@@ -6,6 +6,7 @@ All sums are accumulated with math.fsum, which is correctly rounded and
 therefore independent of term order; results are bit-reproducible.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -301,13 +302,24 @@ def function_csv(f):
 
 
 def write_function(f, path):
-    """function_csv(f) plus a JSON sidecar carrying q, n_low, n_high."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(function_csv(f))
+    """function_csv(f) plus a JSON sidecar carrying q, n_low, n_high.
+
+    Both files are kept or neither: an OSError while writing either
+    (say, the sidecar's path is a directory) removes what this call
+    wrote before it is raised."""
     desc = {"q": f.grid.q, "n_low": f.grid.n_low, "n_high": f.grid.n_high}
-    with open(_sidecar_path(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(desc, fh)
-        fh.write("\n")
+    written = []
+    try:
+        for target, text in ((path, function_csv(f)),
+                             (_sidecar_path(path), json.dumps(desc) + "\n")):
+            with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                written.append(target)
+                fh.write(text)
+    except OSError:
+        for name in written:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise
 
 
 def read_function(path):

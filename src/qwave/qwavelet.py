@@ -6,7 +6,9 @@ at scale q^m is sqrt(a) times the transform of (mother spectrum profile
 at shifted indices) * (input spectrum). The direct route, a Jackson sum
 of f against each daughter, is kept for cross-checks; the two agree to
 float round-off at moderate scales but the spectral route stays accurate
-over the whole scale set.
+over the whole scale set. A WaveletPlane builds its rows on demand, and
+its gated integrals build only the rows that a rigorous per-scale bound
+on the float64 contribution cannot settle (_scale_bounds).
 
 Mother wavelets are constructed in mpmath, not float64. Both shipped
 candidates have an exactly vanishing zeroth spectral moment; rounding
@@ -21,6 +23,7 @@ import math
 
 import numpy as np
 from mpmath.libmp import mpf_mul, round_nearest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qwave.qbessel import FACTORIZATION_DPS, MOTHER_DPS, mp_context, mp_dot
 from qwave.qgrid import GridFunction, dilate, weight_exponent
@@ -28,14 +31,21 @@ from qwave.qtransform import spectrum, translate
 
 GATE_REL_TAIL = 1e-13
 GATE_RUN = 3
+# log2 of 2^-1075, half the least subnormal: the most a product that
+# underflows is rounded by
+_LOG2_UNDERFLOW = -1075.0
+# rows per block of the bound sums, so that none makes an N x N temporary
+_BLOCK = 64
 
 
 class WaveletSpec:
     """A mother wavelet with its admissibility constant and the spectrum
-    profile over the extended index range the transform needs."""
+    profile over the extended index range the transform needs, as one
+    float64 array: profile[i] is the profile at index
+    scale_indices[0] + n_low + i."""
 
     __slots__ = ("mother", "admissibility", "plan", "mp_values",
-                 "scale_indices", "profile")
+                 "scale_indices", "profile", "_term_bounds")
 
     def __init__(self, mother, plan, admissibility, mp_values, scale_indices,
                  profile):
@@ -45,6 +55,8 @@ class WaveletSpec:
         self.mp_values = mp_values
         self.scale_indices = scale_indices
         self.profile = profile
+        # (transformed, d bytes) -> the term's part of the scale bounds
+        self._term_bounds = {}
 
 
 class Scaleogram:
@@ -101,7 +113,9 @@ def make_wavelet(mother, plan, mp_values=None):
         profile[s] ** 2 for s in range(grid.n_low, grid.n_high + 1))
     if not (math.isfinite(adm) and adm > 0.0):
         raise ValueError(f"admissibility constant {adm} not finite positive")
-    return WaveletSpec(mother, plan, adm, mp_values, scale_indices, profile)
+    return WaveletSpec(mother, plan, adm, mp_values, scale_indices,
+                       np.array([profile[s]
+                                 for s in range(prof_lo, prof_hi + 1)]))
 
 
 def _normalized_mp_mother(plan, raw):
@@ -169,46 +183,62 @@ def scale_rows(Ff, spec, scale_indices=None):
     (every admissible scale by default). Returns {m: row array}."""
     plan = spec.plan
     grid = plan.grid
+    span = range(spec.scale_indices[0], spec.scale_indices[-1] + 1)
     if scale_indices is None:
-        scale_indices = spec.scale_indices
-    # profile[i] is spec.profile[prof_lo + i]; row m needs m + n for grid n
-    prof_lo = spec.scale_indices[0] + grid.n_low
-    prof_hi = spec.scale_indices[-1] + grid.n_high
-    profile = np.array([spec.profile[k] for k in range(prof_lo, prof_hi + 1)])
+        scale_indices = span
     rows = {}
     for m in scale_indices:
-        if m not in spec.scale_indices:
+        if m not in span:
             raise ValueError(f"scale index {m} pushes the mother off the grid")
         a = grid.q ** float(m)
-        start = m + grid.n_low - prof_lo
+        # row m reads the profile at m + n for grid index n
+        start = m - span[0]
         rows[m] = math.sqrt(a) * plan.fourier_values(
-            profile[start:start + grid.size] * Ff)
+            spec.profile[start:start + grid.size] * Ff)
     return rows
 
 
 class WaveletPlane:
-    """The coefficient plane C(a, b) of one input f under one wavelet,
-    built once, when constructed: f's spectrum array Ff and the rows
-    {m: C(q^m, .)} at every scale in spec.scale_indices. Every plane
-    integral reads it through its integral method."""
+    """The coefficient plane C(a, b) of one input f under one wavelet:
+    f's spectrum array Ff, computed when the plane is made, and the rows
+    C(q^m, .), each built through scale_rows when first asked for (row)
+    and kept. Every plane integral reads it through its integral method,
+    which builds only the rows its gated sum cannot settle without."""
 
-    __slots__ = ("f", "spec", "Ff", "rows")
+    __slots__ = ("f", "spec", "Ff", "_rows")
 
     def __init__(self, f, spec):
         self.f = f
         self.spec = spec
         self.Ff = _spectrum_array(f, spec.plan)
-        self.rows = scale_rows(self.Ff, spec)
+        self._rows = {}
 
-    def integral(self, term):
+    def row(self, m):
+        """The coefficient row C(q^m, .) over the position grid."""
+        row = self._rows.get(m)
+        if row is None:
+            row = self._rows[m] = scale_rows(self.Ff, self.spec, (m,))[m]
+        return row
+
+    def integral(self, term, d, transformed=False):
         """Jackson sum of term over the plane against d_q b d_q a / a^2:
         per scale q^m, (1-q)/q^m times the fsum of the array term(row),
         which carries its own position weight, then gated_scale_sum over
-        the scales. Returns (total, set of scale indices summed)."""
+        the scales. Returns (total, set of scale indices summed).
+
+        term(row) must be d^2 (L row)^2 entry by entry, for the array d
+        of non-negative position factors, L the identity, or with
+        transformed the transform itself (plan.fourier_values), and
+        formed as (v * v) * d^2, (d^2 * v) * v or (d * v)^2 with
+        v = L row. Then _scale_bounds bounds each scale's contribution
+        without its row, and gated_scale_sum builds a row only where
+        that bound cannot settle the gate, so the result is bit for bit
+        the sum over every row."""
         q = self.spec.plan.grid.q
-        return gated_scale_sum({
-            m: (1.0 - q) / (q ** float(m)) * math.fsum(term(row).tolist())
-            for m, row in self.rows.items()})
+        return gated_scale_sum(
+            _scale_bounds(self, d, transformed),
+            lambda m: (1.0 - q) / (q ** float(m)) * math.fsum(
+                term(self.row(m)).tolist()))
 
 
 def cwt(f, spec, scale_indices=None):
@@ -237,7 +267,7 @@ def cwt_direct(f, spec, scale_indices, position_indices):
     return Scaleogram(scale_indices, position_indices, coeffs, grid)
 
 
-def gated_scale_sum(contrib):
+def gated_scale_sum(bounds, contribution):
     """Sum per-scale contributions walking outward from the peak; each
     direction stops after GATE_RUN consecutive scales below GATE_REL_TAIL
     of the running total.
@@ -247,27 +277,198 @@ def gated_scale_sum(contrib):
     dilations; an ungated sum over a wide scale window picks that noise
     up. The gate never reaches it.
 
+    bounds is {m: B_m} over the contiguous scale window, each B_m at
+    least the contribution at scale m, and contribution(m) computes
+    that contribution. It is called at most once per scale, and only
+    where the bounds cannot decide:
+    - the peak: scales in decreasing order of bound, until the largest
+      contribution found exceeds every bound left. The peak, ties going
+      to the lowest m, is then the peak over all scales.
+    - the walk: a scale whose bound lies below GATE_REL_TAIL of the
+      running total counts as falling; any other is computed and judged.
+    A bound that is not finite never settles anything, and a NaN
+    contribution, which the peak rule treats apart, stops the peak search
+    from settling; so with every bound infinite every scale is computed.
+    The result is that of the walk over every contribution.
+
     Returns (total, set of scale indices actually summed).
     """
-    mpeak = max(sorted(contrib), key=lambda m: contrib[m])
+    exact = {}
+
+    def value(m):
+        if m not in exact:
+            exact[m] = contribution(m)
+        return exact[m]
+
+    best, settled = -math.inf, True
+    for m in sorted(bounds, key=lambda m: (-_settling(bounds[m]), m)):
+        if settled and bounds[m] < best:
+            break
+        v = value(m)
+        if math.isnan(v):
+            settled = False
+        best = max(best, v)
+    mpeak = max(sorted(exact), key=lambda m: exact[m])
     used = [mpeak]
-    total = contrib[mpeak]
+    total = exact[mpeak]
     for step in (1, -1):
         falling = 0
         m = mpeak
         while True:
             m += step
-            if m not in contrib:
+            if m not in bounds:
                 break
-            if contrib[m] < GATE_REL_TAIL * total:
+            tail = GATE_REL_TAIL * total
+            if bounds[m] < tail or value(m) < tail:
                 falling += 1
                 if falling >= GATE_RUN:
                     break
             else:
                 falling = 0
                 used.append(m)
-                total += contrib[m]
-    return math.fsum(contrib[m] for m in used), set(used)
+                total += exact[m]
+    return math.fsum(exact[m] for m in used), set(used)
+
+
+def _settling(bound):
+    """A bound as the peak search orders it: NaN ranks with infinity."""
+    return math.inf if math.isnan(bound) else bound
+
+
+def _log2_sum_exp2(x):
+    """log2 of the sum of 2^x along the last axis of x, which it
+    overwrites. Each row is shifted by its maximum, so no power overflows
+    and the largest is 1; the powers that underflow lose at most
+    n 2^-1074 of the sum. A row of -inf gives -inf, one holding inf
+    gives inf."""
+    top = x.max(axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    x -= shift
+    np.exp2(x, out=x)
+    return shift[..., 0] + np.log2(x.sum(axis=-1))
+
+
+def _log2_abs_matvec(A, log_v, power=1.0):
+    """log2(|A|^power @ 2^log_v), one block of rows at a time."""
+    out = np.empty(A.shape[0])
+    for i in range(0, A.shape[0], _BLOCK):
+        blk = np.abs(A[i:i + _BLOCK])
+        np.log2(blk, out=blk)
+        blk *= power
+        blk += log_v
+        out[i:i + _BLOCK] = _log2_sum_exp2(blk)
+    return out
+
+
+def _term_bound(spec, d, transformed):
+    """The part of a term's scale bounds that does not depend on the
+    input, built once per spec and term (keyed by transformed and the
+    bytes of d) and kept with the spec. See _scale_bounds for the
+    bound; every quantity here is an upper bound, formed in log2 with
+    max-shifted sums, since x^2 w and d |M| overflow float64 on deep
+    grids.
+
+    Returns (cols, log_top, slack_n, slack_s): the columns G_j and K_j
+    as 2^log_top cols, with entries >= 2^-1074, and the log2 slacks of
+    the bound. K_j bounds column j of every matrix a step of the row and
+    term applies to X_m, so sum_j |X_mj| K_j bounds every step."""
+    key = (transformed, d.tobytes())
+    if key in spec._term_bounds:
+        return spec._term_bounds[key]
+    plan = spec.plan
+    M, n = plan.matrix, plan.grid.size
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # D = d + sqrt(2^-1075) absorbs the underflow of one term form
+        log_d = np.logaddexp2(np.log2(d), 0.5 * _LOG2_UNDERFLOW)
+        log_w = np.log2(plan.weights)
+        log_c = math.log2(plan.c_qv)
+        log_dnorm = 0.5 * _log2_sum_exp2(2.0 * log_d)
+        # G_j = ||D |M|_{:,j}||, then for L = c M diag(w) its Minkowski
+        # bound c sum_k |M_kj| w_k G_k
+        log_g = 0.5 * _log2_abs_matvec(M.T, 2.0 * log_d, 2.0)
+        # the overflow check's column: max_i of |M| and, through the
+        # transform, of |M| W and |M| W |M|, W = diag(w), entry by entry
+        log_k = np.log2(np.maximum(M.max(axis=0), -M.min(axis=0)))
+        if transformed:
+            log_g = log_c + _log2_abs_matvec(M.T, log_w + log_g)
+            log_a = log_c + 0.5 * _log2_sum_exp2(
+                2.0 * (log_d + _log2_abs_matvec(M, log_w)))
+            log_e = np.logaddexp2(
+                log_c + 0.5 * _log2_sum_exp2(
+                    2.0 * (log_d + _log2_abs_matvec(M, np.zeros(n)))),
+                math.log2(plan.c_qv * n + 1.0) + log_dnorm)
+            log_k = np.maximum.reduce([
+                log_k, _log2_abs_matvec(M.T, log_w),
+                _log2_abs_matvec(M.T, log_k + log_w)])
+        else:
+            log_a, log_e = log_dnorm, -math.inf
+        slack_n = _LOG2_UNDERFLOW + math.log2(n + 2.0 / plan.c_qv) + log_a
+        slack_s = np.logaddexp2(
+            _LOG2_UNDERFLOW + np.logaddexp2(log_a, log_e),
+            0.5 * (1.0 + math.log2(n) + _LOG2_UNDERFLOW))
+        # both columns, each scaled by 2^-(its maximum)
+        log_cols = np.stack([log_g, log_k], axis=1)
+        log_top = log_cols.max(axis=0)
+        cols = np.maximum(np.exp2(log_cols - log_top), 2.0 ** -1074)
+    found = spec._term_bounds[key] = (cols, log_top, float(slack_n),
+                                      float(slack_s))
+    return found
+
+
+def _scale_bounds(plane, d, transformed):
+    """{m: B_m}: an upper bound on the float64 contribution
+    (1-q)/q^m fsum(term(row)) of every scale m, from the input's spectrum
+    alone, for a term of plane.integral's form.
+
+    Row m is s c M X_m rounded, with s = sqrt(q^m), c = plan.c_qv, M the
+    plan's matrix and X_m = w (profile window) Ff as fourier_values
+    forms it. With G_j = ||D (|L| |M|)_{:,j}|| and D = d + 2^-537.5,
+    Minkowski and the any-order summation bound
+    |fl(sum a_i)| <= (1 + gamma_n) sum |a_i| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3-4) give
+        contribution <= B_m = 4 (1-q) c^2 (sum_j |X_mj| G_j + slack_n
+                                           + slack_s / (s c))^2 + 2^-1073,
+    whatever the order, blocking or FMA use of the BLAS sums. The slacks
+    bound what products that underflow can add (each is off by at most
+    2^-1075); 4 covers a factor 2 for the (v * v) form, and gamma_N and
+    the log2 evaluation with a wide margin. B_m is infinite where the
+    proof's premises fail: the prefactor (1-q)/q^m is not a normal
+    float, or a step of the row or term could overflow."""
+    spec = plane.spec
+    plan = spec.plan
+    q, n, c = plan.grid.q, plan.grid.size, plan.c_qv
+    cols, log_top, slack_n, slack_s = _term_bound(spec, d, transformed)
+    ms = spec.scale_indices
+    # row i is the profile window of scale ms[i]
+    windows = sliding_window_view(spec.profile, n)
+    sums = np.empty((len(ms), 2))
+    for i in range(0, len(ms), _BLOCK):
+        x = windows[i:i + _BLOCK] * plane.Ff
+        x *= plan.weights
+        np.abs(x, out=x)
+        sums[i:i + _BLOCK] = x @ cols
+    a = np.array([q ** float(m) for m in ms])
+    s = np.sqrt(a)
+    pre = (1.0 - q) / a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_s = np.log2(s)
+        # sum_j |X_mj| G_j and sum_j |X_mj| K_j: x @ cols is off by at
+        # most gamma_N and n 2^-1075 in all
+        log_xg, log_y = (log_top + np.logaddexp2(
+            np.log2(sums), math.log2(n) + _LOG2_UNDERFLOW)).T
+        log_bracket = np.logaddexp2(np.logaddexp2(log_xg, slack_n),
+                                    slack_s - log_s - math.log2(c))
+        bound = np.exp2(2.0 + math.log2(1.0 - q) + 2.0 * math.log2(c)
+                        + 2.0 * log_bracket) + 2.0 ** -1073
+        # no step overflows: each step of the row and of L row stays
+        # below 2^500, and the terms' sum, at most 2 (s c bracket)^2,
+        # below 2^1000
+        safe = ((pre >= np.finfo(float).tiny) & (pre < math.inf)
+                & (log_y + 2.0 * max(math.log2(c), 0.0)
+                   + np.maximum(log_s, 0.0) < 500.0)
+                & (log_s + math.log2(c) + log_bracket < 499.0))
+    bound[~safe | np.isnan(bound)] = math.inf
+    return dict(zip(ms, bound.tolist()))
 
 
 def wavelet_plancherel_ratio(plane):
@@ -278,7 +479,8 @@ def wavelet_plancherel_ratio(plane):
     nf = plan.norm_sq(plane.f.values)
     if nf == 0.0:
         raise ValueError("Plancherel ratio undefined for the zero function")
-    total, _ = plane.integral(lambda row: row * row * plan.weights)
+    total, _ = plane.integral(lambda row: row * row * plan.weights,
+                              np.sqrt(plan.weights))
     return total / nf
 
 

@@ -137,14 +137,17 @@ def _position_moment(plane):
     On a deep grid b^2 w(b) itself can overflow float64 (q = 0.3 on
     [-160, 320]). Where it does, the term is formed as (b sqrt(w(b)) C)^2,
     which stays finite. Elsewhere it is (b^2 w(b)) C C, whose rounding
-    the frozen verify numbers were computed with."""
+    the frozen verify numbers were computed with. The position factor d
+    the integral's bound reads is sqrt(b^2 w(b)) or b sqrt(w(b)) to
+    match."""
     points, weights = plane.spec.plan.grid.points, plane.spec.plan.weights
     with np.errstate(over="ignore", invalid="ignore"):
         x2w = points ** 2 * weights
         finite = np.isfinite(x2w)
         xsw = points * np.sqrt(weights)
-        return plane.integral(lambda row: np.where(
-            finite, x2w * row * row, (xsw * row) ** 2))
+        return plane.integral(
+            lambda row: np.where(finite, x2w * row * row, (xsw * row) ** 2),
+            np.where(finite, np.sqrt(x2w), xsw))
 
 
 def uncertainty_report(plane):
@@ -173,15 +176,15 @@ def heisenberg_slice_minimum(plane):
     """Minimum slice ratio over the rows of a WaveletPlane at the scales
     that the plane integral for I_R uses, skipping slices at the noise
     floor."""
-    plan, rows = plane.spec.plan, plane.rows
+    plan = plane.spec.plan
     _, used = _position_moment(plane)
-    norms = {m: plan.norm_sq(rows[m]) for m in used}
+    norms = {m: plan.norm_sq(plane.row(m)) for m in used}
     top = max(norms.values())
     best = math.inf
     for m in sorted(used):
         if norms[m] <= SLICE_NORM_FLOOR * top:
             continue
-        best = min(best, _slice_ratio(rows[m], norms[m], plan))
+        best = min(best, _slice_ratio(plane.row(m), norms[m], plan))
     if not math.isfinite(best):
         raise ValueError("no coefficient slice rises above the noise floor")
     return best
@@ -193,7 +196,7 @@ def weighted_energy_ratio(plane):
     against the plain d_q b measure and d_q a / a^2, divide by
     ||xi Ff||^2 under the same plain measure. Scale-invariant in the
     exact identity; it returns the wavelet's admissibility constant. The
-    numerator is plane.integral."""
+    numerator is plane.integral, of a term taken through the transform."""
     plan = plane.spec.plan
     points = plan.grid.points
     wb_plain = (1.0 - plan.grid.q) * points
@@ -201,7 +204,8 @@ def weighted_energy_ratio(plane):
     den = math.fsum((points ** 2 * plane.Ff ** 2 * wb_plain).tolist())
     if den == 0.0:
         raise ValueError("input has no spectral energy on the grid")
-    num, _ = plane.integral(lambda row: x2wp * plan.fourier_values(row) ** 2)
+    num, _ = plane.integral(lambda row: x2wp * plan.fourier_values(row) ** 2,
+                            np.sqrt(x2wp), transformed=True)
     return num / den
 
 

@@ -1,8 +1,9 @@
 """Module boundaries of the library: qbessel is its one high-precision
 layer and the one place that sets a working precision, no module
 reaches into another module's private names, each kind of sum has one
-home, parallel_map is the one place that starts processes, and qcli's
-_emit is the one place that writes the command line's output."""
+home, WaveletPlane builds its rows only through scale_rows,
+parallel_map is the one place that starts processes, and qcli's _emit
+is the one place that writes the command line's output."""
 
 import ast
 from collections import Counter
@@ -239,6 +240,102 @@ def test_sum_guard_flags_each_breach(source, module):
 ])
 def test_sum_guard_allows_the_homes(source, module):
     assert sum_breaches(source, module) == []
+
+
+def gate_functions(source):
+    """Names of the functions whose body reads GATE_RUN or
+    GATE_REL_TAIL: the gated scale sum, whatever it is called."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(sub, ast.Name)
+                    and sub.id in ("GATE_RUN", "GATE_REL_TAIL")
+                    for sub in ast.walk(node))}
+
+
+def test_the_gate_is_a_guarded_sum():
+    # renaming the gate cannot take it out of SUM_HOMES: the function
+    # that walks with the gate constants is the one listed there
+    gates = gate_functions((SRC / "qwavelet.py").read_text())
+    assert gates == {name for name, homes in SUM_HOMES.items()
+                     if homes == {"qwavelet.WaveletPlane.integral": 1}}
+    for path in SRC.glob("*.py"):
+        if path.stem != "qwavelet":
+            assert gate_functions(path.read_text()) == set()
+
+
+@pytest.mark.parametrize("source,gates", [
+    ("def walk_scales(bounds, value):\n    return GATE_RUN", {"walk_scales"}),
+    ("def gated_scale_sum(b, v):\n    def tail(t):\n"
+     "        return GATE_REL_TAIL * t\n    return tail",
+     {"gated_scale_sum", "tail"}),
+    ("def gated_scale_sum(b, v):\n    return b", set()),
+])
+def test_gate_finder_sees_the_constants(source, gates):
+    assert gate_functions(source) == gates
+
+
+# WaveletPlane builds its coefficient rows only through scale_rows, so
+# that one function holds the row arithmetic and the bound's premises.
+ROW_HOME = "qwavelet.scale_rows"
+PRODUCT_CALLS = ("fourier_values", "dot", "matmul", "einsum", "vdot",
+                 "inner", "tensordot")
+
+
+def row_breaches(source, module="qwavelet"):
+    """(line, what) for every call of the transform (fourier_values)
+    outside scale_rows, and, inside WaveletPlane, every matrix product
+    and every read of a plan's matrix."""
+    found = [(call.lineno, f"fourier_values called in {scope}")
+             for call, scope in scoped_calls(source, module)
+             if getattr(call.func, "attr", getattr(call.func, "id", None))
+             == "fourier_values" and scope != ROW_HOME]
+    for node in ast.parse(source).body:
+        if not (isinstance(node, ast.ClassDef)
+                and node.name == "WaveletPlane"):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
+                found.append((sub.lineno, "matrix product in WaveletPlane"))
+            elif isinstance(sub, ast.Attribute) and sub.attr == "matrix":
+                found.append((sub.lineno, "plan matrix read in WaveletPlane"))
+            elif isinstance(sub, ast.Call) and getattr(
+                    sub.func, "attr", getattr(sub.func, "id", None)) in \
+                    PRODUCT_CALLS:
+                found.append((sub.lineno, "product call in WaveletPlane"))
+    return found
+
+
+def test_plane_builds_rows_through_scale_rows():
+    source = (SRC / "qwavelet.py").read_text()
+    assert row_breaches(source) == []
+    calls = {scope for _, _, scope in sum_calls(source, "qwavelet",
+                                                ("scale_rows",))}
+    assert "qwavelet.WaveletPlane.row" in calls
+
+
+@pytest.mark.parametrize("source", [
+    "class WaveletPlane:\n    def row(self, m):\n"
+    "        return self.spec.plan.fourier_values(x)",
+    "class WaveletPlane:\n    def row(self, m):\n"
+    "        return self.spec.plan.matrix @ x",
+    "class WaveletPlane:\n    def integral(self, term):\n"
+    "        return np.dot(m, x)",
+    "class WaveletPlane:\n    def row(self, m):\n"
+    "        mat = self.spec.plan.matrix\n        return mat.dot(x)",
+    "def _row(plane, m):\n    return plane.spec.plan.fourier_values(x)",
+])
+def test_row_guard_flags_each_breach(source):
+    assert row_breaches(source)
+
+
+@pytest.mark.parametrize("source", [
+    "def scale_rows(Ff, spec, ms):\n    return spec.plan.fourier_values(x)",
+    "class WaveletPlane:\n    def row(self, m):\n"
+    "        return scale_rows(self.Ff, self.spec, (m,))[m]",
+    "def _scale_bounds(plane, d):\n    return x @ cols",
+])
+def test_row_guard_allows_scale_rows(source):
+    assert row_breaches(source) == []
 
 
 def process_breaches(source, module):

@@ -371,9 +371,41 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("qwave: cannot write output: [Errno ")
         assert err.count("\n") == 1
-        # verify has printed each cell's table by the time it writes
-        assert out.startswith("cell q=0.5 ") if command == "verify" else \
-            out == ""
+        # verify refuses the path before its first cell prints a table
+        assert out == ""
+        # nothing is left behind: fourier writes its CSV and sidecar
+        # both or neither
+        left = {p.name for p in tmp_path.parent.iterdir()
+                if p.name.startswith(tmp_path.name + ".")}
+        left |= {p.name for p in tmp_path.iterdir()}
+        assert left == {"input.csv", "input.json"} | (
+            {"x.json"} if target == "sidecar-is-directory" else set())
+
+    def test_unwritable_out_refused_before_any_cell(self, capsys,
+                                                    monkeypatch, tmp_path):
+        # a cell that ran would exit 1 with its own message
+        monkeypatch.setattr(qcli, "run_cell_checks", _reject_cell)
+        rc, out, err = run(capsys, "verify", "--out",
+                           str(tmp_path / "no" / "x.txt"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("qwave: cannot write output: [Errno 2] ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("existing", [False, True],
+                             ids=("new", "existing"))
+    def test_out_check_leaves_the_path_as_it_was(self, capsys, monkeypatch,
+                                                 tmp_path, existing):
+        # the check before the first cell writes nothing: a run that
+        # then fails leaves no new file, and an old one unchanged
+        monkeypatch.setattr(qcli, "run_cell_checks", _reject_cell)
+        out_path = tmp_path / "report.json"
+        if existing:
+            out_path.write_text("old\n")
+        rc, out, err = run(capsys, "verify", "--out", str(out_path))
+        assert (rc, out) == (1, "")
+        assert err == "qwave: cell (0.3, 0.0, 0.0) rejected\n"
+        assert (out_path.read_text() if existing else out_path.exists()) \
+            == ("old\n" if existing else False)
 
 
 class TestGridCommand:

@@ -352,6 +352,28 @@ class TestFileRoundTrip:
         back = read_function(path)
         assert (back.grid.q, back.grid.n_low, back.grid.n_high) == (0.3, 0, 5)
 
+    @pytest.mark.parametrize("blocked", ["csv", "sidecar"])
+    def test_both_files_or_neither(self, tmp_path, blocked):
+        # a directory where one of the two files goes: the write fails
+        # and leaves neither file nor a temporary behind
+        g = build_grid(0.5, 0, 3)
+        (tmp_path / f"x.{'csv' if blocked == 'csv' else 'json'}").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_function(GridFunction.zeros(g), str(tmp_path / "x.csv"))
+        assert [(p.name, p.is_dir()) for p in tmp_path.iterdir()] == [
+            (f"x.{'csv' if blocked == 'csv' else 'json'}", True)]
+
+    def test_rewrite_replaces_both_files(self, tmp_path):
+        path = str(tmp_path / "f.csv")
+        write_function(GridFunction.zeros(build_grid(0.5, 0, 3)), path)
+        g = build_grid(0.3, -2, 4)
+        write_function(GridFunction.from_pairs(g, [(1, 2.5)]), path)
+        back = read_function(path)
+        assert back.grid == g
+        assert back.values.tolist() == [0.0, 0.0, 0.0, 2.5, 0.0, 0.0, 0.0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv",
+                                                             "f.json"]
+
     def test_bad_header_rejected(self, tmp_path):
         g = build_grid(0.5, 0, 3)
         path = str(tmp_path / "h.csv")

@@ -284,9 +284,10 @@ class TestSpectrumBitwise:
     def test_mother_profile_range(self, oracle_plan):
         # the mp-valued mother over the extended range make_wavelet asks
         spec = operator_mother(oracle_plan)
-        lo, hi = min(spec.profile), max(spec.profile)
+        lo = spec.scale_indices[0] + oracle_plan.grid.n_low
+        hi = lo + len(spec.profile) - 1
         want = per_term_spectrum(spec.mp_values, oracle_plan, lo, hi)
-        assert spec.profile == want
+        assert spec.profile.tolist() == [want[s] for s in range(lo, hi + 1)]
 
 
 def cold_spectrum(f, plan, s_lo=None, s_hi=None):
@@ -461,8 +462,9 @@ class TestMpTransform:
         plan = spec.plan
         grid = plan.grid
         values = {n: val._mpf_ for n, val in spec.mp_values.items()}
-        s_values = range(min(spec.profile), max(spec.profile) + 1)
-        depth = max(abs(min(spec.profile)), abs(max(spec.profile)),
+        lo = spec.scale_indices[0] + grid.n_low
+        s_values = range(lo, lo + len(spec.profile))
+        depth = max(abs(s_values[0]), abs(s_values[-1]),
                     abs(grid.n_low), abs(grid.n_high))
         dps = 20 if low else spectrum_dps(grid.q, depth)
         assert plan.mp_transform(values, s_values, dps) == \

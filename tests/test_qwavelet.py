@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwave.qbessel import lattice_kernel
 from qwave.qgrid import BesselParams, GridFunction, build_grid
@@ -26,7 +27,7 @@ from qwave.qwavelet import (
     wavelet_plancherel_ratio,
 )
 
-from conftest import rel_err
+from conftest import eager_gated_scale_sum, rel_err
 
 
 class TestMothers:
@@ -51,10 +52,9 @@ class TestMothers:
         # (large positive index); the other end must decay as well for
         # the admissibility sum to converge
         prof = spec00.profile
-        keys = sorted(prof)
-        top = max(abs(val) for val in prof.values())
-        assert abs(prof[keys[0]]) < 1e-6 * top
-        assert abs(prof[keys[-1]]) < 1e-6 * top
+        top = np.max(np.abs(prof))
+        assert abs(prof[0]) < 1e-6 * top
+        assert abs(prof[-1]) < 1e-6 * top
 
     def test_float_route_matches_mp_route(self, spec00, plan00):
         got = make_wavelet(spec00.mother, plan00).admissibility
@@ -158,31 +158,134 @@ class TestScaleogram:
         np.testing.assert_allclose(sc.positions, [1.0, 0.5])
 
 
+def bounded_gate(contrib, bounds):
+    """gated_scale_sum over the contributions {m: value} with the given
+    bounds, and the scales it computed, in the order it computed them."""
+    computed = []
+
+    def contribution(m):
+        computed.append(m)
+        return contrib[m]
+
+    return gated_scale_sum(bounds, contribution), computed
+
+
+def same_sum(got, want):
+    """(total, used) equal, a NaN total included."""
+    return (repr(got[0]), got[1]) == (repr(want[0]), want[1])
+
+
 class TestGatedSum:
+    """The walk, on the eager reference and on gated_scale_sum with exact
+    and with infinite bounds, which must agree bit for bit."""
+
+    @staticmethod
+    def gate(contrib):
+        want = eager_gated_scale_sum(contrib)
+        for bounds in (dict(contrib), dict.fromkeys(contrib, math.inf)):
+            got, computed = bounded_gate(contrib, bounds)
+            assert same_sum(got, want)
+            assert len(computed) == len(set(computed))
+        return want
+
     def test_pure_decay_sums_everything(self):
         contrib = {m: 0.5 ** abs(m) for m in range(-6, 7)}
-        total, used = gated_scale_sum(contrib)
+        total, used = self.gate(contrib)
         assert used == set(range(-6, 7))
         assert total == pytest.approx(math.fsum(contrib.values()), rel=1e-15)
 
     def test_noise_floor_excluded(self):
         true_part = {m: 10.0 ** (-2 * abs(m)) for m in range(-5, 6)}
         noise = {m: 1e-20 for m in range(6, 40)}
-        total, used = gated_scale_sum({**true_part, **noise})
+        total, used = self.gate({**true_part, **noise})
         assert used == set(range(-5, 6))
         assert total == pytest.approx(math.fsum(true_part.values()), rel=1e-15)
 
     def test_short_gap_is_bridged(self):
         contrib = {0: 1.0, 1: 1e-20, 2: 1e-20, 3: 0.5, 4: 1e-20}
-        total, used = gated_scale_sum(contrib)
+        total, used = self.gate(contrib)
         assert used == {0, 3}
         assert total == pytest.approx(1.5, rel=1e-15)
 
     def test_run_length_terminates_walk(self):
         contrib = {0: 1.0, 1: 1e-20, 2: 1e-20, 3: 1e-20, 4: 0.5}
-        total, used = gated_scale_sum(contrib)
+        total, used = self.gate(contrib)
         assert used == {0}
         assert total == pytest.approx(1.0, rel=1e-15)
+
+    def test_infinite_bounds_compute_every_scale(self):
+        contrib = {m: 10.0 ** (-2 * abs(m)) for m in range(-5, 30)}
+        _, computed = bounded_gate(contrib, dict.fromkeys(contrib, math.inf))
+        assert sorted(computed) == sorted(contrib)
+
+    def test_exact_bounds_compute_the_peak_and_the_walk(self):
+        # the peak search stops at the first bound below the peak; each
+        # walk computes the scales it sums and nothing past them
+        contrib = {m: 10.0 ** (-2 * abs(m)) for m in range(-5, 30)}
+        (_, used), computed = bounded_gate(contrib, dict(contrib))
+        assert computed == [0] + sorted(used - {0}, key=lambda m: (m < 0, abs(m)))
+
+    def test_peak_tie_goes_to_the_lowest_scale(self):
+        # two equal peaks a falling run apart: the walk from scale 1 sums
+        # {1}, the walk from 5 would sum {5}
+        contrib = {0: 1e-20, 1: 1.0, 2: 1e-20, 3: 1e-20, 4: 1e-20, 5: 1.0}
+        want = eager_gated_scale_sum(contrib)
+        assert want == (1.0, {1})
+        for bounds in (dict(contrib), {**contrib, 1: 2.0},
+                       {**contrib, 5: 2.0}, {**contrib, 5: math.nan}):
+            got, computed = bounded_gate(contrib, bounds)
+            assert same_sum(got, want)
+            assert {1, 5} <= set(computed)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=("inf", "nan"))
+    def test_non_finite_contributions(self, bad):
+        # a contribution that is not finite carries a bound that is not
+        # finite either; the walk then matches the reference's, whose
+        # peak is a NaN scale only when that scale is the lowest. In the
+        # last layout a falling run parts the NaN from the true peak.
+        hill = {m: 2.0 ** -abs(m - 3) for m in range(8)}
+        parted = {0: 1e-20, 1: 0.0, 2: 1e-20, 3: 1e-20, 4: 1e-20, 5: 1.0,
+                  6: 0.5}
+        for layout, where in ((hill, 0), (hill, 1), (hill, 5), (parted, 1)):
+            contrib = {**layout, where: bad}
+            for bound in (math.inf, math.nan):
+                bounds = {**contrib, where: bound}
+                got, computed = bounded_gate(contrib, bounds)
+                assert same_sum(got, eager_gated_scale_sum(contrib))
+                assert len(computed) == len(set(computed))
+
+
+@st.composite
+def gate_cases(draw):
+    """Contributions over a window of scales, drawn from a few repeated
+    levels (so that peaks tie), zeros and random values, and a bound for
+    each: equal to it, above it, infinite or NaN."""
+    lo = draw(st.integers(-40, 40))
+    level = st.one_of(st.sampled_from([0.0, 1e-30, 1e-13, 0.5, 1.0, 2.0]),
+                      st.floats(0.0, 4.0), st.floats(0.0, 1e-12))
+    values = draw(st.lists(level, min_size=1, max_size=30))
+    contrib = {lo + i: val for i, val in enumerate(values)}
+    bounds = {}
+    for m, val in contrib.items():
+        kind = draw(st.sampled_from(["equal", "above", "above", "inf",
+                                     "nan"]))
+        if kind == "above":
+            bounds[m] = val * draw(st.floats(1.0, 1e6))
+        else:
+            bounds[m] = {"equal": val, "inf": math.inf, "nan": math.nan}[kind]
+    return contrib, bounds
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(gate_cases())
+def test_bounded_gate_equals_eager_gate(case):
+    contrib, bounds = case
+    got, computed = bounded_gate(contrib, bounds)
+    assert same_sum(got, eager_gated_scale_sum(contrib))
+    assert len(computed) == len(set(computed))
+    # a scale with a bound that is not finite is always computed
+    assert {m for m, b in bounds.items() if not math.isfinite(b)} <= \
+        set(computed)
 
 
 class TestPlancherel:

@@ -16,12 +16,13 @@ import pytest
 from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan, spectrum
 from qwave import qtransform, qwavelet
-from qwave.qwavelet import (WaveletPlane, factorization_error,
-                            gated_scale_sum, operator_mother,
-                            wavelet_plancherel_ratio)
+from qwave.qwavelet import (WaveletPlane, _scale_bounds,
+                            factorization_error, operator_mother,
+                            scale_rows, wavelet_plancherel_ratio)
 from qwave.uncertainty import (
     SLICE_NORM_FLOOR,
     WorkerError,
+    _position_moment,
     _slice_ratio,
     empirical_lower_constant,
     heisenberg_slice_minimum,
@@ -32,7 +33,7 @@ from qwave.uncertainty import (
     weighted_energy_ratio,
 )
 
-from conftest import exit_abruptly, rel_err, set_cpus
+from conftest import eager_gated_scale_sum, exit_abruptly, rel_err, set_cpus
 
 
 class TestProbeFamily:
@@ -111,40 +112,66 @@ class TestOneSpectrumPerCall:
         assert len(calls) == 1
 
 
-class TestPlaneIntegral:
-    """plane.integral against the per-scale loop each plane integral
-    wrote out before, bit for bit, for each of the three terms; and the
-    callers against the same loops. On q = 0.3, v = (0.5, 0.25) over
-    [-120, 60], b^2 w(b) overflows float64 for n <= -108, so I_R's term
-    takes its overflow-safe branch there."""
+def contributions(plane, term):
+    """Every scale's contribution to plane.integral of term, from rows
+    that scale_rows builds all at once."""
+    q = plane.spec.plan.grid.q
+    # the callers form their terms inside the same errstate
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {m: (1.0 - q) / (q ** float(m))
+                * math.fsum(term(row).tolist())
+                for m, row in scale_rows(plane.Ff, plane.spec).items()}
 
-    @pytest.fixture(scope="class", params=["q0.5", "q0.3-deep"])
+
+def integral_args(monkeypatch, plane, caller):
+    """The (term, d, transformed) that caller(plane) hands plane.integral."""
+    seen = []
+    integral = WaveletPlane.integral
+
+    def spy(self, term, d, transformed=False):
+        seen.append((term, d, transformed))
+        return integral(self, term, d, transformed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(WaveletPlane, "integral", spy)
+        caller(plane)
+    return seen[0]
+
+
+class TestPlaneIntegral:
+    """plane.integral against the eager reference, the walk over every
+    contribution with every row built (eager_gated_scale_sum), bit for
+    bit, for each of the three terms; and the callers against the same
+    reference. On q = 0.3, v = (0.5, 0.25) over [-120, 60], b^2 w(b)
+    overflows float64 for n <= -108, so I_R's term takes its
+    overflow-safe branch there, as it does on the sweep grid
+    [-160, 320] at that cell."""
+
+    @pytest.fixture(scope="class", params=["q0.5", "q0.3-deep",
+                                           "sweep-q0.3", "sweep-q0.5"])
     def plane(self, request):
         if request.param == "q0.5":
             spec = request.getfixturevalue("spec_shifted")
-        else:
+        elif request.param == "q0.3-deep":
             spec = operator_mother(make_plan(build_grid(0.3, -120, 60),
                                              BesselParams(0.5, 0.25)))
+        else:
+            spec = request.getfixturevalue(
+                {"sweep-q0.3": "spec_sweep_deep",
+                 "sweep-q0.5": "spec_sweep00"}[request.param])
         return WaveletPlane(probe_family(spec.plan)[-1], spec)
 
-    @staticmethod
-    def per_scale_loop(plane, term):
-        q = plane.spec.plan.grid.q
-        contrib = {}
-        for m, row in plane.rows.items():
-            contrib[m] = (1.0 - q) / (q ** float(m)) * math.fsum(
-                term(row).tolist())
-        return gated_scale_sum(contrib)
-
-    def test_plancherel_term(self, plane):
+    def test_plancherel_term(self, plane, monkeypatch):
         plan = plane.spec.plan
         term = lambda row: row * row * plan.weights
-        want = self.per_scale_loop(plane, term)
-        assert plane.integral(term) == want
+        want = eager_gated_scale_sum(contributions(plane, term))
+        _, d, transformed = integral_args(monkeypatch, plane,
+                                          wavelet_plancherel_ratio)
+        assert plane.integral(term, d, transformed) == want
         nf = plan.norm_sq(plane.f.values)
         assert wavelet_plancherel_ratio(plane) == want[0] / nf
 
-    def test_position_moment_term(self, plane):
+    def test_position_moment_term(self, plane, monkeypatch):
         plan = plane.spec.plan
         points, weights = plan.grid.points, plan.weights
         with np.errstate(over="ignore", invalid="ignore"):
@@ -153,26 +180,88 @@ class TestPlaneIntegral:
             xsw = points * np.sqrt(weights)
             term = lambda row: np.where(
                 finite, x2w * row * row, (xsw * row) ** 2)
-            want = self.per_scale_loop(plane, term)
-            assert plane.integral(term) == want
+            want = eager_gated_scale_sum(contributions(plane, term))
+            _, d, transformed = integral_args(monkeypatch, plane,
+                                              uncertainty_report)
+            assert plane.integral(term, d, transformed) == want
         assert finite.all() == (plan.grid.q == 0.5)
         assert uncertainty_report(plane).I_R == want[0]
-        norms = {m: plan.norm_sq(plane.rows[m]) for m in want[1]}
+        assert _position_moment(plane) == want
+        rows = scale_rows(plane.Ff, plane.spec)
+        norms = {m: plan.norm_sq(rows[m]) for m in want[1]}
         top = max(norms.values())
         assert heisenberg_slice_minimum(plane) == min(
-            _slice_ratio(plane.rows[m], norms[m], plan) for m in want[1]
+            _slice_ratio(rows[m], norms[m], plan) for m in want[1]
             if norms[m] > SLICE_NORM_FLOOR * top)
 
-    def test_weighted_energy_term(self, plane):
+    def test_weighted_energy_term(self, plane, monkeypatch):
         plan = plane.spec.plan
         points = plan.grid.points
         wb_plain = (1.0 - plan.grid.q) * points
         x2wp = points ** 2 * wb_plain
         term = lambda row: x2wp * plan.fourier_values(row) ** 2
-        want = self.per_scale_loop(plane, term)
-        assert plane.integral(term) == want
+        want = eager_gated_scale_sum(contributions(plane, term))
+        _, d, transformed = integral_args(monkeypatch, plane,
+                                          weighted_energy_ratio)
+        assert plane.integral(term, d, transformed) == want
         den = math.fsum((points ** 2 * plane.Ff ** 2 * wb_plain).tolist())
         assert weighted_energy_ratio(plane) == want[0] / den
+
+
+CALLERS = {"plancherel": wavelet_plancherel_ratio,
+           "position": uncertainty_report,
+           "weighted": weighted_energy_ratio}
+
+
+class TestScaleBounds:
+    """The bound each scale's contribution gets before its row is built,
+    on two cells of the sweep grid [-160, 320]: q = 0.3, v = (0.5, 0.25),
+    where I_R's term takes its overflow-safe branch, and q = 0.5,
+    v = (0, 0) with its two mean-free probes, where a whole-matrix
+    Cauchy-Schwarz bound on the exact transform fell below the computed
+    contribution at 22 scales."""
+
+    @pytest.fixture(scope="class", params=[
+        ("spec_sweep_deep", 0), ("spec_sweep_deep", -1),
+        ("spec_sweep00", -2), ("spec_sweep00", -1)],
+        ids=("q0.3-probe0", "q0.3-meanfree", "q0.5-meanfree1",
+             "q0.5-meanfree2"))
+    def plane(self, request):
+        spec_name, probe = request.param
+        spec = request.getfixturevalue(spec_name)
+        return WaveletPlane(probe_family(spec.plan)[probe], spec)
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_bound_covers_every_scale(self, plane, monkeypatch, caller):
+        term, d, transformed = integral_args(monkeypatch, plane,
+                                             CALLERS[caller])
+        bounds = _scale_bounds(plane, d, transformed)
+        contrib = contributions(plane, term)
+        assert bounds.keys() == contrib.keys()
+        assert [m for m in contrib if not bounds[m] >= contrib[m]] == []
+        # and the bound is finite, so it can skip
+        assert all(math.isfinite(b) for b in bounds.values())
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_plane_builds_few_rows(self, plane, monkeypatch, caller):
+        # a bound silently left infinite would build every row
+        built = []
+
+        def counted(Ff, spec, scale_indices=None):
+            rows = scale_rows(Ff, spec, scale_indices)
+            built.extend(rows)
+            return rows
+
+        monkeypatch.setattr(qwavelet, "scale_rows", counted)
+        fresh = WaveletPlane(plane.f, plane.spec)
+        CALLERS[caller](fresh)
+        assert len(built) == len(set(built))
+        assert len(built) < len(plane.spec.scale_indices) // 4
+        if caller == "position":
+            # the slices read the rows the integral has built
+            before = len(built)
+            heisenberg_slice_minimum(fresh)
+            assert len(built) == before
 
 
 class TestProbeReports:
@@ -209,7 +298,7 @@ class TestSliceRatios:
     def test_slice_value_matches_by_hand(self, plan00, spec00):
         f = probe_family(plan00)[1]
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
-        row = WaveletPlane(f, spec00).rows[mid]
+        row = WaveletPlane(f, spec00).row(mid)
         pts = plan00.grid.points
         n2 = plan00.norm_sq(row)
         ref = (math.sqrt(plan00.norm_sq(pts * row))
@@ -233,7 +322,7 @@ class TestSliceRatios:
         plane = WaveletPlane(f, spec00)
         msl = heisenberg_slice_minimum(plane)
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
-        row = plane.rows[mid]
+        row = plane.row(mid)
         assert msl <= _slice_ratio(row, plan00.norm_sq(row), plan00) + 1e-12
 
 

@@ -1,0 +1,87 @@
+"""Rows built and time per probe for the 81 probes of the uncertainty
+sweep (nine (q, v) cells on [-160, 320], nine probes each), run in this
+process, one probe after another.
+
+The sweep benchmark runs the probes on forked workers, so a traced run
+cannot see them; this script can. For each probe it times
+uncertainty_report(WaveletPlane(f, spec)) and counts the coefficient
+rows that scale_rows builds for it, and it prints I_R, its scale set and
+the cell's K_emp so that two trees can be compared bit for bit.
+
+    python tools/sweep_rows.py [--src TREE/src] [--json OUT]
+
+--src imports qwave from another tree, which must have the same
+public names (any tree since scale_rows became the one row builder).
+"""
+
+import argparse
+import json
+import math
+import sys
+import time
+from pathlib import Path
+
+CELLS = [(q, a, b) for q in (0.3, 0.5, 0.7)
+         for a, b in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))]
+N_LOW, N_HIGH = -160, 320
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve()
+                                             .parent.parent / "src"))
+    parser.add_argument("--json", default=None,
+                        help="also write every probe's record here")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    from qwave import qwavelet, uncertainty
+    from qwave.qgrid import BesselParams, build_grid
+    from qwave.qtransform import make_plan
+
+    built = [0]
+    scale_rows = qwavelet.scale_rows
+
+    def counted(Ff, spec, scale_indices=None):
+        rows = scale_rows(Ff, spec, scale_indices)
+        built[0] += len(rows)
+        return rows
+
+    qwavelet.scale_rows = counted
+    records = []
+    total_rows = total_scales = 0
+    total_time = 0.0
+    for q, alpha, beta in CELLS:
+        plan = make_plan(build_grid(q, N_LOW, N_HIGH),
+                         BesselParams(alpha, beta))
+        spec = qwavelet.operator_mother(plan)
+        ratios = []
+        for i, f in enumerate(uncertainty.probe_family(plan)):
+            built[0] = 0
+            t0 = time.perf_counter()
+            plane = qwavelet.WaveletPlane(f, spec)
+            report = uncertainty.uncertainty_report(plane)
+            dt = time.perf_counter() - t0
+            _, used = uncertainty._position_moment(plane)
+            ratios.append(report.ratio)
+            records.append({"cell": [q, alpha, beta], "probe": i,
+                            "I_R": repr(report.I_R), "used": sorted(used),
+                            "rows": built[0],
+                            "scales": len(spec.scale_indices),
+                            "seconds": dt})
+            total_rows += built[0]
+            total_scales += len(spec.scale_indices)
+            total_time += dt
+        print(f"q={q} v=({alpha}, {beta}): K_emp {min(ratios)!r}, rows "
+              f"{sum(r['rows'] for r in records[-9:])} of "
+              f"{9 * len(spec.scale_indices)}", flush=True)
+    print(f"rows built: {total_rows} of {total_scales} "
+          f"({100.0 * total_rows / total_scales:.1f}%)")
+    print(f"probe time: {total_time:.2f} s in all, "
+          f"{1e3 * total_time / len(records):.1f} ms per probe")
+    if args.json:
+        Path(args.json).write_text(json.dumps(records, indent=1) + "\n")
+    return 0 if all(math.isfinite(float(r["I_R"])) for r in records) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

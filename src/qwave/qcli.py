@@ -513,8 +513,6 @@ def cmd_verify(cfg, args):
     else:
         cells = [(q, a, b) for q in ACCEPTANCE_Q for a, b in ACCEPTANCE_V]
     grid = (cfg.n_low, cfg.n_high)
-    if args.out:
-        _emit(None, args.out)  # refuse an unwritable path before any cell
     reports = []
     for report in parallel_map(lambda c: run_cell_checks(*c),
                                [c + grid for c in cells]):
@@ -607,7 +605,10 @@ _HANDLERS = {"grid": cmd_grid, "bessel": cmd_bessel, "fourier": cmd_fourier,
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](build_config(args), args)
+        cfg = build_config(args)
+        if args.out:
+            _emit(None, args.out)  # refuse an unwritable path before any work
+        return _HANDLERS[args.command](cfg, args)
     except (CalibrationError, TruncationError, ValueError, WorkerError) as exc:
         sys.stderr.write(f"qwave: {exc}\n")
         return 2 if isinstance(exc, UsageError) else 1

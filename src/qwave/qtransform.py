@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 from mpmath.libmp import from_float, mpf_mul, round_nearest, to_float
+from numpy.lib.stride_tricks import sliding_window_view
 
 from qwave.qbessel import (FLOAT_ROW_DPS, kappa_row, lattice_kernel,
                            mp_context, mp_dot, spectrum_dps)
@@ -56,11 +57,11 @@ class TransformPlan:
         self.weights = jackson_weights(grid, v)
         self._table = lattice_kernel(v.nu, grid.q, 2 * grid.n_low,
                                      2 * grid.n_high)
-        # matrix[i, j] = kernel at index sum n_i + n_j; symmetric by construction
-        sums = np.add.outer(grid.indices, grid.indices) - 2 * grid.n_low
-        row = [to_float(k, rnd=round_nearest)
-               for k in kappa_row(self._table, grid, v, FLOAT_ROW_DPS)]
-        self.matrix = np.array(row)[sums]
+        # matrix[i, j] = kernel at index sum n_i + n_j, entry i + j of
+        # the row: Hankel, so each matrix row is a window of the kappa row
+        row = np.array([to_float(k, rnd=round_nearest) for k in
+                        kappa_row(self._table, grid, v, FLOAT_ROW_DPS)])
+        self.matrix = sliding_window_view(row, grid.size).copy()
         self.calibration_residual = 0.0
         # dps -> [{n: weight}, kappa row or None]
         self._mp_operands = {}
@@ -79,18 +80,19 @@ class TransformPlan:
         digits, in a {n: weight} dict holding at least ns. Each is built
         on the plan's first request for it at dps and looked up after."""
         weights = self._mp_operands.setdefault(dps, [{}, None])[0]
-        qmp = mp_context(dps).mpf(self.grid.q)
-        wexp = weight_exponent(self.v)
-        for n in ns:
-            if n not in weights:
+        missing = [n for n in ns if n not in weights]
+        if missing:
+            qmp = mp_context(dps).mpf(self.grid.q)
+            wexp = weight_exponent(self.v)
+            for n in missing:
                 weights[n] = ((1 - qmp) * qmp ** (n * wexp))._mpf_
         return weights
 
-    def mp_transform(self, values, s_values, dps):
+    def mp_transform(self, values, s_lo, s_hi, dps):
         """The transform sum c * sum_n w(n) values[n] kappa(n + s) at dps
-        digits for each s in s_values, as {s: raw mpf tuple}. values is
-        {n: raw mpf tuple}; an index sum n + s outside the plan's range
-        [2 n_low, 2 n_high] raises ValueError.
+        digits for each s in [s_lo, s_hi], as {s: raw mpf tuple}. values
+        is {n: raw mpf tuple}; an index sum n + s outside the plan's
+        range [2 n_low, 2 n_high] raises ValueError.
 
         Each w(n) values[n] is an exact product rounded once, each sum
         is one mp_dot against the kappa row (exact products, rounded
@@ -98,21 +100,24 @@ class TransformPlan:
         once more: the libmp calls that mpf * mpf makes. The weights and
         the row come from the plan's cache, so a call on a warm plan
         computes one multiply per entry of values and the dot products.
+        Entry n's kappa values over the s range are one slice of the
+        row, and the column for each s is read across those slices.
         """
-        s_values = list(s_values)
-        if values and s_values:
-            self.check_index_sums(min(values), max(values), min(s_values),
-                                  max(s_values))
+        count = s_hi - s_lo + 1
+        if values and count > 0:
+            self.check_index_sums(min(values), max(values), s_lo, s_hi)
         prec = mp_context(dps).prec
         weights = self.mp_weights(values, dps)
         kap = self.kappa_row(dps)
         weighted = [mpf_mul(weights[n], val, prec, round_nearest)
                     for n, val in values.items()]
-        offsets = [n - 2 * self.grid.n_low for n in values]
+        starts = [n + s_lo - 2 * self.grid.n_low for n in values]
+        cols = zip(*[kap[o:o + count] for o in starts]) if values \
+            else [()] * count
         c = from_float(self.c_qv)
-        return {s: mpf_mul(c, mp_dot(weighted, [kap[o + s] for o in offsets],
-                                     prec), prec, round_nearest)
-                for s in s_values}
+        return {s: mpf_mul(c, mp_dot(weighted, col, prec), prec,
+                           round_nearest)
+                for s, col in zip(range(s_lo, s_hi + 1), cols)}
 
     def check_index_sums(self, n_lo, n_hi, s_lo, s_hi):
         """Raise ValueError unless every index sum n + s with n in
@@ -246,6 +251,8 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
                 *(abs(n) for n in support))
     dps = spectrum_dps(grid.q, depth)
     ctx = mp_context(dps)
-    values = {n: ctx.mpf(val)._mpf_ for n, val in support.items()}
-    out = plan.mp_transform(values, range(s_lo, s_hi + 1), dps)
+    # a float converts exactly, to the tuple ctx.mpf gives
+    values = {n: from_float(val) if isinstance(val, float)
+              else ctx.mpf(val)._mpf_ for n, val in support.items()}
+    out = plan.mp_transform(values, s_lo, s_hi, dps)
     return {s: to_float(val, rnd=round_nearest) for s, val in out.items()}

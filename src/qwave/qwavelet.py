@@ -42,10 +42,12 @@ class WaveletSpec:
     """A mother wavelet with its admissibility constant and the spectrum
     profile over the extended index range the transform needs, as one
     float64 array: profile[i] is the profile at index
-    scale_indices[0] + n_low + i."""
+    scale_indices[0] + n_low + i. windows is the profile's sliding
+    window view: windows[i] is the window that the row at scale
+    scale_indices[i] reads, the profile at m + n for every grid index n."""
 
     __slots__ = ("mother", "admissibility", "plan", "mp_values",
-                 "scale_indices", "profile", "_term_bounds")
+                 "scale_indices", "profile", "windows", "_term_bounds")
 
     def __init__(self, mother, plan, admissibility, mp_values, scale_indices,
                  profile):
@@ -55,6 +57,7 @@ class WaveletSpec:
         self.mp_values = mp_values
         self.scale_indices = scale_indices
         self.profile = profile
+        self.windows = sliding_window_view(profile, plan.grid.size)
         # (transformed, d bytes) -> the term's part of the scale bounds
         self._term_bounds = {}
 
@@ -178,23 +181,37 @@ def _spectrum_array(f, plan):
 
 
 def scale_rows(Ff, spec, scale_indices=None):
-    """Coefficient rows C(q^m, .) over the full position grid, one scale
-    at a time, via the spectral route from the input's spectrum array Ff
-    (every admissible scale by default). Returns {m: row array}."""
+    """Coefficient rows C(q^m, .) over the full position grid via the
+    spectral route from the input's spectrum array Ff, for a run of
+    consecutive scale indices (every admissible scale by default), as
+    one block: row i is the scale scale_indices[i].
+
+    Row m is sqrt(q^m) c M (w (spec.windows row of m) Ff), for the
+    plan's matrix M, weights w and normalization c, with the steps
+    taken in that order: the window, weight and c products as block
+    operations, M x as one GEMV per row (a GEMM over the block rounds
+    differently), and sqrt(q^m) as a float per row, which keeps a
+    one-row block, the gate's case, on numpy's scalar path. So each row
+    has the bits of the same steps on that row alone."""
     plan = spec.plan
-    grid = plan.grid
-    span = range(spec.scale_indices[0], spec.scale_indices[-1] + 1)
-    if scale_indices is None:
-        scale_indices = span
-    rows = {}
-    for m in scale_indices:
-        if m not in span:
-            raise ValueError(f"scale index {m} pushes the mother off the grid")
-        a = grid.q ** float(m)
-        # row m reads the profile at m + n for grid index n
-        start = m - span[0]
-        rows[m] = math.sqrt(a) * plan.fourier_values(
-            spec.profile[start:start + grid.size] * Ff)
+    q = plan.grid.q
+    ms = list(spec.scale_indices if scale_indices is None else scale_indices)
+    if not ms or ms != list(range(ms[0], ms[-1] + 1)):
+        raise ValueError("scale indices must be a run of consecutive "
+                         f"integers, got {ms}")
+    start = ms[0] - spec.scale_indices[0]
+    if start < 0 or ms[-1] > spec.scale_indices[-1]:
+        bad = ms[0] if start < 0 else ms[-1]
+        raise ValueError(f"scale index {bad} pushes the mother off the grid")
+    # 2-D operands keep a one-row block off numpy's broadcasting path
+    x = spec.windows[start:start + len(ms)] * Ff[None]
+    x *= plan.weights[None]
+    rows = np.empty_like(x)
+    for i in range(len(ms)):
+        np.dot(plan.matrix, x[i], out=rows[i])
+    rows *= plan.c_qv
+    for i, m in enumerate(ms):
+        rows[i] *= math.sqrt(q ** float(m))
     return rows
 
 
@@ -217,7 +234,7 @@ class WaveletPlane:
         """The coefficient row C(q^m, .) over the position grid."""
         row = self._rows.get(m)
         if row is None:
-            row = self._rows[m] = scale_rows(self.Ff, self.spec, (m,))[m]
+            row = self._rows[m] = scale_rows(self.Ff, self.spec, (m,))[0]
         return row
 
     def integral(self, term, d, transformed=False):
@@ -243,12 +260,14 @@ class WaveletPlane:
 
 def cwt(f, spec, scale_indices=None):
     """Continuous wavelet transform as a Scaleogram over the full position
-    grid; scale_indices defaults to every admissible scale."""
+    grid, for a run of consecutive scale indices; scale_indices defaults
+    to every admissible scale. The coefficients are scale_rows' block."""
     grid = spec.plan.grid
-    rows = scale_rows(_spectrum_array(f, spec.plan), spec, scale_indices)
-    ms = sorted(rows)
-    return Scaleogram(ms, list(grid.indices),
-                      np.vstack([rows[m] for m in ms]), grid)
+    if scale_indices is None:
+        scale_indices = spec.scale_indices
+    return Scaleogram(scale_indices, list(grid.indices),
+                      scale_rows(_spectrum_array(f, spec.plan), spec,
+                                 scale_indices), grid)
 
 
 def cwt_direct(f, spec, scale_indices, position_indices):
@@ -439,11 +458,9 @@ def _scale_bounds(plane, d, transformed):
     q, n, c = plan.grid.q, plan.grid.size, plan.c_qv
     cols, log_top, slack_n, slack_s = _term_bound(spec, d, transformed)
     ms = spec.scale_indices
-    # row i is the profile window of scale ms[i]
-    windows = sliding_window_view(spec.profile, n)
     sums = np.empty((len(ms), 2))
     for i in range(0, len(ms), _BLOCK):
-        x = windows[i:i + _BLOCK] * plane.Ff
+        x = spec.windows[i:i + _BLOCK] * plane.Ff
         x *= plan.weights
         np.abs(x, out=x)
         sums[i:i + _BLOCK] = x @ cols
@@ -512,6 +529,7 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
         raise ValueError(f"position or spectral index {off[0]} is off the "
                          f"grid [{grid.n_low}, {grid.n_high}]")
     k_lo = 2 * grid.n_low
+    xi_lo, xi_hi = min(xi_indices), max(xi_indices)
     idx = [int(n) for n in grid.indices]
     worst = 0.0
     ctx = mp_context(dps)
@@ -536,10 +554,10 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
         psi_a = {n + m: (dil * val)._mpf_ for n, val in psi_mp.items()}
         if min(psi_a) < grid.n_low or max(psi_a) > grid.n_high:
             raise ValueError(f"scale index {m} pushes the mother off the grid")
-        FPa = plan.mp_transform(psi_a, idx, dps)
+        FPa = plan.mp_transform(psi_a, grid.n_low, grid.n_high, dps)
         FPa_w = [mpf_mul(FPa[s], weights[s], prec, round_nearest)
                  for s in idx]
-        mother = plan.mp_transform(psi, [m + s for s in xi_indices], dps)
+        mother = plan.mp_transform(psi, m + xi_lo, m + xi_hi, dps)
         profile = {s: root_a * make(mother[m + s]) for s in xi_indices}
         root_c = root_a * cmp_
         for n_b in position_indices:
@@ -547,7 +565,7 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
                  for val, k in zip(FPa_w, window(n_b))]
             daughter = {n: (root_c * make(mp_dot(u, window(n), prec)))._mpf_
                         for n in idx}
-            lhs = plan.mp_transform(daughter, xi_indices, dps)
+            lhs = plan.mp_transform(daughter, xi_lo, xi_hi, dps)
             rhs = {s: profile[s] * make(kap[n_b + s - k_lo])
                    for s in xi_indices}
             ref = max(abs(val) for val in rhs.values())

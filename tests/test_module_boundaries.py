@@ -1,9 +1,10 @@
 """Module boundaries of the library: qbessel is its one high-precision
 layer and the one place that sets a working precision, no module
 reaches into another module's private names, each kind of sum has one
-home, WaveletPlane builds its rows only through scale_rows,
-parallel_map is the one place that starts processes, and qcli's _emit
-is the one place that writes the command line's output."""
+home, WaveletPlane builds its rows only through scale_rows, no module
+turns the per-row transform into a block GEMM, parallel_map is the one
+place that starts processes, and qcli's _emit is the one place that
+writes the command line's output."""
 
 import ast
 from collections import Counter
@@ -277,18 +278,81 @@ def test_gate_finder_sees_the_constants(source, gates):
 # WaveletPlane builds its coefficient rows only through scale_rows, so
 # that one function holds the row arithmetic and the bound's premises.
 ROW_HOME = "qwavelet.scale_rows"
-PRODUCT_CALLS = ("fourier_values", "dot", "matmul", "einsum", "vdot",
-                 "inner", "tensordot")
+MATRIX_PRODUCTS = ("dot", "matmul", "einsum", "vdot", "inner", "tensordot")
+PRODUCT_CALLS = ("fourier_values",) + MATRIX_PRODUCTS
+
+
+def _call_name(func):
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
+
+
+def _is_matrix(node, aliases):
+    """node reads a plan's matrix: x.matrix, or a name bound to one."""
+    return (isinstance(node, ast.Attribute) and node.attr == "matrix") or (
+        isinstance(node, ast.Name) and node.id in aliases)
+
+
+def _is_transposed(node):
+    return (isinstance(node, ast.Attribute) and node.attr in ("T", "mT")) \
+        or (isinstance(node, ast.Call) and _call_name(node.func) in (
+            "transpose", "swapaxes", "moveaxis"))
+
+
+def gemm_breaches(source):
+    """(line, what) for every matrix product that takes a block of rows
+    through a plan's matrix as one GEMM: the matrix as the right operand
+    (X @ M, np.matmul(X, M), np.dot(X, M), X.dot(M)), a transposed right
+    operand (M @ X.T), or the matrix in einsum or tensordot. The
+    transform of a block stays one GEMV per row, M @ x, since a GEMM
+    rounds differently; a product that takes an (n, k) block as its
+    right operand untransposed is beyond what the syntax shows."""
+    tree = ast.parse(source)
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = zip(target.elts, node.value.elts) if isinstance(
+                    target, ast.Tuple) and isinstance(node.value, ast.Tuple) \
+                    else [(target, node.value)]
+                aliases |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                            and _is_matrix(v, set())}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Call) and _call_name(node.func) in \
+                MATRIX_PRODUCTS:
+            operands = list(node.args)
+            if _call_name(node.func) in ("einsum", "tensordot"):
+                if any(_is_matrix(arg, aliases) for arg in operands):
+                    found.append((node.lineno, "the plan matrix in "
+                                  f"{_call_name(node.func)}"))
+                continue
+            if isinstance(node.func, ast.Attribute) and _dotted(
+                    node.func.value) not in ("np", "numpy"):
+                operands.insert(0, node.func.value)  # left.dot(right)
+        else:
+            continue
+        if len(operands) < 2:
+            continue
+        left, right = operands[:2]
+        if _is_matrix(right, aliases) or (
+                _is_matrix(left, aliases) and _is_transposed(right)):
+            found.append((node.lineno, "block GEMM through the plan matrix"))
+    return found
 
 
 def row_breaches(source, module="qwavelet"):
     """(line, what) for every call of the transform (fourier_values)
-    outside scale_rows, and, inside WaveletPlane, every matrix product
-    and every read of a plan's matrix."""
+    outside scale_rows, every block GEMM through a plan's matrix
+    (gemm_breaches), and, inside WaveletPlane, every matrix product and
+    every read of a plan's matrix."""
     found = [(call.lineno, f"fourier_values called in {scope}")
              for call, scope in scoped_calls(source, module)
-             if getattr(call.func, "attr", getattr(call.func, "id", None))
-             == "fourier_values" and scope != ROW_HOME]
+             if _call_name(call.func) == "fourier_values"
+             and scope != ROW_HOME]
+    found += gemm_breaches(source)
     for node in ast.parse(source).body:
         if not (isinstance(node, ast.ClassDef)
                 and node.name == "WaveletPlane"):
@@ -298,8 +362,7 @@ def row_breaches(source, module="qwavelet"):
                 found.append((sub.lineno, "matrix product in WaveletPlane"))
             elif isinstance(sub, ast.Attribute) and sub.attr == "matrix":
                 found.append((sub.lineno, "plan matrix read in WaveletPlane"))
-            elif isinstance(sub, ast.Call) and getattr(
-                    sub.func, "attr", getattr(sub.func, "id", None)) in \
+            elif isinstance(sub, ast.Call) and _call_name(sub.func) in \
                     PRODUCT_CALLS:
                 found.append((sub.lineno, "product call in WaveletPlane"))
     return found
@@ -323,6 +386,21 @@ def test_plane_builds_rows_through_scale_rows():
     "class WaveletPlane:\n    def row(self, m):\n"
     "        mat = self.spec.plan.matrix\n        return mat.dot(x)",
     "def _row(plane, m):\n    return plane.spec.plan.fourier_values(x)",
+    # a block GEMM in place of one GEMV per row
+    "def scale_rows(Ff, spec, ms):\n    return x @ spec.plan.matrix",
+    "def scale_rows(Ff, spec, ms):\n    M = spec.plan.matrix\n"
+    "    return X @ M",
+    "def scale_rows(Ff, spec, ms):\n    M, n = spec.plan.matrix, 3\n"
+    "    return np.matmul(X, M)",
+    "def scale_rows(Ff, spec, ms):\n    return np.dot(X, spec.plan.matrix)",
+    "def scale_rows(Ff, spec, ms):\n    return X.dot(spec.plan.matrix)",
+    "def scale_rows(Ff, spec, ms):\n    return spec.plan.matrix @ X.T",
+    "def scale_rows(Ff, spec, ms):\n"
+    "    return np.dot(spec.plan.matrix, np.transpose(X))",
+    "def scale_rows(Ff, spec, ms):\n"
+    "    return np.einsum('ij,kj->ki', spec.plan.matrix, X)",
+    "class TransformPlan:\n    def block(self, X):\n"
+    "        return (self.weights * X) @ self.matrix",
 ])
 def test_row_guard_flags_each_breach(source):
     assert row_breaches(source)
@@ -331,11 +409,23 @@ def test_row_guard_flags_each_breach(source):
 @pytest.mark.parametrize("source", [
     "def scale_rows(Ff, spec, ms):\n    return spec.plan.fourier_values(x)",
     "class WaveletPlane:\n    def row(self, m):\n"
-    "        return scale_rows(self.Ff, self.spec, (m,))[m]",
+    "        return scale_rows(self.Ff, self.spec, (m,))[0]",
     "def _scale_bounds(plane, d):\n    return x @ cols",
+    "def scale_rows(Ff, spec, ms):\n    for i in range(k):\n"
+    "        np.dot(spec.plan.matrix, x[i], out=rows[i])",
+    "def scale_rows(Ff, spec, ms):\n    M = spec.plan.matrix\n"
+    "    return [M @ x for x in X]",
+    "class TransformPlan:\n    def fourier_values(self, values):\n"
+    "        return self.matrix @ (self.weights * values)",
 ])
 def test_row_guard_allows_scale_rows(source):
     assert row_breaches(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_block_gemm_through_the_matrix(path):
+    assert gemm_breaches(path.read_text()) == []
 
 
 def process_breaches(source, module):

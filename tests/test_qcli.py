@@ -391,6 +391,33 @@ class TestExitCodes:
         assert err.startswith("qwave: cannot write output: [Errno 2] ")
         assert err.count("\n") == 1
 
+    def test_sweep_refuses_unwritable_out_before_any_cell(
+            self, capsys, monkeypatch, tmp_path):
+        # one CPU runs the cells inline, so a cell that ran is seen here
+        ran = []
+        monkeypatch.setattr(qcli, "_sweep_cell", ran.append)
+        set_cpus(monkeypatch, 1)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("q_list=0.4,0.6\nalpha_list=0\nbeta_list=0\n")
+        rc, out, err = run(capsys, "uncertainty", "--sweep", str(cfg),
+                           "--out", str(tmp_path / "no" / "k.csv"))
+        assert (rc, out, ran) == (2, "", [])
+        assert err.startswith("qwave: cannot write output: [Errno 2] ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(qcli._HANDLERS))
+    def test_every_command_checks_out_first(self, capsys, monkeypatch,
+                                            tmp_path, command):
+        def handler(cfg, args):
+            raise AssertionError(f"{command} ran with an unwritable --out")
+
+        monkeypatch.setitem(qcli._HANDLERS, command, handler)
+        rc, out, err = run(capsys, command, "--out",
+                           str(tmp_path / "no" / "x.txt"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("qwave: cannot write output: [Errno 2] ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("existing", [False, True],
                              ids=("new", "existing"))
     def test_out_check_leaves_the_path_as_it_was(self, capsys, monkeypatch,

@@ -7,11 +7,11 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from mpmath.libmp import from_float
+from mpmath.libmp import from_float, round_nearest, to_float
 
 from qwave import qtransform
-from qwave.qbessel import (lattice_kernel, modified_q_bessel, mp_context,
-                           mp_dot, spectrum_dps)
+from qwave.qbessel import (FLOAT_ROW_DPS, lattice_kernel, modified_q_bessel,
+                           mp_context, mp_dot, spectrum_dps)
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
     CalibrationError,
@@ -128,6 +128,37 @@ class TestTransform:
         other = build_grid(0.5, -5, 5)
         with pytest.raises(ValueError, match="different grids"):
             q_bessel_fourier(GridFunction.zeros(other), plan00)
+
+
+class TestPlanMatrix:
+    """The plan's matrix, a copy of the float kappa row's sliding windows,
+    against the gather through the N x N array of index sums that it
+    replaced, bit for bit: on the verify grids x1, x2 and x4 and on the
+    sweep grid at q = 0.5, v = (0, 0) (the sweep fixture's table covers
+    the smaller plans), and on two beta != 0 cells."""
+
+    @pytest.fixture(params=["x1", "x2", "x4", "sweep", "shifted",
+                            "sweep-deep"])
+    def plan(self, request, spec_sweep00):
+        k = {"x1": 1, "x2": 2, "x4": 4}.get(request.param)
+        if k:
+            return make_plan(build_grid(0.5, -20 * k, 40 * k),
+                             BesselParams(0.0, 0.0))
+        return {"sweep": lambda: spec_sweep00.plan,
+                "shifted": lambda: request.getfixturevalue("plan_shifted"),
+                "sweep-deep": lambda: request.getfixturevalue(
+                    "spec_sweep_deep").plan}[request.param]()
+
+    def test_equals_the_index_sum_gather(self, plan):
+        grid = plan.grid
+        row = np.array([to_float(k, rnd=round_nearest)
+                        for k in plan.kappa_row(FLOAT_ROW_DPS)])
+        sums = np.add.outer(grid.indices, grid.indices) - 2 * grid.n_low
+        gathered = row[sums]
+        assert plan.matrix.shape == (grid.size, grid.size)
+        assert plan.matrix.tobytes() == gathered.tobytes()
+        # its own C-ordered buffer, not a view of the row
+        assert plan.matrix.flags.c_contiguous and plan.matrix.flags.owndata
 
 
 class TestTranslate:
@@ -441,6 +472,18 @@ class TestMpTransform:
     at spectrum's precision for the call's depth and at 20 digits, where
     a one-bit change in any rounding shows."""
 
+    @pytest.mark.parametrize("x", [1.0, -0.75, 2.0 ** -1074, -3e-310,
+                                   1.7976931348623157e308, 0.1,
+                                   np.float64(-1e-300)])
+    def test_float_converts_to_the_context_tuple(self, x):
+        # spectrum converts a float input with from_float, which is exact
+        for dps in (20, 80, 400):
+            assert from_float(x) == mp_context(dps).mpf(x)._mpf_
+
+    def test_empty_input_sums_to_zero(self, plan00):
+        assert plan00.mp_transform({}, -3, 2, 60) == \
+            {s: mpmath.mpf(0)._mpf_ for s in range(-3, 3)}
+
     @pytest.fixture(params=["spec00", "spec_shifted"])
     def spec(self, request):
         return request.getfixturevalue(request.param)
@@ -453,7 +496,7 @@ class TestMpTransform:
                   2: from_float(-q ** (-2.0 * (2.0 * v.abs_v + 2.0)))}
         s_values = range(-10, 71)
         dps = 20 if low else spectrum_dps(q, 70)
-        assert plan.mp_transform(values, s_values, dps) == \
+        assert plan.mp_transform(values, -10, 70, dps) == \
             global_transform(values, plan, s_values, dps)
 
     @pytest.mark.parametrize("low", [False, True], ids=("deep", "dps20"))
@@ -467,7 +510,8 @@ class TestMpTransform:
         depth = max(abs(s_values[0]), abs(s_values[-1]),
                     abs(grid.n_low), abs(grid.n_high))
         dps = 20 if low else spectrum_dps(grid.q, depth)
-        assert plan.mp_transform(values, s_values, dps) == \
+        assert plan.mp_transform(values, s_values[0], s_values[-1],
+                                 dps) == \
             global_transform(values, plan, s_values, dps)
 
 
@@ -478,11 +522,12 @@ class TestMpTransform:
         one = {0: from_float(1.0)}
         for s in (-41, -50, 81):
             with pytest.raises(ValueError, match=r"plan's range \[-40, 80\]"):
-                plan00.mp_transform(one, [0, s], 60)
+                plan00.mp_transform(one, min(0, s), max(0, s), 60)
         with pytest.raises(ValueError, match=r"index sums \[-45, 5\]"):
             plan00.mp_transform({-5: from_float(1.0), 5: from_float(1.0)},
-                                range(-40, 1), 60)
-        edges = plan00.mp_transform(one, [-40, 80], 60)
+                                -40, 0, 60)
+        edges = {**plan00.mp_transform(one, -40, -40, 60),
+                 **plan00.mp_transform(one, 80, 80, 60)}
         assert edges == global_transform(one, plan00, [-40, 80], 60)
 
 

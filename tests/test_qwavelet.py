@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwave import qwavelet
 from qwave.qbessel import lattice_kernel
 from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan
@@ -26,6 +27,7 @@ from qwave.qwavelet import (
     scale_rows,
     wavelet_plancherel_ratio,
 )
+from qwave.uncertainty import probe_family
 
 from conftest import eager_gated_scale_sum, rel_err
 
@@ -140,6 +142,63 @@ class TestTransformRoutes:
         rhs = 2.0 * cwt(f, spec00, ms).coeffs - 3.0 * cwt(g, spec00, ms).coeffs
         scale = np.max(np.abs(rhs))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * scale)
+
+
+class TestScaleRowBlock:
+    """cwt's coefficients are the block that scale_rows builds over every
+    scale. Each of its rows must equal the one-row block that plane.row
+    builds, and the row formula the block replaced,
+    sqrt(q^m) * plan.fourier_values(profile window * Ff), bit for bit:
+    on q = 0.5, v = (0, 0) at N = 61, 121, 241 and 481, for the mean-free
+    probe, whose deep spectrum holds subnormals."""
+
+    @pytest.fixture(scope="class", params=[1, 2, 4, 8],
+                    ids=("N61", "N121", "N241", "N481"))
+    def plane(self, request, spec_sweep00):
+        k = request.param
+        spec = spec_sweep00 if k == 8 else operator_mother(make_plan(
+            build_grid(0.5, -20 * k, 40 * k), BesselParams(0.0, 0.0)))
+        return WaveletPlane(probe_family(spec.plan)[-1], spec)
+
+    def test_cwt_block_equals_one_row_blocks(self, plane, monkeypatch):
+        spec = plane.spec
+        blocks = []
+
+        def spy(Ff, spec, scale_indices=None):
+            blocks.append(scale_rows(Ff, spec, scale_indices))
+            return blocks[-1]
+
+        monkeypatch.setattr(qwavelet, "scale_rows", spy)
+        coeffs = cwt(plane.f, spec).coeffs
+        # the block itself, with no copy or restacking
+        assert len(blocks) == 1 and coeffs is blocks[0]
+        assert coeffs.shape == (len(spec.scale_indices), spec.plan.grid.size)
+        for row, m in zip(coeffs, spec.scale_indices):
+            assert row.tobytes() == plane.row(m).tobytes()
+
+    def test_rows_equal_the_row_formula(self, plane):
+        spec = plane.spec
+        plan = spec.plan
+        n = plan.grid.size
+        for i, m in enumerate(spec.scale_indices):
+            want = math.sqrt(plan.grid.q ** float(m)) * plan.fourier_values(
+                spec.profile[i:i + n] * plane.Ff)
+            assert plane.row(m).tobytes() == want.tobytes()
+
+    def test_sub_block_equals_its_rows(self, plane):
+        spec = plane.spec
+        ms = spec.scale_indices[3:9]
+        block = scale_rows(plane.Ff, spec, range(ms[0], ms[-1] + 1))
+        assert block.tobytes() == np.vstack(
+            [plane.row(m) for m in ms]).tobytes()
+
+    @pytest.mark.parametrize("pick", [[0, 2], [1, 0], []],
+                             ids=("gap", "descending", "empty"))
+    def test_scales_must_be_consecutive(self, spec00, pick):
+        f = GridFunction.from_pairs(spec00.plan.grid, [(1, 1.0)])
+        ms = [spec00.scale_indices[i] for i in pick]
+        with pytest.raises(ValueError, match="consecutive"):
+            scale_rows(WaveletPlane(f, spec00).Ff, spec00, ms)
 
 
 class TestScaleogram:

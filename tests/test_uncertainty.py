@@ -113,14 +113,15 @@ class TestOneSpectrumPerCall:
 
 
 def contributions(plane, term):
-    """Every scale's contribution to plane.integral of term, from rows
-    that scale_rows builds all at once."""
+    """Every scale's contribution to plane.integral of term, from the
+    block of rows that scale_rows builds all at once."""
     q = plane.spec.plan.grid.q
     # the callers form their terms inside the same errstate
     with np.errstate(over="ignore", invalid="ignore"):
         return {m: (1.0 - q) / (q ** float(m))
                 * math.fsum(term(row).tolist())
-                for m, row in scale_rows(plane.Ff, plane.spec).items()}
+                for m, row in zip(plane.spec.scale_indices,
+                                  scale_rows(plane.Ff, plane.spec))}
 
 
 def integral_args(monkeypatch, plane, caller):
@@ -187,7 +188,8 @@ class TestPlaneIntegral:
         assert finite.all() == (plan.grid.q == 0.5)
         assert uncertainty_report(plane).I_R == want[0]
         assert _position_moment(plane) == want
-        rows = scale_rows(plane.Ff, plane.spec)
+        rows = dict(zip(plane.spec.scale_indices,
+                        scale_rows(plane.Ff, plane.spec)))
         norms = {m: plan.norm_sq(rows[m]) for m in want[1]}
         top = max(norms.values())
         assert heisenberg_slice_minimum(plane) == min(
@@ -248,9 +250,8 @@ class TestScaleBounds:
         built = []
 
         def counted(Ff, spec, scale_indices=None):
-            rows = scale_rows(Ff, spec, scale_indices)
-            built.extend(rows)
-            return rows
+            built.extend(scale_indices)
+            return scale_rows(Ff, spec, scale_indices)
 
         monkeypatch.setattr(qwavelet, "scale_rows", counted)
         fresh = WaveletPlane(plane.f, plane.spec)

@@ -1,0 +1,103 @@
+"""Milliseconds per operation for each stage of the transform-stream
+benchmark's operation, run in this process on the benchmark's own seeded
+inputs (bench/workloads.py's TransformStream set-up).
+
+An operation reads one input CSV, transforms it, takes its wavelet
+transform over every scale and writes the transform. The stages are:
+
+    read      qgrid.read_function
+    fourier   qtransform.q_bessel_fourier
+    spectrum  the spectrum call inside qwavelet.cwt
+    rows      the rest of qwavelet.cwt: the scale rows and the Scaleogram
+    write     qgrid.write_function
+
+Each stage is timed with time.perf_counter around its own call; spectrum
+is timed by a wrapper on qwavelet's spectrum name, and rows is cwt's
+time less that. The script prints the median and mean ms per op of every
+stage, and a digest of the outputs and scaleograms so that two trees can
+be compared bit for bit.
+
+    python tools/stream_split.py [--src TREE/src] [--seed N] [--passes P]
+
+--src imports qwave from another tree (any tree whose qwavelet calls
+spectrum by that name from cwt). The inputs and outputs go to a
+temporary directory that is removed at the end.
+"""
+
+import argparse
+import hashlib
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STAGES = ("read", "fourier", "spectrum", "rows", "write")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--passes", type=int, default=10,
+                        help="passes over the 30-input pool (default 10)")
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import numpy as np
+    from qwave import qgrid, qtransform, qwavelet
+    from workloads import TransformStream
+
+    spectrum = qwavelet.spectrum
+    spent = [0.0]
+
+    def timed_spectrum(*a, **kw):
+        t0 = time.perf_counter()
+        try:
+            return spectrum(*a, **kw)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    qwavelet.spectrum = timed_spectrum
+    times = {stage: [] for stage in STAGES}
+    digest = hashlib.sha256()
+    clock = time.perf_counter
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = TransformStream()
+        stream.setup(args.seed, Path(tmp))
+        plan, spec = stream.plan, stream.spec
+        for p in range(args.passes):
+            for path_in, path_out in zip(stream.inputs, stream.outputs):
+                t0 = clock()
+                f = qgrid.read_function(str(path_in))
+                t1 = clock()
+                F = qtransform.q_bessel_fourier(f, plan)
+                t2 = clock()
+                spent[0] = 0.0
+                coeffs = qwavelet.cwt(f, spec).coeffs
+                t3 = clock()
+                qgrid.write_function(F, str(path_out))
+                t4 = clock()
+                for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, spent[0],
+                                              t3 - t2 - spent[0], t4 - t3)):
+                    times[stage].append(1e3 * dt)
+                if p == 0:
+                    digest.update(path_out.read_bytes())
+                    digest.update(np.ascontiguousarray(
+                        coeffs, dtype="<f8").tobytes())
+    ops = len(times["read"])
+    print(f"{ops} ops, seed {args.seed}, qwave from {args.src}")
+    print(f"{'stage':<9} {'p50 ms':>8} {'mean ms':>8}")
+    for stage in STAGES:
+        print(f"{stage:<9} {statistics.median(times[stage]):8.3f} "
+              f"{statistics.fmean(times[stage]):8.3f}")
+    total = [sum(parts) for parts in zip(*times.values())]
+    print(f"{'op':<9} {statistics.median(total):8.3f} "
+          f"{statistics.fmean(total):8.3f}")
+    print(f"digest {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

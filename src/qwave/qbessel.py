@@ -18,7 +18,8 @@ import math
 import weakref
 
 import mpmath
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
+from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_lt, mpf_mul,
+                          round_nearest)
 
 from qwave.qgrid import GridFunction, QGrid
 
@@ -181,13 +182,25 @@ def _kernel_values(nu, q, s_min, s_max):
     they are built once, from running products of Q, and every s reuses
     them (term_k = term_{k-1} r_k x^2). The arguments x^2 = Q^s and the
     recurrence's q^{-2k} are running products too.
+
+    The series and x^2 run on raw mpf tuples, through the libmp calls
+    that mpf * mpf and mpf + mpf make (mpf_mul, mpf_add, round to
+    nearest at the context's precision), so every entry is the one the
+    mpf objects give. The stopping test |term| < tiny |tot| is read off
+    the operands' magnitude exponents (exp + bitcount) where they
+    decide it, and computed exactly where they do not.
     """
     ctx = mp_context(KERNEL_DPS)
+    prec = ctx.prec
     qq = ctx.mpf(q)
     Q = qq * qq
     Qnu = Q ** ctx.mpf(nu)
-    tiny = ctx.mpf(10) ** (-KERNEL_DPS - 5)
-    ratios = [None]  # ratios[k] is r_k, built on first use
+    tiny = (ctx.mpf(10) ** (-KERNEL_DPS - 5))._mpf_
+    # |term| < 2^(e_term) and tiny |tot| >= 2^(e_tiny + e_tot - 2) after
+    # rounding; |term| >= 2^(e_term - 1) and tiny |tot| <= 2^(e_tiny + e_tot).
+    e_tiny = tiny[2] + tiny[3]
+    one = ctx.mpf(1)._mpf_
+    ratios = [None]  # ratios[k] is r_k as a raw tuple, built on first use
     Qk = ctx.mpf(1)
     out = _Table()
 
@@ -200,26 +213,37 @@ def _kernel_values(nu, q, s_min, s_max):
                 raise DegenerateParameterError(
                     f"q-Pochhammer factor ~0 at n={len(ratios)} "
                     f"for order {nu}")
-            ratios.append(-Qk / (denom_a * (1 - Qk)))
+            ratios.append((-Qk / (denom_a * (1 - Qk)))._mpf_)
         return ratios[k]
 
+    def converged(term, tot):
+        if term[1] and tot[1]:
+            gap = term[2] + term[3] - tot[2] - tot[3] - e_tiny
+            if gap <= -2:
+                return True
+            if gap >= 1:
+                return False
+        return mpf_lt(mpf_abs(term), mpf_mul(tiny, mpf_abs(tot), prec,
+                                             round_nearest))
+
     def series(s, x2):
-        term = ctx.mpf(1)
-        tot = ctx.mpf(1)
+        term = tot = one
         n = 0
         while True:
             n += 1
-            term *= ratio(n) * x2
-            tot += term
-            if abs(term) < tiny * abs(tot):
-                return tot
+            term = mpf_mul(term, mpf_mul(ratio(n), x2, prec, round_nearest),
+                           prec, round_nearest)
+            tot = mpf_add(tot, term, prec, round_nearest)
+            if converged(term, tot):
+                return ctx.make_mpf(tot)
             if n > 800:
                 raise TruncationError(f"high-precision series stalled at s={s}")
 
-    x2 = ctx.mpf(1)
+    x2 = one
+    Q_raw = Q._mpf_
     for s in range(s_max + 1):
         out[s] = series(s, x2)
-        x2 *= Q
+        x2 = mpf_mul(x2, Q_raw, prec, round_nearest)
     if s_min < 0:
         kmax = -s_min
         y_hi = ctx.mpf(0)

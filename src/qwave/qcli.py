@@ -21,7 +21,8 @@ from qwave.qbessel import (TruncationError, generalized_q_bessel_operator,
                            modified_q_bessel_bound)
 from qwave.qgrid import (BesselParams, GridFunction, build_grid, dilate,
                          function_csv, jackson_integral, jackson_weights,
-                         q_derivative, read_function, write_function)
+                         q_derivative, read_function, sidecar_path,
+                         write_function, write_in_place)
 from qwave.qtransform import CalibrationError, make_plan, q_bessel_fourier
 from qwave.qwavelet import (WaveletPlane, cwt, factorization_error,
                             indicator_difference_mother, operator_mother,
@@ -66,10 +67,10 @@ def _json_text(obj):
 
 def _emit(text, out_path=None, write=None):
     """The one writer of every output. Without out_path, text goes to
-    sys.stdout, looked up at each call. With it, text goes to that file,
-    or write(out_path) writes it; an unwritable path is a usage error.
-    With text None, it only checks that out_path can be written: the
-    path is opened for appending, and removed again if it was new."""
+    sys.stdout, looked up at each call. With it, write_in_place writes
+    text to that file, or write(out_path) writes it; an unwritable path
+    is a usage error. With text None, it only checks that out_path can
+    be written: the path is opened, and removed again if it was new."""
     if not out_path:
         sys.stdout.write(text)
         return
@@ -78,12 +79,11 @@ def _emit(text, out_path=None, write=None):
             write(out_path)
         elif text is None:
             new = not os.path.lexists(out_path)
-            open(out_path, "a").close()
+            write_in_place(out_path, None)
             if new:
                 os.remove(out_path)
         else:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            write_in_place(out_path, text)
     except OSError as exc:
         raise UsageError(f"cannot write output: {exc}")
 
@@ -607,7 +607,13 @@ def main(argv=None):
     try:
         cfg = build_config(args)
         if args.out:
-            _emit(None, args.out)  # refuse an unwritable path before any work
+            # refuse a path that cannot be written before any work
+            if args.command == "fourier" and not args.calibrate:
+                try:
+                    sidecar_path(args.out)
+                except ValueError as exc:
+                    raise UsageError(f"cannot write output: {exc}")
+            _emit(None, args.out)
         return _HANDLERS[args.command](cfg, args)
     except (CalibrationError, TruncationError, ValueError, WorkerError) as exc:
         sys.stderr.write(f"qwave: {exc}\n")

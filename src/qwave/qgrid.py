@@ -10,6 +10,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -289,9 +290,47 @@ def dilate(f, m):
     return GridFunction(grid, out)
 
 
-def _sidecar_path(path):
+def sidecar_path(path):
+    """The JSON sidecar that goes with the CSV at path: path with its
+    extension replaced by .json. Raises ValueError when that is path
+    itself, since the sidecar would then overwrite the CSV."""
     root, _ = os.path.splitext(path)
-    return root + ".json"
+    sidecar = root + ".json"
+    if sidecar == path:
+        raise ValueError(f"{path} is its own sidecar; give the CSV "
+                         "another extension than .json")
+    return sidecar
+
+
+def write_in_place(path, text, opened=None):
+    """Write text to path as UTF-8, in place: the one place the library
+    opens a file for writing.
+
+    The path is opened as open(path, "w") opens it, less O_TRUNC: it
+    follows a symlink, creates a missing file with mode 0o666 less the
+    umask, and keeps an existing file's inode, links, mode and owner.
+    A regular file is cut to the new length, then every byte is
+    written; a FIFO or a device such as /dev/null is never cut. Cutting
+    to a nonzero length, rather than to zero as O_TRUNC does, spares
+    the flush that ext4 (auto_da_alloc) forces when a file truncated to
+    zero is closed. The rewrite is not atomic: a reader may see it half
+    done. With text None, the path is only opened, which checks that
+    it can be written (and creates it if it is missing). A list given as
+    opened gets path appended once the open has succeeded.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    if opened is not None:
+        opened.append(path)
+    try:
+        if text is None:
+            return
+        data = memoryview(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def function_csv(f):
@@ -302,19 +341,20 @@ def function_csv(f):
 
 
 def write_function(f, path):
-    """function_csv(f) plus a JSON sidecar carrying q, n_low, n_high.
+    """function_csv(f) plus a JSON sidecar carrying q, n_low, n_high,
+    both written by write_in_place.
 
     Both files are kept or neither: an OSError while writing either
     (say, the sidecar's path is a directory) removes what this call
-    wrote before it is raised."""
+    wrote before it is raised. Raises ValueError, writing nothing, when
+    path is its own sidecar (it ends in .json)."""
     desc = {"q": f.grid.q, "n_low": f.grid.n_low, "n_high": f.grid.n_high}
+    pairs = ((path, function_csv(f)),
+             (sidecar_path(path), json.dumps(desc) + "\n"))
     written = []
     try:
-        for target, text in ((path, function_csv(f)),
-                             (_sidecar_path(path), json.dumps(desc) + "\n")):
-            with open(target, "w", encoding="utf-8", newline="\n") as fh:
-                written.append(target)
-                fh.write(text)
+        for target, text in pairs:
+            write_in_place(target, text, written)
     except OSError:
         for name in written:
             with contextlib.suppress(OSError):
@@ -327,7 +367,7 @@ def read_function(path):
     on a malformed CSV or sidecar: the sidecar must be a JSON object with
     a real q and int n_low and n_high, and the CSV may list each index
     at most once."""
-    with open(_sidecar_path(path), "r", encoding="utf-8") as fh:
+    with open(sidecar_path(path), "r", encoding="utf-8") as fh:
         desc = json.load(fh)
     if not isinstance(desc, dict):
         raise ValueError("sidecar is not a JSON object")

@@ -3,10 +3,14 @@ layer and the one place that sets a working precision, no module
 reaches into another module's private names, each kind of sum has one
 home, WaveletPlane builds its rows only through scale_rows, no module
 turns the per-row transform into a block GEMM, parallel_map is the one
-place that starts processes, and qcli's _emit is the one place that
-writes the command line's output."""
+place that starts processes, qcli's _emit is the one place that writes
+to stdout, and qgrid's write_in_place the one place that opens a file
+for writing."""
 
 import ast
+import functools
+import operator
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -495,43 +499,96 @@ def test_process_guard_allows_parallel_map(source, module):
 
 
 
-# qcli's one writer: every stdout write and every file qcli writes goes
-# through it, so an unwritable --out has one handler.
-WRITER_HOME = "qcli._emit"
+# The library's two writers: qcli's _emit makes every stdout write, and
+# qgrid's write_in_place opens every file written, so an unwritable
+# path has one handler and every rewrite keeps the file's links and mode.
+STDOUT_HOME = "qcli._emit"
+FILE_HOME = "qgrid.write_in_place"
+# os.open flags that open for writing, and their bits
+WRITE_FLAGS = ("O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND")
+WRITE_BITS = functools.reduce(operator.or_,
+                              (getattr(os, f) for f in WRITE_FLAGS))
+
+
+def _writes_with_flags(flags):
+    """flags, an os.open flags expression, may open for writing: it
+    names a write flag, holds an int with a write bit set, or holds any
+    other name or call, whose value the syntax does not show."""
+    for sub in ast.walk(flags):
+        if isinstance(sub, ast.Constant):
+            if not isinstance(sub.value, int) or sub.value & WRITE_BITS:
+                return True
+        elif isinstance(sub, ast.Attribute):
+            if sub.attr in WRITE_FLAGS or not sub.attr.startswith("O_"):
+                return True
+        elif isinstance(sub, (ast.Name, ast.Call)):
+            if not (isinstance(sub, ast.Name) and sub.id == "os"):
+                return True
+    return False
 
 
 def output_write(call):
-    """What call does if it writes to stdout or opens a file for writing
-    (a mode that is not a literal counts), else None."""
+    """(kind, what) if call writes to stdout (kind "stdout") or opens a
+    file for writing (kind "file"), else None. open, io.open and
+    os.fdopen open for writing with a mode holding w, a, x or +, or a
+    mode that is not a literal; os.open with write flags
+    (_writes_with_flags)."""
     func = _dotted(call.func) or ""
     if func == "print" or func.startswith("sys.stdout."):
-        return func
+        return "stdout", func
     if func.rpartition(".")[2] in ("write_text", "write_bytes"):
-        return func
-    if func in ("open", "io.open"):
+        return "file", func
+    if func in ("open", "io.open", "os.fdopen"):
         modes = call.args[1:2] + [kw.value for kw in call.keywords
                                   if kw.arg == "mode"]
         if modes and not (isinstance(modes[0], ast.Constant)
                           and set(str(modes[0].value)).isdisjoint("wax+")):
-            return f"{func} for writing"
+            return "file", f"{func} for writing"
+    if func == "os.open":
+        flags = call.args[1:2] + [kw.value for kw in call.keywords
+                                  if kw.arg == "flags"]
+        if not flags or _writes_with_flags(flags[0]):
+            return "file", "os.open for writing"
     return None
 
 
 def write_breaches(source, module="qcli"):
-    """(line, what) for every stdout write and every file opened for
-    writing outside qcli's _emit."""
-    return [(call.lineno, f"{output_write(call)} in {scope}")
-            for call, scope in scoped_calls(source, module)
-            if output_write(call) and scope != WRITER_HOME]
+    """(line, what) for every stdout write outside qcli's _emit and
+    every file opened for writing outside qgrid's write_in_place."""
+    homes = {"stdout": STDOUT_HOME, "file": FILE_HOME}
+    found = []
+    for call, scope in scoped_calls(source, module):
+        write = output_write(call)
+        if write and scope != homes[write[0]]:
+            found.append((call.lineno, f"{write[1]} in {scope}"))
+    return found
+
+
+def home_writes(module):
+    """What each call in a module's writer homes writes."""
+    path = SRC / f"{module}.py"
+    return {output_write(call)[1]
+            for call, scope in scoped_calls(path.read_text(), module)
+            if scope in (STDOUT_HOME, FILE_HOME) and output_write(call)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_writes_only_in_the_writers(path):
+    assert write_breaches(path.read_text(), path.stem) == []
 
 
 def test_qcli_writes_only_in_emit():
-    source = (SRC / "qcli.py").read_text()
-    assert write_breaches(source) == []
-    writes = {output_write(call)
-              for call, scope in scoped_calls(source, "qcli")
-              if scope == WRITER_HOME} - {None}
-    assert writes == {"sys.stdout.write", "open for writing"}
+    # _emit writes stdout itself and hands every file to write_in_place
+    assert write_breaches((SRC / "qcli.py").read_text()) == []
+    assert home_writes("qcli") == {"sys.stdout.write"}
+    calls = {scope for _, _, scope in sum_calls(
+        (SRC / "qcli.py").read_text(), "qcli", ("write_in_place",))}
+    assert calls == {STDOUT_HOME}
+
+
+def test_write_in_place_opens_every_written_file():
+    assert home_writes("qgrid") == {"os.open for writing"}
 
 
 @pytest.mark.parametrize("source", [
@@ -546,21 +603,56 @@ def test_qcli_writes_only_in_emit():
     "class A:\n    def _emit(self, text):\n        sys.stdout.write(text)",
     "def _emit(text):\n    def later():\n        sys.stdout.write(text)\n"
     "    return later",
+    # _emit writes stdout only; a file it opens itself is a breach
+    "def _emit(text, out_path):\n    with open(out_path, 'w') as fh:\n"
+    "        fh.write(text)",
+    "import os\ndef _emit(text, out_path):\n"
+    "    os.open(out_path, os.O_WRONLY | os.O_CREAT)",
+    "import os\ndef f(p):\n    os.open(p, os.O_RDWR)",
+    "import os\ndef f(p):\n    return os.open(p, flags=os.O_APPEND | 1)",
+    "import os\ndef f(p, fl):\n    os.open(p, fl)",
+    "import os\ndef f(p):\n    os.open(p, 0o101)",
+    "import os\ndef f(fd):\n    return os.fdopen(fd, 'wb')",
 ])
 def test_writer_guard_flags_each_breach(source):
     assert write_breaches(source)
 
 
+@pytest.mark.parametrize("source,module", [
+    ("def write_in_place(path, text):\n    open(path, 'w')", "qcli"),
+    ("def _emit(text, out_path):\n    sys.stdout.write(text)", "qgrid"),
+    ("def write_function(f, path):\n"
+     "    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)", "qgrid"),
+    ("def write_function(f, path):\n    with open(path, 'w') as fh:\n"
+     "        fh.write(text)", "qgrid"),
+    ("def _run(x):\n    print(x)", "uncertainty"),
+])
+def test_writer_guard_flags_breaches_in_every_module(source, module):
+    assert write_breaches(source, module)
+
+
 @pytest.mark.parametrize("source", [
     "import sys\ndef _emit(text, out_path=None):\n    if not out_path:\n"
     "        sys.stdout.write(text)\n        return\n"
-    "    with open(out_path, 'w', encoding='utf-8', newline='') as fh:\n"
-    "        fh.write(text)",
+    "    write_in_place(out_path, text)",
     "def f(p):\n    with open(p, encoding='utf-8') as fh:\n"
     "        return fh.read()",
     "def f(p):\n    return open(p, 'r').read()",
     "import sys\ndef main():\n    sys.stderr.write('qwave: bad\\n')",
     "def cmd_fourier(g, path):\n    write_function(g, path)",
+    "import os\ndef f(p):\n    return os.open(p, os.O_RDONLY | os.O_CLOEXEC)",
+    "import os\ndef f(p):\n    return os.open(p, 0)",
 ])
 def test_writer_guard_allows_emit_and_reads(source):
     assert write_breaches(source) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import os\ndef write_in_place(path, text, opened=None):\n"
+    "    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)",
+    "def write_in_place(path, text):\n"
+    "    with open(path, 'w', encoding='utf-8') as fh:\n"
+    "        fh.write(text)",
+])
+def test_writer_guard_allows_the_file_home(source):
+    assert write_breaches(source, "qgrid") == []

@@ -252,6 +252,51 @@ def per_term_kernel_values(nu, q, s_min, s_max, dps=240, buffer=8):
     return {s: float(val) for s, val in out.items()}
 
 
+def mpf_kernel_values(nu, q, s_min, s_max):
+    """The kernel table with its series and x^2 = Q^s run on mpf objects
+    (term *= r_n x^2, tot += term, |term| < tiny |tot|), and otherwise as
+    the library builds it: ratios from running products, the same
+    recurrence. The library runs the series on raw tuples; every entry
+    must be the same tuple."""
+    ctx = qbessel.mp_context(qbessel.KERNEL_DPS)
+    Q = ctx.mpf(q) * ctx.mpf(q)
+    Qnu = Q ** ctx.mpf(nu)
+    tiny = ctx.mpf(10) ** (-qbessel.KERNEL_DPS - 5)
+    ratios = [None]
+    Qk = ctx.mpf(1)
+    out = {}
+
+    def series(x2):
+        nonlocal Qk
+        term = tot = ctx.mpf(1)
+        n = 0
+        while True:
+            n += 1
+            if len(ratios) <= n:
+                Qk *= Q
+                ratios.append(-Qk / ((1 - Qnu * Qk) * (1 - Qk)))
+            term *= ratios[n] * x2
+            tot += term
+            if abs(term) < tiny * abs(tot):
+                return tot
+
+    x2 = ctx.mpf(1)
+    for s in range(s_max + 1):
+        out[s] = series(x2)
+        x2 *= Q
+    kmax = -s_min
+    y_hi, y = ctx.mpf(0), ctx.mpf(1)
+    q_m2k = Q ** -(kmax + qbessel.RECURRENCE_BUFFER)
+    vals = {}
+    for k in range(kmax + qbessel.RECURRENCE_BUFFER, -1, -1):
+        vals[k] = y
+        y_hi, y = y, ((1 + Qnu - q_m2k) * y - y_hi) / Qnu
+        q_m2k *= Q
+    for k in range(1, kmax + 1):
+        out[-k] = vals[k] * (out[0] / vals[0])
+    return out
+
+
 # (nu, q) of the acceptance lattice's three orders, one q each
 _TABLE_CELLS = [(0.0, 0.3), (0.25, 0.5), (1.25, 0.7)]
 
@@ -270,6 +315,15 @@ class TestLatticeTableBitwise:
         got = _kernel_values(nu, q, -40, 4)
         want = per_term_kernel_values(nu, q, -40, 4)
         assert {s: float(val) for s, val in got.items()} == want
+
+    @pytest.mark.parametrize("nu,q", [(0.25, 0.1), (1.25, 0.3)])
+    def test_raw_tuple_series_matches_mpf_objects(self, nu, q):
+        # [0, 260] reaches from series of many terms down to the depth
+        # where the first term already stops it
+        got = _kernel_values(nu, q, -40, 260)
+        want = mpf_kernel_values(nu, q, -40, 260)
+        assert {s: v._mpf_ for s, v in got.items()} == \
+            {s: v._mpf_ for s, v in want.items()}
 
     def test_degenerate_order_rejected(self):
         # nu = -3: the factor 1 - Q^{nu+3} vanishes in the third term

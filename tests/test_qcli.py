@@ -418,6 +418,26 @@ class TestExitCodes:
         assert err.startswith("qwave: cannot write output: [Errno 2] ")
         assert err.count("\n") == 1
 
+    def test_fourier_out_that_is_its_own_sidecar_exits_2(
+            self, capsys, monkeypatch, tmp_path, input_csv):
+        # g.json would hold the CSV and then its sidecar over it: refused
+        # before the input is read, with no file left behind
+        monkeypatch.setattr(qcli, "read_function", _reject_cell)
+        rc, out, err = run(capsys, "fourier", "--in", input_csv[0],
+                           "--out", str(tmp_path / "g.json"))
+        assert (rc, out) == (2, "")
+        assert err.startswith("qwave: cannot write output: ")
+        assert "its own sidecar" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "input.csv", "input.json"]
+
+    def test_calibrate_may_write_json(self, capsys, tmp_path):
+        out_path = tmp_path / "c.json"
+        rc, out, _ = run(capsys, "fourier", "--calibrate", "--out",
+                         str(out_path))
+        assert (rc, out) == (0, "")
+        assert set(json.loads(out_path.read_text())) == {"c_qv", "residual"}
+
     @pytest.mark.parametrize("existing", [False, True],
                              ids=("new", "existing"))
     def test_out_check_leaves_the_path_as_it_was(self, capsys, monkeypatch,

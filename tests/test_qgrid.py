@@ -4,6 +4,8 @@ Oracles come first in each test: closed forms evaluated independently,
 or brute-force reference sums, then the library value is compared."""
 
 import math
+import os
+import stat
 
 import mpmath as mp
 import numpy as np
@@ -23,6 +25,7 @@ from qwave.qgrid import (
     read_function,
     weighted_p_norm,
     write_function,
+    write_in_place,
 )
 
 
@@ -374,6 +377,32 @@ class TestFileRoundTrip:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv",
                                                              "f.json"]
 
+    def test_own_sidecar_rejected(self, tmp_path):
+        # g.json would be the CSV and its sidecar at once
+        with pytest.raises(ValueError, match="its own sidecar"):
+            write_function(GridFunction.zeros(build_grid(0.5, 0, 3)),
+                           str(tmp_path / "g.json"))
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="its own sidecar"):
+            read_function(str(tmp_path / "g.json"))
+
+    def test_rewrite_through_links(self, tmp_path):
+        # symlinks stay links to the rewritten targets, and a hard link
+        # to the CSV sees the new content
+        target = tmp_path / "t.csv"
+        write_function(GridFunction.zeros(build_grid(0.5, 0, 3)), str(target))
+        for ext in ("csv", "json"):
+            (tmp_path / f"s.{ext}").symlink_to(tmp_path / f"t.{ext}")
+        os.link(target, tmp_path / "h.csv")
+        g = build_grid(0.3, -2, 4)
+        write_function(GridFunction.from_pairs(g, [(1, 2.5)]),
+                       str(tmp_path / "s.csv"))
+        assert (tmp_path / "s.csv").is_symlink()
+        assert (tmp_path / "s.json").is_symlink()
+        back = read_function(str(target))
+        assert back.grid == g and back.value_at(1) == 2.5
+        assert (tmp_path / "h.csv").read_bytes() == target.read_bytes()
+
     def test_bad_header_rejected(self, tmp_path):
         g = build_grid(0.5, 0, 3)
         path = str(tmp_path / "h.csv")
@@ -398,6 +427,71 @@ class TestFileRoundTrip:
         raw = open(path, "rb").read()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestWriteInPlace:
+    def test_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        inode = path.stat().st_ino
+        write_in_place(str(path), "new\n")
+        info = path.stat()
+        assert (info.st_ino, stat.S_IMODE(info.st_mode)) == (inode, 0o600)
+        assert path.read_text() == "new\n"
+
+    @pytest.mark.parametrize("old,new", [("x" * 1000, "short\n"),
+                                         ("a\n", "longer text\n"),
+                                         ("abc", "")])
+    def test_cut_to_the_new_length(self, tmp_path, old, new):
+        # no stale tail of a longer file, and nothing lost of a longer text
+        path = tmp_path / "f.txt"
+        path.write_text(old)
+        write_in_place(str(path), new)
+        assert path.read_bytes() == new.encode("utf-8")
+
+    def test_utf8_bytes_and_no_newline_translation(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_in_place(str(path), "\u03be,1\r\n2\n")
+        assert path.read_bytes() == "\u03be,1\r\n2\n".encode("utf-8")
+
+    def test_new_file_mode_is_open_w(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            write_in_place(str(tmp_path / "a"), "x")
+            with open(tmp_path / "b", "w") as fh:
+                fh.write("x")
+        finally:
+            os.umask(mask)
+        modes = {stat.S_IMODE((tmp_path / n).stat().st_mode) for n in "ab"}
+        assert modes == {0o666 & ~0o027}
+
+    def test_devices_and_fifos_are_not_cut(self, tmp_path):
+        # ftruncate would fail on either; the bytes still arrive
+        write_in_place(os.devnull, "discarded\n")
+        fifo = tmp_path / "p"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_in_place(str(fifo), "through\n")
+            assert os.read(reader, 100) == b"through\n"
+        finally:
+            os.close(reader)
+
+    def test_open_only_with_none(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("kept\n")
+        opened = []
+        write_in_place(str(path), None, opened)
+        write_in_place(str(tmp_path / "new"), None)
+        assert (path.read_text(), opened) == ("kept\n", [str(path)])
+        assert (tmp_path / "new").read_bytes() == b""
+
+    def test_failed_open_is_not_recorded(self, tmp_path):
+        opened = []
+        with pytest.raises(IsADirectoryError):
+            write_in_place(str(tmp_path), "x", opened)
+        assert opened == []
 
 
 finite_coeffs = st.floats(min_value=-100, max_value=100,

@@ -1,7 +1,8 @@
 """q-Bessel kernels: the normalized series, the two-parameter modified
 kernel, the generalized second-order q-difference operator, and the
 library's one high-precision layer: the on-lattice kernel table, kappa
-rows, the exact dot product, and the table of working precisions.
+rows, the exact dot product and its certified double-double twin, and
+the table of working precisions.
 
 Two evaluation routes coexist on purpose. The series is the definition
 and works at any real argument, but in float64 it loses digits once the
@@ -18,6 +19,7 @@ import math
 import weakref
 
 import mpmath
+import numpy as np
 from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_lt, mpf_mul,
                           round_nearest)
 
@@ -368,3 +370,223 @@ def mp_dot(A, B, prec):
                 man = (man << delta) + xman
                 exp = xexp
     return from_man_exp(man, exp, prec, round_nearest)
+
+
+# --- the certified double-double twin of mp_transform's sum ---------------
+
+# Each term w v kappa of dd_dot is off by less than 2^-100 of its size;
+# this keeps a factor 4 above that (dd_dot's bound, step 4).
+DD_TERM_EPS = 2.0 ** -98
+# Covers, per term or once, an error that underflow makes absolute.
+DD_TINY = 2.0 ** -1000
+# A zero operand's exponent: below every other, so it never sets a
+# row's scale, and far from int64's ends.
+_DD_ZERO_EXP = -(1 << 40)
+_SPLITTER = 134217729.0  # 2^27 + 1, Dekker's split of a 53-bit double
+_LOW53 = (1 << 53) - 1
+
+
+def dd_split(tuples):
+    """Raw mpf tuples as double-double arrays (hi, lo, exp), with exp an
+    int64 array: each x truncated toward zero to its top 106 bits is
+    x~ = (hi + lo) 2^exp, hi holding bits 1-53 of the mantissa, so
+    |hi| lies in [1/2, 1), and lo bits 54-106, with hi's sign. So
+    |x - x~| < 2^-105 |x|, |x~| <= |x| and |lo| < 2^-52 |hi|; a mantissa
+    of at most 106 bits (a float's, say) is exact. A zero is
+    (0, 0, _DD_ZERO_EXP). Infinities and nan raise ValueError, as in
+    mp_dot."""
+    hi, lo, ex = [], [], []
+    for sign, man, exp, bc in tuples:
+        if not man:
+            if exp:
+                raise ValueError("dd_split operand is inf or nan")
+            hi.append(0.0)
+            lo.append(0.0)
+            ex.append(_DD_ZERO_EXP)
+            continue
+        top = man >> (bc - 106) if bc > 106 else man << (106 - bc)
+        h = math.ldexp(top >> 53, -53)
+        l = math.ldexp(top & _LOW53, -106)
+        hi.append(-h if sign else h)
+        lo.append(-l if sign else l)
+        ex.append(exp + bc)
+    return np.array(hi), np.array(lo), np.array(ex, dtype=np.int64)
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo, each half 26 bits or fewer."""
+    hi = _SPLITTER * a
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """Dekker's TwoProduct: p = fl(a b) and e with p + e = a b exactly,
+    for floats whose halves neither overflow nor underflow. e is summed
+    in place, in the order ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi)
+    + a_lo b_lo."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = a_hi * b_hi
+    e -= p
+    e += a_hi * b_lo
+    e += a_lo * b_hi
+    e += a_lo * b_lo
+    return p, e
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = fl(a + b) and e with s + e = a + b exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _scaled_terms(uh, ul, ue, kap):
+    """The terms u_k kap_ki of dd_dot as (hi, lo) arrays, each column
+    scaled by 2^-(its largest term exponent), and those exponents. u is
+    given as (hi, lo, exp) columns of shape (m, 1), kap as dd_dot's.
+    A function of its own, so that its temporaries go when it returns."""
+    kh, kl, ke = kap
+    ph, pl = _two_prod(uh, kh)
+    cross = uh * kl
+    cross += ul * kh
+    pl += cross
+    ex = ue + ke
+    top = ex.max(axis=0)
+    ex -= top
+    scale = np.maximum(ex, -1100).astype(np.int32)
+    np.ldexp(ph, scale, out=ph)
+    np.ldexp(pl, scale, out=pl)
+    return ph, pl, top
+
+
+def dd_dot(w, v, kap, c, prec):
+    """The transform sum that TransformPlan.mp_transform computes,
+        R_i = round(c round(mp_dot(weighted, kap_i, prec))),
+    weighted_k = round(w_k v_k), every round to nearest at prec bits,
+    evaluated in double-double with a rigorous bound on the distance to
+    R_i. w and v are dd_split arrays of shape (m,), kap of shape
+    (rows, m), c a float. Returns arrays (hi, lo, err, exp) over the
+    rows with hi = fl(hi + lo) and
+        |R_i - (hi_i + lo_i) 2^exp_i| <= err_i 2^exp_i,
+    err_i infinite where the bound's premises fail.
+
+    Evaluation: u_k = w_k v_k, then each term u_k kap_ik, by Dekker's
+    TwoProduct on the highs (numpy has no FMA) plus the two cross
+    products, the lo * lo product dropped. The highs lie in [1/2, 1),
+    so no split overflows or underflows. A row's terms are scaled by
+    2^-(the row's largest term exponent), their highs summed by an
+    error-free pairwise TwoSum tree, the tree's errors and the terms'
+    lows by a float sum, and c applied by one more TwoProduct.
+
+    The bound, with u = 2^-53 and P_i = sum_k |w_k v_k kap_ik| over the
+    tuples' exact values:
+    1. Operands: dd_split truncation is off by less than 2^-105 |x|,
+       with |x~| <= |x| and |lo| < 2^-52 |hi|.
+    2. Product lemma: for a = a_h + a_l, b = b_h + b_l with
+       |a_l| <= ea |a_h|, |b_l| <= eb |b_h|, (p, e) = TwoProduct(a_h,
+       b_h) and t = fl(e + fl(fl(a_h b_l) + fl(a_l b_h))), the dropped
+       a_l b_l and the four roundings give
+         |p + t - a b| <= (ea eb + 3u (ea + eb) + u^2)(1 + 4u) |a_h b_h|,
+         |t| <= (u + ea + eb)(1 + 4u) |a_h b_h|.
+    3. u~ = w~ v~ (ea = eb = 2^-52): off by 4.25 2^-104 |w_h v_h| plus
+       2^-104 |w v| from truncation, so |u~ - w v| <= 2^-101.6 |w v|;
+       rescaled by a power of two, |u_l| <= 2^-50.6 |u_h|.
+    4. A term u~ kap~ (ea = 2^-50.6, eb = 2^-52): off by
+       2^-100.9 |u_h kap_h| <= 2^-100.9 (1 + 2^-50) |w v kap|, plus
+       steps 1 and 3 carried through: less than 2^-100 |w v kap| in
+       all (DD_TERM_EPS is 2^-98). Its high p satisfies
+       |w v kap| <= (1 + 2^-49) |p|.
+    5. Scaling is exact, except that a part that lands subnormal or
+       flushes to zero is off by at most 2^-1074 (a shift clamped at
+       -1100 flushes the part either way): at most 2^-1073 < DD_TINY
+       per term, in the scaled units. So with p_abs the float
+       sum of the scaled highs' magnitudes,
+         P_i 2^-scale <= (1 + 2^-49)(1 + m 2^-52)(p_abs + m DD_TINY).
+    6. The TwoSum tree is exact: the scaled highs sum to s plus the
+       tree's m - 1 errors. Those and the m scaled lows, L = 2m - 1
+       summands, are summed in float, off by at most gamma_{L-1} times
+       their absolute sum, so by (L - 1) 2^-52 lo_abs for lo_abs their
+       float absolute sum (Higham, Accuracy and Stability of Numerical
+       Algorithms, 2nd ed., ch. 4; any order; (L - 1) u <= 1/4).
+    7. c = c_m 2^c_e with c_m in [1/2, 1): (pc, ec) = TwoProduct(s, c_m)
+       is exact when |s| >= 2^-900 (err is infinite elsewhere);
+       tc = fl(lo c_m) and loc = fl(ec + tc) are each off by at most
+       2^-52 of their size, or 2^-1075 when subnormal;
+       (hi, lo) = TwoSum(pc, loc) is exact.
+    8. The reference's own distance from c sum_k w_k v_k kap_ik: each
+       weighted product is rounded once (2^-prec relative); mp_dot sums
+       the exact products, except that its drop and replace branches
+       lose less than 2^-2prec max(|running sum|, |product|) each, at
+       most m 2^(1-2 prec) P_i in all; its result and c times it are
+       rounded once each. So R_i is within
+       c P_i (3 2^-prec + m 2^(1-2 prec))(1 + 2^(2-prec))
+       <= c P_i 2^(3-prec) (m <= 2^(prec-1)) of it: eps_ref below,
+       raised to 2^-1000 where that power underflows.
+    So, in units of 2^exp,
+        err = c_m ((DD_TERM_EPS + eps_ref) P_i 2^-scale + m DD_TINY
+                   + (L - 1) 2^-52 lo_abs)
+              + 2^-52 (|tc| + |loc|) + DD_TINY,
+    evaluated in float from non-negative terms and raised by 2^-40 of
+    itself, which covers its own dozen roundings.
+    """
+    wh, wl, we = w
+    vh, vl, ve = v
+    m = wh.shape[0]
+    p, t = _two_prod(wh, vh)
+    t += wh * vl + wl * vh
+    uh, shift = np.frexp(p)
+    ul = np.ldexp(t, -shift)
+    ue = we + ve + shift
+    ph, pl, top = _scaled_terms(uh[:, None], ul[:, None], ue[:, None], kap)
+    p_abs = np.abs(ph).sum(axis=0)
+    lo = pl.sum(axis=0)
+    lo_abs = np.abs(pl).sum(axis=0)
+    while len(ph) > 1:
+        half = len(ph) // 2
+        s, e = _two_sum(ph[:half], ph[half:2 * half])
+        lo += e.sum(axis=0)
+        lo_abs += np.abs(e).sum(axis=0)
+        ph = np.concatenate((s, ph[2 * half:])) if len(ph) % 2 else s
+    s = ph[0]
+    c_m, c_e = math.frexp(c)
+    pc, ec = _two_prod(s, c_m)
+    tc = lo * c_m
+    loc = ec + tc
+    hi, lo = _two_sum(pc, loc)
+    eps = DD_TERM_EPS + math.ldexp(1.0, max(3 - prec, -1000))
+    p_sum = (1.0 + 2.0 ** -49) * (1.0 + m * 2.0 ** -52) * (p_abs
+                                                           + m * DD_TINY)
+    err = (c_m * (eps * p_sum + m * DD_TINY
+                  + (2 * m - 2) * 2.0 ** -52 * lo_abs)
+           + 2.0 ** -52 * (np.abs(tc) + np.abs(loc)) + DD_TINY)
+    err *= 1.0 + 2.0 ** -40
+    err[~(np.abs(s) >= 2.0 ** -900)] = math.inf
+    return hi, lo, err, top + c_e
+
+
+def dd_round(hi, lo, err, exp):
+    """Round dd_dot's results to float64 where that is certain: returns
+    (values, ok), values[i] = hi_i 2^exp_i, ok[i] true when no float64
+    round-to-nearest midpoint lies within err_i 2^exp_i of
+    (hi_i + lo_i) 2^exp_i and the rounded value is a normal double in
+    [2^-1021, 2^1023). Then every number in that interval, R_i
+    included, rounds to values[i], which is to_float(R_i, rnd=
+    round_nearest): away from the subnormal range, where to_float
+    rounds twice, mpmath rounds once to 53 bits and math.ldexp is
+    exact. The two tests are fl(lo + err) < gap up / 2 and
+    fl(err - lo) < gap down / 2, gaps to hi's neighbours: rounding is
+    monotone, so each float test implies its exact one."""
+    _, e_hi = np.frexp(hi)
+    f_exp = e_hi + exp
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = np.nextafter(hi, math.inf) - hi
+        down = hi - np.nextafter(hi, -math.inf)
+        ok = ((np.abs(hi) >= 2.0 ** -900) & (f_exp >= -1020)
+              & (f_exp <= 1023) & (lo + err < 0.5 * up)
+              & (err - lo < 0.5 * down))
+        values = np.ldexp(hi, np.maximum(np.minimum(exp, 2200), -2200)
+                          .astype(np.int32))
+    return values, ok

@@ -291,12 +291,15 @@ def dilate(f, m):
 
 
 def sidecar_path(path):
-    """The JSON sidecar that goes with the CSV at path: path with its
-    extension replaced by .json. Raises ValueError when that is path
-    itself, since the sidecar would then overwrite the CSV."""
-    root, _ = os.path.splitext(path)
+    """The JSON sidecar that goes with the CSV at path: the file path
+    resolves to (os.path.realpath, so through any symlinks), with its
+    extension replaced by .json. So a CSV reached through a link keeps
+    the sidecar that sits beside its target. Raises ValueError when
+    that is the CSV itself, since the sidecar would then overwrite it."""
+    real = os.path.realpath(path)
+    root, _ = os.path.splitext(real)
     sidecar = root + ".json"
-    if sidecar == path:
+    if sidecar == real:
         raise ValueError(f"{path} is its own sidecar; give the CSV "
                          "another extension than .json")
     return sidecar
@@ -341,8 +344,8 @@ def function_csv(f):
 
 
 def write_function(f, path):
-    """function_csv(f) plus a JSON sidecar carrying q, n_low, n_high,
-    both written by write_in_place.
+    """function_csv(f) plus a JSON sidecar carrying q, n_low, n_high
+    at sidecar_path(path), both written by write_in_place.
 
     Both files are kept or neither: an OSError while writing either
     (say, the sidecar's path is a directory) removes what this call

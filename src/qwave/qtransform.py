@@ -15,17 +15,22 @@ double-transform ratio rho at c = 1 gives c = 1/sqrt(rho). At
 v = (0, 0) the calibrated value reproduces 1/(1-q).
 """
 
+import itertools
 import math
 
 import numpy as np
 from mpmath.libmp import from_float, mpf_mul, round_nearest, to_float
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qwave.qbessel import (FLOAT_ROW_DPS, kappa_row, lattice_kernel,
-                           mp_context, mp_dot, spectrum_dps)
+from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_round, dd_split,
+                           kappa_row, lattice_kernel, mp_context, mp_dot,
+                           spectrum_dps)
 from qwave.qgrid import GridFunction, jackson_weights, weight_exponent
 
 CALIBRATION_SPREAD_TOL = 1e-6
+# terms per block of float_transform, so that no call makes a
+# support x outputs temporary
+_DD_BLOCK = 1 << 14
 
 
 class CalibrationError(RuntimeError):
@@ -45,10 +50,12 @@ class TransformPlan:
     kernel table and builds every kappa row from it, so a kappa_row at a
     new dps builds no table entries and gives the same row whatever
     qbessel's cache holds by then; holding it also keeps the table in
-    that cache while the plan lives."""
+    that cache while the plan lives. Their double-double forms, which
+    float_transform reads, are kept the same way (dd_operands)."""
 
     __slots__ = ("grid", "v", "c_qv", "matrix", "weights",
-                 "calibration_residual", "_table", "_mp_operands")
+                 "calibration_residual", "_table", "_mp_operands",
+                 "_dd_operands")
 
     def __init__(self, grid, v):
         self.grid = grid
@@ -65,6 +72,8 @@ class TransformPlan:
         self.calibration_residual = 0.0
         # dps -> [{n: weight}, kappa row or None]
         self._mp_operands = {}
+        # dps -> [{n: weight as (hi, lo, exp)}, kappa row's dd arrays]
+        self._dd_operands = {}
 
     def kappa_row(self, dps):
         """qbessel.kappa_row of the plan's own table at dps, built on the
@@ -118,6 +127,68 @@ class TransformPlan:
         return {s: mpf_mul(c, mp_dot(weighted, col, prec), prec,
                            round_nearest)
                 for s, col in zip(range(s_lo, s_hi + 1), cols)}
+
+    def dd_operands(self, ns, dps):
+        """The double-double forms (qbessel.dd_split) of mp_weights and
+        kappa_row at dps: ({n: (hi, lo, exp)} holding at least ns, and
+        the row as arrays (hi, lo, exp)). Each is built from the raw
+        tuples on the plan's first request for it at dps and looked up
+        after."""
+        ops = self._dd_operands.setdefault(dps, [{}, None])
+        if ops[1] is None:
+            ops[1] = dd_split(self.kappa_row(dps))
+        weights = ops[0]
+        missing = [n for n in ns if n not in weights]
+        if missing:
+            mp_w = self.mp_weights(missing, dps)
+            weights.update(zip(missing, zip(
+                *dd_split([mp_w[n] for n in missing]))))
+        return weights, ops[1]
+
+    def float_transform(self, values, s_lo, s_hi, dps):
+        """to_float(mp_transform(values, s_lo, s_hi, dps)[s],
+        rnd=round_nearest) for each s in [s_lo, s_hi], as {s: float}.
+
+        Every output is first computed in double-double by
+        qbessel.dd_dot, all at once, with a rigorous bound on its
+        distance from the mp_transform value, and kept where
+        qbessel.dd_round certifies that the bound cannot change its
+        rounding (Ziv's scheme). The outputs it declines come from
+        mp_transform, called once over each run of consecutive
+        declined s, so the result is mp_transform's bit for bit either
+        way. Infinite or nan values take the mp_transform route, which
+        rejects them."""
+        ss = range(s_lo, s_hi + 1)
+        out = np.empty(len(ss))
+        ok = np.zeros(len(ss), dtype=bool)
+        if values and ss and all(val[1] or not val[2]
+                                 for val in values.values()):
+            self.check_index_sums(min(values), max(values), s_lo, s_hi)
+            ns = list(values)
+            weights, kap = self.dd_operands(ns, dps)
+            w = tuple(np.array(part) for part in
+                      zip(*[weights[n] for n in ns]))
+            v = dd_split(list(values.values()))
+            prec = mp_context(dps).prec
+            starts = np.array(ns) + (s_lo - 2 * self.grid.n_low)
+            step = max(1, _DD_BLOCK // len(ns))
+            for lo in range(0, len(ss), step):
+                hi = min(lo + step, len(ss))
+                # entry (k, i) is kappa(n_k + s_lo + lo + i)
+                idx = starts[:, None] + np.arange(lo, hi)
+                out[lo:hi], ok[lo:hi] = dd_round(*dd_dot(
+                    w, v, tuple(part[idx] for part in kap), self.c_qv,
+                    prec))
+        out = out.tolist()
+        declined = np.flatnonzero(~ok).tolist()
+        for _, run in itertools.groupby(enumerate(declined),
+                                        lambda ji: ji[1] - ji[0]):
+            run = [i for _, i in run]
+            for i, val in enumerate(self.mp_transform(
+                    values, s_lo + run[0], s_lo + run[-1], dps).values(),
+                    run[0]):
+                out[i] = to_float(val, rnd=round_nearest)
+        return dict(zip(ss, out))
 
     def check_index_sums(self, n_lo, n_hi, s_lo, s_hi):
         """Raise ValueError unless every index sum n + s with n in
@@ -225,7 +296,9 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     cancels exactly there, and what is left sits up to hundreds of orders
     below the individual terms. Each output here is plan.mp_transform at
     qbessel.spectrum_dps(q, depth), a precision scaled to the deepest
-    index the call touches, rounded once to float64.
+    index the call touches, rounded once to float64: plan.float_transform,
+    which certifies that rounding in double-double where it can and
+    takes mp_transform's value where it cannot.
 
     f is a GridFunction or an {index: value} dict: float values are
     converted exactly, and mpf values let an input carry excess
@@ -254,5 +327,4 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     # a float converts exactly, to the tuple ctx.mpf gives
     values = {n: from_float(val) if isinstance(val, float)
               else ctx.mpf(val)._mpf_ for n, val in support.items()}
-    out = plan.mp_transform(values, s_lo, s_hi, dps)
-    return {s: to_float(val, rnd=round_nearest) for s, val in out.items()}
+    return plan.float_transform(values, s_lo, s_hi, dps)

@@ -44,10 +44,12 @@ class WaveletSpec:
     float64 array: profile[i] is the profile at index
     scale_indices[0] + n_low + i. windows is the profile's sliding
     window view: windows[i] is the window that the row at scale
-    scale_indices[i] reads, the profile at m + n for every grid index n."""
+    scale_indices[i] reads, the profile at m + n for every grid index n,
+    and roots[i] is that row's factor sqrt(q^m)."""
 
     __slots__ = ("mother", "admissibility", "plan", "mp_values",
-                 "scale_indices", "profile", "windows", "_term_bounds")
+                 "scale_indices", "profile", "windows", "roots",
+                 "_term_bounds")
 
     def __init__(self, mother, plan, admissibility, mp_values, scale_indices,
                  profile):
@@ -58,6 +60,9 @@ class WaveletSpec:
         self.scale_indices = scale_indices
         self.profile = profile
         self.windows = sliding_window_view(profile, plan.grid.size)
+        q = plan.grid.q
+        self.roots = np.array([math.sqrt(q ** float(m))
+                               for m in scale_indices])
         # (transformed, d bytes) -> the term's part of the scale bounds
         self._term_bounds = {}
 
@@ -190,11 +195,10 @@ def scale_rows(Ff, spec, scale_indices=None):
     plan's matrix M, weights w and normalization c, with the steps
     taken in that order: the window, weight and c products as block
     operations, M x as one GEMV per row (a GEMM over the block rounds
-    differently), and sqrt(q^m) as a float per row, which keeps a
-    one-row block, the gate's case, on numpy's scalar path. So each row
-    has the bits of the same steps on that row alone."""
+    differently), and sqrt(q^m), from spec.roots, as one block multiply:
+    the same IEEE product, entry by entry, as a float per row. So each
+    row has the bits of the same steps on that row alone."""
     plan = spec.plan
-    q = plan.grid.q
     ms = list(spec.scale_indices if scale_indices is None else scale_indices)
     if not ms or ms != list(range(ms[0], ms[-1] + 1)):
         raise ValueError("scale indices must be a run of consecutive "
@@ -207,11 +211,10 @@ def scale_rows(Ff, spec, scale_indices=None):
     x = spec.windows[start:start + len(ms)] * Ff[None]
     x *= plan.weights[None]
     rows = np.empty_like(x)
-    for i in range(len(ms)):
-        np.dot(plan.matrix, x[i], out=rows[i])
+    for xi, ri in zip(x, rows):
+        np.dot(plan.matrix, xi, out=ri)
     rows *= plan.c_qv
-    for i, m in enumerate(ms):
-        rows[i] *= math.sqrt(q ** float(m))
+    rows *= spec.roots[start:start + len(ms), None]
     return rows
 
 

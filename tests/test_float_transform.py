@@ -1,0 +1,320 @@
+"""The certified float route of the transform: plan.float_transform,
+which spectrum calls, must give to_float(plan.mp_transform(...)) bit for
+bit on every input, whichever route each output takes; and qbessel's
+dd_dot bound must hold against the exact sums."""
+
+import math
+import random
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add,
+                          mpf_le, mpf_mul, mpf_neg, round_nearest, to_float)
+
+from qwave.qbessel import dd_dot, dd_round, dd_split, mp_context, mp_dot, \
+    spectrum_dps
+from qwave.qgrid import BesselParams, GridFunction, build_grid, \
+    weight_exponent
+from qwave.qtransform import TransformPlan, make_plan, spectrum
+from qwave.qwavelet import operator_mother
+from qwave.uncertainty import probe_family
+
+ACCEPTANCE_CELLS = [(q, a, b) for q in (0.3, 0.5, 0.7)
+                    for a, b in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))]
+
+
+def mp_route(f, plan, s_lo=None, s_hi=None):
+    """spectrum with every output from plan.mp_transform rounded once to
+    float64, as it was computed before the certified route."""
+    grid = plan.grid
+    if s_lo is None:
+        s_lo, s_hi = grid.n_low, grid.n_high
+    support = f.nonzero_values() if isinstance(f, GridFunction) else dict(f)
+    depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
+                *(abs(n) for n in support))
+    dps = spectrum_dps(grid.q, depth)
+    ctx = mp_context(dps)
+    values = {n: from_float(val) if isinstance(val, float)
+              else ctx.mpf(val)._mpf_ for n, val in support.items()}
+    return {s: to_float(val, rnd=round_nearest)
+            for s, val in plan.mp_transform(values, s_lo, s_hi, dps).items()}
+
+
+def bits(out):
+    """{s: float.hex()}: equal only for the same bits, signed zeros too."""
+    return {s: val.hex() for s, val in out.items()}
+
+
+@pytest.fixture
+def routed(monkeypatch):
+    """Records the outputs that take the mp_transform route: a list that
+    gets every s each mp_transform call covers."""
+    taken = []
+    mp_transform = TransformPlan.mp_transform
+
+    def recorded(self, values, s_lo, s_hi, dps):
+        taken.extend(range(s_lo, s_hi + 1))
+        return mp_transform(self, values, s_lo, s_hi, dps)
+
+    monkeypatch.setattr(TransformPlan, "mp_transform", recorded)
+    return taken
+
+
+def stream_pool(grid, seed):
+    """transform-stream's input pool (bench/workloads.py) for a seed: one
+    input of each support size 3, 5, ..., 61, values in +-[0.1, 1)."""
+    rng = random.Random(seed)
+    sizes = list(range(3, 62, 2))
+    rng.shuffle(sizes)
+    pool = []
+    for k in sizes:
+        top = max(grid.n_low + k - 1, 10)
+        idx = sorted(rng.sample(range(grid.n_low, top + 1), k))
+        pool.append(GridFunction.from_pairs(grid, [
+            (n, rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0))
+            for n in idx]))
+    return pool
+
+
+class TestSameBitsAsTheMpRoute:
+    def test_stream_pool(self, plan_shifted, routed):
+        # the stream's plan: every output is certified
+        outputs = 0
+        for f in stream_pool(plan_shifted.grid, 0):
+            want = bits(mp_route(f, plan_shifted))
+            routed.clear()
+            assert bits(spectrum(f, plan_shifted)) == want
+            assert routed == []
+            outputs += len(want)
+        assert outputs == 1830
+
+    @pytest.mark.parametrize("cell", ACCEPTANCE_CELLS,
+                             ids=lambda c: "q{}-a{}-b{}".format(*c))
+    def test_verify_cell_probes_and_mother(self, cell, routed):
+        q, alpha, beta = cell
+        plan = make_plan(build_grid(q, -20, 40), BesselParams(alpha, beta))
+        routed.clear()
+        spec = operator_mother(plan)
+        lo = spec.scale_indices[0] + plan.grid.n_low
+        hi = lo + len(spec.profile) - 1
+        declined = len(routed)
+        want = mp_route(spec.mp_values, plan, lo, hi)
+        assert [v.hex() for v in spec.profile.tolist()] == \
+            [want[s].hex() for s in range(lo, hi + 1)]
+        outputs = len(want)
+        for f in probe_family(plan):
+            want = bits(mp_route(f, plan))
+            routed.clear()
+            assert bits(spectrum(f, plan)) == want
+            declined += len(routed)
+            outputs += len(want)
+        assert declined < outputs
+
+    def test_sweep_cell_probes_and_mother(self, spec_sweep00, routed):
+        spec = spec_sweep00
+        plan = spec.plan
+        lo = spec.scale_indices[0] + plan.grid.n_low
+        hi = lo + len(spec.profile) - 1
+        want = mp_route(spec.mp_values, plan, lo, hi)
+        assert [v.hex() for v in spec.profile.tolist()] == \
+            [want[s].hex() for s in range(lo, hi + 1)]
+        for f in probe_family(plan):
+            want = bits(mp_route(f, plan))
+            routed.clear()
+            assert bits(spectrum(f, plan)) == want
+            # the probes' outputs below the normal range take the mp route
+            assert 0 < len(routed) < len(want)
+
+
+@st.composite
+def transform_cases(draw):
+    """Supports on [-20, 40], float or 200-digit mpf values, and some
+    terms paired with a partner that cancels their zeroth moment, with
+    an s window whose index sums stay on the plan's range."""
+    ns = draw(st.lists(st.integers(-20, 36), min_size=1, max_size=8,
+                       unique=True))
+    values = {}
+    for n in ns:
+        if draw(st.booleans()):
+            man = draw(st.integers(1, 2 ** 600))
+            with mpmath.workdps(200):
+                val = mpmath.mpf(man) / draw(st.integers(1, 2 ** 600))
+        else:
+            val = draw(st.floats(0.01, 100.0))
+        if draw(st.booleans()):
+            val = -val
+        values[n] = val
+        if draw(st.booleans()):
+            values.setdefault(n + draw(st.integers(1, 4)),
+                              ("partner", n, val))
+    s_lo = draw(st.integers(-40 - min(values), 20))
+    s_hi = draw(st.integers(s_lo, 80 - max(values)))
+    return values, s_lo, s_hi
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(transform_cases())
+def test_float_transform_equals_mp_transform(plan_shifted, case):
+    plan = plan_shifted
+    values, s_lo, s_hi = case
+    q, grid = plan.grid.q, plan.grid
+    depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high))
+    dps = spectrum_dps(q, depth)
+    ctx = mp_context(dps + 40)
+    wexp = weight_exponent(plan.v)
+    raw = {}
+    for n, val in values.items():
+        if isinstance(val, tuple):
+            # w(n) f(n) + w(m) f(m) = 0: the zeroth moment cancels
+            _, m, partner = val
+            val = -ctx.mpf(partner) * ctx.mpf(q) ** ((m - n) * wexp)
+        raw[n] = from_float(val) if isinstance(val, float) \
+            else mp_context(dps).mpf(val)._mpf_
+    want = {s: to_float(val, rnd=round_nearest)
+            for s, val in plan.mp_transform(raw, s_lo, s_hi, dps).items()}
+    assert bits(plan.float_transform(raw, s_lo, s_hi, dps)) == bits(want)
+
+
+class TestCloseToAMidpoint:
+    """A one-term input whose transform at s0 lies a chosen relative
+    distance from a float64 round-to-nearest midpoint. The double-double
+    bound (about 2^-98 relative) cannot decide 2^-101 and decides 2^-70;
+    the double-double value itself (within about 2^-104) lies on the
+    same side as the exact one, so each sign of 2^-101 meets the test on
+    one side of the midpoint."""
+
+    N0, S0 = 3, 5
+
+    def output_near_midpoint(self, plan, rel):
+        grid = plan.grid
+        dps = spectrum_dps(grid.q, 40)
+        w = plan.mp_weights([self.N0], dps)[self.N0]
+        kap = plan.kappa_row(dps)[self.N0 + self.S0 - 2 * grid.n_low]
+        with mpmath.workdps(3 * dps):
+            x = mpmath.mpf(plan.c_qv) * mpmath.mpf(w) * mpmath.mpf(kap)
+            d = float(x)
+            mid = (mpmath.mpf(d) + mpmath.mpf(math.nextafter(d, math.inf))) / 2
+            val = mid * (1 + mpmath.mpf(rel)) / x
+        return {self.N0: mp_context(dps).mpf(val)._mpf_}, dps
+
+    @pytest.mark.parametrize("rel,declined", [
+        (2.0 ** -101, True), (-2.0 ** -101, True),
+        (2.0 ** -70, False), (-2.0 ** -70, False)])
+    def test_declined_only_where_the_bound_cannot_decide(
+            self, plan_shifted, routed, rel, declined):
+        values, dps = self.output_near_midpoint(plan_shifted, rel)
+        s0 = self.S0
+        got = plan_shifted.float_transform(values, s0 - 2, s0 + 2, dps)
+        assert (s0 in routed) == declined
+        assert routed in ([], [s0])
+        routed.clear()
+        want = plan_shifted.mp_transform(values, s0 - 2, s0 + 2, dps)
+        assert bits(got) == bits({s: to_float(val, rnd=round_nearest)
+                                  for s, val in want.items()})
+
+    def test_the_side_of_the_midpoint_picks_the_float(self, plan_shifted):
+        # the reference rounds up above the midpoint and down below it,
+        # so a route that misjudged the side would differ by one ulp
+        ups = []
+        for rel in (2.0 ** -101, -2.0 ** -101):
+            values, dps = self.output_near_midpoint(plan_shifted, rel)
+            ups.append(plan_shifted.float_transform(
+                values, self.S0, self.S0, dps)[self.S0])
+        assert ups[0] == math.nextafter(ups[1], math.inf)
+
+
+def _random_tuple(rng, prec, exp_lo, exp_hi):
+    """A random raw mpf tuple: zero one time in twenty, a float's 53 bits
+    one time in five, else a full prec-bit mantissa."""
+    if rng.random() < 0.05:
+        return from_man_exp(0, 0)
+    bc = 53 if rng.random() < 0.2 else prec
+    man = rng.getrandbits(bc) | (1 << (bc - 1)) | 1
+    return from_man_exp(rng.choice((-1, 1)) * man,
+                        rng.randint(exp_lo, exp_hi) - bc)
+
+
+def _dd_value(hi, lo, exp):
+    """(hi + lo) 2^exp as an exact raw tuple."""
+    return mpf_mul(mpf_add(from_float(hi), from_float(lo)),
+                   from_man_exp(1, int(exp)))
+
+
+def _within(a, b, err, exp):
+    """|a - b| <= err 2^exp, exactly."""
+    if math.isinf(err):
+        return True
+    return mpf_le(mpf_abs(mpf_add(a, mpf_neg(b))),
+                  mpf_mul(from_float(err), from_man_exp(1, int(exp))))
+
+
+def _exact_sum(w, v, col):
+    """sum_k w_k v_k col_k, exactly."""
+    total = from_man_exp(0, 0)
+    for a, b, k in zip(w, v, col):
+        total = mpf_add(total, mpf_mul(mpf_mul(a, b), k))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dd_dot_bound_holds_against_exact_sums(seed):
+    """Random rows, mean-free ones among them, terms spread far enough
+    to flush, and precisions whose 2^(3-prec) underflows: the
+    mp_transform reference and the exact sum both lie within err of the
+    double-double value."""
+    rng = random.Random(seed)
+    finite = 0
+    for case in range(40):
+        prec = rng.choice((120, 400, 1200))
+        m = rng.randint(1, 12)
+        rows = rng.randint(1, 5)
+        spread = rng.choice((4, 60, 1500))
+        w = [_random_tuple(rng, prec, -spread, spread) for _ in range(m)]
+        v = [_random_tuple(rng, prec, -20, 20) for _ in range(m)]
+        kap = [[_random_tuple(rng, prec, -spread, spread) for _ in range(m)]
+               for _ in range(rows)]
+        if m >= 2 and w[-1][1] and v[-1][1] and rng.random() < 0.5:
+            # the last term cancels the first to a relative 2^-r
+            r = rng.randint(0, 3 * prec)
+            for col in kap:
+                lead = mpmath.mpf(_exact_sum(w[:1], v[:1], col[:1]))
+                with mpmath.workprec(prec):
+                    col[-1] = (lead * (-1 + mpmath.ldexp(1, -r))
+                               / (mpmath.mpf(w[-1]) * mpmath.mpf(v[-1])))._mpf_
+        c = rng.uniform(0.5, 4.0)
+        # dd_dot's kap is (terms, rows)
+        kap_dd = tuple(np.array(part).T for part in
+                       zip(*[dd_split(col) for col in kap]))
+        hi, lo, err, exp = dd_dot(dd_split(w), dd_split(v), kap_dd, c, prec)
+        weighted = [mpf_mul(a, b, prec, round_nearest) for a, b in zip(w, v)]
+        for i, col in enumerate(kap):
+            ref = mpf_mul(from_float(c), mp_dot(weighted, col, prec), prec,
+                          round_nearest)
+            exact = mpf_mul(from_float(c), _exact_sum(w, v, col))
+            approx = _dd_value(hi[i], lo[i], exp[i])
+            assert _within(ref, approx, err[i], exp[i]), (seed, case, i)
+            assert _within(exact, approx, err[i], exp[i]), (seed, case, i)
+            finite += math.isfinite(err[i])
+    assert finite > 60
+
+
+def test_dd_round_certifies_only_away_from_midpoints():
+    """dd_round on hand-made double-double values: 1 + 2^-53 is the
+    midpoint above 1, and 1 - 2^-54 the one below it."""
+    one = np.ones(6)
+    # the last four: below 1, clear of its midpoint; reaching it; an
+    # infinite bound; and, above 1, reaching 1 + 2^-53
+    lo = np.array([2.0 ** -60, 2.0 ** -54, -2.0 ** -56, -2.0 ** -55, 0.0,
+                   2.0 ** -54])
+    err = np.array([2.0 ** -80, 2.0 ** -55, 2.0 ** -56, 2.0 ** -55,
+                    math.inf, 2.0 ** -54])
+    values, ok = dd_round(one, lo, err, np.zeros(6, dtype=np.int64))
+    assert values.tolist() == [1.0] * 6
+    assert ok.tolist() == [True, True, True, False, False, False]
+    # outside [2^-1021, 2^1023) nothing is certified
+    exps = np.array([-1021, -1022, 1022, 1023, 0, 0], dtype=np.int64)
+    _, ok = dd_round(one, np.zeros(6), np.full(6, 2.0 ** -80), exps)
+    assert ok.tolist() == [True, False, True, False, True, True]

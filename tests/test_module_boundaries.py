@@ -19,12 +19,14 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "qwave"
 PRECISION_HOME = "qbessel"
 # The one home of each sum, as {function: {enclosing scope: calls}}: the
-# gated plane integral, and the exact dot product, which serves the
-# transform sum and factorization_error's daughter sum.
+# gated plane integral, the exact dot product, which serves the
+# transform sum and factorization_error's daughter sum, and its
+# certified double-double twin, which serves the float transform.
 SUM_HOMES = {
     "gated_scale_sum": {"qwavelet.WaveletPlane.integral": 1},
     "mp_dot": {"qtransform.TransformPlan.mp_transform": 1,
                "qwavelet.factorization_error": 1},
+    "dd_dot": {"qtransform.TransformPlan.float_transform": 1},
 }
 
 
@@ -228,6 +230,11 @@ def test_each_home_holds_its_sum():
      "    return mp_dot(a, y, 53)", "qwavelet"),
     ("from qwave import qbessel\nx = qbessel.mp_dot(a, b, 53)", "qwavelet"),
     ("from qwave.qbessel import mp_dot as dot", "qwavelet"),
+    ("def spectrum(f, plan):\n    return dd_dot(w, v, k, 1.0, 53)",
+     "qtransform"),
+    ("class TransformPlan:\n    def float_transform(self, values):\n"
+     "        dd_dot(w, v, a, 1.0, 53)\n        return dd_dot(w, v, b, 1.0, 53)",
+     "qtransform"),
 ])
 def test_sum_guard_flags_each_breach(source, module):
     assert sum_breaches(source, module)
@@ -242,6 +249,8 @@ def test_sum_guard_flags_each_breach(source, module):
     ("def mp_dot(A, B, prec):\n    return A", "qbessel"),
     ("from qwave.qbessel import mp_dot\n"
      "def factorization_error():\n    return mp_dot(a, b, 53)", "qwavelet"),
+    ("class TransformPlan:\n    def float_transform(self, values):\n"
+     "        return dd_round(*dd_dot(w, v, k, 1.0, 53))", "qtransform"),
 ])
 def test_sum_guard_allows_the_homes(source, module):
     assert sum_breaches(source, module) == []

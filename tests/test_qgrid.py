@@ -403,6 +403,20 @@ class TestFileRoundTrip:
         assert back.grid == g and back.value_at(1) == 2.5
         assert (tmp_path / "h.csv").read_bytes() == target.read_bytes()
 
+    def test_sidecar_follows_a_linked_csv(self, tmp_path):
+        # only the CSV is linked: the sidecar is the one beside the
+        # link's target, not a new file beside the link
+        target = tmp_path / "t.csv"
+        write_function(GridFunction.zeros(build_grid(0.5, 0, 3)), str(target))
+        (tmp_path / "s.csv").symlink_to(target)
+        g = build_grid(0.3, -2, 4)
+        write_function(GridFunction.from_pairs(g, [(1, 2.5)]),
+                       str(tmp_path / "s.csv"))
+        assert not (tmp_path / "s.json").exists()
+        for path in (target, tmp_path / "s.csv"):
+            back = read_function(str(path))
+            assert back.grid == g and back.value_at(1) == 2.5
+
     def test_bad_header_rejected(self, tmp_path):
         g = build_grid(0.5, 0, 3)
         path = str(tmp_path / "h.csv")

@@ -36,6 +36,40 @@ ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("read", "fourier", "spectrum", "rows", "write")
 
 
+def spectrum_counter(TransformPlan):
+    """Wrap TransformPlan's transform routes to count spectrum outputs:
+    returns a dict whose "outputs" counts every output that
+    float_transform was asked for and "mp" every output that went
+    through mp_transform. A tree without float_transform sends every
+    output through mp_transform, so there "outputs" counts those."""
+    counts = {"outputs": 0, "mp": 0}
+    mp_transform = TransformPlan.mp_transform
+    float_transform = getattr(TransformPlan, "float_transform", None)
+
+    def counted_mp(self, values, s_lo, s_hi, dps):
+        counts["mp"] += max(0, s_hi - s_lo + 1)
+        if float_transform is None:
+            counts["outputs"] += max(0, s_hi - s_lo + 1)
+        return mp_transform(self, values, s_lo, s_hi, dps)
+
+    def counted_float(self, values, s_lo, s_hi, dps):
+        counts["outputs"] += max(0, s_hi - s_lo + 1)
+        return float_transform(self, values, s_lo, s_hi, dps)
+
+    TransformPlan.mp_transform = counted_mp
+    if float_transform is not None:
+        TransformPlan.float_transform = counted_float
+    return counts
+
+
+def certified_line(counts):
+    """'certified C of N spectrum outputs, M through mp_transform'."""
+    kept = counts["outputs"] - counts["mp"]
+    return (f"certified {kept} of {counts['outputs']} spectrum outputs "
+            f"({100.0 * kept / max(counts['outputs'], 1):.1f}%), "
+            f"{counts['mp']} through mp_transform")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
@@ -60,6 +94,7 @@ def main():
             spent[0] += time.perf_counter() - t0
 
     qwavelet.spectrum = timed_spectrum
+    counts = spectrum_counter(qtransform.TransformPlan)
     times = {stage: [] for stage in STAGES}
     digest = hashlib.sha256()
     clock = time.perf_counter
@@ -67,6 +102,7 @@ def main():
         stream = TransformStream()
         stream.setup(args.seed, Path(tmp))
         plan, spec = stream.plan, stream.spec
+        counts.update(outputs=0, mp=0)
         for p in range(args.passes):
             for path_in, path_out in zip(stream.inputs, stream.outputs):
                 t0 = clock()
@@ -95,6 +131,7 @@ def main():
     total = [sum(parts) for parts in zip(*times.values())]
     print(f"{'op':<9} {statistics.median(total):8.3f} "
           f"{statistics.fmean(total):8.3f}")
+    print(certified_line(counts))
     print(f"digest {digest.hexdigest()}")
     return 0
 

@@ -6,7 +6,10 @@ The sweep benchmark runs the probes on forked workers, so a traced run
 cannot see them; this script can. For each probe it times
 uncertainty_report(WaveletPlane(f, spec)) and counts the coefficient
 rows that scale_rows builds for it, and it prints I_R, its scale set and
-the cell's K_emp so that two trees can be compared bit for bit.
+the cell's K_emp so that two trees can be compared bit for bit. Per
+cell it also prints how many spectrum outputs of the mother and of the
+probes the certified float route kept, and how many went through
+TransformPlan.mp_transform (stream_split.spectrum_counter).
 
     python tools/sweep_rows.py [--src TREE/src] [--json OUT]
 
@@ -36,7 +39,8 @@ def main():
     sys.path.insert(0, args.src)
     from qwave import qwavelet, uncertainty
     from qwave.qgrid import BesselParams, build_grid
-    from qwave.qtransform import make_plan
+    from qwave.qtransform import TransformPlan, make_plan
+    from stream_split import certified_line, spectrum_counter
 
     built = [0]
     scale_rows = qwavelet.scale_rows
@@ -47,13 +51,24 @@ def main():
         return rows
 
     qwavelet.scale_rows = counted
+    counts = spectrum_counter(TransformPlan)
+    totals = {part: {"outputs": 0, "mp": 0} for part in ("mother", "probes")}
+
+    def tally(part):
+        for key in counts:
+            totals[part][key] += counts[key]
+        line = certified_line(counts)
+        counts.update(outputs=0, mp=0)
+        return line
     records = []
     total_rows = total_scales = 0
     total_time = 0.0
     for q, alpha, beta in CELLS:
         plan = make_plan(build_grid(q, N_LOW, N_HIGH),
                          BesselParams(alpha, beta))
+        counts.update(outputs=0, mp=0)
         spec = qwavelet.operator_mother(plan)
+        mother = tally("mother")
         ratios = []
         for i, f in enumerate(uncertainty.probe_family(plan)):
             built[0] = 0
@@ -74,10 +89,14 @@ def main():
         print(f"q={q} v=({alpha}, {beta}): K_emp {min(ratios)!r}, rows "
               f"{sum(r['rows'] for r in records[-9:])} of "
               f"{9 * len(spec.scale_indices)}", flush=True)
+        print(f"  mother: {mother}\n  probes: {tally('probes')}",
+              flush=True)
     print(f"rows built: {total_rows} of {total_scales} "
           f"({100.0 * total_rows / total_scales:.1f}%)")
     print(f"probe time: {total_time:.2f} s in all, "
           f"{1e3 * total_time / len(records):.1f} ms per probe")
+    for part, tot in totals.items():
+        print(f"{part}: {certified_line(tot)}")
     if args.json:
         Path(args.json).write_text(json.dumps(records, indent=1) + "\n")
     return 0 if all(math.isfinite(float(r["I_R"])) for r in records) else 1

@@ -413,6 +413,21 @@ def dd_split(tuples):
     return np.array(hi), np.array(lo), np.array(ex, dtype=np.int64)
 
 
+def dd_split_floats(x):
+    """dd_split of a float64 array's finite values, without their raw
+    tuples: element by element, dd_split([from_float(v) for v in x]).
+    A float's mantissa has at most 53 bits, so hi is np.frexp's signed
+    mantissa, lo a zero with the value's sign, and exp frexp's exponent.
+    A zero of either sign is (0, 0, _DD_ZERO_EXP), since from_float
+    makes both the tuple of +0."""
+    hi, ex = np.frexp(x)
+    zero = hi == 0.0
+    hi[zero] = 0.0
+    ex = ex.astype(np.int64)
+    ex[zero] = _DD_ZERO_EXP
+    return hi, np.copysign(0.0, hi), ex
+
+
 def _split(a):
     """Dekker's split: a = hi + lo, each half 26 bits or fewer."""
     hi = _SPLITTER * a
@@ -569,24 +584,38 @@ def dd_dot(w, v, kap, c, prec):
 
 def dd_round(hi, lo, err, exp):
     """Round dd_dot's results to float64 where that is certain: returns
-    (values, ok), values[i] = hi_i 2^exp_i, ok[i] true when no float64
+    (values, ok), values[i] = hi_i 2^exp_i rounded to float64, ok[i]
+    true when |hi_i| >= 2^-900, |values[i]| < 2^1023 and no 53-bit
     round-to-nearest midpoint lies within err_i 2^exp_i of
-    (hi_i + lo_i) 2^exp_i and the rounded value is a normal double in
-    [2^-1021, 2^1023). Then every number in that interval, R_i
-    included, rounds to values[i], which is to_float(R_i, rnd=
-    round_nearest): away from the subnormal range, where to_float
-    rounds twice, mpmath rounds once to 53 bits and math.ldexp is
-    exact. The two tests are fl(lo + err) < gap up / 2 and
-    fl(err - lo) < gap down / 2, gaps to hi's neighbours: rounding is
-    monotone, so each float test implies its exact one."""
+    (hi_i + lo_i) 2^exp_i. Then values[i] is to_float(R_i, rnd=
+    round_nearest), zero and subnormal values included:
+    1. The midpoint test certifies the 53-bit rounding: every number in
+       that interval, R_i included, rounds to 53 bits as hi_i 2^exp_i
+       does. hi_i is a normal float, so its float64 neighbours are its
+       53-bit ones, and scaling by 2^exp_i commutes with rounding to
+       53 bits, since mpmath's exponent range is unbounded. So
+       round53(R_i) = hi_i 2^exp_i. The two tests are
+       fl(lo + err) < gap up / 2 and fl(err - lo) < gap down / 2, gaps
+       to hi's neighbours: rounding is monotone, so each float test
+       implies its exact one.
+    2. to_float(R_i, rnd=round_nearest) rounds R_i to 53 bits and
+       returns math.ldexp of that 53-bit value: below the normal range
+       it rounds twice.
+    3. np.ldexp(hi_i, exp_i) rounds the same real number, once, in the
+       same way: IEEE scaleB, round half to even, keeping the sign on
+       underflow. So it reproduces to_float's double rounding and the
+       sign of a zero; it does not avoid them. exp_i is clamped to
+       +-2200 before the call, which moves no result: |hi_i| is at
+       most about the number of terms, so below -2200 the value is a
+       zero of hi's sign either way, and above 2200 it is not
+       certified."""
     _, e_hi = np.frexp(hi)
     f_exp = e_hi + exp
     with np.errstate(over="ignore", invalid="ignore"):
         up = np.nextafter(hi, math.inf) - hi
         down = hi - np.nextafter(hi, -math.inf)
-        ok = ((np.abs(hi) >= 2.0 ** -900) & (f_exp >= -1020)
-              & (f_exp <= 1023) & (lo + err < 0.5 * up)
-              & (err - lo < 0.5 * down))
+        ok = ((np.abs(hi) >= 2.0 ** -900) & (f_exp <= 1023)
+              & (lo + err < 0.5 * up) & (err - lo < 0.5 * down))
         values = np.ldexp(hi, np.maximum(np.minimum(exp, 2200), -2200)
                           .astype(np.int32))
     return values, ok

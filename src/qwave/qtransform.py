@@ -23,8 +23,8 @@ from mpmath.libmp import from_float, mpf_mul, round_nearest, to_float
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_round, dd_split,
-                           kappa_row, lattice_kernel, mp_context, mp_dot,
-                           spectrum_dps)
+                           dd_split_floats, kappa_row, lattice_kernel,
+                           mp_context, mp_dot, spectrum_dps)
 from qwave.qgrid import GridFunction, jackson_weights, weight_exponent
 
 CALIBRATION_SPREAD_TOL = 1e-6
@@ -147,48 +147,56 @@ class TransformPlan:
 
     def float_transform(self, values, s_lo, s_hi, dps):
         """to_float(mp_transform(values, s_lo, s_hi, dps)[s],
-        rnd=round_nearest) for each s in [s_lo, s_hi], as {s: float}.
+        rnd=round_nearest) for each s in [s_lo, s_hi], as a float64
+        array over that range. values is a pair (ns, x): the input's
+        indices and its values, either a float64 array, which stands
+        for from_float's raw tuples, or a list of raw mpf tuples.
 
         Every output is first computed in double-double by
         qbessel.dd_dot, all at once, with a rigorous bound on its
         distance from the mp_transform value, and kept where
         qbessel.dd_round certifies that the bound cannot change its
-        rounding (Ziv's scheme). The outputs it declines come from
-        mp_transform, called once over each run of consecutive
-        declined s, so the result is mp_transform's bit for bit either
-        way. Infinite or nan values take the mp_transform route, which
+        rounding (Ziv's scheme). A float array is split into
+        double-double directly (qbessel.dd_split_floats). The outputs
+        it declines come from mp_transform, called once over each run
+        of consecutive declined s, so the result is mp_transform's bit
+        for bit either way; a float input's raw tuples are built only
+        then. Infinite or nan values take the mp_transform route, which
         rejects them."""
-        ss = range(s_lo, s_hi + 1)
-        out = np.empty(len(ss))
-        ok = np.zeros(len(ss), dtype=bool)
-        if values and ss and all(val[1] or not val[2]
-                                 for val in values.values()):
-            self.check_index_sums(min(values), max(values), s_lo, s_hi)
-            ns = list(values)
+        ns, x = values
+        floats = isinstance(x, np.ndarray)
+        count = max(0, s_hi - s_lo + 1)
+        out = np.empty(count)
+        ok = np.zeros(count, dtype=bool)
+        if ns and count and (np.isfinite(x).all() if floats else all(
+                val[1] or not val[2] for val in x)):
+            self.check_index_sums(min(ns), max(ns), s_lo, s_hi)
             weights, kap = self.dd_operands(ns, dps)
             w = tuple(np.array(part) for part in
                       zip(*[weights[n] for n in ns]))
-            v = dd_split(list(values.values()))
+            v = dd_split_floats(x) if floats else dd_split(x)
             prec = mp_context(dps).prec
             starts = np.array(ns) + (s_lo - 2 * self.grid.n_low)
             step = max(1, _DD_BLOCK // len(ns))
-            for lo in range(0, len(ss), step):
-                hi = min(lo + step, len(ss))
+            for lo in range(0, count, step):
+                hi = min(lo + step, count)
                 # entry (k, i) is kappa(n_k + s_lo + lo + i)
                 idx = starts[:, None] + np.arange(lo, hi)
                 out[lo:hi], ok[lo:hi] = dd_round(*dd_dot(
                     w, v, tuple(part[idx] for part in kap), self.c_qv,
                     prec))
-        out = out.tolist()
         declined = np.flatnonzero(~ok).tolist()
+        if declined:
+            raw = dict(zip(ns, map(from_float, x.tolist()) if floats
+                           else x))
         for _, run in itertools.groupby(enumerate(declined),
                                         lambda ji: ji[1] - ji[0]):
             run = [i for _, i in run]
-            for i, val in enumerate(self.mp_transform(
-                    values, s_lo + run[0], s_lo + run[-1], dps).values(),
-                    run[0]):
-                out[i] = to_float(val, rnd=round_nearest)
-        return dict(zip(ss, out))
+            out[run[0]:run[-1] + 1] = [
+                to_float(val, rnd=round_nearest) for val in
+                self.mp_transform(raw, s_lo + run[0], s_lo + run[-1],
+                                  dps).values()]
+        return out
 
     def check_index_sums(self, n_lo, n_hi, s_lo, s_hi):
         """Raise ValueError unless every index sum n + s with n in
@@ -288,8 +296,10 @@ def translate(f, n, plan):
     return GridFunction(grid, shifted)
 
 
-def spectrum(f, plan, s_lo=None, s_hi=None):
-    """High-precision transform of a small-support input, entrywise.
+def spectrum_array(f, plan, s_lo=None, s_hi=None):
+    """High-precision transform of a small-support input, entrywise, as
+    a float64 array over [s_lo, s_hi]: entry i is the output at
+    s_lo + i. The range defaults to the grid index range.
 
     The float64 matrix path loses the transform values of mean-free
     inputs at deep spectral indices: the weighted kernel's leading order
@@ -300,12 +310,13 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     which certifies that rounding in double-double where it can and
     takes mp_transform's value where it cannot.
 
-    f is a GridFunction or an {index: value} dict: float values are
-    converted exactly, and mpf values let an input carry excess
-    precision. Returns {s: float} over [s_lo, s_hi], defaulting to the
-    grid index range. An index sum n + s outside the plan's range
-    [2 n_low, 2 n_high] raises ValueError before any precision is set
-    up for it (plan.check_index_sums).
+    f is a GridFunction or an {index: value} dict. Float values are
+    exact: an input whose values are all floats goes to float_transform
+    as a float64 array. Other values are converted at the working
+    precision, so mpf values let an input carry excess precision. An
+    index sum n + s outside the plan's range [2 n_low, 2 n_high] raises
+    ValueError before any precision is set up for it
+    (plan.check_index_sums).
     """
     grid = plan.grid
     if s_lo is None:
@@ -313,18 +324,33 @@ def spectrum(f, plan, s_lo=None, s_hi=None):
     if isinstance(f, GridFunction):
         if f.grid != grid:
             raise ValueError("grid function and plan use different grids")
-        support = f.nonzero_values()
+        nz = np.flatnonzero(f.values)
+        ns, vals = (nz + grid.n_low).tolist(), f.values[nz]
     else:
         support = dict(f)
-    if not support:
-        return {s: 0.0 for s in range(s_lo, s_hi + 1)}
+        ns, vals = list(support), list(support.values())
+        if all(isinstance(val, float) for val in vals):
+            vals = np.array(vals)
+    if not ns:
+        return np.zeros(max(0, s_hi - s_lo + 1))
+    n_lo, n_hi = min(ns), max(ns)
     if s_lo <= s_hi:
-        plan.check_index_sums(min(support), max(support), s_lo, s_hi)
+        plan.check_index_sums(n_lo, n_hi, s_lo, s_hi)
     depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
-                *(abs(n) for n in support))
+                abs(n_lo), abs(n_hi))
     dps = spectrum_dps(grid.q, depth)
-    ctx = mp_context(dps)
-    # a float converts exactly, to the tuple ctx.mpf gives
-    values = {n: from_float(val) if isinstance(val, float)
-              else ctx.mpf(val)._mpf_ for n, val in support.items()}
-    return plan.float_transform(values, s_lo, s_hi, dps)
+    if not isinstance(vals, np.ndarray):
+        ctx = mp_context(dps)
+        # a float converts exactly, to the tuple ctx.mpf gives
+        vals = [from_float(val) if isinstance(val, float)
+                else ctx.mpf(val)._mpf_ for val in vals]
+    return plan.float_transform((ns, vals), s_lo, s_hi, dps)
+
+
+def spectrum(f, plan, s_lo=None, s_hi=None):
+    """spectrum_array's outputs as {s: float} over [s_lo, s_hi], by
+    default the grid index range."""
+    if s_lo is None:
+        s_lo, s_hi = plan.grid.n_low, plan.grid.n_high
+    return dict(zip(range(s_lo, s_hi + 1),
+                    spectrum_array(f, plan, s_lo, s_hi).tolist()))

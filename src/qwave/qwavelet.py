@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from qwave.qbessel import FACTORIZATION_DPS, MOTHER_DPS, mp_context, mp_dot
 from qwave.qgrid import GridFunction, dilate, weight_exponent
-from qwave.qtransform import spectrum, translate
+from qwave.qtransform import spectrum_array, translate
 
 GATE_REL_TAIL = 1e-13
 GATE_RUN = 3
@@ -116,14 +116,13 @@ def make_wavelet(mother, plan, mp_values=None):
     prof_hi = scale_indices[-1] + grid.n_high
     if mp_values is None:
         mp_values = mother.nonzero_values()
-    profile = spectrum(mp_values, plan, prof_lo, prof_hi)
+    profile = spectrum_array(mp_values, plan, prof_lo, prof_hi)
     adm = (1.0 - grid.q) * math.fsum(
-        profile[s] ** 2 for s in range(grid.n_low, grid.n_high + 1))
+        p ** 2 for p in profile[grid.n_low - prof_lo:
+                                grid.n_high - prof_lo + 1].tolist())
     if not (math.isfinite(adm) and adm > 0.0):
         raise ValueError(f"admissibility constant {adm} not finite positive")
-    return WaveletSpec(mother, plan, adm, mp_values, scale_indices,
-                       np.array([profile[s]
-                                 for s in range(prof_lo, prof_hi + 1)]))
+    return WaveletSpec(mother, plan, adm, mp_values, scale_indices, profile)
 
 
 def _normalized_mp_mother(plan, raw):
@@ -179,12 +178,6 @@ def daughter_wavelet(spec, m, n_b):
     return shifted.scaled(math.sqrt(grid.q ** m))
 
 
-def _spectrum_array(f, plan):
-    """spectrum(f, plan) over the grid's index range, as an array."""
-    Ff_map = spectrum(f, plan)
-    return np.array([Ff_map[s] for s in plan.grid.indices])
-
-
 def scale_rows(Ff, spec, scale_indices=None):
     """Coefficient rows C(q^m, .) over the full position grid via the
     spectral route from the input's spectrum array Ff, for a run of
@@ -197,7 +190,11 @@ def scale_rows(Ff, spec, scale_indices=None):
     operations, M x as one GEMV per row (a GEMM over the block rounds
     differently), and sqrt(q^m), from spec.roots, as one block multiply:
     the same IEEE product, entry by entry, as a float per row. So each
-    row has the bits of the same steps on that row alone."""
+    row has the bits of the same steps on that row alone.
+
+    The GEMVs are one stacked np.matmul of M with the block as a stack
+    of (n, 1) columns: for a right operand of one column, matmul calls
+    BLAS's GEMV once per stacked row, the call np.dot(M, x_i) makes."""
     plan = spec.plan
     ms = list(spec.scale_indices if scale_indices is None else scale_indices)
     if not ms or ms != list(range(ms[0], ms[-1] + 1)):
@@ -210,9 +207,7 @@ def scale_rows(Ff, spec, scale_indices=None):
     # 2-D operands keep a one-row block off numpy's broadcasting path
     x = spec.windows[start:start + len(ms)] * Ff[None]
     x *= plan.weights[None]
-    rows = np.empty_like(x)
-    for xi, ri in zip(x, rows):
-        np.dot(plan.matrix, xi, out=ri)
+    rows = np.matmul(plan.matrix, x[:, :, None])[:, :, 0]
     rows *= plan.c_qv
     rows *= spec.roots[start:start + len(ms), None]
     return rows
@@ -230,7 +225,7 @@ class WaveletPlane:
     def __init__(self, f, spec):
         self.f = f
         self.spec = spec
-        self.Ff = _spectrum_array(f, spec.plan)
+        self.Ff = spectrum_array(f, spec.plan)
         self._rows = {}
 
     def row(self, m):
@@ -269,7 +264,7 @@ def cwt(f, spec, scale_indices=None):
     if scale_indices is None:
         scale_indices = spec.scale_indices
     return Scaleogram(scale_indices, list(grid.indices),
-                      scale_rows(_spectrum_array(f, spec.plan), spec,
+                      scale_rows(spectrum_array(f, spec.plan), spec,
                                  scale_indices), grid)
 
 

@@ -1,10 +1,12 @@
 """The certified float route of the transform: plan.float_transform,
 which spectrum calls, must give to_float(plan.mp_transform(...)) bit for
-bit on every input, whichever route each output takes; and qbessel's
-dd_dot bound must hold against the exact sums."""
+bit on every input, whichever route each output takes; qbessel's dd_dot
+bound must hold against the exact sums; and dd_split_floats must split
+a float array as dd_split splits from_float's tuples."""
 
 import math
 import random
+import struct
 
 import mpmath
 import numpy as np
@@ -12,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add,
-                          mpf_le, mpf_mul, mpf_neg, round_nearest, to_float)
+                          mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_shift,
+                          round_nearest, to_float, to_int)
 
-from qwave.qbessel import dd_dot, dd_round, dd_split, mp_context, mp_dot, \
-    spectrum_dps
+from qwave.qbessel import dd_dot, dd_round, dd_split, dd_split_floats, \
+    mp_context, mp_dot, spectrum_dps
 from qwave.qgrid import BesselParams, GridFunction, build_grid, \
     weight_exponent
 from qwave.qtransform import TransformPlan, make_plan, spectrum
@@ -46,6 +49,16 @@ def mp_route(f, plan, s_lo=None, s_hi=None):
 def bits(out):
     """{s: float.hex()}: equal only for the same bits, signed zeros too."""
     return {s: val.hex() for s, val in out.items()}
+
+
+def array_bits(out, s_lo):
+    """bits of a float_transform array over [s_lo, s_lo + len(out))."""
+    return bits(dict(zip(range(s_lo, s_lo + len(out)), out.tolist())))
+
+
+def raw_pair(values):
+    """{n: raw tuple} as float_transform's (indices, values) pair."""
+    return list(values), list(values.values())
 
 
 @pytest.fixture
@@ -121,12 +134,22 @@ class TestSameBitsAsTheMpRoute:
         want = mp_route(spec.mp_values, plan, lo, hi)
         assert [v.hex() for v in spec.profile.tolist()] == \
             [want[s].hex() for s in range(lo, hi + 1)]
-        for f in probe_family(plan):
-            want = bits(mp_route(f, plan))
+        tiny_outputs = 0
+        for i, f in enumerate(probe_family(plan)):
+            want = mp_route(f, plan)
             routed.clear()
-            assert bits(spectrum(f, plan)) == want
-            # the probes' outputs below the normal range take the mp route
-            assert 0 < len(routed) < len(want)
+            assert bits(spectrum(f, plan)) == bits(want)
+            assert len(routed) < len(want)
+            tiny = {s for s, val in want.items() if abs(val) < 2.0 ** -1022}
+            if i >= 7:
+                # the two mean-free probes: the 2^-98 bound cannot
+                # resolve their deep cancellation
+                assert routed
+            else:
+                # zero and subnormal outputs are certified like the rest
+                assert not tiny & set(routed)
+                tiny_outputs += len(tiny)
+        assert tiny_outputs > 0
 
 
 @st.composite
@@ -173,9 +196,36 @@ def test_float_transform_equals_mp_transform(plan_shifted, case):
             val = -ctx.mpf(partner) * ctx.mpf(q) ** ((m - n) * wexp)
         raw[n] = from_float(val) if isinstance(val, float) \
             else mp_context(dps).mpf(val)._mpf_
-    want = {s: to_float(val, rnd=round_nearest)
-            for s, val in plan.mp_transform(raw, s_lo, s_hi, dps).items()}
-    assert bits(plan.float_transform(raw, s_lo, s_hi, dps)) == bits(want)
+    want = bits({s: to_float(val, rnd=round_nearest) for s, val in
+                 plan.mp_transform(raw, s_lo, s_hi, dps).items()})
+    got = plan.float_transform(raw_pair(raw), s_lo, s_hi, dps)
+    assert array_bits(got, s_lo) == want
+    floats = {n: val for n, val in values.items() if isinstance(val, float)}
+    if len(floats) == len(values):
+        # the same input as a float array
+        got = plan.float_transform((list(floats), np.array(list(
+            floats.values()))), s_lo, s_hi, dps)
+        assert array_bits(got, s_lo) == want
+
+
+# one_term_input's index and output index
+N0, S0 = 3, 5
+
+
+def one_term_input(plan, target):
+    """A one-term input at N0 whose transform at S0 is target(x), for x
+    the exact transform of the input 1 there, c w(N0) kappa(N0 + S0),
+    all at three times the working precision. Returns the input as
+    {N0: raw tuple} and that working precision (spectrum's at depth
+    40)."""
+    grid = plan.grid
+    dps = spectrum_dps(grid.q, 40)
+    w = plan.mp_weights([N0], dps)[N0]
+    kap = plan.kappa_row(dps)[N0 + S0 - 2 * grid.n_low]
+    with mpmath.workdps(3 * dps):
+        x = mpmath.mpf(plan.c_qv) * mpmath.mpf(w) * mpmath.mpf(kap)
+        val = target(x) / x
+    return {N0: mp_context(dps).mpf(val)._mpf_}, dps
 
 
 class TestCloseToAMidpoint:
@@ -186,19 +236,13 @@ class TestCloseToAMidpoint:
     same side as the exact one, so each sign of 2^-101 meets the test on
     one side of the midpoint."""
 
-    N0, S0 = 3, 5
-
     def output_near_midpoint(self, plan, rel):
-        grid = plan.grid
-        dps = spectrum_dps(grid.q, 40)
-        w = plan.mp_weights([self.N0], dps)[self.N0]
-        kap = plan.kappa_row(dps)[self.N0 + self.S0 - 2 * grid.n_low]
-        with mpmath.workdps(3 * dps):
-            x = mpmath.mpf(plan.c_qv) * mpmath.mpf(w) * mpmath.mpf(kap)
+        def target(x):
             d = float(x)
             mid = (mpmath.mpf(d) + mpmath.mpf(math.nextafter(d, math.inf))) / 2
-            val = mid * (1 + mpmath.mpf(rel)) / x
-        return {self.N0: mp_context(dps).mpf(val)._mpf_}, dps
+            return mid * (1 + mpmath.mpf(rel))
+
+        return one_term_input(plan, target)
 
     @pytest.mark.parametrize("rel,declined", [
         (2.0 ** -101, True), (-2.0 ** -101, True),
@@ -206,14 +250,15 @@ class TestCloseToAMidpoint:
     def test_declined_only_where_the_bound_cannot_decide(
             self, plan_shifted, routed, rel, declined):
         values, dps = self.output_near_midpoint(plan_shifted, rel)
-        s0 = self.S0
-        got = plan_shifted.float_transform(values, s0 - 2, s0 + 2, dps)
+        s0 = S0
+        got = plan_shifted.float_transform(raw_pair(values), s0 - 2, s0 + 2,
+                                           dps)
         assert (s0 in routed) == declined
         assert routed in ([], [s0])
         routed.clear()
         want = plan_shifted.mp_transform(values, s0 - 2, s0 + 2, dps)
-        assert bits(got) == bits({s: to_float(val, rnd=round_nearest)
-                                  for s, val in want.items()})
+        assert array_bits(got, s0 - 2) == bits(
+            {s: to_float(val, rnd=round_nearest) for s, val in want.items()})
 
     def test_the_side_of_the_midpoint_picks_the_float(self, plan_shifted):
         # the reference rounds up above the midpoint and down below it,
@@ -222,8 +267,43 @@ class TestCloseToAMidpoint:
         for rel in (2.0 ** -101, -2.0 ** -101):
             values, dps = self.output_near_midpoint(plan_shifted, rel)
             ups.append(plan_shifted.float_transform(
-                values, self.S0, self.S0, dps)[self.S0])
+                raw_pair(values), S0, S0, dps)[0])
         assert ups[0] == math.nextafter(ups[1], math.inf)
+
+
+class TestBelowTheNormalRange:
+    """Outputs that round to zero or a subnormal are certified, and keep
+    to_float's bits: its double rounding (to 53 bits, then to the
+    subnormal grid) and the sign of a zero. A one-term input is scaled
+    so that its transform R at S0 lies within 2^-200 relative of a
+    chosen value. At a subnormal tie t(1 +- 2^-60), the first rounding
+    lands on t and the second rounds half to even, which differs from
+    rounding R once."""
+
+    # R = man 2^exp; 2^-1075 is the tie between 0 and the least subnormal
+    @pytest.mark.parametrize("man,exp,want,tie", [
+        (2 ** 60 + 1, -1135, 0.0, True),
+        (-2 ** 60 - 1, -1135, -0.0, True),
+        (3 * 2 ** 60 - 3, -1135, 2.0 ** -1073, True),
+        (-1, -1080, -0.0, False),
+        (12345, -1094, 12345 * 2.0 ** -1094, False),
+    ], ids=("tie-to-zero", "tie-to-minus-zero", "tie-to-even",
+            "minus-zero", "subnormal"))
+    def test_certified_with_to_floats_bits(self, plan_shifted, routed,
+                                           man, exp, want, tie):
+        values, dps = one_term_input(plan_shifted,
+                                     lambda x: mpmath.ldexp(man, exp))
+        s0 = S0
+        got = plan_shifted.float_transform(raw_pair(values), s0, s0, dps)
+        assert routed == []
+        ref = plan_shifted.mp_transform(values, s0, s0, dps)[s0]
+        assert got[0].hex() == to_float(ref, rnd=round_nearest).hex() \
+            == want.hex()
+        # rounding R once to the subnormal grid gives another float
+        once = math.ldexp(to_int(mpf_shift(ref, 1074), round_nearest),
+                          -1074)
+        assert (once != want) == tie
+        assert mpf_lt(ref, from_float(0.0)) == (man < 0)
 
 
 def _random_tuple(rng, prec, exp_lo, exp_hi):
@@ -314,7 +394,59 @@ def test_dd_round_certifies_only_away_from_midpoints():
     values, ok = dd_round(one, lo, err, np.zeros(6, dtype=np.int64))
     assert values.tolist() == [1.0] * 6
     assert ok.tolist() == [True, True, True, False, False, False]
-    # outside [2^-1021, 2^1023) nothing is certified
-    exps = np.array([-1021, -1022, 1022, 1023, 0, 0], dtype=np.int64)
-    _, ok = dd_round(one, np.zeros(6), np.full(6, 2.0 ** -80), exps)
-    assert ok.tolist() == [True, False, True, False, True, True]
+    # nothing at 2^1023 or above is certified, nor a |hi| below 2^-900
+    exps = np.array([1022, 1023, 0, 0], dtype=np.int64)
+    hi = np.array([1.0, 1.0, 2.0 ** -900, 2.0 ** -901])
+    _, ok = dd_round(hi, np.zeros(4), 2.0 ** -80 * hi, exps)
+    assert ok.tolist() == [True, False, True, False]
+
+
+def test_dd_round_matches_to_float_below_the_normal_range():
+    """Down through the subnormal range and past it, a certified value
+    is to_float of the exact (hi + lo) 2^exp, double rounding and the
+    sign of a zero included: hi on, next to and between subnormal ties,
+    lo pushing the value off them either way."""
+    mants = [0.5, 0.75, 0.625, 1 - 2.0 ** -53, 0.5 + 2.0 ** -53,
+             0.75 + 2.0 ** -53, 0.75 - 2.0 ** -53]
+    rows = [(sign * m, sign * lo, e) for m in mants for sign in (1, -1)
+            for lo in (0.0, 2.0 ** -70, -2.0 ** -70)
+            for e in range(-1140, -1015)]
+    hi, lo, exp = (np.array(col) for col in zip(*rows))
+    values, ok = dd_round(hi, lo, np.full(len(rows), 2.0 ** -90),
+                          exp.astype(np.int64))
+    assert ok.all()
+    want = [to_float(_dd_value(*row), rnd=round_nearest).hex()
+            for row in rows]
+    assert [v.hex() for v in values.tolist()] == want
+    assert {"0x0.0p+0", "-0x0.0p+0"} <= set(want)
+
+
+def _finite_floats(rng, count):
+    """Floats from uniform random bit patterns, so every exponent,
+    subnormals included, is about as likely, and the edge values."""
+    xs = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -2.0 ** -1022,
+          math.nextafter(2.0 ** -1022, 0.0), 1.0, -0.5, 3.0,
+          1.7976931348623157e308, -1.7976931348623157e308]
+    while len(xs) < count:
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        if math.isfinite(x):
+            xs.append(x)
+    return xs
+
+
+def test_dd_split_floats_equals_dd_split_of_from_float():
+    xs = _finite_floats(random.Random(0), 4000)
+    got = dd_split_floats(np.array(xs))
+    want = dd_split([from_float(x) for x in xs])
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    # -0.0 maps to from_float's +0 tuple
+    assert dd_split_floats(np.array([-0.0]))[0].tobytes() == \
+        np.array([0.0]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_spectrum_rejects_non_finite_floats(plan_shifted, bad):
+    with pytest.raises(ValueError, match="inf or nan"):
+        spectrum({0: 1.0, 2: bad}, plan_shifted, -5, 5)

@@ -426,6 +426,9 @@ def test_row_guard_flags_each_breach(source):
     "def _scale_bounds(plane, d):\n    return x @ cols",
     "def scale_rows(Ff, spec, ms):\n    for i in range(k):\n"
     "        np.dot(spec.plan.matrix, x[i], out=rows[i])",
+    # one GEMV per stacked (n, 1) column
+    "def scale_rows(Ff, spec, ms):\n"
+    "    return np.matmul(spec.plan.matrix, x[:, :, None])[:, :, 0]",
     "def scale_rows(Ff, spec, ms):\n    M = spec.plan.matrix\n"
     "    return [M @ x for x in X]",
     "class TransformPlan:\n    def fourier_values(self, values):\n"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qwave.qgrid import BesselParams, GridFunction, build_grid
-from qwave.qtransform import make_plan, spectrum
+from qwave.qtransform import make_plan, spectrum, spectrum_array
 from qwave import qtransform, qwavelet
 from qwave.qwavelet import (WaveletPlane, _scale_bounds,
                             factorization_error, operator_mother,
@@ -100,12 +100,12 @@ class TestOneSpectrumPerCall:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return spectrum(*args, **kwargs)
+            return spectrum_array(*args, **kwargs)
 
         f = probe_family(spec00.plan)[-1]
         want = fn(WaveletPlane(f, spec00))
-        monkeypatch.setattr(qwavelet, "spectrum", counted)
-        monkeypatch.setattr(qtransform, "spectrum", counted)
+        monkeypatch.setattr(qwavelet, "spectrum_array", counted)
+        monkeypatch.setattr(qtransform, "spectrum_array", counted)
         plane = WaveletPlane(f, spec00)
         assert len(calls) == 1
         assert fn(plane) == want

@@ -7,21 +7,24 @@ transform over every scale and writes the transform. The stages are:
 
     read      qgrid.read_function
     fourier   qtransform.q_bessel_fourier
-    spectrum  the spectrum call inside qwavelet.cwt
+    spectrum  the call inside qwavelet.cwt that gives the input's
+              spectrum array: qwavelet's spectrum_array, or
+              _spectrum_array in trees that have no spectrum_array
     rows      the rest of qwavelet.cwt: the scale rows and the Scaleogram
     write     qgrid.write_function
 
 Each stage is timed with time.perf_counter around its own call; spectrum
-is timed by a wrapper on qwavelet's spectrum name, and rows is cwt's
-time less that. The script prints the median and mean ms per op of every
+is timed by a wrapper on that name in qwavelet, and rows is cwt's time
+less that. The script prints the median and mean ms per op of every
 stage, and a digest of the outputs and scaleograms so that two trees can
 be compared bit for bit.
 
     python tools/stream_split.py [--src TREE/src] [--seed N] [--passes P]
 
---src imports qwave from another tree (any tree whose qwavelet calls
-spectrum by that name from cwt). The inputs and outputs go to a
-temporary directory that is removed at the end.
+--src imports qwave from another tree (any tree whose cwt reads its
+spectrum through qwavelet's spectrum_array or _spectrum_array). The
+inputs and outputs go to a temporary directory that is removed at the
+end.
 """
 
 import argparse
@@ -83,7 +86,9 @@ def main():
     from qwave import qgrid, qtransform, qwavelet
     from workloads import TransformStream
 
-    spectrum = qwavelet.spectrum
+    name = "spectrum_array" if hasattr(qwavelet, "spectrum_array") \
+        else "_spectrum_array"
+    spectrum = getattr(qwavelet, name)
     spent = [0.0]
 
     def timed_spectrum(*a, **kw):
@@ -93,7 +98,7 @@ def main():
         finally:
             spent[0] += time.perf_counter() - t0
 
-    qwavelet.spectrum = timed_spectrum
+    setattr(qwavelet, name, timed_spectrum)
     counts = spectrum_counter(qtransform.TransformPlan)
     times = {stage: [] for stage in STAGES}
     digest = hashlib.sha256()

@@ -458,6 +458,16 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
+def _extract(p, sigma, q):
+    """Rump, Ogita and Oishi's ExtractVector on the columns of p, for
+    sigma a power of two: q = fl(fl(sigma + p) - sigma), written into
+    q, and p - q, exact, written into p. Returns q's column sums."""
+    np.add(p, sigma, out=q)
+    q -= sigma
+    p -= q
+    return q.sum(axis=0)
+
+
 def _scaled_terms(uh, ul, ue, kap):
     """The terms u_k kap_ki of dd_dot as (hi, lo) arrays, each column
     scaled by 2^-(its largest term exponent), and those exponents. u is
@@ -477,73 +487,84 @@ def _scaled_terms(uh, ul, ue, kap):
     return ph, pl, top
 
 
-def dd_dot(w, v, kap, c, prec):
+def dd_dot(w, v, kap, prec):
     """The transform sum that TransformPlan.mp_transform computes,
         R_i = round(c round(mp_dot(weighted, kap_i, prec))),
     weighted_k = round(w_k v_k), every round to nearest at prec bits,
     evaluated in double-double with a rigorous bound on the distance to
-    R_i. w and v are dd_split arrays of shape (m,), kap of shape
-    (rows, m), c a float. Returns arrays (hi, lo, err, exp) over the
-    rows with hi = fl(hi + lo) and
-        |R_i - (hi_i + lo_i) 2^exp_i| <= err_i 2^exp_i,
-    err_i infinite where the bound's premises fail.
+    R_i. w holds the exact products c w_k and v the values v_k, as
+    dd_split arrays of shape (m,), and kap of shape (m, rows). Returns
+    arrays (hi, lo, err, exp) over the rows with hi = fl(hi + lo) and
+        |R_i - (hi_i + lo_i) 2^exp_i| <= err_i 2^exp_i.
 
     Evaluation: u_k = w_k v_k, then each term u_k kap_ik, by Dekker's
     TwoProduct on the highs (numpy has no FMA) plus the two cross
     products, the lo * lo product dropped. The highs lie in [1/2, 1),
     so no split overflows or underflows. A row's terms are scaled by
-    2^-(the row's largest term exponent), their highs summed by an
-    error-free pairwise TwoSum tree, the tree's errors and the terms'
-    lows by a float sum, and c applied by one more TwoProduct.
+    2^-(the row's largest term exponent), which puts every scaled high
+    below 1 in magnitude. The highs are split error-free by two
+    extractions (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008, ExtractVector and
+    Lemma 3.3) into parts whose float sums are exact, and the rest, with
+    the terms' lows, is summed in float.
 
-    The bound, with u = 2^-53 and P_i = sum_k |w_k v_k kap_ik| over the
-    tuples' exact values:
+    The bound, with u = 2^-53 and P_i = sum_k |c w_k v_k kap_ik| over
+    the tuples' exact values:
     1. Operands: dd_split truncation is off by less than 2^-105 |x|,
-       with |x~| <= |x| and |lo| < 2^-52 |hi|.
+       with |x~| <= |x| and |lo| < 2^-52 |hi|. The weight c w_k is an
+       exact product before it is split, so c costs nothing more.
     2. Product lemma: for a = a_h + a_l, b = b_h + b_l with
        |a_l| <= ea |a_h|, |b_l| <= eb |b_h|, (p, e) = TwoProduct(a_h,
        b_h) and t = fl(e + fl(fl(a_h b_l) + fl(a_l b_h))), the dropped
        a_l b_l and the four roundings give
          |p + t - a b| <= (ea eb + 3u (ea + eb) + u^2)(1 + 4u) |a_h b_h|,
          |t| <= (u + ea + eb)(1 + 4u) |a_h b_h|.
-    3. u~ = w~ v~ (ea = eb = 2^-52): off by 4.25 2^-104 |w_h v_h| plus
-       2^-104 |w v| from truncation, so |u~ - w v| <= 2^-101.6 |w v|;
-       rescaled by a power of two, |u_l| <= 2^-50.6 |u_h|.
+    3. u~ = (c w)~ v~ (ea = eb = 2^-52): off by 4.25 2^-104 |w_h v_h|
+       plus 2^-104 |c w v| from truncation, so
+       |u~ - c w v| <= 2^-101.6 |c w v|; rescaled by a power of two,
+       |u_l| <= 2^-50.6 |u_h|.
     4. A term u~ kap~ (ea = 2^-50.6, eb = 2^-52): off by
-       2^-100.9 |u_h kap_h| <= 2^-100.9 (1 + 2^-50) |w v kap|, plus
-       steps 1 and 3 carried through: less than 2^-100 |w v kap| in
+       2^-100.9 |u_h kap_h| <= 2^-100.9 (1 + 2^-50) |c w v kap|, plus
+       steps 1 and 3 carried through: less than 2^-100 |c w v kap| in
        all (DD_TERM_EPS is 2^-98). Its high p satisfies
-       |w v kap| <= (1 + 2^-49) |p|.
+       |c w v kap| <= (1 + 2^-49) |p|, and |p| <= 1 - 2^-52, the
+       rounding of (1 - 2^-53)^2.
     5. Scaling is exact, except that a part that lands subnormal or
        flushes to zero is off by at most 2^-1074 (a shift clamped at
        -1100 flushes the part either way): at most 2^-1073 < DD_TINY
        per term, in the scaled units. So with p_abs the float
        sum of the scaled highs' magnitudes,
          P_i 2^-scale <= (1 + 2^-49)(1 + m 2^-52)(p_abs + m DD_TINY).
-    6. The TwoSum tree is exact: the scaled highs sum to s plus the
-       tree's m - 1 errors. Those and the m scaled lows, L = 2m - 1
-       summands, are summed in float, off by at most gamma_{L-1} times
-       their absolute sum, so by (L - 1) 2^-52 lo_abs for lo_abs their
-       float absolute sum (Higham, Accuracy and Stability of Numerical
-       Algorithms, 2nd ed., ch. 4; any order; (L - 1) u <= 1/4).
-    7. c = c_m 2^c_e with c_m in [1/2, 1): (pc, ec) = TwoProduct(s, c_m)
-       is exact when |s| >= 2^-900 (err is infinite elsewhere);
-       tc = fl(lo c_m) and loc = fl(ec + tc) are each off by at most
-       2^-52 of their size, or 2^-1075 when subnormal;
-       (hi, lo) = TwoSum(pc, loc) is exact.
+    6. The extraction is exact. Take 2^M >= m + 2 and s1 = 2^M. For a
+       scaled high p, |p| < 1, q1 = fl(fl(s1 + p) - s1) is a multiple of
+       u s1 with |q1| <= 1, and r1 = fl(p - q1) = p - q1 exactly, with
+       |r1| <= u s1. Every partial sum of a column's q1 is a multiple of
+       2^(M-53) no larger than m < 2^M in magnitude, so a float, and
+       their float sum t1 is exact in any order. The same with
+       s2 = 2^(2M-53) >= 2^M |r1| splits r1 = q2 + r2: the q2 are
+       multiples of 2^(2M-106) below 2^(M-53), their float sum t2 is
+       exact, and |r2| <= u s2. The scaled highs sum to t1 + t2 plus
+       the r2. Those and the m scaled lows, L = 2m summands, are summed
+       in float to r, off by at most gamma_{L-1} times their absolute
+       sum, so by (L - 1) 2^-52 lo_abs for lo_abs a float absolute sum
+       of the lows plus m u s2 (Higham, Accuracy and Stability of
+       Numerical Algorithms, 2nd ed., ch. 4; any order;
+       (L - 1) u <= 1/4).
+    7. (a, e) = TwoSum(t1, t2) is exact; b = fl(e + r) is off by at most
+       2^-52 |b|, or 2^-1075 when subnormal; (hi, lo) = TwoSum(a, b) is
+       exact.
     8. The reference's own distance from c sum_k w_k v_k kap_ik: each
        weighted product is rounded once (2^-prec relative); mp_dot sums
        the exact products, except that its drop and replace branches
        lose less than 2^-2prec max(|running sum|, |product|) each, at
-       most m 2^(1-2 prec) P_i in all; its result and c times it are
-       rounded once each. So R_i is within
-       c P_i (3 2^-prec + m 2^(1-2 prec))(1 + 2^(2-prec))
-       <= c P_i 2^(3-prec) (m <= 2^(prec-1)) of it: eps_ref below,
+       most m 2^(1-2 prec) sum_k |w_k v_k kap_ik| in all; its result
+       and c times it are rounded once each. So R_i is within
+       P_i (3 2^-prec + m 2^(1-2 prec))(1 + 2^(2-prec))
+       <= P_i 2^(3-prec) (m <= 2^(prec-1)) of it: eps_ref below,
        raised to 2^-1000 where that power underflows.
     So, in units of 2^exp,
-        err = c_m ((DD_TERM_EPS + eps_ref) P_i 2^-scale + m DD_TINY
-                   + (L - 1) 2^-52 lo_abs)
-              + 2^-52 (|tc| + |loc|) + DD_TINY,
+        err = (DD_TERM_EPS + eps_ref) P_i 2^-scale + m DD_TINY
+              + (L - 1) 2^-52 lo_abs + 2^-52 |b| + DD_TINY,
     evaluated in float from non-negative terms and raised by 2^-40 of
     itself, which covers its own dozen roundings.
     """
@@ -557,29 +578,26 @@ def dd_dot(w, v, kap, c, prec):
     ue = we + ve + shift
     ph, pl, top = _scaled_terms(uh[:, None], ul[:, None], ue[:, None], kap)
     p_abs = np.abs(ph).sum(axis=0)
-    lo = pl.sum(axis=0)
     lo_abs = np.abs(pl).sum(axis=0)
-    while len(ph) > 1:
-        half = len(ph) // 2
-        s, e = _two_sum(ph[:half], ph[half:2 * half])
-        lo += e.sum(axis=0)
-        lo_abs += np.abs(e).sum(axis=0)
-        ph = np.concatenate((s, ph[2 * half:])) if len(ph) % 2 else s
-    s = ph[0]
-    c_m, c_e = math.frexp(c)
-    pc, ec = _two_prod(s, c_m)
-    tc = lo * c_m
-    loc = ec + tc
-    hi, lo = _two_sum(pc, loc)
+    lo = pl.sum(axis=0)
+    M = (m + 1).bit_length()  # 2^M >= m + 2
+    s2 = math.ldexp(1.0, 2 * M - 53)
+    # the lows are summed: pl takes q1, then q2, and ph r1, then r2
+    t1 = _extract(ph, math.ldexp(1.0, M), pl)
+    t2 = _extract(ph, s2, pl)
+    lo += ph.sum(axis=0)
+    lo_abs += m * 2.0 ** -53 * s2
+    a, e = _two_sum(t1, t2)
+    b = e + lo
+    hi, lo = _two_sum(a, b)
     eps = DD_TERM_EPS + math.ldexp(1.0, max(3 - prec, -1000))
-    p_sum = (1.0 + 2.0 ** -49) * (1.0 + m * 2.0 ** -52) * (p_abs
-                                                           + m * DD_TINY)
-    err = (c_m * (eps * p_sum + m * DD_TINY
-                  + (2 * m - 2) * 2.0 ** -52 * lo_abs)
-           + 2.0 ** -52 * (np.abs(tc) + np.abs(loc)) + DD_TINY)
+    eps *= (1.0 + 2.0 ** -49) * (1.0 + m * 2.0 ** -52)
+    err = eps * p_abs
+    err += (2 * m - 1) * 2.0 ** -52 * lo_abs
+    err += 2.0 ** -52 * np.abs(b)
+    err += (eps + 1.0) * m * DD_TINY + DD_TINY
     err *= 1.0 + 2.0 ** -40
-    err[~(np.abs(s) >= 2.0 ** -900)] = math.inf
-    return hi, lo, err, top + c_e
+    return hi, lo, err, top
 
 
 def dd_round(hi, lo, err, exp):

@@ -51,7 +51,8 @@ class TransformPlan:
     new dps builds no table entries and gives the same row whatever
     qbessel's cache holds by then; holding it also keeps the table in
     that cache while the plan lives. Their double-double forms, which
-    float_transform reads, are kept the same way (dd_operands)."""
+    float_transform reads, are kept the same way, with c_qv folded into
+    the weights (dd_operands)."""
 
     __slots__ = ("grid", "v", "c_qv", "matrix", "weights",
                  "calibration_residual", "_table", "_mp_operands",
@@ -72,7 +73,8 @@ class TransformPlan:
         self.calibration_residual = 0.0
         # dps -> [{n: weight}, kappa row or None]
         self._mp_operands = {}
-        # dps -> [{n: weight as (hi, lo, exp)}, kappa row's dd arrays]
+        # dps -> [c_qv the weights hold, c w(n) as dd arrays by grid
+        # position (hi nan until built), kappa row's dd windows]
         self._dd_operands = {}
 
     def kappa_row(self, dps):
@@ -129,21 +131,47 @@ class TransformPlan:
                 for s, col in zip(range(s_lo, s_hi + 1), cols)}
 
     def dd_operands(self, ns, dps):
-        """The double-double forms (qbessel.dd_split) of mp_weights and
-        kappa_row at dps: ({n: (hi, lo, exp)} holding at least ns, and
-        the row as arrays (hi, lo, exp)). Each is built from the raw
-        tuples on the plan's first request for it at dps and looked up
-        after."""
-        ops = self._dd_operands.setdefault(dps, [{}, None])
-        if ops[1] is None:
-            ops[1] = dd_split(self.kappa_row(dps))
-        weights = ops[0]
-        missing = [n for n in ns if n not in weights]
-        if missing:
-            mp_w = self.mp_weights(missing, dps)
-            weights.update(zip(missing, zip(
-                *dd_split([mp_w[n] for n in missing]))))
-        return weights, ops[1]
+        """The double-double forms (qbessel.dd_split) at dps of the
+        weights times c, and of kappa_row: the (hi, lo, exp) arrays of
+        the exact products c w(n), c = c_qv, for n in ns, and the row's
+        (hi, lo, exp) as sliding windows, 2-D views whose entry [t, j]
+        is the row's entry t + j. The plan keeps c w(n) in arrays over
+        the grid's positions, builds each entry on the first request for
+        it at dps, and builds them all again when c_qv has changed
+        since; the row is built on the first request at dps. Indices off
+        the grid are built on every request and not kept."""
+        ops = self._dd_operands.get(dps)
+        if ops is None:
+            # windows[t, j] is entry t + j of the row, zero-padded past
+            # its end so that every t on the row has a full window
+            ops = self._dd_operands[dps] = [None, None, tuple(
+                sliding_window_view(np.concatenate((part, 0 * part)),
+                                    len(part))
+                for part in dd_split(self.kappa_row(dps)))]
+        if ops[0] != self.c_qv:
+            size = self.grid.size
+            ops[0] = self.c_qv
+            ops[1] = (np.full(size, np.nan), np.empty(size),
+                      np.empty(size, dtype=np.int64))
+        n_low = self.grid.n_low
+        if min(ns) < n_low or max(ns) > self.grid.n_high:
+            return self._dd_weights(ns, dps), ops[2]
+        pos = np.array(ns) - n_low
+        w = tuple(part[pos] for part in ops[1])
+        unbuilt = np.isnan(w[0])
+        if unbuilt.any():
+            missing = pos[unbuilt]
+            built = self._dd_weights((missing + n_low).tolist(), dps)
+            for part, new in zip(ops[1], built):
+                part[missing] = new
+            w = tuple(part[pos] for part in ops[1])
+        return w, ops[2]
+
+    def _dd_weights(self, ns, dps):
+        """dd_split of the exact products c w(n), c = c_qv, n in ns."""
+        c = from_float(self.c_qv)
+        mp_w = self.mp_weights(ns, dps)
+        return dd_split([mpf_mul(c, mp_w[n]) for n in ns])
 
     def float_transform(self, values, s_lo, s_hi, dps):
         """to_float(mp_transform(values, s_lo, s_hi, dps)[s],
@@ -171,9 +199,7 @@ class TransformPlan:
         if ns and count and (np.isfinite(x).all() if floats else all(
                 val[1] or not val[2] for val in x)):
             self.check_index_sums(min(ns), max(ns), s_lo, s_hi)
-            weights, kap = self.dd_operands(ns, dps)
-            w = tuple(np.array(part) for part in
-                      zip(*[weights[n] for n in ns]))
+            w, kap = self.dd_operands(ns, dps)
             v = dd_split_floats(x) if floats else dd_split(x)
             prec = mp_context(dps).prec
             starts = np.array(ns) + (s_lo - 2 * self.grid.n_low)
@@ -181,10 +207,8 @@ class TransformPlan:
             for lo in range(0, count, step):
                 hi = min(lo + step, count)
                 # entry (k, i) is kappa(n_k + s_lo + lo + i)
-                idx = starts[:, None] + np.arange(lo, hi)
                 out[lo:hi], ok[lo:hi] = dd_round(*dd_dot(
-                    w, v, tuple(part[idx] for part in kap), self.c_qv,
-                    prec))
+                    w, v, tuple(part[starts, lo:hi] for part in kap), prec))
         declined = np.flatnonzero(~ok).tolist()
         if declined:
             raw = dict(zip(ns, map(from_float, x.tolist()) if floats
@@ -299,7 +323,8 @@ def translate(f, n, plan):
 def spectrum_array(f, plan, s_lo=None, s_hi=None):
     """High-precision transform of a small-support input, entrywise, as
     a float64 array over [s_lo, s_hi]: entry i is the output at
-    s_lo + i. The range defaults to the grid index range.
+    s_lo + i. A bound left out (None) defaults to its end of the grid
+    index range, n_low or n_high.
 
     The float64 matrix path loses the transform values of mean-free
     inputs at deep spectral indices: the weighted kernel's leading order
@@ -319,8 +344,8 @@ def spectrum_array(f, plan, s_lo=None, s_hi=None):
     (plan.check_index_sums).
     """
     grid = plan.grid
-    if s_lo is None:
-        s_lo, s_hi = grid.n_low, grid.n_high
+    s_lo = grid.n_low if s_lo is None else s_lo
+    s_hi = grid.n_high if s_hi is None else s_hi
     if isinstance(f, GridFunction):
         if f.grid != grid:
             raise ValueError("grid function and plan use different grids")
@@ -348,9 +373,9 @@ def spectrum_array(f, plan, s_lo=None, s_hi=None):
 
 
 def spectrum(f, plan, s_lo=None, s_hi=None):
-    """spectrum_array's outputs as {s: float} over [s_lo, s_hi], by
-    default the grid index range."""
-    if s_lo is None:
-        s_lo, s_hi = plan.grid.n_low, plan.grid.n_high
+    """spectrum_array's outputs as {s: float} over [s_lo, s_hi]; each
+    bound left out defaults to its end of the grid index range."""
+    s_lo = plan.grid.n_low if s_lo is None else s_lo
+    s_hi = plan.grid.n_high if s_hi is None else s_hi
     return dict(zip(range(s_lo, s_hi + 1),
                     spectrum_array(f, plan, s_lo, s_hi).tolist()))

@@ -21,7 +21,8 @@ from qwave.qbessel import dd_dot, dd_round, dd_split, dd_split_floats, \
     mp_context, mp_dot, spectrum_dps
 from qwave.qgrid import BesselParams, GridFunction, build_grid, \
     weight_exponent
-from qwave.qtransform import TransformPlan, make_plan, spectrum
+from qwave.qtransform import TransformPlan, make_plan, spectrum, \
+    spectrum_array
 from qwave.qwavelet import operator_mother
 from qwave.uncertainty import probe_family
 
@@ -33,8 +34,8 @@ def mp_route(f, plan, s_lo=None, s_hi=None):
     """spectrum with every output from plan.mp_transform rounded once to
     float64, as it was computed before the certified route."""
     grid = plan.grid
-    if s_lo is None:
-        s_lo, s_hi = grid.n_low, grid.n_high
+    s_lo = grid.n_low if s_lo is None else s_lo
+    s_hi = grid.n_high if s_hi is None else s_hi
     support = f.nonzero_values() if isinstance(f, GridFunction) else dict(f)
     depth = max(abs(s_lo), abs(s_hi), abs(grid.n_low), abs(grid.n_high),
                 *(abs(n) for n in support))
@@ -150,6 +151,62 @@ class TestSameBitsAsTheMpRoute:
                 assert not tiny & set(routed)
                 tiny_outputs += len(tiny)
         assert tiny_outputs > 0
+
+
+def test_declined_counts_stay_bounded(routed):
+    """How many outputs the certificate declines, as upper bounds: a
+    bound that is rigorous but looser than dd_dot's must not quietly
+    send more outputs to mp_transform. The stream pool declines none
+    (TestSameBitsAsTheMpRoute.test_stream_pool); over the nine cells on
+    [-20, 40] the mothers decline 473 and the probes 416."""
+    mothers = probes = 0
+    for q, alpha, beta in ACCEPTANCE_CELLS:
+        plan = make_plan(build_grid(q, -20, 40), BesselParams(alpha, beta))
+        routed.clear()
+        operator_mother(plan)
+        mothers += len(routed)
+        routed.clear()
+        for f in probe_family(plan):
+            spectrum_array(f, plan)
+        probes += len(routed)
+    assert mothers <= 473
+    assert probes <= 416
+
+
+def test_folded_weights_follow_c_qv():
+    """The plan keeps the products c w(n) with c = c_qv folded in: when
+    c_qv changes after the first float_transform, as make_plan changes
+    it, every output still has the mp route's bits, over supports that
+    reuse some kept entries and need new ones."""
+    plan = TransformPlan(build_grid(0.5, -20, 40), BesselParams(0.5, 0.25))
+    dps = spectrum_dps(0.5, 40)
+    outs = []
+    for c, ns in ((1.0, range(-5, 6)), (1.7, range(0, 11)),
+                  (1.7, range(-8, 3)), (0.3, range(-8, 11))):
+        plan.c_qv = c
+        x = np.array([1.0 / (n + 30) for n in ns])
+        raw = dict(zip(ns, map(from_float, x.tolist())))
+        want = bits({s: to_float(val, rnd=round_nearest) for s, val in
+                     plan.mp_transform(raw, -20, 30, dps).items()})
+        got = plan.float_transform((list(ns), x), -20, 30, dps)
+        assert array_bits(got, -20) == want
+        outs.append(got)
+    assert not np.array_equal(outs[0], outs[1])
+
+
+def test_inputs_off_the_grid(routed):
+    """An input index off the grid is fine where every index sum n + s
+    stays on the plan's range; the weights kept by grid position must
+    not take it, nor hand its weight to another index."""
+    plan = TransformPlan(build_grid(0.5, -20, 40), BesselParams(0.5, 0.25))
+    for f, s_lo, s_hi in (({-25: 1.0, -22: -0.5}, -10, 10),
+                          ({36: 0.25, 45: 1.0}, -30, 30),
+                          ({36: 0.25, 39: -2.0}, -30, 30),
+                          ({-25: 1.0, -22: -0.5}, -10, 10)):
+        want = bits(mp_route(f, plan, s_lo, s_hi))
+        routed.clear()
+        assert bits(spectrum(f, plan, s_lo, s_hi)) == want
+        assert routed == []
 
 
 @st.composite
@@ -339,6 +396,28 @@ def _exact_sum(w, v, col):
     return total
 
 
+def _check_dd_dot(w, v, kap, c, prec, where):
+    """dd_dot on the exact products c w_k, the v_k and the rows kap_i
+    (raw tuples): the mp_transform reference and the exact sum both lie
+    within err of the double-double value. Returns how many rows
+    dd_round certifies."""
+    c_raw = from_float(c)
+    cw = [mpf_mul(c_raw, a) for a in w]
+    # dd_dot's kap is (terms, rows)
+    kap_dd = tuple(np.array(part).T for part in
+                   zip(*[dd_split(col) for col in kap]))
+    hi, lo, err, exp = dd_dot(dd_split(cw), dd_split(v), kap_dd, prec)
+    weighted = [mpf_mul(a, b, prec, round_nearest) for a, b in zip(w, v)]
+    for i, col in enumerate(kap):
+        ref = mpf_mul(c_raw, mp_dot(weighted, col, prec), prec,
+                      round_nearest)
+        exact = mpf_mul(c_raw, _exact_sum(w, v, col))
+        approx = _dd_value(hi[i], lo[i], exp[i])
+        assert _within(ref, approx, err[i], exp[i]), (where, i)
+        assert _within(exact, approx, err[i], exp[i]), (where, i)
+    return int(dd_round(hi, lo, err, exp)[1].sum())
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_dd_dot_bound_holds_against_exact_sums(seed):
     """Random rows, mean-free ones among them, terms spread far enough
@@ -346,7 +425,7 @@ def test_dd_dot_bound_holds_against_exact_sums(seed):
     mp_transform reference and the exact sum both lie within err of the
     double-double value."""
     rng = random.Random(seed)
-    finite = 0
+    certified = 0
     for case in range(40):
         prec = rng.choice((120, 400, 1200))
         m = rng.randint(1, 12)
@@ -365,20 +444,50 @@ def test_dd_dot_bound_holds_against_exact_sums(seed):
                     col[-1] = (lead * (-1 + mpmath.ldexp(1, -r))
                                / (mpmath.mpf(w[-1]) * mpmath.mpf(v[-1])))._mpf_
         c = rng.uniform(0.5, 4.0)
-        # dd_dot's kap is (terms, rows)
-        kap_dd = tuple(np.array(part).T for part in
-                       zip(*[dd_split(col) for col in kap]))
-        hi, lo, err, exp = dd_dot(dd_split(w), dd_split(v), kap_dd, c, prec)
-        weighted = [mpf_mul(a, b, prec, round_nearest) for a, b in zip(w, v)]
-        for i, col in enumerate(kap):
-            ref = mpf_mul(from_float(c), mp_dot(weighted, col, prec), prec,
-                          round_nearest)
-            exact = mpf_mul(from_float(c), _exact_sum(w, v, col))
-            approx = _dd_value(hi[i], lo[i], exp[i])
-            assert _within(ref, approx, err[i], exp[i]), (seed, case, i)
-            assert _within(exact, approx, err[i], exp[i]), (seed, case, i)
-            finite += math.isfinite(err[i])
-    assert finite > 60
+        certified += _check_dd_dot(w, v, kap, c, prec, (seed, case))
+    assert certified > 60
+
+
+def _all_ones(exp, sign, bits):
+    """sign (1 - 2^-bits) 2^exp as a raw tuple: a mantissa of bits ones."""
+    return from_man_exp(sign * ((1 << bits) - 1), exp - bits)
+
+
+# m + 2 crosses a power of two inside each run, so the extraction's 2^M
+# is as tight as it gets; 481 terms is the sweep grid's widest support
+TERM_COUNTS = [m for k in range(2, 9) for m in range(2 ** k - 3, 2 ** k + 1)]
+TERM_COUNTS.append(481)
+
+
+@pytest.mark.parametrize("m", TERM_COUNTS)
+def test_dd_dot_bound_at_the_extractions_limits(m):
+    """Term counts around powers of two, on columns that fill the first
+    extraction's range. Where every term has the exponent of the
+    column's largest, the scaled highs of one sign sum to near m: from
+    random mantissas, and from all-ones ones, whose highs are all
+    +-(1 - 2^-52), the float next to 1 - 2^-53, so every extracted part
+    is +-1. Mixed signs and random rows ride along."""
+    rng = random.Random(m)
+    prec = 400
+    # c w_k v_k = 2 (1 - 2^-400) 2^-a_k 2^a_k: one exponent for all k
+    a = [rng.randint(-30, 30) for _ in range(m)]
+    w = [_all_ones(-ak, 1, prec) for ak in a]
+    v = [from_man_exp(1, ak) for ak in a]
+    signs = [rng.choice((-1, 1)) for _ in range(m)]
+    kap = [[_all_ones(0, sign, prec) for _ in range(m)] for sign in (1, -1)]
+    kap.append([_all_ones(0, (-1) ** k, prec) for k in range(m)])
+    kap.append([_all_ones(0, sign, prec) for sign in signs])
+    kap += [[from_man_exp(sign * (rng.getrandbits(prec) | 1 << (prec - 1)),
+                          -prec) for _ in range(m)] for sign in (1, -1)]
+    kap.append([from_man_exp(sign * (rng.getrandbits(prec) | 1 << (prec - 1)),
+                             -prec) for sign in signs])
+    certified = _check_dd_dot(w, v, kap, 2.0, prec, m)
+    assert certified >= 5
+    w = [_random_tuple(rng, prec, -4, 4) for _ in range(m)]
+    v = [_random_tuple(rng, prec, -4, 4) for _ in range(m)]
+    kap = [[_random_tuple(rng, prec, -60, 60) for _ in range(m)]
+           for _ in range(2)]
+    _check_dd_dot(w, v, kap, rng.uniform(0.5, 4.0), prec, m)
 
 
 def test_dd_round_certifies_only_away_from_midpoints():

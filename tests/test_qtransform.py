@@ -19,6 +19,7 @@ from qwave.qtransform import (
     make_plan,
     q_bessel_fourier,
     spectrum,
+    spectrum_array,
     translate,
 )
 from qwave.qwavelet import operator_mother
@@ -214,6 +215,17 @@ class TestSpectrum:
             plan00.grid, [(0, 1.0), (2, -0.5)]), plan00, 0, 5)
         for s in range(0, 6):
             assert direct[s] == via_fn[s]
+
+    def test_one_sided_bounds(self, plan00, grid00):
+        # each bound left out defaults to its own end of the grid range
+        f = {0: 1.0, 3: -0.5}
+        for s_lo, s_hi, lo, hi in ((None, 3, grid00.n_low, 3),
+                                   (-3, None, -3, grid00.n_high)):
+            want = spectrum(f, plan00, lo, hi)
+            assert list(want) == list(range(lo, hi + 1))
+            assert spectrum(f, plan00, s_lo, s_hi) == want
+            assert spectrum_array(f, plan00, s_lo, s_hi).tolist() == \
+                list(want.values())
 
     def test_zero_input_gives_zero_spectrum(self, plan00, grid00):
         out = spectrum(GridFunction.zeros(grid00), plan00, -3, 3)

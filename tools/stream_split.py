@@ -13,6 +13,10 @@ transform over every scale and writes the transform. The stages are:
     rows      the rest of qwavelet.cwt: the scale rows and the Scaleogram
     write     qgrid.write_function
 
+Under the spectrum stage it prints the part of it spent inside dd_dot
+and dd_round, timed by wrappers on the names qtransform imports them
+by (left out on trees whose qtransform has no such name).
+
 Each stage is timed with time.perf_counter around its own call; spectrum
 is timed by a wrapper on that name in qwavelet, and rows is cwt's time
 less that. The script prints the median and mean ms per op of every
@@ -37,6 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("read", "fourier", "spectrum", "rows", "write")
+# qtransform's imported names whose time inside the spectrum stage is
+# printed under it
+INNER = ("dd_dot", "dd_round")
 
 
 def spectrum_counter(TransformPlan):
@@ -86,21 +93,29 @@ def main():
     from qwave import qgrid, qtransform, qwavelet
     from workloads import TransformStream
 
-    name = "spectrum_array" if hasattr(qwavelet, "spectrum_array") \
-        else "_spectrum_array"
-    spectrum = getattr(qwavelet, name)
-    spent = [0.0]
+    spent = {}
 
-    def timed_spectrum(*a, **kw):
-        t0 = time.perf_counter()
-        try:
-            return spectrum(*a, **kw)
-        finally:
-            spent[0] += time.perf_counter() - t0
+    def timed(module, name, key):
+        """Wrap module.name to add its time to spent[key]."""
+        func = getattr(module, name)
 
-    setattr(qwavelet, name, timed_spectrum)
+        def wrapper(*a, **kw):
+            t0 = time.perf_counter()
+            try:
+                return func(*a, **kw)
+            finally:
+                spent[key] += time.perf_counter() - t0
+
+        spent[key] = 0.0
+        setattr(module, name, wrapper)
+
+    timed(qwavelet, "spectrum_array" if hasattr(qwavelet, "spectrum_array")
+          else "_spectrum_array", "spectrum")
+    inner = [name for name in INNER if hasattr(qtransform, name)]
+    for name in inner:
+        timed(qtransform, name, name)
     counts = spectrum_counter(qtransform.TransformPlan)
-    times = {stage: [] for stage in STAGES}
+    times = {stage: [] for stage in STAGES + tuple(inner)}
     digest = hashlib.sha256()
     clock = time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,13 +130,14 @@ def main():
                 t1 = clock()
                 F = qtransform.q_bessel_fourier(f, plan)
                 t2 = clock()
-                spent[0] = 0.0
+                spent.update(dict.fromkeys(spent, 0.0))
                 coeffs = qwavelet.cwt(f, spec).coeffs
                 t3 = clock()
                 qgrid.write_function(F, str(path_out))
                 t4 = clock()
-                for stage, dt in zip(STAGES, (t1 - t0, t2 - t1, spent[0],
-                                              t3 - t2 - spent[0], t4 - t3)):
+                spent.update(read=t1 - t0, fourier=t2 - t1, write=t4 - t3,
+                             rows=t3 - t2 - spent["spectrum"])
+                for stage, dt in spent.items():
                     times[stage].append(1e3 * dt)
                 if p == 0:
                     digest.update(path_out.read_bytes())
@@ -133,7 +149,11 @@ def main():
     for stage in STAGES:
         print(f"{stage:<9} {statistics.median(times[stage]):8.3f} "
               f"{statistics.fmean(times[stage]):8.3f}")
-    total = [sum(parts) for parts in zip(*times.values())]
+        if stage == "spectrum":
+            for name in inner:
+                print(f"  {name:<9} {statistics.median(times[name]):6.3f} "
+                      f"{statistics.fmean(times[name]):8.3f}")
+    total = [sum(parts) for parts in zip(*(times[s] for s in STAGES))]
     print(f"{'op':<9} {statistics.median(total):8.3f} "
           f"{statistics.fmean(total):8.3f}")
     print(certified_line(counts))

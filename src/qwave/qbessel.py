@@ -1,8 +1,9 @@
 """q-Bessel kernels: the normalized series, the two-parameter modified
 kernel, the generalized second-order q-difference operator, and the
 library's one high-precision layer: the on-lattice kernel table, kappa
-rows, the exact dot product and its certified double-double twin, and
-the table of working precisions.
+rows, the exact dot product and its certified double-double twin, a
+certified vectorized math.fsum over the rows of a block, and the table
+of working precisions.
 
 Two evaluation routes coexist on purpose. The series is the definition
 and works at any real argument, but in float64 it loses digits once the
@@ -460,8 +461,9 @@ def _two_sum(a, b):
 
 def _extract(p, sigma, q):
     """Rump, Ogita and Oishi's ExtractVector on the columns of p, for
-    sigma a power of two: q = fl(fl(sigma + p) - sigma), written into
-    q, and p - q, exact, written into p. Returns q's column sums."""
+    sigma a power of two, or a row of them, one per column:
+    q = fl(fl(sigma + p) - sigma), written into q, and p - q, exact,
+    written into p. Returns q's column sums."""
     np.add(p, sigma, out=q)
     q -= sigma
     p -= q
@@ -637,3 +639,79 @@ def dd_round(hi, lo, err, exp):
         values = np.ldexp(hi, np.maximum(np.minimum(exp, 2200), -2200)
                           .astype(np.int32))
     return values, ok
+
+
+def fsum_rows(X):
+    """[math.fsum(row) for row in X] for a 2-D float64 array X, as a
+    float64 array, bit for bit: vectorized for each row whose rounding
+    it can certify, through math.fsum for the rest.
+
+    math.fsum rounds a row's exact sum S to nearest, so where fl(S) is
+    certain both routes give its bits. A row is summed in vectorized
+    form when X has two rows or more, every entry of the row is finite
+    and non-negative, and its largest entry top lies in
+    [2^-900, 2^(1022-M)), for 2^M >= n + 2 and n entries per row. Let
+    u = 2^-53 and 2^(e-1) <= top < 2^e.
+    1. The entries are split error-free by two extractions (Rump, Ogita
+       and Oishi, "Accurate floating-point summation part I", SIAM J.
+       Sci. Comput. 31, 2008, ExtractScalar and ExtractVector, Lemmas
+       3.2 and 3.3). Each entry x < 2^e = 2^-M s1, s1 = 2^(e+M), splits
+       into q1 = fl(fl(s1 + x) - s1) and r1 = fl(x - q1) = x - q1, with
+       q1 a multiple of u s1, |q1| <= 2^e and |r1| <= u s1. Every
+       partial sum of a row's q1 is a multiple of u s1 no larger than
+       n 2^e < s1 in magnitude, so a float, and their float sum t1 is
+       exact in any order. The same with s2 = 2^(e+2M-53), for which
+       |r1| <= 2^-M s2, splits r1 = q2 + r2 with an exact sum t2 of the
+       q2 and |r2| <= u s2. s1 <= 2^1022 keeps fl(s1 + x) finite, and
+       e >= -899 keeps s1 and s2 normal.
+    2. So S = t1 + t2 + sum r2. The n r2 are summed in float to r, in
+       any order, off by at most gamma_{n-1} sum |r2|
+       <= n 2^-52 n u s2 (Higham, Accuracy and Stability of Numerical
+       Algorithms, 2nd ed., ch. 4; a sum that underflows is exact).
+    3. (a, c) = TwoSum(t1, t2) is exact, b = fl(c + r) is off by at
+       most 2^-52 |b| (exact where it underflows), and
+       (hi, lo) = TwoSum(a, b) is exact. So |S - (hi + lo)| <= err,
+           err = n^2 2^-105 s2 + 2^-52 |b|,
+       evaluated in float from non-negative terms and raised by 2^-40
+       of itself, which covers its own roundings.
+    4. 2^-900 <= top <= S < n 2^e < 2^1022, so hi, which lies within a
+       few ulps of S, is a normal float. The midpoint test of dd_round,
+       fl(lo + err) < up / 2 and fl(err - lo) < down / 2 for up and
+       down the gaps from hi to its float neighbours, puts S strictly
+       inside the reals that round to hi, since rounding is monotone.
+       So fl(S) = hi, whatever the tie rule; an exact tie fails it.
+    A row that fails any of these goes through math.fsum: a
+    non-finite or negative entry, a largest entry below 2^-900 (a row
+    of zeros too) or near overflow, a sum within err of a midpoint,
+    and every row of a one-row X, where math.fsum is the faster route.
+    So any error math.fsum raises is raised unchanged."""
+    k, n = X.shape
+    out = np.empty(k)
+    ok = np.zeros(k, dtype=bool)
+    if k > 1:
+        M = (n + 1).bit_length()  # 2^M >= n + 2
+        top = X.max(axis=1)
+        ok = ((X.min(axis=1) >= 0.0) & (top >= 2.0 ** -900)
+              & (top < math.ldexp(1.0, 1022 - M)))
+        rows = np.flatnonzero(ok)
+        if rows.size:
+            # the rows as columns, a copy that the extractions overwrite
+            p = X[rows].T
+            _, e = np.frexp(top[rows])
+            s2 = np.ldexp(1.0, e + (2 * M - 53))
+            q = np.empty_like(p)
+            t1 = _extract(p, np.ldexp(1.0, e + M), q)
+            t2 = _extract(p, s2, q)
+            a, c = _two_sum(t1, t2)
+            b = c + p.sum(axis=0)
+            hi, lo = _two_sum(a, b)
+            err = n * n * 2.0 ** -105 * s2
+            err += 2.0 ** -52 * np.abs(b)
+            err *= 1.0 + 2.0 ** -40
+            up = np.nextafter(hi, math.inf) - hi
+            down = hi - np.nextafter(hi, -math.inf)
+            out[rows] = hi
+            ok[rows] = (lo + err < 0.5 * up) & (err - lo < 0.5 * down)
+    for i in np.flatnonzero(~ok):
+        out[i] = math.fsum(X[i].tolist())
+    return out

@@ -37,6 +37,11 @@ class CalibrationError(RuntimeError):
     """Probe double-transform ratios disagree: the grid is too small."""
 
 
+class OrderError(ValueError):
+    """The kernel order nu = alpha - beta is not above -1, where the
+    q-Hankel inversion behind the transform holds."""
+
+
 class TransformPlan:
     """Transform state for one (grid, v) pair: the float64 kernel matrix
     over all index sums, rounded from the FLOAT_ROW_DPS kappa row, the
@@ -233,8 +238,13 @@ class TransformPlan:
                 f"plan's range [{t_lo}, {t_hi}]")
 
     def fourier_values(self, values):
-        """Raw transform of a value array (same index range in and out)."""
-        return self.c_qv * (self.matrix @ (self.weights * values))
+        """Raw transform of a value array (same index range in and out),
+        or of each row of a (k, N) block. The product is one stacked
+        np.matmul of the matrix with the values as (N, 1) columns, which
+        calls BLAS's GEMV once per row, as scale_rows does: a row of a
+        block has the bits of the same row alone."""
+        x = self.weights * values
+        return self.c_qv * np.matmul(self.matrix, x[..., None])[..., 0]
 
     def norm_sq(self, values):
         return math.fsum((values * values * self.weights).tolist())
@@ -272,7 +282,11 @@ def make_plan(grid, v, probes=None):
     interior family; pass your own to recheck probe-independence.
 
     The double-transform ratio rho is measured on the new plan at c = 1,
-    then c = 1/sqrt(rho) is set on that same plan."""
+    then c = 1/sqrt(rho) is set on that same plan. A kernel order
+    nu <= -1 is refused with OrderError before any table is built."""
+    if not v.nu > -1.0:
+        raise OrderError(f"kernel order nu = alpha - beta = {v.nu!r} must "
+                         "satisfy nu > -1 for a transform plan")
     probes = probes or _default_calibration_probes(grid)
     plan = TransformPlan(grid, v)
     rhos = []

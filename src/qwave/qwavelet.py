@@ -25,7 +25,8 @@ import numpy as np
 from mpmath.libmp import mpf_mul, round_nearest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qwave.qbessel import FACTORIZATION_DPS, MOTHER_DPS, mp_context, mp_dot
+from qwave.qbessel import (FACTORIZATION_DPS, MOTHER_DPS, fsum_rows,
+                           mp_context, mp_dot)
 from qwave.qgrid import GridFunction, dilate, weight_exponent
 from qwave.qtransform import spectrum_array, translate
 
@@ -216,9 +217,10 @@ def scale_rows(Ff, spec, scale_indices=None):
 class WaveletPlane:
     """The coefficient plane C(a, b) of one input f under one wavelet:
     f's spectrum array Ff, computed when the plane is made, and the rows
-    C(q^m, .), each built through scale_rows when first asked for (row)
-    and kept. Every plane integral reads it through its integral method,
-    which builds only the rows its gated sum cannot settle without."""
+    C(q^m, .), each built through scale_rows when first asked for (rows,
+    row) and kept. Every plane integral reads it through its integral
+    method, which builds only the rows its gated sum cannot settle
+    without."""
 
     __slots__ = ("f", "spec", "Ff", "_rows")
 
@@ -228,32 +230,59 @@ class WaveletPlane:
         self.Ff = spectrum_array(f, spec.plan)
         self._rows = {}
 
+    def rows(self, ms):
+        """The coefficient rows C(q^m, .) at the scales ms, as a
+        (len(ms), N) block in that order. The scales not built yet are
+        built by runs of consecutive scales, one scale_rows call per run
+        of at most _BLOCK rows, and kept."""
+        todo = sorted(set(ms).difference(self._rows))
+        start = 0
+        for i in range(1, len(todo) + 1):
+            if (i == len(todo) or todo[i] != todo[i - 1] + 1
+                    or i - start == _BLOCK):
+                run = todo[start:i]
+                self._rows.update(zip(run, scale_rows(self.Ff, self.spec,
+                                                      run)))
+                start = i
+        return np.stack([self._rows[m] for m in ms])
+
     def row(self, m):
         """The coefficient row C(q^m, .) over the position grid."""
-        row = self._rows.get(m)
-        if row is None:
-            row = self._rows[m] = scale_rows(self.Ff, self.spec, (m,))[0]
-        return row
+        return self.rows((m,))[0]
 
     def integral(self, term, d, transformed=False):
         """Jackson sum of term over the plane against d_q b d_q a / a^2:
-        per scale q^m, (1-q)/q^m times the fsum of the array term(row),
-        which carries its own position weight, then gated_scale_sum over
-        the scales. Returns (total, set of scale indices summed).
+        per scale q^m, (1-q)/q^m times the fsum of row m of
+        term(rows), which carries its own position weight, then
+        gated_scale_sum over the scales. Returns (total, set of scale
+        indices summed).
 
-        term(row) must be d^2 (L row)^2 entry by entry, for the array d
-        of non-negative position factors, L the identity, or with
-        transformed the transform itself (plan.fourier_values), and
+        term maps a (k, N) block of rows to the (k, N) block of their
+        terms, each with the bits that term gives its row alone. It must
+        be d^2 (L row)^2 entry by entry, for the array d of non-negative
+        position factors, L the identity, or with transformed the
+        transform itself (plan.fourier_values, one GEMV per row), and
         formed as (v * v) * d^2, (d^2 * v) * v or (d * v)^2 with
         v = L row. Then _scale_bounds bounds each scale's contribution
         without its row, and gated_scale_sum builds a row only where
         that bound cannot settle the gate, so the result is bit for bit
-        the sum over every row."""
+        the sum over every row. The scales it asks for at once are taken
+        in ascending order, _BLOCK rows at a time, and each block's row
+        sums are qbessel.fsum_rows, math.fsum's bits."""
         q = self.spec.plan.grid.q
-        return gated_scale_sum(
-            _scale_bounds(self, d, transformed),
-            lambda m: (1.0 - q) / (q ** float(m)) * math.fsum(
-                term(self.row(m)).tolist()))
+
+        def contributions(ms):
+            found = {}
+            ms_up = sorted(ms)
+            for i in range(0, len(ms_up), _BLOCK):
+                block = ms_up[i:i + _BLOCK]
+                sums = fsum_rows(term(self.rows(block))).tolist()
+                found.update((m, (1.0 - q) / (q ** float(m)) * s)
+                             for m, s in zip(block, sums))
+            return [found[m] for m in ms]
+
+        return gated_scale_sum(_scale_bounds(self, d, transformed),
+                               contributions)
 
 
 def cwt(f, spec, scale_indices=None):
@@ -284,7 +313,7 @@ def cwt_direct(f, spec, scale_indices, position_indices):
     return Scaleogram(scale_indices, position_indices, coeffs, grid)
 
 
-def gated_scale_sum(bounds, contribution):
+def gated_scale_sum(bounds, contributions):
     """Sum per-scale contributions walking outward from the peak; each
     direction stops after GATE_RUN consecutive scales below GATE_REL_TAIL
     of the running total.
@@ -295,36 +324,43 @@ def gated_scale_sum(bounds, contribution):
     up. The gate never reaches it.
 
     bounds is {m: B_m} over the contiguous scale window, each B_m at
-    least the contribution at scale m, and contribution(m) computes
-    that contribution. It is called at most once per scale, and only
-    where the bounds cannot decide:
-    - the peak: scales in decreasing order of bound, until the largest
-      contribution found exceeds every bound left. The peak, ties going
-      to the lowest m, is then the peak over all scales.
+    least the contribution at scale m, and contributions(ms) returns the
+    contributions at a list of scales, in that order. It is asked for
+    each scale at most once, in a few batches, and only for scales the
+    bounds cannot decide:
+    - the peak: first the scale of largest bound, then, in one batch,
+      every other scale whose bound is not below the contribution found
+      there. Every scale left out has a bound, and so a contribution,
+      below that one, so the peak over the scales computed, ties going
+      to the lowest m, is the peak over all scales.
     - the walk: a scale whose bound lies below GATE_REL_TAIL of the
       running total counts as falling; any other is computed and judged.
+      Where the walk reaches such a scale not computed yet, it asks for
+      the run of scales from there outward whose bounds are not below
+      the current tail, up to the first scale computed or the window's
+      end. The scales of a run that the walk then settles without, or
+      stops before, are the cost of asking in advance.
     A bound that is not finite never settles anything, and a NaN
-    contribution, which the peak rule treats apart, stops the peak search
-    from settling; so with every bound infinite every scale is computed.
-    The result is that of the walk over every contribution.
+    contribution, which the peak rule treats apart, stops the peak
+    search from settling, so that every scale is asked for; with every
+    bound infinite every scale is computed. The result is that of the
+    walk over every contribution.
 
     Returns (total, set of scale indices actually summed).
     """
     exact = {}
 
-    def value(m):
-        if m not in exact:
-            exact[m] = contribution(m)
-        return exact[m]
+    def compute(ms):
+        if ms:
+            exact.update(zip(ms, contributions(ms)))
 
-    best, settled = -math.inf, True
-    for m in sorted(bounds, key=lambda m: (-_settling(bounds[m]), m)):
-        if settled and bounds[m] < best:
-            break
-        v = value(m)
-        if math.isnan(v):
-            settled = False
-        best = max(best, v)
+    order = sorted(bounds, key=lambda m: (-_settling(bounds[m]), m))
+    compute(order[:1])
+    # a NaN there leaves no bound below it
+    rest = [m for m in order[1:] if not bounds[m] < exact[order[0]]]
+    compute(rest)
+    if any(math.isnan(exact[m]) for m in rest):
+        compute([m for m in order if m not in exact])
     mpeak = max(sorted(exact), key=lambda m: exact[m])
     used = [mpeak]
     total = exact[mpeak]
@@ -336,7 +372,14 @@ def gated_scale_sum(bounds, contribution):
             if m not in bounds:
                 break
             tail = GATE_REL_TAIL * total
-            if bounds[m] < tail or value(m) < tail:
+            if not bounds[m] < tail and m not in exact:
+                run, nxt = [], m
+                while (nxt in bounds and nxt not in exact
+                       and not bounds[nxt] < tail):
+                    run.append(nxt)
+                    nxt += step
+                compute(run)
+            if bounds[m] < tail or exact[m] < tail:
                 falling += 1
                 if falling >= GATE_RUN:
                     break
@@ -494,7 +537,7 @@ def wavelet_plancherel_ratio(plane):
     nf = plan.norm_sq(plane.f.values)
     if nf == 0.0:
         raise ValueError("Plancherel ratio undefined for the zero function")
-    total, _ = plane.integral(lambda row: row * row * plan.weights,
+    total, _ = plane.integral(lambda rows: rows * rows * plan.weights,
                               np.sqrt(plan.weights))
     return total / nf
 

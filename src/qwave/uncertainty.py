@@ -146,7 +146,8 @@ def _position_moment(plane):
         finite = np.isfinite(x2w)
         xsw = points * np.sqrt(weights)
         return plane.integral(
-            lambda row: np.where(finite, x2w * row * row, (xsw * row) ** 2),
+            lambda rows: np.where(finite, x2w * rows * rows,
+                                  (xsw * rows) ** 2),
             np.where(finite, np.sqrt(x2w), xsw))
 
 
@@ -204,7 +205,7 @@ def weighted_energy_ratio(plane):
     den = math.fsum((points ** 2 * plane.Ff ** 2 * wb_plain).tolist())
     if den == 0.0:
         raise ValueError("input has no spectral energy on the grid")
-    num, _ = plane.integral(lambda row: x2wp * plan.fourier_values(row) ** 2,
+    num, _ = plane.integral(lambda rows: x2wp * plan.fourier_values(rows) ** 2,
                             np.sqrt(x2wp), transformed=True)
     return num / den
 

@@ -386,7 +386,7 @@ def test_plane_builds_rows_through_scale_rows():
     assert row_breaches(source) == []
     calls = {scope for _, _, scope in sum_calls(source, "qwavelet",
                                                 ("scale_rows",))}
-    assert "qwavelet.WaveletPlane.row" in calls
+    assert "qwavelet.WaveletPlane.rows" in calls
 
 
 @pytest.mark.parametrize("source", [

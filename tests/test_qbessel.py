@@ -1,21 +1,25 @@
 """q-Bessel series, the modified two-parameter kernel, the second-order
-difference operator, and the high-precision lattice table."""
+difference operator, the high-precision lattice table, and the certified
+row sum."""
 
 import gc
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qwave import qbessel
 from qwave.qbessel import (
     DegenerateParameterError,
     TruncationError,
     _kernel_values,
+    fsum_rows,
     generalized_q_bessel_operator,
     lattice_kernel,
     modified_q_bessel,
@@ -491,3 +495,119 @@ class TestTablesLiveWithTheirPlans:
         assert narrow.kappa_row(70) == fresh.kappa_row(70)
         assert narrow_row == fresh.kappa_row(40)
 
+
+
+def fsum_bits(X):
+    """The bits of [math.fsum(row) for row in X], the reference that
+    fsum_rows must equal."""
+    return np.array([math.fsum(row) for row in X.tolist()]).tobytes()
+
+
+@st.composite
+def row_blocks(draw):
+    """Blocks of one to five rows of non-negative entries: any float up
+    to 2^1000, zeros and subnormals, and multiples of powers of two from
+    2^-1074 to 2^999, which make sums that tie halfway between two
+    floats."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 24))
+    entry = st.one_of(
+        st.floats(0.0, 2.0 ** 1000),
+        st.sampled_from([0.0, 2.0 ** -1074, 3 * 2.0 ** -1074,
+                         2.0 ** -1022 - 2.0 ** -1074]),
+        st.builds(math.ldexp, st.sampled_from([1.0, 3.0, 0.75]),
+                  st.integers(-1074, 999)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return np.array(rows, dtype=float)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(row_blocks())
+def test_fsum_rows_equals_fsum(X):
+    assert fsum_rows(X).tobytes() == fsum_bits(X)
+
+
+class _CountingMath:
+    """The math module, with its fsum calls counted."""
+
+    def __init__(self):
+        self.fsum_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, values):
+        self.fsum_calls += 1
+        return math.fsum(values)
+
+
+class TestFsumRows:
+    """The two routes of fsum_rows: a row it certifies skips math.fsum,
+    and any other row, a tie or one it declines up front, goes through
+    it, with fsum's own result or error."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counting = _CountingMath()
+        monkeypatch.setattr(qbessel, "math", counting)
+        return counting
+
+    def test_squares_skip_fsum(self, counted):
+        # rows like plane.integral's terms: squares times weights over a
+        # wide exponent range
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((64, 481)) ** 2 * np.exp2(
+            rng.integers(-300, 300, 481).astype(float))
+        assert fsum_rows(X).tobytes() == fsum_bits(X)
+        assert counted.fsum_calls == 0
+
+    @pytest.mark.parametrize("row", [
+        [1.0, 2.0 ** -53],  # a tie, rounded down to the even 1
+        [1.0 + 2.0 ** -52, 2.0 ** -53],  # a tie, rounded up to even
+        [2.0 ** 52, 0.5, 0.0],
+        [2.0 ** 52 + 1.0, 0.25, 0.25],
+    ], ids=("down", "up", "three-down", "four-up"))
+    def test_ties_go_through_fsum(self, counted, row):
+        X = np.zeros((2, len(row)))
+        X[0] = row
+        X[1, 0] = 1.0
+        assert fsum_rows(X).tobytes() == fsum_bits(X)
+        assert counted.fsum_calls == 1
+
+    def test_sums_near_a_midpoint(self):
+        # 1 and parts that sum to 2^-53, the midpoint between 1 and the
+        # next float, up to the rounding of the last part: a row whose
+        # rounding the bound does not settle must not be certified
+        rng = np.random.default_rng(0)
+        parts = rng.random((200, 62)) * np.exp2(
+            -53.0 - rng.integers(5, 40, (200, 62)))
+        X = np.array([[1.0, *p, float(Fraction(2) ** -53
+                                      - sum(map(Fraction, p)))]
+                      for p in parts.tolist()])
+        X = np.concatenate([X, X[:, ::-1]])
+        assert fsum_rows(X).tobytes() == fsum_bits(X)
+
+    @pytest.mark.parametrize("row", [
+        [1.0, math.inf], [math.nan, 1.0], [1.0, -0.5],
+        [0.0, 0.0], [2.0 ** -1000, 2.0 ** -1074], [2.0 ** 1020, 1.0]],
+        ids=("inf", "nan", "negative", "zero", "tiny", "near-overflow"))
+    def test_declined_rows_go_through_fsum(self, counted, row):
+        X = np.array([row, [1.0, 2.0]])
+        assert fsum_rows(X).tobytes() == fsum_bits(X)
+        assert counted.fsum_calls == 1
+
+    def test_one_row_block_goes_through_fsum(self, counted):
+        X = np.array([[1.0, 2.0, 3.0]])
+        assert fsum_rows(X).tobytes() == fsum_bits(X)
+        assert counted.fsum_calls == 1
+
+    @pytest.mark.parametrize("row,error", [
+        ([2.0 ** 1023, 2.0 ** 1023], OverflowError),
+        ([math.inf, -math.inf], ValueError)], ids=("overflow", "inf-inf"))
+    def test_fsum_errors_are_raised_unchanged(self, row, error):
+        with pytest.raises(error) as want:
+            math.fsum(row)
+        with pytest.raises(error) as got:
+            fsum_rows(np.array([[1.0, 1.0], row]))
+        assert str(got.value) == str(want.value)

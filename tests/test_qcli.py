@@ -289,13 +289,36 @@ class TestExitCodes:
 
     def test_degenerate_order_exits_1(self, capsys):
         # nu = alpha - beta = -3 makes (q^{2 nu + 2}; q^2)_n vanish at n = 3
-        # inside the high-precision kernel table
-        rc, out, err = run(capsys, "fourier", "--calibrate",
-                           "--alpha", "0", "--beta", "3")
+        # inside the kernel series, which bessel evaluates for any nu
+        rc, out, err = run(capsys, "bessel", "--alpha", "0", "--beta", "3")
         assert rc == 1
         assert out == ""
         assert err.startswith("qwave: q-Pochhammer factor ~0")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha,beta,nu", [("0", "1", "-1.0"),
+                                               ("-0.5", "0.75", "-1.25")],
+                             ids=("nu-1", "nu-1.25"))
+    @pytest.mark.parametrize("command", ["verify", "fourier"])
+    def test_order_at_most_minus_one_exits_1(self, capsys, monkeypatch,
+                                             command, alpha, beta, nu):
+        # a plan needs nu > -1, where the q-Hankel inversion holds; it is
+        # refused by name before any kernel table is built
+        built = []
+        monkeypatch.setattr(qbessel, "_kernel_values",
+                            lambda *args: built.append(args))
+        extra = ["--calibrate"] if command == "fourier" else []
+        rc, out, err = run(capsys, command, *extra, "--q", "0.5",
+                           "--alpha", alpha, "--beta", beta)
+        assert (rc, out, built) == (1, "", [])
+        assert err == (f"qwave: kernel order nu = alpha - beta = {nu} must "
+                       "satisfy nu > -1 for a transform plan\n")
+
+    def test_bessel_takes_order_below_minus_one(self, capsys):
+        rc, out, err = run(capsys, "bessel", "--q", "0.5", "--alpha", "-0.5",
+                           "--beta", "0.75")
+        assert (rc, err) == (0, "")
+        assert out.startswith("x,value,err_bound\n")
 
     def test_series_truncation_exits_1(self, capsys):
         # near q = 1 the float64 series needs more than SERIES_MAX_TERMS terms

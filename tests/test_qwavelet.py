@@ -258,14 +258,15 @@ class TestScaleogram:
 
 def bounded_gate(contrib, bounds):
     """gated_scale_sum over the contributions {m: value} with the given
-    bounds, and the scales it computed, in the order it computed them."""
+    bounds, and the scales it computed, in the order it asked for them,
+    one batch after another."""
     computed = []
 
-    def contribution(m):
-        computed.append(m)
-        return contrib[m]
+    def contributions(ms):
+        computed.extend(ms)
+        return [contrib[m] for m in ms]
 
-    return gated_scale_sum(bounds, contribution), computed
+    return gated_scale_sum(bounds, contributions), computed
 
 
 def same_sum(got, want):

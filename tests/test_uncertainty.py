@@ -209,6 +209,30 @@ class TestPlaneIntegral:
         den = math.fsum((points ** 2 * plane.Ff ** 2 * wb_plain).tolist())
         assert weighted_energy_ratio(plane) == want[0] / den
 
+    @pytest.mark.parametrize("caller", ["plancherel", "position",
+                                        "weighted"])
+    def test_rows_built_once_by_the_run(self, plane, monkeypatch, caller):
+        # the gate asks for scales in batches, and the plane builds each
+        # run of them with one scale_rows call: no row twice, every row
+        # summed among those built, and a handful of calls (at most five
+        # on these planes, where one call per row would make 15 to 25)
+        term, d, transformed = integral_args(monkeypatch, plane,
+                                             CALLERS[caller])
+        calls = []
+
+        def counted(Ff, spec, scale_indices=None):
+            calls.append(list(scale_indices))
+            return scale_rows(Ff, spec, scale_indices)
+
+        monkeypatch.setattr(qwavelet, "scale_rows", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, used = WaveletPlane(plane.f, plane.spec).integral(
+                term, d, transformed)
+        built = [m for run in calls for m in run]
+        assert len(built) == len(set(built))
+        assert used <= set(built)
+        assert len(calls) <= 6
+
 
 CALLERS = {"plancherel": wavelet_plancherel_ratio,
            "position": uncertainty_report,

@@ -5,11 +5,14 @@ process, one probe after another.
 The sweep benchmark runs the probes on forked workers, so a traced run
 cannot see them; this script can. For each probe it times
 uncertainty_report(WaveletPlane(f, spec)) and counts the coefficient
-rows that scale_rows builds for it, and it prints I_R, its scale set and
-the cell's K_emp so that two trees can be compared bit for bit. Per
-cell it also prints how many spectrum outputs of the mother and of the
-probes the certified float route kept, and how many went through
-TransformPlan.mp_transform (stream_split.spectrum_counter).
+rows that scale_rows builds for it and the scale_rows calls that build
+them, and it prints I_R, its scale set and the cell's K_emp so that two
+trees can be compared bit for bit. Per cell it prints the rows built,
+the calls and the rows summed (I_R's scale set) side by side, so that
+rows asked for in advance and never summed show. It also prints how
+many spectrum outputs of the mother and of the probes the certified
+float route kept, and how many went through TransformPlan.mp_transform
+(stream_split.spectrum_counter).
 
     python tools/sweep_rows.py [--src TREE/src] [--json OUT]
 
@@ -42,12 +45,13 @@ def main():
     from qwave.qtransform import TransformPlan, make_plan
     from stream_split import certified_line, spectrum_counter
 
-    built = [0]
+    built = [0, 0]  # rows, calls
     scale_rows = qwavelet.scale_rows
 
     def counted(Ff, spec, scale_indices=None):
         rows = scale_rows(Ff, spec, scale_indices)
         built[0] += len(rows)
+        built[1] += 1
         return rows
 
     qwavelet.scale_rows = counted
@@ -61,7 +65,7 @@ def main():
         counts.update(outputs=0, mp=0)
         return line
     records = []
-    total_rows = total_scales = 0
+    total_rows = total_calls = total_summed = total_scales = 0
     total_time = 0.0
     for q, alpha, beta in CELLS:
         plan = make_plan(build_grid(q, N_LOW, N_HIGH),
@@ -71,7 +75,7 @@ def main():
         mother = tally("mother")
         ratios = []
         for i, f in enumerate(uncertainty.probe_family(plan)):
-            built[0] = 0
+            built[:] = [0, 0]
             t0 = time.perf_counter()
             plane = qwavelet.WaveletPlane(f, spec)
             report = uncertainty.uncertainty_report(plane)
@@ -80,19 +84,25 @@ def main():
             ratios.append(report.ratio)
             records.append({"cell": [q, alpha, beta], "probe": i,
                             "I_R": repr(report.I_R), "used": sorted(used),
-                            "rows": built[0],
+                            "rows": built[0], "calls": built[1],
                             "scales": len(spec.scale_indices),
                             "seconds": dt})
             total_rows += built[0]
+            total_calls += built[1]
+            total_summed += len(used)
             total_scales += len(spec.scale_indices)
             total_time += dt
+        cell = records[-9:]
         print(f"q={q} v=({alpha}, {beta}): K_emp {min(ratios)!r}, rows "
-              f"{sum(r['rows'] for r in records[-9:])} of "
-              f"{9 * len(spec.scale_indices)}", flush=True)
+              f"{sum(r['rows'] for r in cell)} of "
+              f"{9 * len(spec.scale_indices)} in "
+              f"{sum(r['calls'] for r in cell)} scale_rows calls, "
+              f"{sum(len(r['used']) for r in cell)} summed", flush=True)
         print(f"  mother: {mother}\n  probes: {tally('probes')}",
               flush=True)
     print(f"rows built: {total_rows} of {total_scales} "
-          f"({100.0 * total_rows / total_scales:.1f}%)")
+          f"({100.0 * total_rows / total_scales:.1f}%) in {total_calls} "
+          f"scale_rows calls; rows summed: {total_summed}")
     print(f"probe time: {total_time:.2f} s in all, "
           f"{1e3 * total_time / len(records):.1f} ms per probe")
     for part, tot in totals.items():

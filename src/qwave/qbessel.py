@@ -602,6 +602,18 @@ def dd_dot(w, v, kap, prec):
     return hi, lo, err, top
 
 
+def _clear_of_midpoints(hi, lo, err):
+    """True where no round-to-nearest midpoint next to hi lies within
+    err of hi + lo: fl(lo + err) < up / 2 and fl(err - lo) < down / 2,
+    for up and down the gaps from hi to its float neighbours. Rounding
+    is monotone, so each float test implies its exact one, and an exact
+    tie fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        up = np.nextafter(hi, math.inf) - hi
+        down = hi - np.nextafter(hi, -math.inf)
+        return (lo + err < 0.5 * up) & (err - lo < 0.5 * down)
+
+
 def dd_round(hi, lo, err, exp):
     """Round dd_dot's results to float64 where that is certain: returns
     (values, ok), values[i] = hi_i 2^exp_i rounded to float64, ok[i]
@@ -614,10 +626,7 @@ def dd_round(hi, lo, err, exp):
        does. hi_i is a normal float, so its float64 neighbours are its
        53-bit ones, and scaling by 2^exp_i commutes with rounding to
        53 bits, since mpmath's exponent range is unbounded. So
-       round53(R_i) = hi_i 2^exp_i. The two tests are
-       fl(lo + err) < gap up / 2 and fl(err - lo) < gap down / 2, gaps
-       to hi's neighbours: rounding is monotone, so each float test
-       implies its exact one.
+       round53(R_i) = hi_i 2^exp_i. The test is _clear_of_midpoints.
     2. to_float(R_i, rnd=round_nearest) rounds R_i to 53 bits and
        returns math.ldexp of that 53-bit value: below the normal range
        it rounds twice.
@@ -631,11 +640,9 @@ def dd_round(hi, lo, err, exp):
        certified."""
     _, e_hi = np.frexp(hi)
     f_exp = e_hi + exp
-    with np.errstate(over="ignore", invalid="ignore"):
-        up = np.nextafter(hi, math.inf) - hi
-        down = hi - np.nextafter(hi, -math.inf)
-        ok = ((np.abs(hi) >= 2.0 ** -900) & (f_exp <= 1023)
-              & (lo + err < 0.5 * up) & (err - lo < 0.5 * down))
+    ok = ((np.abs(hi) >= 2.0 ** -900) & (f_exp <= 1023)
+          & _clear_of_midpoints(hi, lo, err))
+    with np.errstate(over="ignore"):
         values = np.ldexp(hi, np.maximum(np.minimum(exp, 2200), -2200)
                           .astype(np.int32))
     return values, ok
@@ -676,10 +683,9 @@ def fsum_rows(X):
        of itself, which covers its own roundings.
     4. 2^-900 <= top <= S < n 2^e < 2^1022, so hi, which lies within a
        few ulps of S, is a normal float. The midpoint test of dd_round,
-       fl(lo + err) < up / 2 and fl(err - lo) < down / 2 for up and
-       down the gaps from hi to its float neighbours, puts S strictly
-       inside the reals that round to hi, since rounding is monotone.
-       So fl(S) = hi, whatever the tie rule; an exact tie fails it.
+       _clear_of_midpoints, puts S strictly inside the reals that round
+       to hi. So fl(S) = hi, whatever the tie rule; an exact tie fails
+       it.
     A row that fails any of these goes through math.fsum: a
     non-finite or negative entry, a largest entry below 2^-900 (a row
     of zeros too) or near overflow, a sum within err of a midpoint,
@@ -708,10 +714,8 @@ def fsum_rows(X):
             err = n * n * 2.0 ** -105 * s2
             err += 2.0 ** -52 * np.abs(b)
             err *= 1.0 + 2.0 ** -40
-            up = np.nextafter(hi, math.inf) - hi
-            down = hi - np.nextafter(hi, -math.inf)
             out[rows] = hi
-            ok[rows] = (lo + err < 0.5 * up) & (err - lo < 0.5 * down)
+            ok[rows] = _clear_of_midpoints(hi, lo, err)
     for i in np.flatnonzero(~ok):
         out[i] = math.fsum(X[i].tolist())
     return out

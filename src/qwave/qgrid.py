@@ -154,8 +154,9 @@ class GridFunction:
 
 
 def qpochhammer(a, q, n=math.inf):
-    """(a; q)_n = prod_{k<n} (1 - a q^k); n = math.inf gives the infinite
-    product, truncated once |a q^k| < 1e-16."""
+    """(a; q)_n = prod_{k<n} (1 - a q^k) for an integer n >= 0 (an
+    integral float too); n = math.inf gives the infinite product,
+    truncated once |a q^k| < 1e-16."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
     if n == math.inf:
@@ -165,11 +166,11 @@ def qpochhammer(a, q, n=math.inf):
             prod *= 1.0 - factor
             factor *= q
         return prod
-    n = int(n)
-    if n < 0:
-        raise ValueError("finite q-Pochhammer needs n >= 0")
+    if not (float(n).is_integer() and n >= 0):
+        raise ValueError(
+            f"finite q-Pochhammer needs an integer n >= 0, got {n}")
     prod = 1.0
-    for k in range(n):
+    for k in range(int(n)):
         prod *= 1.0 - a * q ** k
     return prod
 
@@ -258,9 +259,10 @@ def jackson_weights(grid, v):
 
 
 def weighted_p_norm(f, p, v):
-    """||f||_{q,p,v} = [ (1-q) sum |f(q^n)|^p q^{n(2|v|+2)} ]^{1/p}."""
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    """||f||_{q,p,v} = [ (1-q) sum |f(q^n)|^p q^{n(2|v|+2)} ]^{1/p}, for
+    a finite p >= 1."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"need a finite p >= 1, got {p}")
     w = jackson_weights(f.grid, v)
     s = math.fsum((np.abs(f.values) ** p * w).tolist())
     return s ** (1.0 / p)

@@ -266,20 +266,20 @@ class WaveletPlane:
         v = L row. Then _scale_bounds bounds each scale's contribution
         without its row, and gated_scale_sum builds a row only where
         that bound cannot settle the gate, so the result is bit for bit
-        the sum over every row. The scales it asks for at once are taken
-        in ascending order, _BLOCK rows at a time, and each block's row
-        sums are qbessel.fsum_rows, math.fsum's bits."""
+        the sum over every row. The gate asks for at most three batches
+        of scales, in ascending order as the bounds are; each is taken
+        _BLOCK rows at a time, and each block's row sums are
+        qbessel.fsum_rows, math.fsum's bits."""
         q = self.spec.plan.grid.q
 
         def contributions(ms):
-            found = {}
-            ms_up = sorted(ms)
-            for i in range(0, len(ms_up), _BLOCK):
-                block = ms_up[i:i + _BLOCK]
+            found = []
+            for i in range(0, len(ms), _BLOCK):
+                block = ms[i:i + _BLOCK]
                 sums = fsum_rows(term(self.rows(block))).tolist()
-                found.update((m, (1.0 - q) / (q ** float(m)) * s)
-                             for m, s in zip(block, sums))
-            return [found[m] for m in ms]
+                found += [(1.0 - q) / (q ** float(m)) * s
+                          for m, s in zip(block, sums)]
+            return found
 
         return gated_scale_sum(_scale_bounds(self, d, transformed),
                                contributions)
@@ -324,27 +324,22 @@ def gated_scale_sum(bounds, contributions):
     up. The gate never reaches it.
 
     bounds is {m: B_m} over the contiguous scale window, each B_m at
-    least the contribution at scale m, and contributions(ms) returns the
-    contributions at a list of scales, in that order. It is asked for
-    each scale at most once, in a few batches, and only for scales the
-    bounds cannot decide:
-    - the peak: first the scale of largest bound, then, in one batch,
-      every other scale whose bound is not below the contribution found
-      there. Every scale left out has a bound, and so a contribution,
-      below that one, so the peak over the scales computed, ties going
-      to the lowest m, is the peak over all scales.
-    - the walk: a scale whose bound lies below GATE_REL_TAIL of the
-      running total counts as falling; any other is computed and judged.
-      Where the walk reaches such a scale not computed yet, it asks for
-      the run of scales from there outward whose bounds are not below
-      the current tail, up to the first scale computed or the window's
-      end. The scales of a run that the walk then settles without, or
-      stops before, are the cost of asking in advance.
-    A bound that is not finite never settles anything, and a NaN
-    contribution, which the peak rule treats apart, stops the peak
-    search from settling, so that every scale is asked for; with every
-    bound infinite every scale is computed. The result is that of the
-    walk over every contribution.
+    least the contribution at scale m, or +inf or NaN, which settle
+    nothing, and contributions(ms) returns the contributions at a list
+    of scales, in that order. It is called at most three times, and
+    never for a scale twice:
+    1. for the scale of largest bound, whose contribution c sets the
+       floor GATE_REL_TAIL * c;
+    2. for every other scale whose bound is not below the floor;
+    3. only if a contribution computed is negative or NaN, for every
+       scale left.
+    The walk is then the walk over every contribution, with a scale
+    never computed counting as falling. That is exact. After step 3
+    every scale is computed. Otherwise every contribution computed is
+    >= 0, so the peak is >= c and the float running total never drops
+    below c: every tail GATE_REL_TAIL * total is >= the floor, and a
+    scale not computed has a bound, and so a contribution, below the
+    floor: below every tail, and below the peak, so not tied with it.
 
     Returns (total, set of scale indices actually summed).
     """
@@ -354,14 +349,13 @@ def gated_scale_sum(bounds, contributions):
         if ms:
             exact.update(zip(ms, contributions(ms)))
 
-    order = sorted(bounds, key=lambda m: (-_settling(bounds[m]), m))
-    compute(order[:1])
-    # a NaN there leaves no bound below it
-    rest = [m for m in order[1:] if not bounds[m] < exact[order[0]]]
-    compute(rest)
-    if any(math.isnan(exact[m]) for m in rest):
-        compute([m for m in order if m not in exact])
-    mpeak = max(sorted(exact), key=lambda m: exact[m])
+    top = max(bounds, key=bounds.get)
+    compute([top])
+    floor = GATE_REL_TAIL * exact[top]
+    compute([m for m in bounds if m != top and not bounds[m] < floor])
+    if not all(v >= 0.0 for v in exact.values()):
+        compute([m for m in bounds if m not in exact])
+    mpeak = max(sorted(exact), key=exact.get)
     used = [mpeak]
     total = exact[mpeak]
     for step in (1, -1):
@@ -371,15 +365,7 @@ def gated_scale_sum(bounds, contributions):
             m += step
             if m not in bounds:
                 break
-            tail = GATE_REL_TAIL * total
-            if not bounds[m] < tail and m not in exact:
-                run, nxt = [], m
-                while (nxt in bounds and nxt not in exact
-                       and not bounds[nxt] < tail):
-                    run.append(nxt)
-                    nxt += step
-                compute(run)
-            if bounds[m] < tail or exact[m] < tail:
+            if m not in exact or exact[m] < GATE_REL_TAIL * total:
                 falling += 1
                 if falling >= GATE_RUN:
                     break
@@ -388,11 +374,6 @@ def gated_scale_sum(bounds, contributions):
                 used.append(m)
                 total += exact[m]
     return math.fsum(exact[m] for m in used), set(used)
-
-
-def _settling(bound):
-    """A bound as the peak search orders it: NaN ranks with infinity."""
-    return math.inf if math.isnan(bound) else bound
 
 
 def _log2_sum_exp2(x):

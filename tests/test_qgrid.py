@@ -110,8 +110,9 @@ class TestQPochhammer:
         assert qpochhammer(0.5, 0.5, 0) == 1.0
 
     def test_two_factor_product(self):
-        # (1 - 0.5)(1 - 0.25) = 0.375
-        assert qpochhammer(0.5, 0.5, 2) == 0.375
+        # (1 - 0.5)(1 - 0.25) = 0.375, for n given as any integral number
+        for n in (2, 2.0, np.int64(2)):
+            assert qpochhammer(0.5, 0.5, n) == 0.375
 
     def test_finite_matches_brute_force(self):
         for a, q, n in [(0.3, 0.7, 5), (-1.2, 0.4, 8), (0.9, 0.9, 12)]:
@@ -137,6 +138,13 @@ class TestQPochhammer:
                 factor *= q
             ref = float(ref)
         assert math.isclose(qpochhammer(0.1, 0.99), ref, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n", [2.5, 0.5, -1, -2.0, math.nan, -math.inf],
+                             ids=("2.5", "0.5", "-1", "-2.0", "nan", "-inf"))
+    def test_n_neither_an_integer_nor_inf_rejected(self, n):
+        # 2.5 was once truncated to 2, giving (0.5; 0.5)_2 = 0.375
+        with pytest.raises(ValueError, match="integer n >= 0"):
+            qpochhammer(0.5, 0.5, n)
 
     @pytest.mark.parametrize("inf", [float("inf"), np.inf],
                              ids=("float", "numpy"))
@@ -264,6 +272,14 @@ class TestWeightedNorms:
         f = GridFunction.from_pairs(g, [(1, 1.0)])
         with pytest.raises(ValueError):
             weighted_p_norm(f, 0.5, BesselParams(0.0, 0.0))
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan], ids=("inf", "nan"))
+    def test_non_finite_p_rejected(self, p):
+        # p = inf once gave 1.0 and p = nan gave NaN, without an error
+        g = build_grid(0.5, -5, 5)
+        f = GridFunction.from_pairs(g, [(0, 3.0), (1, -2.0)])
+        with pytest.raises(ValueError, match="finite p >= 1"):
+            weighted_p_norm(f, p, BesselParams(0.0, 0.0))
 
     def test_weights_match_definition(self):
         q = 0.3

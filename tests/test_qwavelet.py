@@ -258,15 +258,23 @@ class TestScaleogram:
 
 def bounded_gate(contrib, bounds):
     """gated_scale_sum over the contributions {m: value} with the given
-    bounds, and the scales it computed, in the order it asked for them,
-    one batch after another."""
-    computed = []
+    bounds, and the batches of scales it asked for, in order."""
+    batches = []
 
     def contributions(ms):
-        computed.extend(ms)
+        batches.append(list(ms))
         return [contrib[m] for m in ms]
 
-    return gated_scale_sum(bounds, contributions), computed
+    return gated_scale_sum(bounds, contributions), batches
+
+
+def check_batches(batches):
+    """At most three batches, none empty, and no scale asked twice.
+    Returns the scales asked for, in order."""
+    computed = [m for batch in batches for m in batch]
+    assert 1 <= len(batches) <= 3 and all(batches)
+    assert len(computed) == len(set(computed))
+    return computed
 
 
 def same_sum(got, want):
@@ -282,9 +290,9 @@ class TestGatedSum:
     def gate(contrib):
         want = eager_gated_scale_sum(contrib)
         for bounds in (dict(contrib), dict.fromkeys(contrib, math.inf)):
-            got, computed = bounded_gate(contrib, bounds)
+            got, batches = bounded_gate(contrib, bounds)
             assert same_sum(got, want)
-            assert len(computed) == len(set(computed))
+            check_batches(batches)
         return want
 
     def test_pure_decay_sums_everything(self):
@@ -314,15 +322,17 @@ class TestGatedSum:
 
     def test_infinite_bounds_compute_every_scale(self):
         contrib = {m: 10.0 ** (-2 * abs(m)) for m in range(-5, 30)}
-        _, computed = bounded_gate(contrib, dict.fromkeys(contrib, math.inf))
-        assert sorted(computed) == sorted(contrib)
+        _, batches = bounded_gate(contrib, dict.fromkeys(contrib, math.inf))
+        assert sorted(check_batches(batches)) == sorted(contrib)
 
     def test_exact_bounds_compute_the_peak_and_the_walk(self):
-        # the peak search stops at the first bound below the peak; each
-        # walk computes the scales it sums and nothing past them
+        # the top scale, then every scale whose bound is not below
+        # GATE_REL_TAIL of its value; on a clean decay those are exactly
+        # the scales the walk sums
         contrib = {m: 10.0 ** (-2 * abs(m)) for m in range(-5, 30)}
-        (_, used), computed = bounded_gate(contrib, dict(contrib))
-        assert computed == [0] + sorted(used - {0}, key=lambda m: (m < 0, abs(m)))
+        (_, used), batches = bounded_gate(contrib, dict(contrib))
+        assert batches == [[0], sorted(used - {0})]
+        assert used == set(range(-5, 7))
 
     def test_peak_tie_goes_to_the_lowest_scale(self):
         # two equal peaks a falling run apart: the walk from scale 1 sums
@@ -332,9 +342,9 @@ class TestGatedSum:
         assert want == (1.0, {1})
         for bounds in (dict(contrib), {**contrib, 1: 2.0},
                        {**contrib, 5: 2.0}, {**contrib, 5: math.nan}):
-            got, computed = bounded_gate(contrib, bounds)
+            got, batches = bounded_gate(contrib, bounds)
             assert same_sum(got, want)
-            assert {1, 5} <= set(computed)
+            assert {1, 5} <= set(check_batches(batches))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=("inf", "nan"))
     def test_non_finite_contributions(self, bad):
@@ -349,27 +359,39 @@ class TestGatedSum:
             contrib = {**layout, where: bad}
             for bound in (math.inf, math.nan):
                 bounds = {**contrib, where: bound}
-                got, computed = bounded_gate(contrib, bounds)
+                got, batches = bounded_gate(contrib, bounds)
                 assert same_sum(got, eager_gated_scale_sum(contrib))
-                assert len(computed) == len(set(computed))
+                check_batches(batches)
 
 
 @st.composite
 def gate_cases(draw):
     """Contributions over a window of scales, drawn from a few repeated
-    levels (so that peaks tie), zeros and random values, and a bound for
-    each: equal to it, above it, infinite or NaN."""
+    levels (so that peaks tie), zeros and random values, with a few
+    replaced by negative, infinite or NaN ones, and a bound for each:
+    equal to it, above it, infinite or NaN (a NaN contribution only gets
+    the last two, since no finite bound is above it). Both dicts list
+    their scales in a shuffled order."""
     lo = draw(st.integers(-40, 40))
     level = st.one_of(st.sampled_from([0.0, 1e-30, 1e-13, 0.5, 1.0, 2.0]),
                       st.floats(0.0, 4.0), st.floats(0.0, 1e-12))
     values = draw(st.lists(level, min_size=1, max_size=30))
-    contrib = {lo + i: val for i, val in enumerate(values)}
+    odd = st.one_of(st.sampled_from([-0.0, -1e-20, -1.0, math.inf,
+                                     -math.inf, math.nan]),
+                    st.floats(-4.0, 0.0))
+    for i, val in draw(st.lists(st.tuples(
+            st.integers(0, len(values) - 1), odd), max_size=3)):
+        values[i] = val
+    order = draw(st.permutations(range(lo, lo + len(values))))
+    contrib = {m: values[m - lo] for m in order}
     bounds = {}
     for m, val in contrib.items():
-        kind = draw(st.sampled_from(["equal", "above", "above", "inf",
-                                     "nan"]))
+        kind = draw(st.sampled_from(
+            ["inf", "nan"] if math.isnan(val)
+            else ["equal", "above", "above", "inf", "nan"]))
         if kind == "above":
-            bounds[m] = val * draw(st.floats(1.0, 1e6))
+            factor = draw(st.floats(1.0, 1e6))
+            bounds[m] = val * factor if val >= 0.0 else val / factor
         else:
             bounds[m] = {"equal": val, "inf": math.inf, "nan": math.nan}[kind]
     return contrib, bounds
@@ -379,11 +401,11 @@ def gate_cases(draw):
 @given(gate_cases())
 def test_bounded_gate_equals_eager_gate(case):
     contrib, bounds = case
-    got, computed = bounded_gate(contrib, bounds)
+    got, batches = bounded_gate(contrib, bounds)
     assert same_sum(got, eager_gated_scale_sum(contrib))
-    assert len(computed) == len(set(computed))
-    # a scale with a bound that is not finite is always computed
-    assert {m for m, b in bounds.items() if not math.isfinite(b)} <= \
+    computed = check_batches(batches)
+    # a scale whose bound is +inf or NaN is always computed
+    assert {m for m, b in bounds.items() if not b < math.inf} <= \
         set(computed)
 
 

@@ -5,11 +5,13 @@ process, one probe after another.
 The sweep benchmark runs the probes on forked workers, so a traced run
 cannot see them; this script can. For each probe it times
 uncertainty_report(WaveletPlane(f, spec)) and counts the coefficient
-rows that scale_rows builds for it and the scale_rows calls that build
-them, and it prints I_R, its scale set and the cell's K_emp so that two
-trees can be compared bit for bit. Per cell it prints the rows built,
-the calls and the rows summed (I_R's scale set) side by side, so that
-rows asked for in advance and never summed show. It also prints how
+rows that scale_rows builds for it, the scale_rows calls that build
+them and the batches of scales that gated_scale_sum asks for over the
+probe's three plane integrals, and it prints I_R, its scale set and the
+cell's K_emp so that two trees can be compared bit for bit. Per cell
+and in total it prints the rows built, the calls, the batches and the
+rows summed (I_R's scale set) side by side, so that rows asked for in
+advance and never summed show. It also prints how
 many spectrum outputs of the mother and of the probes the certified
 float route kept, and how many went through TransformPlan.mp_transform
 (stream_split.spectrum_counter).
@@ -45,8 +47,9 @@ def main():
     from qwave.qtransform import TransformPlan, make_plan
     from stream_split import certified_line, spectrum_counter
 
-    built = [0, 0]  # rows, calls
+    built = [0, 0, 0]  # rows, scale_rows calls, gate batches
     scale_rows = qwavelet.scale_rows
+    gated_scale_sum = qwavelet.gated_scale_sum
 
     def counted(Ff, spec, scale_indices=None):
         rows = scale_rows(Ff, spec, scale_indices)
@@ -54,7 +57,14 @@ def main():
         built[1] += 1
         return rows
 
+    def counted_gate(bounds, contributions):
+        def batch(ms):
+            built[2] += 1
+            return contributions(ms)
+        return gated_scale_sum(bounds, batch)
+
     qwavelet.scale_rows = counted
+    qwavelet.gated_scale_sum = counted_gate
     counts = spectrum_counter(TransformPlan)
     totals = {part: {"outputs": 0, "mp": 0} for part in ("mother", "probes")}
 
@@ -65,7 +75,8 @@ def main():
         counts.update(outputs=0, mp=0)
         return line
     records = []
-    total_rows = total_calls = total_summed = total_scales = 0
+    total_rows = total_calls = total_batches = total_summed = 0
+    total_scales = 0
     total_time = 0.0
     for q, alpha, beta in CELLS:
         plan = make_plan(build_grid(q, N_LOW, N_HIGH),
@@ -75,20 +86,23 @@ def main():
         mother = tally("mother")
         ratios = []
         for i, f in enumerate(uncertainty.probe_family(plan)):
-            built[:] = [0, 0]
+            built[:] = [0, 0, 0]
             t0 = time.perf_counter()
             plane = qwavelet.WaveletPlane(f, spec)
             report = uncertainty.uncertainty_report(plane)
             dt = time.perf_counter() - t0
+            batches = built[2]
             _, used = uncertainty._position_moment(plane)
             ratios.append(report.ratio)
             records.append({"cell": [q, alpha, beta], "probe": i,
                             "I_R": repr(report.I_R), "used": sorted(used),
                             "rows": built[0], "calls": built[1],
+                            "batches": batches,
                             "scales": len(spec.scale_indices),
                             "seconds": dt})
             total_rows += built[0]
             total_calls += built[1]
+            total_batches += batches
             total_summed += len(used)
             total_scales += len(spec.scale_indices)
             total_time += dt
@@ -97,12 +111,14 @@ def main():
               f"{sum(r['rows'] for r in cell)} of "
               f"{9 * len(spec.scale_indices)} in "
               f"{sum(r['calls'] for r in cell)} scale_rows calls, "
+              f"{sum(r['batches'] for r in cell)} gate batches, "
               f"{sum(len(r['used']) for r in cell)} summed", flush=True)
         print(f"  mother: {mother}\n  probes: {tally('probes')}",
               flush=True)
     print(f"rows built: {total_rows} of {total_scales} "
           f"({100.0 * total_rows / total_scales:.1f}%) in {total_calls} "
-          f"scale_rows calls; rows summed: {total_summed}")
+          f"scale_rows calls, {total_batches} gate batches; rows summed: "
+          f"{total_summed}")
     print(f"probe time: {total_time:.2f} s in all, "
           f"{1e3 * total_time / len(records):.1f} ms per probe")
     for part, tot in totals.items():

@@ -7,6 +7,7 @@ therefore independent of term order; results are bit-reproducible.
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,9 @@ import stat
 import numpy as np
 
 POCHHAMMER_CUTOFF = 1e-16  # infinite products stop once a factor is this close to 1
+# links sidecar_path follows at most: Linux's MAXSYMLINKS, past which
+# opening the path fails with ELOOP
+_MAX_LINKS = 40
 
 
 class QGrid:
@@ -235,6 +239,16 @@ def weight_exponent(v):
     return 2.0 * v.abs_v + 2.0
 
 
+def mp_weight_exponent(ctx, v):
+    """weight_exponent(v) as an mpf of the mpmath context ctx, formed
+    from mpf(alpha) and mpf(beta). The float64 sum alpha + beta is
+    rounded where the two doubles' exact sum needs more than 53 bits
+    (1 + 0.45, 0.7 + 0.3), and a high-precision power of q would carry
+    that rounding: the spectrum of a mean-free mother amplifies it
+    without bound."""
+    return 2 * (ctx.mpf(v.alpha) + ctx.mpf(v.beta)) + 2
+
+
 def jackson_weights(grid, v):
     """(1-q) q^{n(2|v|+2)} for every grid index, as an array.
 
@@ -260,11 +274,25 @@ def jackson_weights(grid, v):
 
 def weighted_p_norm(f, p, v):
     """||f||_{q,p,v} = [ (1-q) sum |f(q^n)|^p q^{n(2|v|+2)} ]^{1/p}, for
-    a finite p >= 1."""
+    a finite p >= 1.
+
+    The power sum is formed in float64 as written, so a large p can
+    take it out of range: raises ValueError when it overflows (a term
+    or the sum), or when it underflows to 0 although f is not zero."""
     if not 1 <= p < math.inf:
         raise ValueError(f"need a finite p >= 1, got {p}")
     w = jackson_weights(f.grid, v)
-    s = math.fsum((np.abs(f.values) ** p * w).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(f.values) ** p * w
+    try:
+        s = math.fsum(terms.tolist())
+    except OverflowError:
+        s = math.inf
+    if not math.isfinite(s):
+        raise ValueError(f"the power sum of the {p}-norm overflows float64")
+    if s == 0.0 and f.values.any():
+        raise ValueError(
+            f"the power sum of the {p}-norm underflows to 0 for a nonzero f")
     return s ** (1.0 / p)
 
 
@@ -293,15 +321,26 @@ def dilate(f, m):
 
 
 def sidecar_path(path):
-    """The JSON sidecar that goes with the CSV at path: the file path
-    resolves to (os.path.realpath, so through any symlinks), with its
-    extension replaced by .json. So a CSV reached through a link keeps
-    the sidecar that sits beside its target. Raises ValueError when
-    that is the CSV itself, since the sidecar would then overwrite it."""
-    real = os.path.realpath(path)
-    root, _ = os.path.splitext(real)
+    """The JSON sidecar that goes with the CSV at path: the file that
+    path's last component names, following that component's own chain
+    of symlinks (os.readlink, one lstat per link and one for the file),
+    with its extension replaced by .json. So a CSV reached through a
+    link keeps the sidecar that sits beside its target. The directories
+    on the way are not resolved here: a linked directory, or a ".." in
+    a relative link target, stays in the returned path, and the kernel
+    resolves it the same way for the CSV and for the sidecar. A chain
+    longer than _MAX_LINKS is left where it stops; opening the CSV then
+    fails with ELOOP. Raises ValueError when the sidecar is the CSV
+    itself (its file ends in .json), since the sidecar would then
+    overwrite it."""
+    target = os.fspath(path)
+    for _ in range(_MAX_LINKS):
+        if not os.path.islink(target):
+            break
+        target = os.path.join(os.path.dirname(target), os.readlink(target))
+    root, _ = os.path.splitext(target)
     sidecar = root + ".json"
-    if sidecar == real:
+    if sidecar == target:
         raise ValueError(f"{path} is its own sidecar; give the CSV "
                          "another extension than .json")
     return sidecar
@@ -339,10 +378,15 @@ def write_in_place(path, text, opened=None):
 
 
 def function_csv(f):
-    """The `n,value` CSV text of f, values at 17 significant digits."""
-    return "n,value\n" + "".join(
-        "%d,%.17g\n" % nv
-        for nv in zip(f.grid.indices.tolist(), f.values.tolist()))
+    """The `n,value` CSV text of f: the header line `n,value`, then one
+    line `n,value` per grid index in order, the value at 17 significant
+    digits (%.17g, which read_function parses back to the same bits).
+    The lines are formatted by one % over the interleaved indices and
+    values."""
+    cells = [None] * (2 * f.grid.size)
+    cells[0::2] = f.grid.indices.tolist()
+    cells[1::2] = f.values.tolist()
+    return ("n,value\n" + "%d,%.17g\n" * f.grid.size) % tuple(cells)
 
 
 def write_function(f, path):
@@ -371,9 +415,17 @@ def read_function(path):
     """The GridFunction write_function stored at path. Raises ValueError
     on a malformed CSV or sidecar: the sidecar must be a JSON object with
     a real q and int n_low and n_high, and the CSV may list each index
-    at most once."""
-    with open(sidecar_path(path), "r", encoding="utf-8") as fh:
-        desc = json.load(fh)
+    at most once.
+
+    Both files are read whole by _read_text (UTF-8, with CRLF and CR
+    line ends read as LF). The CSV's first line, stripped, must be
+    `n,value`. Blank lines are skipped, and every other line, stripped,
+    must be `n,value`: an index that int() takes (`+3`, `-0`, spaces
+    around it) and a value that float() takes. An index off the grid or
+    listed twice is an error, and so is a value that is not finite.
+    Indices not listed are zero. The ValueError raised is that of the
+    file's first defect, in file order (_parse_rows)."""
+    desc = json.loads(_read_text(sidecar_path(path)))
     if not isinstance(desc, dict):
         raise ValueError("sidecar is not a JSON object")
     for key, kind, want in (("q", (int, float), "a real number"),
@@ -385,20 +437,85 @@ def read_function(path):
             raise ValueError(
                 f"sidecar key {key!r} must be {want}, got {desc[key]!r}")
     grid = QGrid(desc["q"], desc["n_low"], desc["n_high"])
+    header, newline, body = _read_text(path).partition("\n")
+    if header.strip() != "n,value":
+        raise ValueError(f"unexpected header {header + newline!r} in {path}")
+    return GridFunction(grid, _parse_rows(body, grid))
+
+
+def _read_text(path):
+    """The text of the file at path as open(path, encoding="utf-8")
+    reads it whole: UTF-8, with CRLF and CR line ends turned to LF. The
+    bytes are read unbuffered and decoded at once, which spares the
+    text and buffer layers that a text-mode open builds."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _converted(convert, strings):
+    """convert of each string, up to the first that convert rejects
+    with ValueError: a list as long as the run of strings it takes."""
+    out = []
+    try:
+        out.extend(map(convert, strings))
+    except ValueError:
+        pass  # extend keeps the items it appended before the raise
+    return out
+
+
+def _parse_rows(body, grid):
+    """The values array, by grid position, of the CSV lines in body:
+    what a loop over the lines gives that strips each, skips it if
+    blank, unpacks `n, v = line.split(",")`, takes int(n), refuses an
+    n seen before, places it by grid.pos(n) and takes float(v), with
+    the error of the first line that fails, at its first failing step.
+
+    The lines are taken as a whole instead, one step after another, in
+    that order: the comma count of every line, int of every index, the
+    first repeat, the grid range, float of every value. Each step runs
+    over the lines that every step before it passed, and stops at its
+    first failing line. The lines that pass all five are the clean
+    prefix, so the line after it is the loop's failing line, and the
+    step that stopped there is its first failing step; running that
+    step again on that line raises the loop's own error. The comma,
+    repeat and range steps test all their lines at once (a count, a
+    set, min and max) and look for the failing line only when that
+    test fails."""
+    lines = list(filter(None, map(str.strip, body.split("\n"))))
+    commas = list(map(str.count, lines, itertools.repeat(",")))
+    paired = len(lines)
+    if commas.count(1) < paired:
+        paired = next(i for i, c in enumerate(commas) if c != 1)
+    fields = ",".join(lines[:paired]).split(",") if paired else []
+    n_strs, v_strs = fields[0::2], fields[1::2]
+    ns = _converted(int, n_strs)
+    fresh = len(ns)
+    if len(set(ns)) < fresh:
+        first = {}
+        fresh = next(i for i, n in enumerate(ns)
+                     if first.setdefault(n, i) != i)
+    inside = fresh
+    if fresh and not (grid.n_low <= min(ns[:fresh])
+                      and max(ns[:fresh]) <= grid.n_high):
+        inside = next(i for i, n in enumerate(ns)
+                      if not grid.n_low <= n <= grid.n_high)
+    values = _converted(float, v_strs[:inside])
+    clean = len(values)
+    # each test below holds for at most one step: the one that stopped
+    # at line `clean`, which raises its error again
+    if clean == paired < len(lines):
+        _, _ = lines[clean].split(",")
+    if clean == len(ns) < paired:
+        int(n_strs[clean])
+    if clean == fresh < len(ns):
+        raise ValueError(f"index {ns[clean]} listed twice")
+    if clean == inside < fresh:
+        grid.pos(ns[clean])
+    if clean < inside:
+        float(v_strs[clean])
     vals = np.zeros(grid.size)
-    seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "n,value":
-            raise ValueError(f"unexpected header {header!r} in {path}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_str, v_str = line.split(",")
-            n = int(n_str)
-            if n in seen:
-                raise ValueError(f"index {n} listed twice")
-            seen.add(n)
-            vals[grid.pos(n)] = float(v_str)
-    return GridFunction(grid, vals)
+    vals[np.array(ns, dtype=np.int64) - grid.n_low] = values
+    return vals

@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_round, dd_split,
                            dd_split_floats, kappa_row, lattice_kernel,
                            mp_context, mp_dot, spectrum_dps)
-from qwave.qgrid import GridFunction, jackson_weights, weight_exponent
+from qwave.qgrid import GridFunction, jackson_weights, mp_weight_exponent
 
 CALIBRATION_SPREAD_TOL = 1e-6
 # terms per block of float_transform, so that no call makes a
@@ -98,8 +98,9 @@ class TransformPlan:
         weights = self._mp_operands.setdefault(dps, [{}, None])[0]
         missing = [n for n in ns if n not in weights]
         if missing:
-            qmp = mp_context(dps).mpf(self.grid.q)
-            wexp = weight_exponent(self.v)
+            ctx = mp_context(dps)
+            qmp = ctx.mpf(self.grid.q)
+            wexp = mp_weight_exponent(ctx, self.v)
             for n in missing:
                 weights[n] = ((1 - qmp) * qmp ** (n * wexp))._mpf_
         return weights

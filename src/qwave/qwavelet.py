@@ -27,7 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from qwave.qbessel import (FACTORIZATION_DPS, MOTHER_DPS, fsum_rows,
                            mp_context, mp_dot)
-from qwave.qgrid import GridFunction, dilate, weight_exponent
+from qwave.qgrid import (GridFunction, dilate, mp_weight_exponent,
+                         weight_exponent)
 from qwave.qtransform import spectrum_array, translate
 
 GATE_REL_TAIL = 1e-13
@@ -146,7 +147,7 @@ def indicator_difference_mother(plan):
     integral diverges at the origin for beta >= 0."""
     ctx = mp_context(MOTHER_DPS)
     qmp = ctx.mpf(plan.grid.q)
-    raw = {0: ctx.mpf(1), 2: -qmp ** (-2 * (2.0 * plan.v.alpha + 2.0))}
+    raw = {0: ctx.mpf(1), 2: -qmp ** (-2 * (2 * ctx.mpf(plan.v.alpha) + 2))}
     return _normalized_mp_mother(plan, raw)
 
 
@@ -157,8 +158,9 @@ def operator_mother(plan):
     grid, v = plan.grid, plan.v
     ctx = mp_context(MOTHER_DPS)
     qmp = ctx.mpf(grid.q)
-    A = qmp ** (2.0 * v.alpha) + qmp ** (2.0 * v.beta)
-    B = qmp ** (2.0 * v.alpha + 2.0 * v.beta)
+    alpha, beta = ctx.mpf(v.alpha), ctx.mpf(v.beta)
+    A = qmp ** (2 * alpha) + qmp ** (2 * beta)
+    B = qmp ** (2 * (alpha + beta))
     bump = {-1: ctx.mpf(1), 0: ctx.mpf(2), 1: ctx.mpf(1)}
     zero = ctx.mpf(0)
     raw = {n: (bump.get(n - 1, zero) - A * bump.get(n, zero)
@@ -197,20 +199,25 @@ def scale_rows(Ff, spec, scale_indices=None):
     of (n, 1) columns: for a right operand of one column, matmul calls
     BLAS's GEMV once per stacked row, the call np.dot(M, x_i) makes."""
     plan = spec.plan
-    ms = list(spec.scale_indices if scale_indices is None else scale_indices)
-    if not ms or ms != list(range(ms[0], ms[-1] + 1)):
-        raise ValueError("scale indices must be a run of consecutive "
-                         f"integers, got {ms}")
-    start = ms[0] - spec.scale_indices[0]
-    if start < 0 or ms[-1] > spec.scale_indices[-1]:
-        bad = ms[0] if start < 0 else ms[-1]
-        raise ValueError(f"scale index {bad} pushes the mother off the grid")
+    if scale_indices is None:
+        block = slice(0, len(spec.scale_indices))
+    else:
+        ms = list(scale_indices)
+        if not ms or ms != list(range(ms[0], ms[-1] + 1)):
+            raise ValueError("scale indices must be a run of consecutive "
+                             f"integers, got {ms}")
+        start = ms[0] - spec.scale_indices[0]
+        if start < 0 or ms[-1] > spec.scale_indices[-1]:
+            bad = ms[0] if start < 0 else ms[-1]
+            raise ValueError(
+                f"scale index {bad} pushes the mother off the grid")
+        block = slice(start, start + len(ms))
     # 2-D operands keep a one-row block off numpy's broadcasting path
-    x = spec.windows[start:start + len(ms)] * Ff[None]
+    x = spec.windows[block] * Ff[None]
     x *= plan.weights[None]
     rows = np.matmul(plan.matrix, x[:, :, None])[:, :, 0]
     rows *= plan.c_qv
-    rows *= spec.roots[start:start + len(ms), None]
+    rows *= spec.roots[block, None]
     return rows
 
 
@@ -290,11 +297,10 @@ def cwt(f, spec, scale_indices=None):
     grid, for a run of consecutive scale indices; scale_indices defaults
     to every admissible scale. The coefficients are scale_rows' block."""
     grid = spec.plan.grid
+    rows = scale_rows(spectrum_array(f, spec.plan), spec, scale_indices)
     if scale_indices is None:
         scale_indices = spec.scale_indices
-    return Scaleogram(scale_indices, list(grid.indices),
-                      scale_rows(spectrum_array(f, spec.plan), spec,
-                                 scale_indices), grid)
+    return Scaleogram(scale_indices, grid.indices.tolist(), rows, grid)
 
 
 def cwt_direct(f, spec, scale_indices, position_indices):
@@ -559,7 +565,7 @@ def factorization_error(spec, scale_indices, position_indices, xi_indices,
     make = ctx.make_mpf
     qmp = ctx.mpf(grid.q)
     cmp_ = ctx.mpf(plan.c_qv)
-    wexp = weight_exponent(v)
+    wexp = mp_weight_exponent(ctx, v)
     kap = plan.kappa_row(dps)
     weights = plan.mp_weights(idx, dps)
     psi_mp = {n: ctx.mpf(val) for n, val in spec.mp_values.items()}

@@ -130,7 +130,7 @@ def probe_family(plan):
     return fam
 
 
-def _position_moment(plane):
+def position_moment(plane):
     """I_R = plane.integral of b^2 |C|^2 w(b), and the set of scales the
     gated sum used.
 
@@ -151,15 +151,16 @@ def _position_moment(plane):
             np.where(finite, np.sqrt(x2w), xsw))
 
 
-def uncertainty_report(plane):
+def uncertainty_report(plane, moment=None):
     """I_R (the plane integral of b^2 |C|^2), I_S = ||xi Ff||^2 (from the
     plane's high-precision spectrum Ff), and their Heisenberg-type ratio
-    sqrt(I_R I_S) / ||f||^2 for a WaveletPlane."""
+    sqrt(I_R I_S) / ||f||^2 for a WaveletPlane. moment is the plane's
+    position_moment, when the caller has it already."""
     plan = plane.spec.plan
     nf = plan.norm_sq(plane.f.values)
     if nf == 0.0:
         raise ValueError("uncertainty ratio undefined for the zero function")
-    I_R, _ = _position_moment(plane)
+    I_R, _ = position_moment(plane) if moment is None else moment
     I_S = plan.norm_sq(plan.grid.points * plane.Ff)
     return UncertaintyReport(I_R=I_R, I_S=I_S, norm_sq=nf,
                              ratio=math.sqrt(I_R * I_S) / nf)
@@ -173,12 +174,13 @@ def _slice_ratio(row, n2, plan):
             * math.sqrt(plan.norm_sq(points * plan.fourier_values(row))) / n2)
 
 
-def heisenberg_slice_minimum(plane):
+def heisenberg_slice_minimum(plane, moment=None):
     """Minimum slice ratio over the rows of a WaveletPlane at the scales
     that the plane integral for I_R uses, skipping slices at the noise
-    floor."""
+    floor. moment is the plane's position_moment, when the caller has
+    it already."""
     plan = plane.spec.plan
-    _, used = _position_moment(plane)
+    _, used = position_moment(plane) if moment is None else moment
     norms = {m: plan.norm_sq(plane.row(m)) for m in used}
     top = max(norms.values())
     best = math.inf

@@ -1,14 +1,17 @@
 """Shared fixtures: one calibrated plan and wavelet per parameter cell
 used across the suite. Session scope, because calibration and the
 high-precision mother construction dominate test runtime. Also the
-helpers the process-pool tests share."""
+helpers the process-pool tests share, and the reference versions that
+faster library routes must equal."""
 
+import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from qwave.qgrid import BesselParams, build_grid
+from qwave.qgrid import BesselParams, GridFunction, QGrid, build_grid
 from qwave.qtransform import make_plan
 from qwave.qwavelet import GATE_REL_TAIL, GATE_RUN, operator_mother
 
@@ -41,6 +44,48 @@ def eager_gated_scale_sum(contrib):
                 used.append(m)
                 total += contrib[m]
     return math.fsum(contrib[m] for m in used), set(used)
+
+
+def line_read_function(path):
+    """qgrid.read_function as it was written before it parsed in bulk:
+    the sidecar found by os.path.realpath, the CSV parsed one line at a
+    time. The reference whose values (bit for bit) or ValueError
+    message the library's reader must give on every input."""
+    real = os.path.realpath(path)
+    root, _ = os.path.splitext(real)
+    if root + ".json" == real:
+        raise ValueError(f"{path} is its own sidecar; give the CSV "
+                         "another extension than .json")
+    with open(root + ".json", "r", encoding="utf-8") as fh:
+        desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise ValueError("sidecar is not a JSON object")
+    for key, kind, want in (("q", (int, float), "a real number"),
+                            ("n_low", int, "an int"),
+                            ("n_high", int, "an int")):
+        if key not in desc:
+            raise ValueError(f"sidecar lacks key {key!r}")
+        if not isinstance(desc[key], kind) or isinstance(desc[key], bool):
+            raise ValueError(
+                f"sidecar key {key!r} must be {want}, got {desc[key]!r}")
+    grid = QGrid(desc["q"], desc["n_low"], desc["n_high"])
+    vals = np.zeros(grid.size)
+    seen = set()
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if header.strip() != "n,value":
+            raise ValueError(f"unexpected header {header!r} in {path}")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            n_str, v_str = line.split(",")
+            n = int(n_str)
+            if n in seen:
+                raise ValueError(f"index {n} listed twice")
+            seen.add(n)
+            vals[grid.pos(n)] = float(v_str)
+    return GridFunction(grid, vals)
 
 
 def set_cpus(monkeypatch, n):

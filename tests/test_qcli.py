@@ -820,6 +820,30 @@ class TestVerifyCommand:
         qcli.run_cell_checks(0.5, 0.5, 0.25, -12, 24)
         assert len(calls) == 3 + 9 + 9 + 1 + 1
 
+    def test_cell_integrates_each_plane_once(self, monkeypatch):
+        # I_R of each x1 probe plane feeds the heisenberg and the
+        # uncertainty check and is integrated once: 9 x1 planes, then 9
+        # x2 and 1 scaled x1 plane for the uncertainty check, 9 for the
+        # weighted energy and 9 + 1 for the Plancherel ratio
+        calls = []
+        gate = qwavelet.gated_scale_sum
+
+        def counted(bounds, contributions):
+            calls.append(len(bounds))
+            return gate(bounds, contributions)
+
+        monkeypatch.setattr(qwavelet, "gated_scale_sum", counted)
+        qcli.run_cell_checks(0.5, 0.5, 0.25, -12, 24)
+        assert len(calls) == 9 + 9 + 1 + 9 + 10
+
+    def test_cell_off_the_exact_lattice_passes(self):
+        # alpha + beta = 1.45 is rounded in float64: with exponents formed
+        # from that sum, four checks failed here (daughter factorization,
+        # weighted energy, Plancherel and the uncertainty constant)
+        report = qcli.run_cell_checks(0.5, 1.0, 0.45)
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+        assert report["passed"]
+
     def test_pooled_equals_inline(self, capsys, monkeypatch, tmp_path):
         # the whole lattice, on a grid small enough to be quick (some
         # checks fail there, which does not matter for the comparison)

@@ -6,11 +6,12 @@ or brute-force reference sums, then the library value is compared."""
 import math
 import os
 import stat
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qwave.qgrid import (
     BesselParams,
@@ -18,15 +19,19 @@ from qwave.qgrid import (
     QGrid,
     build_grid,
     dilate,
+    function_csv,
     jackson_integral,
     jackson_weights,
     q_derivative,
     qpochhammer,
     read_function,
+    sidecar_path,
     weighted_p_norm,
     write_function,
     write_in_place,
 )
+
+from conftest import line_read_function
 
 
 def q_bracket(m, q):
@@ -281,6 +286,25 @@ class TestWeightedNorms:
         with pytest.raises(ValueError, match="finite p >= 1"):
             weighted_p_norm(f, p, BesselParams(0.0, 0.0))
 
+    @pytest.mark.parametrize("p,pairs,what", [
+        (700, [(0, 3.0), (1, -2.0)], "overflows float64"),
+        (200, [(0, 1e-3)], "underflows to 0 for a nonzero f")],
+        ids=("overflow", "underflow"))
+    def test_power_sum_out_of_range_rejected(self, p, pairs, what):
+        # the power sum once came out inf (with a numpy overflow warning)
+        # for a norm near 3, and 0.0 for a norm near 9.97e-4
+        g = build_grid(0.5, -5, 5)
+        f = GridFunction.from_pairs(g, pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=what):
+                weighted_p_norm(f, p, BesselParams(0.0, 0.0))
+
+    def test_zero_function_norm_is_zero(self):
+        g = build_grid(0.5, -5, 5)
+        assert weighted_p_norm(GridFunction.zeros(g), 200,
+                               BesselParams(0.0, 0.0)) == 0.0
+
     def test_weights_match_definition(self):
         q = 0.3
         v = BesselParams(1.0, -0.25)
@@ -458,6 +482,201 @@ class TestFileRoundTrip:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_round_trip_keeps_extreme_bits(self, tmp_path):
+        # -0.0, subnormals and values near the top of float64 come back
+        # bit for bit, the sign of zero included
+        g = build_grid(0.5, -3, 5)
+        f = GridFunction(g, [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                             1e-310, 1e308, -1e308, 1.7976931348623157e308,
+                             0.0])
+        path = str(tmp_path / "x.csv")
+        write_function(f, path)
+        assert read_function(path).values.tobytes() == f.values.tobytes()
+
+
+class TestSidecarPath:
+    """The sidecar is the .json beside the file the CSV's path names
+    through its own chain of links; the directories on the way are left
+    to the kernel. Each case is also checked against os.path.realpath,
+    the rule the sidecar once followed."""
+
+    @staticmethod
+    def write(path, value=2.5):
+        g = build_grid(0.3, -2, 4)
+        write_function(GridFunction.from_pairs(g, [(1, value)]), str(path))
+        back = read_function(str(path))
+        assert back.grid == g and back.value_at(1) == value
+
+    @staticmethod
+    def same_as_realpath(path):
+        root, _ = os.path.splitext(os.path.realpath(path))
+        assert os.path.samefile(sidecar_path(str(path)), root + ".json")
+
+    def test_through_a_linked_directory(self, tmp_path):
+        real = tmp_path / "real"
+        real.mkdir()
+        (tmp_path / "ld").symlink_to(real, target_is_directory=True)
+        path = tmp_path / "ld" / "f.csv"
+        self.write(path)
+        assert sidecar_path(str(path)) == str(tmp_path / "ld" / "f.json")
+        assert sorted(p.name for p in real.iterdir()) == ["f.csv", "f.json"]
+        self.same_as_realpath(path)
+
+    def test_chain_of_two_links(self, tmp_path):
+        self.write(tmp_path / "t.csv", 1.0)
+        (tmp_path / "b.csv").symlink_to("t.csv")
+        (tmp_path / "a.csv").symlink_to(tmp_path / "b.csv")
+        assert sidecar_path(str(tmp_path / "a.csv")) == str(tmp_path / "t.json")
+        self.write(tmp_path / "a.csv")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.csv", "b.csv", "t.csv", "t.json"]
+        assert read_function(str(tmp_path / "t.csv")).value_at(1) == 2.5
+        self.same_as_realpath(tmp_path / "a.csv")
+
+    def test_dangling_link(self, tmp_path):
+        # writing through the link creates its target, and the sidecar
+        # beside the target
+        (tmp_path / "s.csv").symlink_to("t.csv")
+        assert sidecar_path(str(tmp_path / "s.csv")) == str(tmp_path / "t.json")
+        self.write(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "s.csv", "t.csv", "t.json"]
+        self.same_as_realpath(tmp_path / "s.csv")
+
+    def test_relative_target_holding_dotdot(self, tmp_path):
+        # x links to deep/a, and deep/a/s.csv to ../b/t.csv: the ".."
+        # leaves deep/a, where the link sits, so both files land in
+        # deep/b; read lexically, x/../b would be the empty b beside x
+        (tmp_path / "deep" / "a").mkdir(parents=True)
+        (tmp_path / "deep" / "b").mkdir()
+        (tmp_path / "b").mkdir()
+        (tmp_path / "x").symlink_to(tmp_path / "deep" / "a",
+                                    target_is_directory=True)
+        (tmp_path / "deep" / "a" / "s.csv").symlink_to(
+            os.path.join("..", "b", "t.csv"))
+        path = tmp_path / "x" / "s.csv"
+        self.write(path)
+        assert sidecar_path(str(path)) == os.path.join(
+            str(tmp_path / "x"), "..", "b", "t.json")
+        assert sorted(p.name for p in (tmp_path / "deep" / "b").iterdir()) \
+            == ["t.csv", "t.json"]
+        assert list((tmp_path / "b").iterdir()) == []
+        self.same_as_realpath(path)
+
+    def test_link_to_a_json_file_is_its_own_sidecar(self, tmp_path):
+        (tmp_path / "t.json").write_text("{}\n")
+        (tmp_path / "s.csv").symlink_to("t.json")
+        path = str(tmp_path / "s.csv")
+        with pytest.raises(ValueError, match="its own sidecar"):
+            sidecar_path(path)
+        with pytest.raises(ValueError, match="its own sidecar"):
+            write_function(GridFunction.zeros(build_grid(0.5, 0, 3)), path)
+        with pytest.raises(ValueError, match="its own sidecar"):
+            read_function(path)
+        assert (tmp_path / "t.json").read_text() == "{}\n"
+
+    def test_link_loop_stops(self, tmp_path):
+        # the walk stops after the kernel's link limit; opening the CSV
+        # then fails, and nothing is written
+        (tmp_path / "l.csv").symlink_to("m.csv")
+        (tmp_path / "m.csv").symlink_to("l.csv")
+        assert sidecar_path(str(tmp_path / "l.csv")) == str(tmp_path / "l.json")
+        with pytest.raises(OSError):
+            write_function(GridFunction.zeros(build_grid(0.5, 0, 3)),
+                           str(tmp_path / "l.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv",
+                                                             "m.csv"]
+
+
+# The differential test of read_function against conftest's line reader:
+# CSV bodies on the grid [-3, 5], valid rows written in the ways the
+# reader takes, with defects injected among them.
+IO_GRID = (0.5, -3, 5)
+_INDEX_FORMATS = ("%d", "%+d", " %d", "%d ", "\t%d")
+_VALUE_FORMATS = ("%r", "%.17g", " %r", "%r  ")
+_DEFECTS = {
+    "bad int": ["x,1", "1.5,2", ",3", "0x1,2", "--1,0"],
+    "bad float": ["1,abc", "2,", "0,0x1p3", "3,1..5", "4,1e"],
+    "three fields": ["1,2,3", ",,", "0,1,"],
+    "missing comma": ["12", "1 2", "abc"],
+    "blank": ["", "   ", "\t", " \t "],
+    "off grid": ["-4,1", "6,1", "100000000000000000000000,1", "-9,0"],
+    "not finite": ["0,nan", "1,-inf", "2,1e999", "3,NaN"],
+    "signed zero": ["-0,2.5", "+0,-0", "0,-0.0"],
+}
+
+
+@st.composite
+def csv_texts(draw):
+    _, n_low, n_high = IO_GRID
+    ns = draw(st.lists(st.integers(n_low, n_high), unique=True, max_size=9))
+    lines = []
+    for n in ns:
+        value = draw(st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 5e-324, 1e308, -1e-310])))
+        lines.append(draw(st.sampled_from(_INDEX_FORMATS)) % n + ","
+                     + draw(st.sampled_from(_VALUE_FORMATS)) % value)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(sorted(_DEFECTS) + ["duplicate"]))
+        if kind == "duplicate":
+            if not ns:
+                continue
+            line = "%d,1.25" % draw(st.sampled_from(ns))
+        else:
+            line = draw(st.sampled_from(_DEFECTS[kind]))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    # one header in ten is wrong, so that the rows are what mostly varies
+    header = draw(st.sampled_from(
+        ["n,value", " n,value\t", "n,value "] * 3
+        + [draw(st.sampled_from(["n, value", "index,value", ""]))]))
+    # one line end for the file, or each drawn on its own (so "\r\r\n"
+    # and "\r\n\r" turn up)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", None]))
+    ends = [eol or draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            for _ in range(len(lines) + 1)]
+    text = header + "".join(end + line for end, line in zip(ends, lines))
+    return text + ends[-1] if draw(st.booleans()) else text
+
+
+def read_outcome(read, path):
+    """The grid and value bytes read returns, or its ValueError."""
+    try:
+        f = read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return f.grid, f.values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def io_csv(tmp_path_factory):
+    """A path f.csv on IO_GRID whose sidecar is written; each example
+    writes its own CSV there."""
+    path = tmp_path_factory.mktemp("reader") / "f.csv"
+    write_function(GridFunction.zeros(build_grid(*IO_GRID)), str(path))
+    return path
+
+
+@settings(derandomize=True, max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=csv_texts())
+def test_reader_matches_line_reader(io_csv, text):
+    io_csv.write_text(text, encoding="utf-8", newline="")
+    want = read_outcome(line_read_function, str(io_csv))
+    assert read_outcome(read_function, str(io_csv)) == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=9, max_size=9))
+def test_function_csv_matches_per_line_format(values):
+    # one % over the interleaved cells gives the bytes of one % per line
+    f = GridFunction(build_grid(*IO_GRID), values)
+    assert function_csv(f) == "n,value\n" + "".join(
+        "%d,%.17g\n" % nv
+        for nv in zip(f.grid.indices.tolist(), f.values.tolist()))
+
 
 class TestWriteInPlace:
     def test_keeps_inode_and_mode(self, tmp_path):
@@ -549,7 +768,14 @@ def test_norm_homogeneity(lam, p):
     v = BesselParams(0.5, 0.25)
     f = GridFunction.from_pairs(g, [(0, 0.7), (4, -1.1)])
     base = weighted_p_norm(f, p, v)
-    got = weighted_p_norm(f.scaled(lam), p, v)
+    scaled = f.scaled(lam)
+    if lam != 0.0 and math.fsum(
+            (np.abs(scaled.values) ** p * jackson_weights(g, v)).tolist()) == 0:
+        # a tiny lam takes the power sum below float64: refused, not 0.0
+        with pytest.raises(ValueError, match="underflows to 0"):
+            weighted_p_norm(scaled, p, v)
+        return
+    got = weighted_p_norm(scaled, p, v)
     assert math.isclose(got, abs(lam) * base, rel_tol=1e-10, abs_tol=1e-12)
 
 

@@ -446,7 +446,8 @@ class TestPlanOperands:
                     fresh.append((p * tab[t])._mpf_)
                     p *= step
                 assert row == fresh
-                wexp = 2.0 * v.abs_v + 2.0
+                # the exact exponent: 0.7 + 0.3 rounds to 1.0 in float64
+                wexp = 2 * (mpmath.mpf(v.alpha) + mpmath.mpf(v.beta)) + 2
                 for n in ns:
                     assert weights[n] == ((1 - qmp) * qmp ** (n * wexp))._mpf_
 

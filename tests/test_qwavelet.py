@@ -71,6 +71,21 @@ class TestMothers:
                                   range(-6, 7))
         assert err < 1e-8
 
+    @pytest.mark.parametrize("mother,alpha,beta", [
+        (operator_mother, 1.0, 0.45),
+        (indicator_difference_mother, 1.0, 0.45),
+        (operator_mother, 0.3, 0.55)])
+    def test_admissibility_flat_under_grid_doubling(self, mother, alpha,
+                                                    beta):
+        # 1 + 0.45 and 0.3 + 0.55 are rounded in float64; an exponent
+        # formed from that sum left the mother's spectrum a residual of
+        # its zeroth moment, which q^{-2 beta s} blew up on the finer
+        # grid: C_psi read 11.96 and then 1.2e13 at v = (1, 0.45)
+        c = [mother(make_plan(build_grid(0.5, -20 * k, 40 * k),
+                              BesselParams(alpha, beta))).admissibility
+             for k in (1, 2)]
+        assert rel_err(c[1], c[0]) < 1e-12
+
     def test_zero_mother_rejected(self, plan00, grid00):
         with pytest.raises(ValueError, match="zero mother"):
             make_wavelet(GridFunction.zeros(grid00), plan00)

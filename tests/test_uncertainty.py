@@ -22,11 +22,11 @@ from qwave.qwavelet import (WaveletPlane, _scale_bounds,
 from qwave.uncertainty import (
     SLICE_NORM_FLOOR,
     WorkerError,
-    _position_moment,
     _slice_ratio,
     empirical_lower_constant,
     heisenberg_slice_minimum,
     parallel_map,
+    position_moment,
     probe_family,
     probe_reports,
     uncertainty_report,
@@ -187,7 +187,7 @@ class TestPlaneIntegral:
             assert plane.integral(term, d, transformed) == want
         assert finite.all() == (plan.grid.q == 0.5)
         assert uncertainty_report(plane).I_R == want[0]
-        assert _position_moment(plane) == want
+        assert position_moment(plane) == want
         rows = dict(zip(plane.spec.scale_indices,
                         scale_rows(plane.Ff, plane.spec)))
         norms = {m: plan.norm_sq(rows[m]) for m in want[1]}

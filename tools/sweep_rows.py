@@ -46,6 +46,9 @@ def main():
     from qwave.qgrid import BesselParams, build_grid
     from qwave.qtransform import TransformPlan, make_plan
     from stream_split import certified_line, spectrum_counter
+    # named _position_moment in trees before it became public
+    position_moment = getattr(uncertainty, "position_moment", None) \
+        or uncertainty._position_moment
 
     built = [0, 0, 0]  # rows, scale_rows calls, gate batches
     scale_rows = qwavelet.scale_rows
@@ -92,7 +95,7 @@ def main():
             report = uncertainty.uncertainty_report(plane)
             dt = time.perf_counter() - t0
             batches = built[2]
-            _, used = uncertainty._position_moment(plane)
+            _, used = position_moment(plane)
             ratios.append(report.ratio)
             records.append({"cell": [q, alpha, beta], "probe": i,
                             "I_R": repr(report.I_R), "used": sorted(used),

@@ -7,7 +7,6 @@ therefore independent of term order; results are bit-reproducible.
 """
 
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -38,14 +37,17 @@ class QGrid:
         self.q = float(q)
         self.n_low = int(n_low)
         self.n_high = int(n_high)
-        self.indices = np.arange(self.n_low, self.n_high + 1)
+        # the points fall from q^n_low to q^n_high, so the two ends are
+        # checked before a point array of any length is allocated
+        ends = np.array([self.n_low, self.n_high], dtype=float)
         with np.errstate(over="ignore"):
-            self.points = self.q ** self.indices.astype(float)
-        bad = np.flatnonzero(~np.isfinite(self.points) | (self.points == 0))
-        if len(bad):
-            raise ValueError(
-                f"grid point q^n = {self.points[bad[0]]:g} leaves float64 "
-                f"at n = {self.indices[bad[0]]} (q = {self.q})")
+            end_points = self.q ** ends
+        for n, x in zip((self.n_low, self.n_high), end_points):
+            if not (np.isfinite(x) and x != 0):
+                raise ValueError(f"grid point q^n = {x:g} leaves float64 "
+                                 f"at n = {n} (q = {self.q})")
+        self.indices = np.arange(self.n_low, self.n_high + 1)
+        self.points = self.q ** self.indices.astype(float)
 
     @property
     def size(self):
@@ -423,8 +425,11 @@ def read_function(path):
     must be `n,value`: an index that int() takes (`+3`, `-0`, spaces
     around it) and a value that float() takes. An index off the grid or
     listed twice is an error, and so is a value that is not finite.
-    Indices not listed are zero. The ValueError raised is that of the
-    file's first defect, in file order (_parse_rows)."""
+    Indices not listed are zero. The lines are read one at a time, and
+    the ValueError raised is that of the first line that fails, at its
+    first failing step: unpack, int, repeat, float, range (the value is
+    converted before its index is placed). Values that are not finite
+    are refused after the last line, by GridFunction."""
     desc = json.loads(_read_text(sidecar_path(path)))
     if not isinstance(desc, dict):
         raise ValueError("sidecar is not a JSON object")
@@ -440,7 +445,19 @@ def read_function(path):
     header, newline, body = _read_text(path).partition("\n")
     if header.strip() != "n,value":
         raise ValueError(f"unexpected header {header + newline!r} in {path}")
-    return GridFunction(grid, _parse_rows(body, grid))
+    vals = np.zeros(grid.size)
+    seen = set()
+    for line in body.split("\n"):
+        line = line.strip()
+        if not line:
+            continue
+        n_str, v_str = line.split(",")
+        n = int(n_str)
+        if n in seen:
+            raise ValueError(f"index {n} listed twice")
+        seen.add(n)
+        vals[grid.pos(n)] = float(v_str)
+    return GridFunction(grid, vals)
 
 
 def _read_text(path):
@@ -453,69 +470,3 @@ def _read_text(path):
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
-
-
-def _converted(convert, strings):
-    """convert of each string, up to the first that convert rejects
-    with ValueError: a list as long as the run of strings it takes."""
-    out = []
-    try:
-        out.extend(map(convert, strings))
-    except ValueError:
-        pass  # extend keeps the items it appended before the raise
-    return out
-
-
-def _parse_rows(body, grid):
-    """The values array, by grid position, of the CSV lines in body:
-    what a loop over the lines gives that strips each, skips it if
-    blank, unpacks `n, v = line.split(",")`, takes int(n), refuses an
-    n seen before, places it by grid.pos(n) and takes float(v), with
-    the error of the first line that fails, at its first failing step.
-
-    The lines are taken as a whole instead, one step after another, in
-    that order: the comma count of every line, int of every index, the
-    first repeat, the grid range, float of every value. Each step runs
-    over the lines that every step before it passed, and stops at its
-    first failing line. The lines that pass all five are the clean
-    prefix, so the line after it is the loop's failing line, and the
-    step that stopped there is its first failing step; running that
-    step again on that line raises the loop's own error. The comma,
-    repeat and range steps test all their lines at once (a count, a
-    set, min and max) and look for the failing line only when that
-    test fails."""
-    lines = list(filter(None, map(str.strip, body.split("\n"))))
-    commas = list(map(str.count, lines, itertools.repeat(",")))
-    paired = len(lines)
-    if commas.count(1) < paired:
-        paired = next(i for i, c in enumerate(commas) if c != 1)
-    fields = ",".join(lines[:paired]).split(",") if paired else []
-    n_strs, v_strs = fields[0::2], fields[1::2]
-    ns = _converted(int, n_strs)
-    fresh = len(ns)
-    if len(set(ns)) < fresh:
-        first = {}
-        fresh = next(i for i, n in enumerate(ns)
-                     if first.setdefault(n, i) != i)
-    inside = fresh
-    if fresh and not (grid.n_low <= min(ns[:fresh])
-                      and max(ns[:fresh]) <= grid.n_high):
-        inside = next(i for i, n in enumerate(ns)
-                      if not grid.n_low <= n <= grid.n_high)
-    values = _converted(float, v_strs[:inside])
-    clean = len(values)
-    # each test below holds for at most one step: the one that stopped
-    # at line `clean`, which raises its error again
-    if clean == paired < len(lines):
-        _, _ = lines[clean].split(",")
-    if clean == len(ns) < paired:
-        int(n_strs[clean])
-    if clean == fresh < len(ns):
-        raise ValueError(f"index {ns[clean]} listed twice")
-    if clean == inside < fresh:
-        grid.pos(ns[clean])
-    if clean < inside:
-        float(v_strs[clean])
-    vals = np.zeros(grid.size)
-    vals[np.array(ns, dtype=np.int64) - grid.n_low] = values
-    return vals

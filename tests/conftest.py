@@ -47,10 +47,13 @@ def eager_gated_scale_sum(contrib):
 
 
 def line_read_function(path):
-    """qgrid.read_function as it was written before it parsed in bulk:
-    the sidecar found by os.path.realpath, the CSV parsed one line at a
-    time. The reference whose values (bit for bit) or ValueError
-    message the library's reader must give on every input."""
+    """qgrid.read_function as it was first written. The reference whose
+    values (bit for bit) or ValueError message the library's reader
+    must give on every input. It parses the CSV with the library's own
+    line loop, and differs from the library in the rest: it finds the
+    sidecar by os.path.realpath, where the library walks only the CSV's
+    own links, and reads both files through text-mode opens, where the
+    library reads the bytes unbuffered and decodes them at once."""
     real = os.path.realpath(path)
     root, _ = os.path.splitext(real)
     if root + ".json" == real:

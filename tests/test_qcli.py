@@ -253,6 +253,18 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(recwarn) == 0
 
+    def test_sidecar_grid_of_a_trillion_points_exits_2(self, sidecar_csv,
+                                                        recwarn):
+        # 0.5^(10^12) underflows: the grid is refused on its end points,
+        # not after asking numpy for 8 TB of points
+        rc, out, err = fourier_on_sidecar(
+            sidecar_csv, {"q": 0.5, "n_low": 0, "n_high": 10 ** 12})
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"qwave: malformed input {sidecar_csv}")
+        assert "at n = 1000000000000 " in err
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("command", ["grid", "bessel"])
     def test_grid_off_float64_exits_1(self, capsys, recwarn, command):
         # q^-1100 overflows float64; the grid refuses it rather than
@@ -770,6 +782,14 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["checks"]]
         assert names[0] == "jackson-power-rule"
         assert names[-1] == "uncertainty-constant"
+
+    def test_jackson_power_rule_at_q_01(self):
+        # the check once built its own grid [0, 350], and 0.1^324
+        # underflows; the Jackson integral over [0, 1] needs only q
+        report = qcli.run_cell_checks(0.1, 0.5, 0.25, -12, 24)
+        assert len(report["checks"]) == 9
+        assert report["checks"][0]["name"] == "jackson-power-rule"
+        assert report["checks"][0]["passed"]
 
     def test_cell_builds_one_kernel_table(self, monkeypatch):
         # the x4 plan comes first, so its table covers the x1 and x2 plans

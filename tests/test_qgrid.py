@@ -6,12 +6,13 @@ or brute-force reference sums, then the library value is compared."""
 import math
 import os
 import stat
+import tracemalloc
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qwave.qgrid import (
     BesselParams,
@@ -63,14 +64,23 @@ class TestGrid:
         (-1100, -1097, -1100, "inf"),
         (-1024, -1021, -1024, "inf"),
         (1072, 1075, 1075, "0"),
-    ], ids=("overflow", "one-point-overflows", "underflow"))
+        (0, 10 ** 6, 10 ** 6, "0"),
+    ], ids=("overflow", "one-point-overflows", "underflow", "million-points"))
     def test_points_off_float64_rejected(self, recwarn, n_low, n_high, bad,
                                          value):
         # 0.5^-1024 overflows and 0.5^1075 underflows to 0, which the grid
-        # promises never to hold; 0.5^1074 is the smallest subnormal
-        with pytest.raises(ValueError,
-                           match=rf"q\^n = {value} .* at n = {bad} "):
-            build_grid(0.5, n_low, n_high)
+        # promises never to hold; 0.5^1074 is the smallest subnormal. The
+        # grid is refused on its end points, before its index and point
+        # arrays are built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match=rf"q\^n = {value} .* at n = {bad} "):
+                build_grid(0.5, n_low, n_high)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
         assert len(recwarn) == 0
 
     def test_subnormal_points_allowed(self):
@@ -602,6 +612,9 @@ _DEFECTS = {
     "missing comma": ["12", "1 2", "abc"],
     "blank": ["", "   ", "\t", " \t "],
     "off grid": ["-4,1", "6,1", "100000000000000000000000,1", "-9,0"],
+    # two defects on one line: the value is converted before the index
+    # is placed, so the bad value's error comes first
+    "off grid, bad value": ["-4,abc", "6,", "9,1..5"],
     "not finite": ["0,nan", "1,-inf", "2,1e999", "3,NaN"],
     "signed zero": ["-0,2.5", "+0,-0", "0,-0.0"],
 }
@@ -661,6 +674,8 @@ def io_csv(tmp_path_factory):
 @settings(derandomize=True, max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=csv_texts())
+@example(text="n,value\n0,1.5\n99,abc\n")
+@example(text="n,value\r\n-4,abc\r\n")
 def test_reader_matches_line_reader(io_csv, text):
     io_csv.write_text(text, encoding="utf-8", newline="")
     want = read_outcome(line_read_function, str(io_csv))

@@ -267,7 +267,8 @@ def per_term_spectrum(f, plan, s_lo, s_hi):
     """The entrywise spectrum as first written: one mpmath power and two
     roundings per (n, s) pair, summed in order. The library hoists the
     powers and sums exact products; rounded to float64 the two must not
-    differ."""
+    differ. Its exponents are formed from mpf(alpha) and mpf(beta), as
+    the library's are, not from float64 sums."""
     grid, v = plan.grid, plan.v
     if isinstance(f, GridFunction):
         support = {int(grid.indices[i]): f.values[i]
@@ -283,20 +284,23 @@ def per_term_spectrum(f, plan, s_lo, s_hi):
     with mpmath.mp.workdps(dps):
         qmp = mpmath.mpf(grid.q)
         cmp_ = mpmath.mpf(plan.c_qv)
-        wexp = 2.0 * v.abs_v + 2.0
+        alpha, beta = mpmath.mpf(v.alpha), mpmath.mpf(v.beta)
+        wexp = 2 * (alpha + beta) + 2
         weighted = {n: (1 - qmp) * qmp ** (n * wexp) * mpmath.mpf(val)
                     for n, val in support.items()}
         for s in range(s_lo, s_hi + 1):
             acc = mpmath.mpf(0)
             for n, wval in weighted.items():
-                acc += wval * (qmp ** (-2.0 * v.beta * (n + s + v.beta))) \
+                acc += wval * (qmp ** (-2 * beta * (n + s + beta))) \
                     * tab[n + s]
             out[s] = float(cmp_ * acc)
     return out
 
 
+# (1, 0.45): alpha + beta is not a double, so only exact exponents agree
 _ORACLE_CELLS = [(q, alpha, beta) for q in (0.3, 0.7)
-                 for alpha, beta in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))]
+                 for alpha, beta in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25),
+                                     (1.0, 0.45))]
 
 
 @pytest.fixture(scope="module", params=_ORACLE_CELLS,
@@ -342,9 +346,7 @@ def cold_spectrum(f, plan, s_lo=None, s_hi=None):
 class TestSpectrumOperandCache:
     """spectrum keeps the Jackson weights and one kappa row per working
     precision with the plan; a warm plan must give exactly what a cold
-    computation gives. The per-term oracle holds for beta = 0.25 only:
-    for beta = 0.3, which is not exact in a few binary digits, it rounds
-    kappa differently."""
+    computation gives, and what the per-term oracle gives."""
 
     @pytest.fixture(params=[(0.75, 0.25), (0.7, 0.3)], ids=("b0.25", "b0.3"))
     def plan(self, request):
@@ -354,8 +356,7 @@ class TestSpectrumOperandCache:
 
     def oracles(self, f, plan, s_lo, s_hi):
         yield cold_spectrum(f, plan, s_lo, s_hi)
-        if plan.v.beta == 0.25:
-            yield per_term_spectrum(f, plan, s_lo, s_hi)
+        yield per_term_spectrum(f, plan, s_lo, s_hi)
 
     def inputs(self, plan):
         grid, v = plan.grid, plan.v
@@ -471,7 +472,7 @@ def global_transform(values, plan, s_values, dps):
         for t in range(t_lo, t_hi + 1):
             kappa[t] = p * tab[t]
             p *= step
-        wexp = 2.0 * v.abs_v + 2.0
+        wexp = 2 * (mp.mpf(v.alpha) + b) + 2
         weighted = {n: (1 - qmp) * qmp ** (n * wexp) * mp.make_mpf(val)
                     for n, val in values.items()}
         c = mp.mpf(plan.c_qv)

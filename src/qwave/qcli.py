@@ -29,8 +29,8 @@ from qwave.qwavelet import (WaveletPlane, cwt, factorization_error,
                             wavelet_plancherel_ratio)
 from qwave.uncertainty import (WorkerError, empirical_lower_constant,
                                heisenberg_slice_minimum, parallel_map,
-                               position_moment, probe_family, probe_reports,
-                               uncertainty_report, weighted_energy_ratio)
+                               probe_family, probe_reports, uncertainty_report,
+                               weighted_energy_ratio)
 
 ACCEPTANCE_Q = (0.3, 0.5, 0.7)
 ACCEPTANCE_V = ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))
@@ -344,10 +344,9 @@ def _sweep_cell(cell):
 
 class _Cell:
     """Plans, wavelets and probe families for one (q, v) cell, keyed by
-    grid factor 4, 2, 1, the probe planes at factors 1 and 2, and the
-    position moment I_R of each factor-1 plane (with its scales), which
-    the heisenberg and uncertainty checks both read: all built once,
-    when the cell is constructed."""
+    grid factor 4, 2, 1, and the probe planes at factors 1 and 2: all
+    built once, when the cell is constructed. A plane keeps its rows and
+    its position moment, so the checks that read a plane share them."""
 
     def __init__(self, q, alpha, beta, n_low, n_high):
         self.q = q
@@ -360,7 +359,6 @@ class _Cell:
         self.probes = {k: probe_family(p) for k, p in self.plans.items()}
         self.planes = {k: [WaveletPlane(f, self.specs[k])
                            for f in self.probes[k]] for k in (1, 2)}
-        self.moments = [position_moment(p) for p in self.planes[1]]
 
 
 def _check_jackson_power(cell):
@@ -452,16 +450,13 @@ def _check_plancherel(cell):
 
 
 def _check_heisenberg(cell):
-    minima = [heisenberg_slice_minimum(p, m)
-              for p, m in zip(cell.planes[1], cell.moments)]
-    worst = min(minima)
+    worst = min(heisenberg_slice_minimum(p) for p in cell.planes[1])
     bound = 0.5 - 1e-3
     return worst >= bound, {"min_slice": worst, "bound": bound}
 
 
 def _check_uncertainty(cell):
-    reports = [uncertainty_report(p, m)
-               for p, m in zip(cell.planes[1], cell.moments)]
+    reports = [uncertainty_report(p) for p in cell.planes[1]]
     K = min(r.ratio for r in reports)
     fine = min(uncertainty_report(p).ratio for p in cell.planes[2])
     drift = abs(fine / K - 1.0)

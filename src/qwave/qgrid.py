@@ -46,8 +46,13 @@ class QGrid:
             if not (np.isfinite(x) and x != 0):
                 raise ValueError(f"grid point q^n = {x:g} leaves float64 "
                                  f"at n = {n} (q = {self.q})")
-        self.indices = np.arange(self.n_low, self.n_high + 1)
-        self.points = self.q ** self.indices.astype(float)
+        try:
+            self.indices = np.arange(self.n_low, self.n_high + 1)
+            self.points = self.q ** self.indices.astype(float)
+        except MemoryError:
+            raise ValueError(
+                f"grid [{self.n_low}, {self.n_high}] of {self.size} points "
+                f"is too large to allocate (q = {self.q})") from None
 
     @property
     def size(self):
@@ -76,7 +81,8 @@ def build_grid(q, n_low, n_high):
 
 
 class BesselParams:
-    """Parameter pair v = (alpha, beta) with |v| = alpha + beta > -1.
+    """Parameter pair v = (alpha, beta) of finite reals with
+    |v| = alpha + beta finite and > -1.
 
     abs_v drives every weight exponent; nu = alpha - beta is the order of
     the underlying one-parameter kernel.
@@ -87,6 +93,10 @@ class BesselParams:
     def __init__(self, alpha, beta):
         alpha = float(alpha)
         beta = float(beta)
+        for name, val in (("alpha", alpha), ("beta", beta),
+                          ("alpha + beta", alpha + beta)):
+            if not math.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
         if alpha + beta <= -1.0:
             raise ValueError(f"need alpha + beta > -1, got {alpha + beta}")
         self.alpha = alpha

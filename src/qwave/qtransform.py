@@ -260,7 +260,7 @@ class TransformPlan:
         return resid
 
 
-def _default_calibration_probes(grid):
+def _calibration_probes(grid):
     """Six interior-supported probes: indicators around the grid center
     plus two short combinations. Support stays >= 10 indices from both
     truncation ends when the grid allows it, so involution error reflects
@@ -278,9 +278,9 @@ def _default_calibration_probes(grid):
     return probes
 
 
-def make_plan(grid, v, probes=None):
-    """Build and calibrate a TransformPlan. probes defaults to a small
-    interior family; pass your own to recheck probe-independence.
+def make_plan(grid, v):
+    """Build and calibrate a TransformPlan on a small interior probe
+    family (_calibration_probes).
 
     The double-transform ratio rho is measured on the new plan at c = 1,
     then c = 1/sqrt(rho) is set on that same plan. A kernel order
@@ -288,7 +288,7 @@ def make_plan(grid, v, probes=None):
     if not v.nu > -1.0:
         raise OrderError(f"kernel order nu = alpha - beta = {v.nu!r} must "
                          "satisfy nu > -1 for a transform plan")
-    probes = probes or _default_calibration_probes(grid)
+    probes = _calibration_probes(grid)
     plan = TransformPlan(grid, v)
     rhos = []
     for f in probes:

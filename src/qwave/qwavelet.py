@@ -183,8 +183,8 @@ def daughter_wavelet(spec, m, n_b):
 
 def scale_rows(Ff, spec, scale_indices=None):
     """Coefficient rows C(q^m, .) over the full position grid via the
-    spectral route from the input's spectrum array Ff, for a run of
-    consecutive scale indices (every admissible scale by default), as
+    spectral route from the input's spectrum array Ff, for any admissible
+    scale indices in any order (every admissible scale by default), as
     one block: row i is the scale scale_indices[i].
 
     Row m is sqrt(q^m) c M (w (spec.windows row of m) Ff), for the
@@ -200,18 +200,14 @@ def scale_rows(Ff, spec, scale_indices=None):
     BLAS's GEMV once per stacked row, the call np.dot(M, x_i) makes."""
     plan = spec.plan
     if scale_indices is None:
-        block = slice(0, len(spec.scale_indices))
+        block = slice(None)
     else:
-        ms = list(scale_indices)
-        if not ms or ms != list(range(ms[0], ms[-1] + 1)):
-            raise ValueError("scale indices must be a run of consecutive "
-                             f"integers, got {ms}")
-        start = ms[0] - spec.scale_indices[0]
-        if start < 0 or ms[-1] > spec.scale_indices[-1]:
-            bad = ms[0] if start < 0 else ms[-1]
+        first, last = spec.scale_indices[0], spec.scale_indices[-1]
+        off = [m for m in scale_indices if m not in range(first, last + 1)]
+        if off:
             raise ValueError(
-                f"scale index {bad} pushes the mother off the grid")
-        block = slice(start, start + len(ms))
+                f"scale index {off[0]} pushes the mother off the grid")
+        block = np.array(scale_indices, dtype=np.intp) - first
     # 2-D operands keep a one-row block off numpy's broadcasting path
     x = spec.windows[block] * Ff[None]
     x *= plan.weights[None]
@@ -223,39 +219,55 @@ def scale_rows(Ff, spec, scale_indices=None):
 
 class WaveletPlane:
     """The coefficient plane C(a, b) of one input f under one wavelet:
-    f's spectrum array Ff, computed when the plane is made, and the rows
-    C(q^m, .), each built through scale_rows when first asked for (rows,
-    row) and kept. Every plane integral reads it through its integral
-    method, which builds only the rows its gated sum cannot settle
-    without."""
+    f's spectrum array Ff, computed when the plane is made, the rows
+    C(q^m, .), each built through scale_rows when first asked for and
+    kept, and the position moment, integrated when first asked for and
+    kept. Every plane integral reads it through its integral method,
+    which builds only the rows its gated sum cannot settle without."""
 
-    __slots__ = ("f", "spec", "Ff", "_rows")
+    __slots__ = ("f", "spec", "Ff", "_rows", "_moment")
 
     def __init__(self, f, spec):
         self.f = f
         self.spec = spec
         self.Ff = spectrum_array(f, spec.plan)
         self._rows = {}
+        self._moment = None
 
     def rows(self, ms):
         """The coefficient rows C(q^m, .) at the scales ms, as a
         (len(ms), N) block in that order. The scales not built yet are
-        built by runs of consecutive scales, one scale_rows call per run
-        of at most _BLOCK rows, and kept."""
+        built in ascending order, _BLOCK per scale_rows call, and kept."""
         todo = sorted(set(ms).difference(self._rows))
-        start = 0
-        for i in range(1, len(todo) + 1):
-            if (i == len(todo) or todo[i] != todo[i - 1] + 1
-                    or i - start == _BLOCK):
-                run = todo[start:i]
-                self._rows.update(zip(run, scale_rows(self.Ff, self.spec,
-                                                      run)))
-                start = i
+        for i in range(0, len(todo), _BLOCK):
+            block = todo[i:i + _BLOCK]
+            self._rows.update(zip(block, scale_rows(self.Ff, self.spec,
+                                                    block)))
         return np.stack([self._rows[m] for m in ms])
 
-    def row(self, m):
-        """The coefficient row C(q^m, .) over the position grid."""
-        return self.rows((m,))[0]
+    def position_moment(self):
+        """I_R = plane.integral of b^2 |C|^2 w(b), and the frozenset of
+        scales the gated sum used, integrated on the first call and kept.
+
+        On a deep grid b^2 w(b) itself can overflow float64 (q = 0.3 on
+        [-160, 320]). Where it does, the term is formed as
+        (b sqrt(w(b)) C)^2, which stays finite. Elsewhere it is
+        (b^2 w(b)) C C, whose rounding the frozen verify numbers were
+        computed with. The position factor d the integral's bound reads
+        is sqrt(b^2 w(b)) or b sqrt(w(b)) to match."""
+        if self._moment is None:
+            plan = self.spec.plan
+            points, weights = plan.grid.points, plan.weights
+            with np.errstate(over="ignore", invalid="ignore"):
+                x2w = points ** 2 * weights
+                finite = np.isfinite(x2w)
+                xsw = points * np.sqrt(weights)
+                total, used = self.integral(
+                    lambda rows: np.where(finite, x2w * rows * rows,
+                                          (xsw * rows) ** 2),
+                    np.where(finite, np.sqrt(x2w), xsw))
+            self._moment = total, frozenset(used)
+        return self._moment
 
     def integral(self, term, d, transformed=False):
         """Jackson sum of term over the plane against d_q b d_q a / a^2:
@@ -294,8 +306,8 @@ class WaveletPlane:
 
 def cwt(f, spec, scale_indices=None):
     """Continuous wavelet transform as a Scaleogram over the full position
-    grid, for a run of consecutive scale indices; scale_indices defaults
-    to every admissible scale. The coefficients are scale_rows' block."""
+    grid, for any admissible scale indices; scale_indices defaults to
+    every admissible scale. The coefficients are scale_rows' block."""
     grid = spec.plan.grid
     rows = scale_rows(spectrum_array(f, spec.plan), spec, scale_indices)
     if scale_indices is None:

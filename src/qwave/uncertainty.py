@@ -130,37 +130,15 @@ def probe_family(plan):
     return fam
 
 
-def position_moment(plane):
-    """I_R = plane.integral of b^2 |C|^2 w(b), and the set of scales the
-    gated sum used.
-
-    On a deep grid b^2 w(b) itself can overflow float64 (q = 0.3 on
-    [-160, 320]). Where it does, the term is formed as (b sqrt(w(b)) C)^2,
-    which stays finite. Elsewhere it is (b^2 w(b)) C C, whose rounding
-    the frozen verify numbers were computed with. The position factor d
-    the integral's bound reads is sqrt(b^2 w(b)) or b sqrt(w(b)) to
-    match."""
-    points, weights = plane.spec.plan.grid.points, plane.spec.plan.weights
-    with np.errstate(over="ignore", invalid="ignore"):
-        x2w = points ** 2 * weights
-        finite = np.isfinite(x2w)
-        xsw = points * np.sqrt(weights)
-        return plane.integral(
-            lambda rows: np.where(finite, x2w * rows * rows,
-                                  (xsw * rows) ** 2),
-            np.where(finite, np.sqrt(x2w), xsw))
-
-
-def uncertainty_report(plane, moment=None):
-    """I_R (the plane integral of b^2 |C|^2), I_S = ||xi Ff||^2 (from the
+def uncertainty_report(plane):
+    """I_R (the plane's position_moment), I_S = ||xi Ff||^2 (from the
     plane's high-precision spectrum Ff), and their Heisenberg-type ratio
-    sqrt(I_R I_S) / ||f||^2 for a WaveletPlane. moment is the plane's
-    position_moment, when the caller has it already."""
+    sqrt(I_R I_S) / ||f||^2 for a WaveletPlane."""
     plan = plane.spec.plan
     nf = plan.norm_sq(plane.f.values)
     if nf == 0.0:
         raise ValueError("uncertainty ratio undefined for the zero function")
-    I_R, _ = position_moment(plane) if moment is None else moment
+    I_R, _ = plane.position_moment()
     I_S = plan.norm_sq(plan.grid.points * plane.Ff)
     return UncertaintyReport(I_R=I_R, I_S=I_S, norm_sq=nf,
                              ratio=math.sqrt(I_R * I_S) / nf)
@@ -174,20 +152,19 @@ def _slice_ratio(row, n2, plan):
             * math.sqrt(plan.norm_sq(points * plan.fourier_values(row))) / n2)
 
 
-def heisenberg_slice_minimum(plane, moment=None):
+def heisenberg_slice_minimum(plane):
     """Minimum slice ratio over the rows of a WaveletPlane at the scales
-    that the plane integral for I_R uses, skipping slices at the noise
-    floor. moment is the plane's position_moment, when the caller has
-    it already."""
+    that its position moment I_R uses, read as one block, skipping
+    slices at the noise floor."""
     plan = plane.spec.plan
-    _, used = position_moment(plane) if moment is None else moment
-    norms = {m: plan.norm_sq(plane.row(m)) for m in used}
-    top = max(norms.values())
+    _, used = plane.position_moment()
+    rows = plane.rows(sorted(used))
+    norms = [plan.norm_sq(row) for row in rows]
+    top = max(norms)
     best = math.inf
-    for m in sorted(used):
-        if norms[m] <= SLICE_NORM_FLOOR * top:
-            continue
-        best = min(best, _slice_ratio(plane.row(m), norms[m], plan))
+    for row, n2 in zip(rows, norms):
+        if n2 > SLICE_NORM_FLOOR * top:
+            best = min(best, _slice_ratio(row, n2, plan))
     if not math.isfinite(best):
         raise ValueError("no coefficient slice rises above the noise floor")
     return best
@@ -199,7 +176,13 @@ def weighted_energy_ratio(plane):
     against the plain d_q b measure and d_q a / a^2, divide by
     ||xi Ff||^2 under the same plain measure. Scale-invariant in the
     exact identity; it returns the wavelet's admissibility constant. The
-    numerator is plane.integral, of a term taken through the transform."""
+    numerator is plane.integral, of a term taken through the transform.
+
+    The identity needs the plain-measure moment ||xi Ff||^2 to be
+    finite: so beta < 3/4, or f mean-free. For f with zeroth moment
+    m0 != 0, Ff(q^s) ~ c m0 q^{-2 beta s} as s -> inf, and the plain
+    measure's terms go like q^{(3 - 4 beta) s}; on a truncated grid with
+    beta >= 3/4 the ratio tends to a constant that is not C_psi."""
     plan = plane.spec.plan
     points = plan.grid.points
     wb_plain = (1.0 - plan.grid.q) * points

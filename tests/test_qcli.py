@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwave import qbessel, qcli, qtransform, qwavelet, uncertainty
+from qwave import qbessel, qcli, qgrid, qtransform, qwavelet, uncertainty
 from qwave.qcli import fmt17, main
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          read_function, write_function)
@@ -264,6 +264,23 @@ class TestExitCodes:
         assert "at n = 1000000000000 " in err
         assert err.count("\n") == 1
         assert len(recwarn) == 0
+
+    def test_sidecar_grid_too_large_to_allocate_exits_2(self, sidecar_csv,
+                                                        monkeypatch):
+        # q = 1 - 1e-13 on [0, 10^12] passes the end-point check (its last
+        # point is e^-0.1) but asks for terabytes; numpy's MemoryError is
+        # stood in for, not provoked
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(qgrid.np, "arange", refuse)
+        rc, out, err = fourier_on_sidecar(
+            sidecar_csv, {"q": 1.0 - 1e-13, "n_low": 0, "n_high": 10 ** 12})
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"qwave: malformed input {sidecar_csv}: "
+                              "grid [0, 1000000000000] of 1000000000001 "
+                              "points is too large to allocate")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["grid", "bessel"])
     def test_grid_off_float64_exits_1(self, capsys, recwarn, command):

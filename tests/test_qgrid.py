@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from qwave import qgrid
 from qwave.qgrid import (
     BesselParams,
     GridFunction,
@@ -83,6 +84,18 @@ class TestGrid:
         assert peak < 2 ** 20
         assert len(recwarn) == 0
 
+    def test_grid_too_large_to_allocate_rejected(self, monkeypatch):
+        # q = 1 - 1e-13 on [0, 10^12] passes the end-point check (its
+        # last point is e^-0.1) but asks for terabytes; numpy's
+        # MemoryError is stood in for, not provoked
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(qgrid.np, "arange", refuse)
+        with pytest.raises(ValueError, match=r"^grid \[0, 1000000000000\] "
+                           r"of 1000000000001 points is too large"):
+            build_grid(1.0 - 1e-13, 0, 10 ** 12)
+
     def test_subnormal_points_allowed(self):
         g = build_grid(0.5, 1072, 1074)
         assert g.points[-1] == 2.0 ** -1074
@@ -118,6 +131,22 @@ class TestGridFunction:
         g = build_grid(0.5, 0, 4)
         with pytest.raises(ValueError, match="finite"):
             GridFunction(g, [1.0, math.nan, 0.0, 0.0, 0.0])
+
+
+class TestBesselParams:
+    @pytest.mark.parametrize("alpha,beta,name", [
+        (math.nan, 0.0, "alpha"), (0.0, math.nan, "beta"),
+        (math.inf, 0.0, "alpha"), (0.0, math.inf, "beta"),
+        (-math.inf, math.inf, "alpha"), (1e308, 1e308, "alpha + beta"),
+    ], ids=("alpha-nan", "beta-nan", "alpha-inf", "beta-inf",
+            "opposite-infs", "sum-overflows"))
+    def test_non_finite_parameter_rejected(self, recwarn, alpha, beta, name):
+        # each was accepted once, and gave a misleading error later (or
+        # a finite Bessel value for alpha = inf)
+        with pytest.raises(ValueError) as exc:
+            BesselParams(alpha, beta)
+        assert str(exc.value).startswith(f"{name} must be finite, got ")
+        assert len(recwarn) == 0
 
 
 class TestQPochhammer:

@@ -34,19 +34,39 @@ class TestCalibration:
         c = make_plan(build_grid(q, -20, 40), BesselParams(0.0, 0.0)).c_qv
         assert rel_err(c, 1.0 / (1.0 - q)) < 1e-9
 
+    @pytest.mark.parametrize("q,alpha,beta", [
+        (q, a, b) for q in (0.3, 0.5, 0.7)
+        for a, b in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))])
+    def test_constant_matches_its_closed_form(self, q, alpha, beta):
+        # c = q^{2 beta^2} (Q^{nu+1}; Q)_inf / ((1-q) (Q; Q)_inf), with
+        # Q = q^2 and nu = alpha - beta, at 40 digits: the calibrated
+        # constant on the x1 and x2 grids is within 2^-49 of it (at most
+        # 0.71 of that, at q = 0.7, v = (0, 0) on x1, from truncation)
+        with mpmath.workdps(40):
+            qm = mpmath.mpf(q)
+            Q = qm ** 2
+            nu = mpmath.mpf(alpha) - mpmath.mpf(beta)
+            want = (qm ** (2 * mpmath.mpf(beta) ** 2)
+                    * mpmath.qp(Q ** (nu + 1), Q)
+                    / ((1 - qm) * mpmath.qp(Q, Q)))
+            for k in (1, 2):
+                c = make_plan(build_grid(q, -20 * k, 40 * k),
+                              BesselParams(alpha, beta)).c_qv
+                assert abs(c / want - 1) < mpmath.mpf(2) ** -49, k
+
     def test_exact_at_half(self, plan00):
         assert plan00.c_qv == pytest.approx(2.0, rel=1e-12)
         assert plan00.calibration_residual < 1e-6
 
     def test_probe_independent(self, grid00, plan00):
-        # a different probe family must land on the same constant
+        # the constant calibrated on the plan's own probes inverts the
+        # double transform on a different probe family too
         mid = 12
         probes = [GridFunction.from_pairs(grid00, [(mid + k, 1.0)])
                   for k in range(-2, 2)]
         probes.append(GridFunction.from_pairs(
             grid00, [(mid, 1.0), (mid + 3, -0.5)]))
-        alt = make_plan(grid00, BesselParams(0.0, 0.0), probes=probes)
-        assert rel_err(alt.c_qv, plan00.c_qv) < 1e-9
+        assert plan00.involution_residual(probes) < 1e-9
 
     def test_one_plan_per_call(self, grid00, monkeypatch):
         # c is calibrated on the plan it is measured on, not on a copy

@@ -161,8 +161,8 @@ class TestTransformRoutes:
 
 class TestScaleRowBlock:
     """cwt's coefficients are the block that scale_rows builds over every
-    scale. Each of its rows must equal the one-row block that plane.row
-    builds, and the row formula the block replaced,
+    scale. Each of its rows must equal the one-row block that
+    plane.rows([m]) builds, and the row formula the block replaced,
     sqrt(q^m) * plan.fourier_values(profile window * Ff), bit for bit:
     on q = 0.5, v = (0, 0) at N = 61, 121, 241 and 481, for the mean-free
     probe, whose deep spectrum holds subnormals."""
@@ -189,7 +189,7 @@ class TestScaleRowBlock:
         assert len(blocks) == 1 and coeffs is blocks[0]
         assert coeffs.shape == (len(spec.scale_indices), spec.plan.grid.size)
         for row, m in zip(coeffs, spec.scale_indices):
-            assert row.tobytes() == plane.row(m).tobytes()
+            assert row.tobytes() == plane.rows([m])[0].tobytes()
 
     def test_rows_equal_the_row_formula(self, plane):
         spec = plane.spec
@@ -198,22 +198,27 @@ class TestScaleRowBlock:
         for i, m in enumerate(spec.scale_indices):
             want = math.sqrt(plan.grid.q ** float(m)) * plan.fourier_values(
                 spec.profile[i:i + n] * plane.Ff)
-            assert plane.row(m).tobytes() == want.tobytes()
+            assert plane.rows([m])[0].tobytes() == want.tobytes()
 
     def test_sub_block_equals_its_rows(self, plane):
         spec = plane.spec
         ms = spec.scale_indices[3:9]
         block = scale_rows(plane.Ff, spec, range(ms[0], ms[-1] + 1))
         assert block.tobytes() == np.vstack(
-            [plane.row(m) for m in ms]).tobytes()
+            [plane.rows([m])[0] for m in ms]).tobytes()
 
     @pytest.mark.parametrize("pick", [[0, 2], [1, 0], []],
                              ids=("gap", "descending", "empty"))
-    def test_scales_must_be_consecutive(self, spec00, pick):
+    def test_scales_in_any_order(self, spec00, pick):
+        # any admissible scales, in the order asked for, each row with
+        # the bits of its one-row block
         f = GridFunction.from_pairs(spec00.plan.grid, [(1, 1.0)])
-        ms = [spec00.scale_indices[i] for i in pick]
-        with pytest.raises(ValueError, match="consecutive"):
-            scale_rows(WaveletPlane(f, spec00).Ff, spec00, ms)
+        Ff = WaveletPlane(f, spec00).Ff
+        ms = [spec00.scale_indices[3 * i] for i in pick]
+        block = scale_rows(Ff, spec00, ms)
+        assert block.shape == (len(ms), spec00.plan.grid.size)
+        for row, m in zip(block, ms):
+            assert row.tobytes() == scale_rows(Ff, spec00, [m])[0].tobytes()
 
 
 @pytest.mark.parametrize("q,alpha,beta", [

@@ -21,3 +21,17 @@ def test_stream_split_runs_one_pass():
         capture_output=True, text=True, timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert f"digest {STREAM_DIGEST}" in done.stdout.splitlines()
+
+
+def test_sweep_rows_runs():
+    # the 81 sweep probes build 7481 rows and sum 7128: a change to the
+    # gate or to the plane's rows moves these counts
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep_rows.py")],
+        capture_output=True, text=True, timeout=300, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    totals = [line for line in done.stdout.splitlines()
+              if line.startswith("rows built: ")]
+    assert len(totals) == 1
+    assert totals[0].startswith("rows built: 7481 of 38637 ")
+    assert totals[0].endswith("rows summed: 7128")

@@ -26,7 +26,6 @@ from qwave.uncertainty import (
     empirical_lower_constant,
     heisenberg_slice_minimum,
     parallel_map,
-    position_moment,
     probe_family,
     probe_reports,
     uncertainty_report,
@@ -84,6 +83,24 @@ class TestUncertaintyReport:
                   for p in probes]
         assert empirical_lower_constant(probes, spec00) == min(ratios)
 
+    def test_position_moment_integrated_once(self, monkeypatch, spec00):
+        # the plane keeps I_R and its scales: the report and the slice
+        # minimum read the one integral
+        plane = WaveletPlane(probe_family(spec00.plan)[-1], spec00)
+        calls = []
+        integral = WaveletPlane.integral
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return integral(self, *args, **kwargs)
+
+        monkeypatch.setattr(WaveletPlane, "integral", counted)
+        moment = plane.position_moment()
+        assert uncertainty_report(plane).I_R == moment[0]
+        heisenberg_slice_minimum(plane)
+        assert plane.position_moment() is moment
+        assert len(calls) == 1
+
     def test_empty_probe_list_rejected(self, spec00):
         with pytest.raises(ValueError, match="at least one probe"):
             empirical_lower_constant([], spec00)
@@ -125,7 +142,9 @@ def contributions(plane, term):
 
 
 def integral_args(monkeypatch, plane, caller):
-    """The (term, d, transformed) that caller(plane) hands plane.integral."""
+    """The (term, d, transformed) that caller hands plane.integral, on a
+    fresh copy of plane: the plane keeps its position moment, so a second
+    caller on the same plane would not integrate it again."""
     seen = []
     integral = WaveletPlane.integral
 
@@ -135,7 +154,7 @@ def integral_args(monkeypatch, plane, caller):
 
     with monkeypatch.context() as patch:
         patch.setattr(WaveletPlane, "integral", spy)
-        caller(plane)
+        caller(WaveletPlane(plane.f, plane.spec))
     return seen[0]
 
 
@@ -187,7 +206,7 @@ class TestPlaneIntegral:
             assert plane.integral(term, d, transformed) == want
         assert finite.all() == (plan.grid.q == 0.5)
         assert uncertainty_report(plane).I_R == want[0]
-        assert position_moment(plane) == want
+        assert plane.position_moment() == want
         rows = dict(zip(plane.spec.scale_indices,
                         scale_rows(plane.Ff, plane.spec)))
         norms = {m: plan.norm_sq(rows[m]) for m in want[1]}
@@ -213,10 +232,10 @@ class TestPlaneIntegral:
                                         "weighted"])
     def test_rows_built_once_by_the_run(self, plane, monkeypatch, caller):
         # the gate asks for the top scale, then for one batch, and the
-        # plane builds each run of them with one scale_rows call: no row
-        # twice, every row summed among those built, and three calls on
-        # these planes (the top, the run below it and the run above it),
-        # where one call per row would make 15 to 26
+        # plane builds the batch in ascending order, 64 rows per
+        # scale_rows call: no row twice, every row summed among those
+        # built, and at most three calls on these planes, where one call
+        # per row would make 15 to 26
         term, d, transformed = integral_args(monkeypatch, plane,
                                              CALLERS[caller])
         calls = []
@@ -324,7 +343,7 @@ class TestSliceRatios:
     def test_slice_value_matches_by_hand(self, plan00, spec00):
         f = probe_family(plan00)[1]
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
-        row = WaveletPlane(f, spec00).row(mid)
+        row = WaveletPlane(f, spec00).rows([mid])[0]
         pts = plan00.grid.points
         n2 = plan00.norm_sq(row)
         ref = (math.sqrt(plan00.norm_sq(pts * row))
@@ -348,7 +367,7 @@ class TestSliceRatios:
         plane = WaveletPlane(f, spec00)
         msl = heisenberg_slice_minimum(plane)
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
-        row = plane.row(mid)
+        row = plane.rows([mid])[0]
         assert msl <= _slice_ratio(row, plan00.norm_sq(row), plan00) + 1e-12
 
 

@@ -46,9 +46,15 @@ def main():
     from qwave.qgrid import BesselParams, build_grid
     from qwave.qtransform import TransformPlan, make_plan
     from stream_split import certified_line, spectrum_counter
-    # named _position_moment in trees before it became public
-    position_moment = getattr(uncertainty, "position_moment", None) \
-        or uncertainty._position_moment
+
+    def position_moment(plane):
+        """I_R and its scales, which the plane keeps; trees before that
+        integrate them again in uncertainty.position_moment (named
+        _position_moment before it became public)."""
+        if hasattr(plane, "position_moment"):
+            return plane.position_moment()
+        return (getattr(uncertainty, "position_moment", None)
+                or uncertainty._position_moment)(plane)
 
     built = [0, 0, 0]  # rows, scale_rows calls, gate batches
     scale_rows = qwavelet.scale_rows

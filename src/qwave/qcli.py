@@ -106,13 +106,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.q < 1.0:
             raise UsageError(f"q must lie in (0,1), got {fmt17(self.q)}")
-        for name, val in (("alpha", self.alpha), ("beta", self.beta),
-                          ("alpha + beta", self.alpha + self.beta)):
-            if not math.isfinite(val):
-                raise UsageError(f"{name} must be finite, got {fmt17(val)}")
-        if not self.alpha + self.beta > -1.0:
-            raise UsageError(
-                f"alpha + beta must exceed -1, got {fmt17(self.alpha + self.beta)}")
+        try:
+            BesselParams(self.alpha, self.beta)
+        except ValueError as exc:
+            raise UsageError(str(exc))
         if self.n_low > self.n_high:
             raise UsageError(f"need n_low <= n_high, got [{self.n_low}, {self.n_high}]")
         if self.mother not in _MOTHERS:

@@ -98,7 +98,8 @@ class BesselParams:
             if not math.isfinite(val):
                 raise ValueError(f"{name} must be finite, got {val}")
         if alpha + beta <= -1.0:
-            raise ValueError(f"need alpha + beta > -1, got {alpha + beta}")
+            raise ValueError(
+                f"alpha + beta must exceed -1, got {alpha + beta}")
         self.alpha = alpha
         self.beta = beta
 
@@ -172,9 +173,11 @@ class GridFunction:
 def qpochhammer(a, q, n=math.inf):
     """(a; q)_n = prod_{k<n} (1 - a q^k) for an integer n >= 0 (an
     integral float too); n = math.inf gives the infinite product,
-    truncated once |a q^k| < 1e-16."""
+    truncated once |a q^k| < 1e-16. a must be finite."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
+    if not math.isfinite(a):
+        raise ValueError(f"q-Pochhammer needs a finite a, got {a}")
     if n == math.inf:
         prod = 1.0
         factor = float(a)
@@ -315,8 +318,11 @@ def dilate(f, m):
     int f(t) t^{2|v|+1} d_q t = a^{-(2|v|+2)} int f(x/a) x^{2|v|+1} d_q x
     with a = q^m holds term by term for every weight exponent, because
     both sides are the same Jackson sum reindexed. Shifting support off
-    the grid is an error, not a truncation.
+    the grid is an error, not a truncation, and so is an m that is not
+    an integer (an integral float or numpy integer is fine).
     """
+    if not float(m).is_integer():
+        raise ValueError(f"dilation needs an integer m, got {m}")
     grid = f.grid
     m = int(m)
     sup = f.support()

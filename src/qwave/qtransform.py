@@ -45,9 +45,12 @@ class OrderError(ValueError):
 class TransformPlan:
     """Transform state for one (grid, v) pair: the float64 kernel matrix
     over all index sums, rounded from the FLOAT_ROW_DPS kappa row, the
-    Jackson weights, and the normalization c. A new plan has c = 1;
-    make_plan calibrates c on it and records the calibration's residual,
-    and nothing changes after that.
+    Jackson weights, and the normalization c_qv. The constructor
+    calibrates c_qv on a small interior probe family
+    (_calibration_probes): it measures the double-transform ratio rho
+    at c = 1, sets c = 1/sqrt(rho) and records the probes' involution
+    residual. A kernel order nu <= -1 is refused with OrderError before
+    any table is built.
 
     Its high-precision operands are kept with it, per working precision
     from qbessel's table: kappa_row(dps) and mp_weights(ns, dps) build
@@ -56,17 +59,20 @@ class TransformPlan:
     new dps builds no table entries and gives the same row whatever
     qbessel's cache holds by then; holding it also keeps the table in
     that cache while the plan lives. Their double-double forms, which
-    float_transform reads, are kept the same way, with c_qv folded into
-    the weights (dd_operands)."""
+    float_transform reads, are kept the same way per (dps, c_qv), with
+    c_qv folded into the weights (dd_operands)."""
 
     __slots__ = ("grid", "v", "c_qv", "matrix", "weights",
-                 "calibration_residual", "_table", "_mp_operands",
-                 "_dd_operands")
+                 "calibration_residual", "_table", "_mp_weights",
+                 "_kappa_rows", "_dd_operands")
 
     def __init__(self, grid, v):
+        if not v.nu > -1.0:
+            raise OrderError(f"kernel order nu = alpha - beta = {v.nu!r} "
+                             "must satisfy nu > -1 for a transform plan")
+        probes = _calibration_probes(grid)
         self.grid = grid
         self.v = v
-        self.c_qv = 1.0
         self.weights = jackson_weights(grid, v)
         self._table = lattice_kernel(v.nu, grid.q, 2 * grid.n_low,
                                      2 * grid.n_high)
@@ -75,27 +81,48 @@ class TransformPlan:
         row = np.array([to_float(k, rnd=round_nearest) for k in
                         kappa_row(self._table, grid, v, FLOAT_ROW_DPS)])
         self.matrix = sliding_window_view(row, grid.size).copy()
-        self.calibration_residual = 0.0
-        # dps -> [{n: weight}, kappa row or None]
-        self._mp_operands = {}
-        # dps -> [c_qv the weights hold, c w(n) as dd arrays by grid
-        # position (hi nan until built), kappa row's dd windows]
+        # dps -> {n: weight}; dps -> kappa row; (dps, c_qv) -> (c w(n)
+        # as dd arrays by grid position, hi nan until built; the kappa
+        # row's dd windows)
+        self._mp_weights = {}
+        self._kappa_rows = {}
         self._dd_operands = {}
+        self.c_qv = 1.0  # while rho is measured
+        rhos = []
+        for f in probes:
+            g = self.fourier_values(self.fourier_values(f.values))
+            denom = self.norm_sq(f.values)
+            if denom == 0.0:
+                raise ValueError("calibration probe is identically zero")
+            rhos.append(math.fsum((g * f.values * self.weights).tolist())
+                        / denom)
+        rho = rhos[0]
+        if not (math.isfinite(rho) and rho > 0.0):
+            raise CalibrationError(
+                f"double-transform ratio {rho:g} of the first probe is not "
+                "finite positive; grid too small for this (q, v)")
+        spread = max(abs(r / rho - 1.0) for r in rhos)
+        if spread > CALIBRATION_SPREAD_TOL:
+            raise CalibrationError(
+                f"double-transform ratios spread {spread:.3e} across "
+                "probes; grid too small for this (q, v)")
+        self.c_qv = 1.0 / math.sqrt(rho)
+        self.calibration_residual = self.involution_residual(probes)
 
     def kappa_row(self, dps):
         """qbessel.kappa_row of the plan's own table at dps, built on the
         first request at dps and kept with the plan: entry t - 2 n_low
         holds kappa(t)."""
-        ops = self._mp_operands.setdefault(dps, [{}, None])
-        if ops[1] is None:
-            ops[1] = kappa_row(self._table, self.grid, self.v, dps)
-        return ops[1]
+        if dps not in self._kappa_rows:
+            self._kappa_rows[dps] = kappa_row(self._table, self.grid,
+                                              self.v, dps)
+        return self._kappa_rows[dps]
 
     def mp_weights(self, ns, dps):
         """Jackson weights (1-q) q^{n(2|v|+2)} as raw mpf tuples at dps
         digits, in a {n: weight} dict holding at least ns. Each is built
         on the plan's first request for it at dps and looked up after."""
-        weights = self._mp_operands.setdefault(dps, [{}, None])[0]
+        weights = self._mp_weights.setdefault(dps, {})
         missing = [n for n in ns if n not in weights]
         if missing:
             ctx = mp_context(dps)
@@ -141,37 +168,35 @@ class TransformPlan:
         weights times c, and of kappa_row: the (hi, lo, exp) arrays of
         the exact products c w(n), c = c_qv, for n in ns, and the row's
         (hi, lo, exp) as sliding windows, 2-D views whose entry [t, j]
-        is the row's entry t + j. The plan keeps c w(n) in arrays over
-        the grid's positions, builds each entry on the first request for
-        it at dps, and builds them all again when c_qv has changed
-        since; the row is built on the first request at dps. Indices off
-        the grid are built on every request and not kept."""
-        ops = self._dd_operands.get(dps)
-        if ops is None:
+        is the row's entry t + j. The plan keeps them per (dps, c_qv):
+        c w(n) in arrays over the grid's positions, each entry built on
+        the first request for it, and the row on the first request.
+        Indices off the grid are built on every request and not kept."""
+        key = (dps, self.c_qv)
+        if key not in self._dd_operands:
+            size = self.grid.size
             # windows[t, j] is entry t + j of the row, zero-padded past
             # its end so that every t on the row has a full window
-            ops = self._dd_operands[dps] = [None, None, tuple(
-                sliding_window_view(np.concatenate((part, 0 * part)),
-                                    len(part))
-                for part in dd_split(self.kappa_row(dps)))]
-        if ops[0] != self.c_qv:
-            size = self.grid.size
-            ops[0] = self.c_qv
-            ops[1] = (np.full(size, np.nan), np.empty(size),
-                      np.empty(size, dtype=np.int64))
+            self._dd_operands[key] = (
+                (np.full(size, np.nan), np.empty(size),
+                 np.empty(size, dtype=np.int64)),
+                tuple(sliding_window_view(np.concatenate((part, 0 * part)),
+                                          len(part))
+                      for part in dd_split(self.kappa_row(dps))))
+        kept, windows = self._dd_operands[key]
         n_low = self.grid.n_low
         if min(ns) < n_low or max(ns) > self.grid.n_high:
-            return self._dd_weights(ns, dps), ops[2]
+            return self._dd_weights(ns, dps), windows
         pos = np.array(ns) - n_low
-        w = tuple(part[pos] for part in ops[1])
+        w = tuple(part[pos] for part in kept)
         unbuilt = np.isnan(w[0])
         if unbuilt.any():
             missing = pos[unbuilt]
             built = self._dd_weights((missing + n_low).tolist(), dps)
-            for part, new in zip(ops[1], built):
+            for part, new in zip(kept, built):
                 part[missing] = new
-            w = tuple(part[pos] for part in ops[1])
-        return w, ops[2]
+            w = tuple(part[pos] for part in kept)
+        return w, windows
 
     def _dd_weights(self, ns, dps):
         """dd_split of the exact products c w(n), c = c_qv, n in ns."""
@@ -279,38 +304,8 @@ def _calibration_probes(grid):
 
 
 def make_plan(grid, v):
-    """Build and calibrate a TransformPlan on a small interior probe
-    family (_calibration_probes).
-
-    The double-transform ratio rho is measured on the new plan at c = 1,
-    then c = 1/sqrt(rho) is set on that same plan. A kernel order
-    nu <= -1 is refused with OrderError before any table is built."""
-    if not v.nu > -1.0:
-        raise OrderError(f"kernel order nu = alpha - beta = {v.nu!r} must "
-                         "satisfy nu > -1 for a transform plan")
-    probes = _calibration_probes(grid)
-    plan = TransformPlan(grid, v)
-    rhos = []
-    for f in probes:
-        g = plan.fourier_values(plan.fourier_values(f.values))
-        denom = plan.norm_sq(f.values)
-        if denom == 0.0:
-            raise ValueError("calibration probe is identically zero")
-        rhos.append(math.fsum((g * f.values * plan.weights).tolist())
-                    / denom)
-    rho = rhos[0]
-    if not (math.isfinite(rho) and rho > 0.0):
-        raise CalibrationError(
-            f"double-transform ratio {rho:g} of the first probe is not "
-            "finite positive; grid too small for this (q, v)")
-    spread = max(abs(r / rho - 1.0) for r in rhos)
-    if spread > CALIBRATION_SPREAD_TOL:
-        raise CalibrationError(
-            f"double-transform ratios spread {spread:.3e} across probes; "
-            "grid too small for this (q, v)")
-    plan.c_qv = 1.0 / math.sqrt(rho)
-    plan.calibration_residual = plan.involution_residual(probes)
-    return plan
+    """A calibrated TransformPlan for (grid, v): TransformPlan(grid, v)."""
+    return TransformPlan(grid, v)
 
 
 def q_bessel_fourier(f, plan):

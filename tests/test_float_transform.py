@@ -175,9 +175,9 @@ def test_declined_counts_stay_bounded(routed):
 
 def test_folded_weights_follow_c_qv():
     """The plan keeps the products c w(n) with c = c_qv folded in: when
-    c_qv changes after the first float_transform, as make_plan changes
-    it, every output still has the mp route's bits, over supports that
-    reuse some kept entries and need new ones."""
+    c_qv is set by hand after the first float_transform, every output
+    still has the mp route's bits, over supports that reuse some kept
+    entries and need new ones."""
     plan = TransformPlan(build_grid(0.5, -20, 40), BesselParams(0.5, 0.25))
     dps = spectrum_dps(0.5, 40)
     outs = []

@@ -190,6 +190,15 @@ class TestQPochhammer:
         with pytest.raises(ValueError, match="integer n >= 0"):
             qpochhammer(0.5, 0.5, n)
 
+    @pytest.mark.parametrize("n", [math.inf, 3], ids=("inf", "3"))
+    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan],
+                             ids=("inf", "-inf", "nan"))
+    def test_non_finite_a_rejected(self, a, n):
+        # an infinite a once looped forever in the infinite product, and
+        # a nan a gave 1.0 there and nan for a finite n
+        with pytest.raises(ValueError, match="finite a, got"):
+            qpochhammer(a, 0.5, n)
+
     @pytest.mark.parametrize("inf", [float("inf"), np.inf],
                              ids=("float", "numpy"))
     def test_any_infinite_n_gives_the_infinite_product(self, inf):
@@ -409,6 +418,22 @@ class TestDilate:
         f = GridFunction.from_pairs(g, [(9, 1.0)])
         with pytest.raises(ValueError, match="off the grid"):
             dilate(f, 2)
+
+    @pytest.mark.parametrize("m", [1.5, -0.5, math.nan, math.inf],
+                             ids=("1.5", "-0.5", "nan", "inf"))
+    def test_non_integral_shift_rejected(self, m):
+        # 1.5 was once truncated to 1, and nan raised a conversion error
+        g = build_grid(0.5, -5, 10)
+        f = GridFunction.from_pairs(g, [(0, 1.0), (2, -0.5)])
+        with pytest.raises(ValueError, match="integer m, got"):
+            dilate(f, m)
+
+    def test_integral_shift_of_any_type(self):
+        g = build_grid(0.5, -5, 10)
+        f = GridFunction.from_pairs(g, [(0, 1.0), (2, -0.5)])
+        for m in (2.0, np.int64(2), np.float64(2.0)):
+            np.testing.assert_array_equal(dilate(f, m).values,
+                                          dilate(f, 2).values)
 
     def test_shift_composition(self):
         g = build_grid(0.5, -5, 10)

@@ -15,6 +15,7 @@ from qwave.qbessel import (FLOAT_ROW_DPS, lattice_kernel, modified_q_bessel,
 from qwave.qgrid import BesselParams, GridFunction, build_grid, dilate
 from qwave.qtransform import (
     CalibrationError,
+    OrderError,
     TransformPlan,
     make_plan,
     q_bessel_fourier,
@@ -83,6 +84,36 @@ class TestCalibration:
         plan = make_plan(grid00, BesselParams(0.0, 0.0))
         assert built == [(grid00, plan.v)]
         assert plan.c_qv == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("q,alpha,beta", [
+        (q, a, b) for q in (0.3, 0.5, 0.7)
+        for a, b in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))])
+    def test_constructor_is_calibrated(self, q, alpha, beta):
+        # a plan made directly is make_plan's, bit for bit: no
+        # uncalibrated c = 1 plan can be had
+        grid, v = build_grid(q, -20, 40), BesselParams(alpha, beta)
+        plan, want = TransformPlan(grid, v), make_plan(grid, v)
+        assert plan.c_qv == want.c_qv != 1.0
+        assert plan.calibration_residual == want.calibration_residual
+        assert np.array_equal(plan.matrix, want.matrix)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-0.5, 0.75)],
+                             ids=("nu-1", "nu-1.25"))
+    def test_order_refused_before_any_table(self, monkeypatch, alpha,
+                                            beta):
+        def no_table(*args):
+            raise AssertionError("kernel table built")
+
+        monkeypatch.setattr(qtransform, "lattice_kernel", no_table)
+        with pytest.raises(OrderError, match="must satisfy nu > -1"):
+            TransformPlan(build_grid(0.5, -20, 40),
+                          BesselParams(alpha, beta))
+
+    def test_constructor_refuses_a_spread_calibration(self):
+        # the probes' ratios spread 0.39 at q = 0.99 on [-20, 40]
+        with pytest.raises(CalibrationError,
+                           match=r"spread 3\.899e-01 across probes"):
+            TransformPlan(build_grid(0.99, -20, 40), BesselParams(0.0, 0.0))
 
     def test_cramped_grid_fails_calibration(self):
         with pytest.raises(CalibrationError, match="grid too small"):
@@ -409,8 +440,7 @@ class TestSpectrumOperandCache:
         operator_mother(plan)
         # depths 40, 57 and 78 (the mother's profile range): three
         # working precisions, each with one row over every index sum
-        rows = [row for _, row in plan._mp_operands.values()
-                if row is not None]
+        rows = list(plan._kappa_rows.values())
         assert len(rows) == 3
         assert all(len(row) == 2 * grid.size - 1 for row in rows)
 

@@ -8,14 +8,12 @@ transform over every scale and writes the transform. The stages are:
     read      qgrid.read_function
     fourier   qtransform.q_bessel_fourier
     spectrum  the call inside qwavelet.cwt that gives the input's
-              spectrum array: qwavelet's spectrum_array, or
-              _spectrum_array in trees that have no spectrum_array
+              spectrum array, qwavelet's spectrum_array
     rows      the rest of qwavelet.cwt: the scale rows and the Scaleogram
     write     qgrid.write_function
 
 Under the spectrum stage it prints the part of it spent inside dd_dot
-and dd_round, timed by wrappers on the names qtransform imports them
-by (left out on trees whose qtransform has no such name).
+and dd_round, timed by wrappers on the names qtransform imports.
 
 Each stage is timed with time.perf_counter around its own call; spectrum
 is timed by a wrapper on that name in qwavelet, and rows is cwt's time
@@ -25,10 +23,10 @@ be compared bit for bit.
 
     python tools/stream_split.py [--src TREE/src] [--seed N] [--passes P]
 
---src imports qwave from another tree (any tree whose cwt reads its
-spectrum through qwavelet's spectrum_array or _spectrum_array). The
-inputs and outputs go to a temporary directory that is removed at the
-end.
+--src imports qwave from another tree, which must have the names the
+script wraps: qwavelet.spectrum_array, TransformPlan.float_transform
+and qtransform's dd_dot and dd_round. The inputs and outputs go to a
+temporary directory that is removed at the end.
 """
 
 import argparse
@@ -50,16 +48,13 @@ def spectrum_counter(TransformPlan):
     """Wrap TransformPlan's transform routes to count spectrum outputs:
     returns a dict whose "outputs" counts every output that
     float_transform was asked for and "mp" every output that went
-    through mp_transform. A tree without float_transform sends every
-    output through mp_transform, so there "outputs" counts those."""
+    through mp_transform."""
     counts = {"outputs": 0, "mp": 0}
     mp_transform = TransformPlan.mp_transform
-    float_transform = getattr(TransformPlan, "float_transform", None)
+    float_transform = TransformPlan.float_transform
 
     def counted_mp(self, values, s_lo, s_hi, dps):
         counts["mp"] += max(0, s_hi - s_lo + 1)
-        if float_transform is None:
-            counts["outputs"] += max(0, s_hi - s_lo + 1)
         return mp_transform(self, values, s_lo, s_hi, dps)
 
     def counted_float(self, values, s_lo, s_hi, dps):
@@ -67,8 +62,7 @@ def spectrum_counter(TransformPlan):
         return float_transform(self, values, s_lo, s_hi, dps)
 
     TransformPlan.mp_transform = counted_mp
-    if float_transform is not None:
-        TransformPlan.float_transform = counted_float
+    TransformPlan.float_transform = counted_float
     return counts
 
 
@@ -109,13 +103,11 @@ def main():
         spent[key] = 0.0
         setattr(module, name, wrapper)
 
-    timed(qwavelet, "spectrum_array" if hasattr(qwavelet, "spectrum_array")
-          else "_spectrum_array", "spectrum")
-    inner = [name for name in INNER if hasattr(qtransform, name)]
-    for name in inner:
+    timed(qwavelet, "spectrum_array", "spectrum")
+    for name in INNER:
         timed(qtransform, name, name)
     counts = spectrum_counter(qtransform.TransformPlan)
-    times = {stage: [] for stage in STAGES + tuple(inner)}
+    times = {stage: [] for stage in STAGES + INNER}
     digest = hashlib.sha256()
     clock = time.perf_counter
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,7 +142,7 @@ def main():
         print(f"{stage:<9} {statistics.median(times[stage]):8.3f} "
               f"{statistics.fmean(times[stage]):8.3f}")
         if stage == "spectrum":
-            for name in inner:
+            for name in INNER:
                 print(f"  {name:<9} {statistics.median(times[name]):6.3f} "
                       f"{statistics.fmean(times[name]):8.3f}")
     total = [sum(parts) for parts in zip(*(times[s] for s in STAGES))]

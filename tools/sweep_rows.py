@@ -19,7 +19,8 @@ float route kept, and how many went through TransformPlan.mp_transform
     python tools/sweep_rows.py [--src TREE/src] [--json OUT]
 
 --src imports qwave from another tree, which must have the same
-public names (any tree since scale_rows became the one row builder).
+public names (any tree whose wavelet plane keeps its own I_R,
+plane.position_moment()).
 """
 
 import argparse
@@ -46,15 +47,6 @@ def main():
     from qwave.qgrid import BesselParams, build_grid
     from qwave.qtransform import TransformPlan, make_plan
     from stream_split import certified_line, spectrum_counter
-
-    def position_moment(plane):
-        """I_R and its scales, which the plane keeps; trees before that
-        integrate them again in uncertainty.position_moment (named
-        _position_moment before it became public)."""
-        if hasattr(plane, "position_moment"):
-            return plane.position_moment()
-        return (getattr(uncertainty, "position_moment", None)
-                or uncertainty._position_moment)(plane)
 
     built = [0, 0, 0]  # rows, scale_rows calls, gate batches
     scale_rows = qwavelet.scale_rows
@@ -101,7 +93,7 @@ def main():
             report = uncertainty.uncertainty_report(plane)
             dt = time.perf_counter() - t0
             batches = built[2]
-            _, used = position_moment(plane)
+            _, used = plane.position_moment()
             ratios.append(report.ratio)
             records.append({"cell": [q, alpha, beta], "probe": i,
                             "I_R": repr(report.I_R), "used": sorted(used),

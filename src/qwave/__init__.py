@@ -7,10 +7,8 @@ from qwave.qgrid import (
     GridFunction,
     BesselParams,
     build_grid,
-    qpochhammer,
     jackson_integral,
     q_derivative,
-    weighted_p_norm,
     dilate,
 )
 from qwave.qbessel import (

@@ -1,6 +1,6 @@
 """Truncated geometric grid {q^n} and the q-calculus toolkit on it:
-Jackson integration, weighted norms, the q-derivative, q-shifted
-factorials, and exact grid dilation.
+Jackson integration and its weights, the q-derivative, and exact grid
+dilation.
 
 All sums are accumulated with math.fsum, which is correctly rounded and
 therefore independent of term order; results are bit-reproducible.
@@ -9,15 +9,27 @@ therefore independent of term order; results are bit-reproducible.
 import contextlib
 import json
 import math
+import operator
 import os
 import stat
 
 import numpy as np
 
-POCHHAMMER_CUTOFF = 1e-16  # infinite products stop once a factor is this close to 1
 # links sidecar_path follows at most: Linux's MAXSYMLINKS, past which
 # opening the path fails with ELOOP
 _MAX_LINKS = 40
+
+
+def _integer(n, need):
+    """n as an int when it is integral: an int, a numpy integer or an
+    integral float. Anything else, +-inf and nan included, raises
+    ValueError(f"{need}, got {n}")."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        if isinstance(n, (float, np.floating)) and float(n).is_integer():
+            return int(n)
+    raise ValueError(f"{need}, got {n}")
 
 
 class QGrid:
@@ -32,11 +44,13 @@ class QGrid:
     def __init__(self, q, n_low, n_high):
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie in (0,1), got {q}")
+        n_low = _integer(n_low, "the grid needs an integer n_low")
+        n_high = _integer(n_high, "the grid needs an integer n_high")
         if n_low > n_high:
             raise ValueError(f"empty grid: n_low={n_low} > n_high={n_high}")
         self.q = float(q)
-        self.n_low = int(n_low)
-        self.n_high = int(n_high)
+        self.n_low = n_low
+        self.n_high = n_high
         # the points fall from q^n_low to q^n_high, so the two ends are
         # checked before a point array of any length is allocated
         ends = np.array([self.n_low, self.n_high], dtype=float)
@@ -60,9 +74,10 @@ class QGrid:
 
     def pos(self, n):
         """Array position of grid index n; raises if n is off the grid."""
+        n = _integer(n, "a grid index must be an integer")
         if not self.n_low <= n <= self.n_high:
             raise ValueError(f"index {n} outside grid [{self.n_low}, {self.n_high}]")
-        return int(n) - self.n_low
+        return n - self.n_low
 
     def __eq__(self, other):
         return (isinstance(other, QGrid) and self.q == other.q
@@ -170,30 +185,6 @@ class GridFunction:
         return f"GridFunction(grid={self.grid!r}, nnz={int(np.count_nonzero(self.values))})"
 
 
-def qpochhammer(a, q, n=math.inf):
-    """(a; q)_n = prod_{k<n} (1 - a q^k) for an integer n >= 0 (an
-    integral float too); n = math.inf gives the infinite product,
-    truncated once |a q^k| < 1e-16. a must be finite."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0,1), got {q}")
-    if not math.isfinite(a):
-        raise ValueError(f"q-Pochhammer needs a finite a, got {a}")
-    if n == math.inf:
-        prod = 1.0
-        factor = float(a)
-        while abs(factor) >= POCHHAMMER_CUTOFF:
-            prod *= 1.0 - factor
-            factor *= q
-        return prod
-    if not (float(n).is_integer() and n >= 0):
-        raise ValueError(
-            f"finite q-Pochhammer needs an integer n >= 0, got {n}")
-    prod = 1.0
-    for k in range(int(n)):
-        prod *= 1.0 - a * q ** k
-    return prod
-
-
 def _interval_sum(f, a, b, q):
     # (1-q) * sum_n q^n b f(b q^n), summed to machine-negligible depth.
     if b == 0.0:
@@ -287,30 +278,6 @@ def jackson_weights(grid, v):
     return w
 
 
-def weighted_p_norm(f, p, v):
-    """||f||_{q,p,v} = [ (1-q) sum |f(q^n)|^p q^{n(2|v|+2)} ]^{1/p}, for
-    a finite p >= 1.
-
-    The power sum is formed in float64 as written, so a large p can
-    take it out of range: raises ValueError when it overflows (a term
-    or the sum), or when it underflows to 0 although f is not zero."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"need a finite p >= 1, got {p}")
-    w = jackson_weights(f.grid, v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.abs(f.values) ** p * w
-    try:
-        s = math.fsum(terms.tolist())
-    except OverflowError:
-        s = math.inf
-    if not math.isfinite(s):
-        raise ValueError(f"the power sum of the {p}-norm overflows float64")
-    if s == 0.0 and f.values.any():
-        raise ValueError(
-            f"the power sum of the {p}-norm underflows to 0 for a nonzero f")
-    return s ** (1.0 / p)
-
-
 def dilate(f, m):
     """x -> f(x / q^m), an exact index shift by m.
 
@@ -321,10 +288,8 @@ def dilate(f, m):
     the grid is an error, not a truncation, and so is an m that is not
     an integer (an integral float or numpy integer is fine).
     """
-    if not float(m).is_integer():
-        raise ValueError(f"dilation needs an integer m, got {m}")
+    m = _integer(m, "dilation needs an integer m")
     grid = f.grid
-    m = int(m)
     sup = f.support()
     out = np.zeros(grid.size)
     if sup is not None:

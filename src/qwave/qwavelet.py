@@ -29,7 +29,7 @@ from qwave.qbessel import (FACTORIZATION_DPS, MOTHER_DPS, fsum_rows,
                            mp_context, mp_dot)
 from qwave.qgrid import (GridFunction, dilate, mp_weight_exponent,
                          weight_exponent)
-from qwave.qtransform import spectrum_array, translate
+from qwave.qtransform import spectrum, translate
 
 GATE_REL_TAIL = 1e-13
 GATE_RUN = 3
@@ -118,7 +118,7 @@ def make_wavelet(mother, plan, mp_values=None):
     prof_hi = scale_indices[-1] + grid.n_high
     if mp_values is None:
         mp_values = mother.nonzero_values()
-    profile = spectrum_array(mp_values, plan, prof_lo, prof_hi)
+    profile = spectrum(mp_values, plan, prof_lo, prof_hi)
     adm = (1.0 - grid.q) * math.fsum(
         p ** 2 for p in profile[grid.n_low - prof_lo:
                                 grid.n_high - prof_lo + 1].tolist())
@@ -230,7 +230,7 @@ class WaveletPlane:
     def __init__(self, f, spec):
         self.f = f
         self.spec = spec
-        self.Ff = spectrum_array(f, spec.plan)
+        self.Ff = spectrum(f, spec.plan)
         self._rows = {}
         self._moment = None
 
@@ -309,7 +309,7 @@ def cwt(f, spec, scale_indices=None):
     grid, for any admissible scale indices; scale_indices defaults to
     every admissible scale. The coefficients are scale_rows' block."""
     grid = spec.plan.grid
-    rows = scale_rows(spectrum_array(f, spec.plan), spec, scale_indices)
+    rows = scale_rows(spectrum(f, spec.plan), spec, scale_indices)
     if scale_indices is None:
         scale_indices = spec.scale_indices
     return Scaleogram(scale_indices, grid.indices.tolist(), rows, grid)

@@ -21,8 +21,7 @@ from qwave.qbessel import dd_dot, dd_round, dd_split, dd_split_floats, \
     mp_context, mp_dot, spectrum_dps
 from qwave.qgrid import BesselParams, GridFunction, build_grid, \
     weight_exponent
-from qwave.qtransform import TransformPlan, make_plan, spectrum, \
-    spectrum_array
+from qwave.qtransform import TransformPlan, make_plan, spectrum
 from qwave.qwavelet import operator_mother
 from qwave.uncertainty import probe_family
 
@@ -100,7 +99,8 @@ class TestSameBitsAsTheMpRoute:
         for f in stream_pool(plan_shifted.grid, 0):
             want = bits(mp_route(f, plan_shifted))
             routed.clear()
-            assert bits(spectrum(f, plan_shifted)) == want
+            assert array_bits(spectrum(f, plan_shifted),
+                              plan_shifted.grid.n_low) == want
             assert routed == []
             outputs += len(want)
         assert outputs == 1830
@@ -122,7 +122,7 @@ class TestSameBitsAsTheMpRoute:
         for f in probe_family(plan):
             want = bits(mp_route(f, plan))
             routed.clear()
-            assert bits(spectrum(f, plan)) == want
+            assert array_bits(spectrum(f, plan), plan.grid.n_low) == want
             declined += len(routed)
             outputs += len(want)
         assert declined < outputs
@@ -139,7 +139,8 @@ class TestSameBitsAsTheMpRoute:
         for i, f in enumerate(probe_family(plan)):
             want = mp_route(f, plan)
             routed.clear()
-            assert bits(spectrum(f, plan)) == bits(want)
+            assert array_bits(spectrum(f, plan), plan.grid.n_low) == \
+                bits(want)
             assert len(routed) < len(want)
             tiny = {s for s, val in want.items() if abs(val) < 2.0 ** -1022}
             if i >= 7:
@@ -167,7 +168,7 @@ def test_declined_counts_stay_bounded(routed):
         mothers += len(routed)
         routed.clear()
         for f in probe_family(plan):
-            spectrum_array(f, plan)
+            spectrum(f, plan)
         probes += len(routed)
     assert mothers <= 473
     assert probes <= 416
@@ -205,7 +206,7 @@ def test_inputs_off_the_grid(routed):
                           ({-25: 1.0, -22: -0.5}, -10, 10)):
         want = bits(mp_route(f, plan, s_lo, s_hi))
         routed.clear()
-        assert bits(spectrum(f, plan, s_lo, s_hi)) == want
+        assert array_bits(spectrum(f, plan, s_lo, s_hi), s_lo) == want
         assert routed == []
 
 

@@ -4,8 +4,8 @@ reaches into another module's private names, each kind of sum has one
 home, WaveletPlane builds its rows only through scale_rows, no module
 turns the per-row transform into a block GEMM, parallel_map is the one
 place that starts processes, qcli's _emit is the one place that writes
-to stdout, and qgrid's write_in_place the one place that opens a file
-for writing."""
+to stdout, qgrid's write_in_place the one place that opens a file
+for writing, and every name the package exports has a caller."""
 
 import ast
 import functools
@@ -107,7 +107,7 @@ def test_module_keeps_its_boundaries(path):
 
 @pytest.mark.parametrize("source", [
     "from qwave.qtransform import _plan_weights",
-    "from qwave.qwavelet import spectrum, _spectrum_array as arr",
+    "from qwave.qwavelet import spectrum, _spectrum_mp as arr",
     "from .qtransform import _kernel_row",
     "from qwave import _private_module",
     "from qwave import qtransform\nx = qtransform._kernel_row",
@@ -668,3 +668,62 @@ def test_writer_guard_allows_emit_and_reads(source):
 ])
 def test_writer_guard_allows_the_file_home(source):
     assert write_breaches(source, "qgrid") == []
+
+
+# Every name the package exports is called somewhere in the library,
+# bench/ or tools/, outside its own definition and __init__.py: the
+# product's callers define the public surface. The exceptions are the
+# reference definitions that tests compare the fast routes against.
+CALLER_DIRS = (SRC, SRC.parent.parent / "bench", SRC.parent.parent / "tools")
+REFERENCE_ONLY = {"normalized_q_bessel", "modified_q_bessel", "cwt_direct"}
+
+
+def exported_names(source):
+    """The names an __init__ source imports from its modules."""
+    return {alias.asname or alias.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def referenced_names(source, names):
+    """The members of names that source reads, as a name or as an
+    attribute, outside the top-level definition of the same name.
+    Importing a name is not reading it."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, (
+                    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            name = child.id if isinstance(child, ast.Name) else \
+                getattr(child, "attr", None)
+            if name in names and name != inner:
+                found.add(name)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_export_has_a_caller():
+    names = exported_names((SRC / "__init__.py").read_text())
+    assert REFERENCE_ONLY <= names
+    called = set()
+    for folder in CALLER_DIRS:
+        for path in folder.rglob("*.py"):
+            if path != SRC / "__init__.py":
+                called |= referenced_names(path.read_text(), names)
+    assert names - called - REFERENCE_ONLY == set()
+
+
+@pytest.mark.parametrize("source,found", [
+    ("def f():\n    return g()", {"g"}),
+    ("x = qgrid.g", {"g"}),
+    ("def g(n):\n    return g(n - 1)", set()),
+    ("class g:\n    def h(self):\n        return g()", set()),
+    ("from qwave.qgrid import g", set()),
+    ("def f():\n    def g():\n        pass\n    return g", {"g"}),
+])
+def test_caller_finder_skips_the_own_definition(source, found):
+    assert referenced_names(source, {"g", "h"}) == found

@@ -846,14 +846,14 @@ class TestVerifyCommand:
         # one per wavelet (x1, x2, x4), one per x1 and x2 probe plane, one
         # for the x4 plane of probe 0 and one for the scaled x1 probe 0
         calls = []
-        spectrum_array = qtransform.spectrum_array
+        spectrum = qtransform.spectrum
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return spectrum_array(*args, **kwargs)
+            return spectrum(*args, **kwargs)
 
-        monkeypatch.setattr(qtransform, "spectrum_array", counted)
-        monkeypatch.setattr(qwavelet, "spectrum_array", counted)
+        monkeypatch.setattr(qtransform, "spectrum", counted)
+        monkeypatch.setattr(qwavelet, "spectrum", counted)
         qcli.run_cell_checks(0.5, 0.5, 0.25, -12, 24)
         assert len(calls) == 3 + 9 + 9 + 1 + 1
 

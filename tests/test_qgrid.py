@@ -7,9 +7,7 @@ import math
 import os
 import stat
 import tracemalloc
-import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -25,10 +23,8 @@ from qwave.qgrid import (
     jackson_integral,
     jackson_weights,
     q_derivative,
-    qpochhammer,
     read_function,
     sidecar_path,
-    weighted_p_norm,
     write_function,
     write_in_place,
 )
@@ -107,6 +103,45 @@ class TestGrid:
         with pytest.raises(ValueError, match="outside grid"):
             g.pos(4)
 
+    @pytest.mark.parametrize("n_low,n_high", [
+        (-1.5, 3.7), (0, 3.7), (-math.inf, 3), (0, math.inf),
+        (math.nan, 3), (0, math.nan)],
+        ids=("both-fractional", "fractional-high", "-inf", "inf", "nan-low",
+             "nan-high"))
+    def test_non_integral_end_rejected(self, n_low, n_high):
+        # [-1.5, 3.7] was once truncated to [-1, 3], and an infinite end
+        # raised OverflowError
+        with pytest.raises(ValueError, match=r"^the grid needs an integer "
+                           r"n_(low|high), got "):
+            build_grid(0.5, n_low, n_high)
+
+    def test_integral_ends_of_any_type(self):
+        for n_low, n_high in ((-1.0, 3.0), (np.int64(-1), np.int64(3)),
+                              (np.float64(-1.0), 3)):
+            g = build_grid(0.5, n_low, n_high)
+            assert g == build_grid(0.5, -1, 3)
+            assert type(g.n_low) is int and type(g.n_high) is int
+
+    @pytest.mark.parametrize("n", [0.5, 0.9, -1.5, math.nan, math.inf],
+                             ids=("0.5", "0.9", "-1.5", "nan", "inf"))
+    def test_non_integral_index_rejected(self, n):
+        # 0.5 and 0.9 were once truncated to index 0, in pos and in
+        # from_pairs and value_at through it
+        g = build_grid(0.5, -2, 3)
+        f = GridFunction.from_pairs(g, [(0, 1.0)])
+        message = "^a grid index must be an integer, got "
+        with pytest.raises(ValueError, match=message):
+            g.pos(n)
+        with pytest.raises(ValueError, match=message):
+            GridFunction.from_pairs(g, [(n, 1.0)])
+        with pytest.raises(ValueError, match=message):
+            f.value_at(n)
+
+    def test_integral_index_of_any_type(self):
+        g = build_grid(0.5, -2, 3)
+        for n in (2.0, np.int64(2), np.float64(2.0)):
+            assert g.pos(n) == 4
+
 
 class TestGridFunction:
     def test_from_pairs_and_value_at(self):
@@ -147,63 +182,6 @@ class TestBesselParams:
             BesselParams(alpha, beta)
         assert str(exc.value).startswith(f"{name} must be finite, got ")
         assert len(recwarn) == 0
-
-
-class TestQPochhammer:
-    def test_empty_product_is_one(self):
-        assert qpochhammer(0.5, 0.5, 0) == 1.0
-
-    def test_two_factor_product(self):
-        # (1 - 0.5)(1 - 0.25) = 0.375, for n given as any integral number
-        for n in (2, 2.0, np.int64(2)):
-            assert qpochhammer(0.5, 0.5, n) == 0.375
-
-    def test_finite_matches_brute_force(self):
-        for a, q, n in [(0.3, 0.7, 5), (-1.2, 0.4, 8), (0.9, 0.9, 12)]:
-            ref = 1.0
-            for k in range(n):
-                ref *= 1.0 - a * q ** k
-            assert math.isclose(qpochhammer(a, q, n), ref, rel_tol=1e-15)
-
-    def test_infinite_product_value(self):
-        got = qpochhammer(0.5, 0.5)
-        assert math.isclose(got, 0.28878809508660242, rel_tol=1e-15)
-        with mp.workdps(30):
-            ref = float(mp.qp(mp.mpf("0.5"), mp.mpf("0.5")))
-        assert math.isclose(got, ref, rel_tol=1e-14)
-
-    def test_infinite_product_near_one_factors(self):
-        # truncation must kick in before roundoff accumulates
-        with mp.workdps(40):
-            a, q = mp.mpf("0.1"), mp.mpf("0.99")
-            ref, factor = mp.mpf(1), a
-            while abs(factor) > mp.mpf("1e-25"):
-                ref *= 1 - factor
-                factor *= q
-            ref = float(ref)
-        assert math.isclose(qpochhammer(0.1, 0.99), ref, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("n", [2.5, 0.5, -1, -2.0, math.nan, -math.inf],
-                             ids=("2.5", "0.5", "-1", "-2.0", "nan", "-inf"))
-    def test_n_neither_an_integer_nor_inf_rejected(self, n):
-        # 2.5 was once truncated to 2, giving (0.5; 0.5)_2 = 0.375
-        with pytest.raises(ValueError, match="integer n >= 0"):
-            qpochhammer(0.5, 0.5, n)
-
-    @pytest.mark.parametrize("n", [math.inf, 3], ids=("inf", "3"))
-    @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan],
-                             ids=("inf", "-inf", "nan"))
-    def test_non_finite_a_rejected(self, a, n):
-        # an infinite a once looped forever in the infinite product, and
-        # a nan a gave 1.0 there and nan for a finite n
-        with pytest.raises(ValueError, match="finite a, got"):
-            qpochhammer(a, 0.5, n)
-
-    @pytest.mark.parametrize("inf", [float("inf"), np.inf],
-                             ids=("float", "numpy"))
-    def test_any_infinite_n_gives_the_infinite_product(self, inf):
-        # n is compared with infinity by value, not by identity
-        assert qpochhammer(0.3, 0.5, inf) == qpochhammer(0.3, 0.5, math.inf)
 
 
 class TestJacksonIntegral:
@@ -305,54 +283,6 @@ class TestQDerivative:
 
 
 class TestWeightedNorms:
-    def test_indicator_norm_value(self):
-        # ||1_{q^1}||^2 = (1-q) q^{n(2|v|+2)} = 0.5 * 0.5^2 = 0.125
-        g = build_grid(0.5, -10, 20)
-        v = BesselParams(0.0, 0.0)
-        f = GridFunction.from_pairs(g, [(1, 1.0)])
-        assert weighted_p_norm(f, 2, v) ** 2 == pytest.approx(0.125, rel=1e-15)
-
-    def test_scaling_homogeneity(self):
-        g = build_grid(0.5, -10, 20)
-        v = BesselParams(0.5, 0.25)
-        f = GridFunction.from_pairs(g, [(0, 1.0), (3, -2.0)])
-        base = weighted_p_norm(f, 2, v)
-        assert weighted_p_norm(f.scaled(-3.0), 2, v) == pytest.approx(
-            3.0 * base, rel=1e-14)
-
-    def test_p_below_one_rejected(self):
-        g = build_grid(0.5, 0, 5)
-        f = GridFunction.from_pairs(g, [(1, 1.0)])
-        with pytest.raises(ValueError):
-            weighted_p_norm(f, 0.5, BesselParams(0.0, 0.0))
-
-    @pytest.mark.parametrize("p", [math.inf, math.nan], ids=("inf", "nan"))
-    def test_non_finite_p_rejected(self, p):
-        # p = inf once gave 1.0 and p = nan gave NaN, without an error
-        g = build_grid(0.5, -5, 5)
-        f = GridFunction.from_pairs(g, [(0, 3.0), (1, -2.0)])
-        with pytest.raises(ValueError, match="finite p >= 1"):
-            weighted_p_norm(f, p, BesselParams(0.0, 0.0))
-
-    @pytest.mark.parametrize("p,pairs,what", [
-        (700, [(0, 3.0), (1, -2.0)], "overflows float64"),
-        (200, [(0, 1e-3)], "underflows to 0 for a nonzero f")],
-        ids=("overflow", "underflow"))
-    def test_power_sum_out_of_range_rejected(self, p, pairs, what):
-        # the power sum once came out inf (with a numpy overflow warning)
-        # for a norm near 3, and 0.0 for a norm near 9.97e-4
-        g = build_grid(0.5, -5, 5)
-        f = GridFunction.from_pairs(g, pairs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=what):
-                weighted_p_norm(f, p, BesselParams(0.0, 0.0))
-
-    def test_zero_function_norm_is_zero(self):
-        g = build_grid(0.5, -5, 5)
-        assert weighted_p_norm(GridFunction.zeros(g), 200,
-                               BesselParams(0.0, 0.0)) == 0.0
-
     def test_weights_match_definition(self):
         q = 0.3
         v = BesselParams(1.0, -0.25)
@@ -827,25 +757,6 @@ def test_jackson_weighted_sum_is_linear(a, b):
     lhs = math.fsum(combo.values * w)
     rhs = a * math.fsum(f.values * w) + b * math.fsum(h.values * w)
     assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12)
-
-
-@given(lam=st.floats(min_value=-1e6, max_value=1e6,
-                     allow_nan=False, allow_infinity=False),
-       p=st.floats(min_value=1.0, max_value=6.0))
-def test_norm_homogeneity(lam, p):
-    g = build_grid(0.5, -5, 15)
-    v = BesselParams(0.5, 0.25)
-    f = GridFunction.from_pairs(g, [(0, 0.7), (4, -1.1)])
-    base = weighted_p_norm(f, p, v)
-    scaled = f.scaled(lam)
-    if lam != 0.0 and math.fsum(
-            (np.abs(scaled.values) ** p * jackson_weights(g, v)).tolist()) == 0:
-        # a tiny lam takes the power sum below float64: refused, not 0.0
-        with pytest.raises(ValueError, match="underflows to 0"):
-            weighted_p_norm(scaled, p, v)
-        return
-    got = weighted_p_norm(scaled, p, v)
-    assert math.isclose(got, abs(lam) * base, rel_tol=1e-10, abs_tol=1e-12)
 
 
 @given(m=st.integers(min_value=-3, max_value=3))

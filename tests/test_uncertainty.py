@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qwave.qgrid import BesselParams, GridFunction, build_grid
-from qwave.qtransform import make_plan, spectrum, spectrum_array
+from qwave.qtransform import make_plan, spectrum
 from qwave import qtransform, qwavelet
 from qwave.qwavelet import (WaveletPlane, _scale_bounds,
                             factorization_error, operator_mother,
@@ -117,12 +117,12 @@ class TestOneSpectrumPerCall:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return spectrum_array(*args, **kwargs)
+            return spectrum(*args, **kwargs)
 
         f = probe_family(spec00.plan)[-1]
         want = fn(WaveletPlane(f, spec00))
-        monkeypatch.setattr(qwavelet, "spectrum_array", counted)
-        monkeypatch.setattr(qtransform, "spectrum_array", counted)
+        monkeypatch.setattr(qwavelet, "spectrum", counted)
+        monkeypatch.setattr(qtransform, "spectrum", counted)
         plane = WaveletPlane(f, spec00)
         assert len(calls) == 1
         assert fn(plane) == want
@@ -558,7 +558,7 @@ class TestThreading:
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
 
         def run():
-            return (spectrum(f, plan),
+            return (spectrum(f, plan).tolist(),
                     factorization_error(spec00, [mid - 1, mid], (-2, 0, 3),
                                         range(-5, 6), dps=20))
 

@@ -8,7 +8,7 @@ transform over every scale and writes the transform. The stages are:
     read      qgrid.read_function
     fourier   qtransform.q_bessel_fourier
     spectrum  the call inside qwavelet.cwt that gives the input's
-              spectrum array, qwavelet's spectrum_array
+              spectrum array, qwavelet's spectrum
     rows      the rest of qwavelet.cwt: the scale rows and the Scaleogram
     write     qgrid.write_function
 
@@ -24,7 +24,7 @@ be compared bit for bit.
     python tools/stream_split.py [--src TREE/src] [--seed N] [--passes P]
 
 --src imports qwave from another tree, which must have the names the
-script wraps: qwavelet.spectrum_array, TransformPlan.float_transform
+script wraps: qwavelet.spectrum, TransformPlan.float_transform
 and qtransform's dd_dot and dd_round. The inputs and outputs go to a
 temporary directory that is removed at the end.
 """
@@ -103,7 +103,7 @@ def main():
         spent[key] = 0.0
         setattr(module, name, wrapper)
 
-    timed(qwavelet, "spectrum_array", "spectrum")
+    timed(qwavelet, "spectrum", "spectrum")
     for name in INNER:
         timed(qtransform, name, name)
     counts = spectrum_counter(qtransform.TransformPlan)

@@ -103,9 +103,20 @@ def modified_q_bessel_bound(v, x, q):
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"modified kernel needs x > 0, got {x}")
-    scale = x ** (-2.0 * v.beta)
-    base, bound = normalized_q_bessel_bound(v.nu, q ** (-v.beta) * x, q)
+    scale = _power(x, -2.0 * v.beta, "x^(-2 beta)")
+    base, bound = normalized_q_bessel_bound(
+        v.nu, _power(q, -v.beta, "q^(-beta)") * x, q)
     return scale * base, abs(scale) * bound
+
+
+def _power(base, exponent, name):
+    """base ** exponent, or a ValueError naming the power as name where
+    it overflows float64."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValueError(f"the kernel's power {name} = {base!r}^"
+                         f"{exponent!r} overflows float64") from None
 
 
 def generalized_q_bessel_operator(f, v):

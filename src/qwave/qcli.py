@@ -54,7 +54,8 @@ def _json_text(obj):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, float):
-        return fmt17(obj)
+        # json's own tokens for nan and inf, which json.loads reads
+        return fmt17(obj) if math.isfinite(obj) else json.dumps(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -293,9 +294,10 @@ def cmd_uncertainty(cfg, args):
                 f"uncertainty ratio of probe {i} is {r.ratio:g} "
                 f"(I_R = {r.I_R:g}, I_S = {r.I_S:g}) "
                 f"{_cell_text(cfg)}")
+    K = float(np.min([r.ratio for r in reports]))
     lines = [_json_text({"I_R": r.I_R, "I_S": r.I_S, "norm_sq": r.norm_sq,
                          "ratio": r.ratio}) for r in reports]
-    lines.append(_json_text({"K_emp": min(r.ratio for r in reports),
+    lines.append(_json_text({"K_emp": K,
                              "probes": len(reports), "q": cfg.q,
                              "alpha": cfg.alpha, "beta": cfg.beta}))
     _emit("\n".join(lines) + "\n", args.out)
@@ -363,24 +365,22 @@ def _check_jackson_power(cell):
     # grid.q, so a one-point grid serves every q
     grid = build_grid(cell.q, 0, 0)
     q = cell.q
-    worst = 0.0
-    for k in range(9):
-        got = jackson_integral(lambda x: x ** k, grid, 0.0, 1.0)
-        want = (1.0 - q) / (1.0 - q ** (k + 1))
-        worst = max(worst, abs(got / want - 1.0))
+    got = [jackson_integral(lambda x: x ** k, grid, 0.0, 1.0)
+           for k in range(9)]
+    want = [(1.0 - q) / (1.0 - q ** (k + 1)) for k in range(9)]
+    worst = float(np.max(np.abs(np.divide(got, want) - 1.0)))
     return worst < 1e-12, {"max_rel_err": worst, "tol": 1e-12}
 
 
 def _check_q_derivative(cell):
     grid = cell.plans[1].grid
     q = cell.q
-    worst = 0.0
+    errs = []
     for k in range(1, 9):
-        f = GridFunction(grid, grid.points ** float(k))
-        d = q_derivative(f)
+        d = q_derivative(GridFunction(grid, grid.points ** float(k)))
         bracket = (1.0 - q ** k) / (1.0 - q)
-        want = bracket * d.grid.points ** float(k - 1)
-        worst = max(worst, float(np.max(np.abs(d.values / want - 1.0))))
+        errs.append(d.values / (bracket * d.grid.points ** float(k - 1)))
+    worst = float(np.max(np.abs(np.array(errs) - 1.0)))
     return worst < 1e-12, {"max_rel_err": worst, "tol": 1e-12}
 
 
@@ -395,12 +395,9 @@ def _check_change_of_variables(cell):
     def integral(g):
         return (1.0 - q) * math.fsum(g.values * grid.points)
 
-    worst = 0.0
-    for f in probes:
-        base = integral(f)
-        for m in range(-2, 4):
-            lhs = integral(dilate(f, m))
-            worst = max(worst, abs(lhs / (q ** m * base) - 1.0))
+    ratios = [integral(dilate(f, m)) / (q ** m * integral(f))
+              for f in probes for m in range(-2, 4)]
+    worst = float(np.max(np.abs(np.array(ratios) - 1.0)))
     return worst < 1e-12, {"max_rel_err": worst, "tol": 1e-12}
 
 
@@ -424,38 +421,42 @@ def _check_factorization(cell):
 
 
 def _check_weighted_energy(cell):
-    kappas = [weighted_energy_ratio(p) for p in cell.planes[2]]
-    spread = max(abs(k / kappas[0] - 1.0) for k in kappas)
+    kappas = np.array([weighted_energy_ratio(p) for p in cell.planes[2]])
+    kappa = float(kappas[0])
+    spread = float(np.max(np.abs(kappas / kappa - 1.0)))
     C = cell.specs[2].admissibility
-    return spread < 1e-6, {"kappa": kappas[0], "spread": spread, "C_v_psi": C,
-                           "kappa_over_C": kappas[0] / C, "tol": 1e-6}
+    return spread < 1e-6, {"kappa": kappa, "spread": spread, "C_v_psi": C,
+                           "kappa_over_C": kappa / C, "tol": 1e-6}
 
 
 def _check_plancherel(cell):
-    ratios = [wavelet_plancherel_ratio(p) for p in cell.planes[2]]
-    spread = max(abs(r / ratios[0] - 1.0) for r in ratios)
+    ratios = np.array([wavelet_plancherel_ratio(p) for p in cell.planes[2]])
+    ratio = float(ratios[0])
+    spread = float(np.max(np.abs(ratios / ratio - 1.0)))
     fine = wavelet_plancherel_ratio(
         WaveletPlane(cell.probes[4][0], cell.specs[4]))
-    drift = abs(fine / ratios[0] - 1.0)
+    drift = abs(fine / ratio - 1.0)
     C = cell.specs[2].admissibility
     qpow = cell.q ** (4.0 * cell.v.abs_v + 2.0)
     ok = spread < 1e-6 and drift < 1e-2
-    return ok, {"ratio": ratios[0], "spread": spread, "C_v_psi": C,
-                "ratio_over_C": ratios[0] / C, "q_power_C": qpow * C,
+    return ok, {"ratio": ratio, "spread": spread, "C_v_psi": C,
+                "ratio_over_C": ratio / C, "q_power_C": qpow * C,
                 "refinement_drift": drift, "tol_spread": 1e-6,
                 "tol_drift": 1e-2}
 
 
 def _check_heisenberg(cell):
-    worst = min(heisenberg_slice_minimum(p) for p in cell.planes[1])
+    worst = float(np.min([heisenberg_slice_minimum(p)
+                          for p in cell.planes[1]]))
     bound = 0.5 - 1e-3
     return worst >= bound, {"min_slice": worst, "bound": bound}
 
 
 def _check_uncertainty(cell):
     reports = [uncertainty_report(p) for p in cell.planes[1]]
-    K = min(r.ratio for r in reports)
-    fine = min(uncertainty_report(p).ratio for p in cell.planes[2])
+    K = float(np.min([r.ratio for r in reports]))
+    fine = float(np.min([uncertainty_report(p).ratio
+                         for p in cell.planes[2]]))
     drift = abs(fine / K - 1.0)
     scaled = WaveletPlane(cell.probes[1][0].scaled(7.0), cell.specs[1])
     inv_err = abs(uncertainty_report(scaled).ratio / reports[0].ratio - 1.0)

@@ -203,7 +203,7 @@ def _interval_sum(f, a, b, q):
 def jackson_integral(f, grid, a=0.0, b=math.inf):
     """Jackson integral of the callable f over [a, b].
 
-    a and b must be grid points, 0, or math.inf. [0, inf) sums
+    a and b must be positive grid points, 0, or math.inf. [0, inf) sums
     (1-q) f(q^n) q^n over the truncated index range of the grid;
     [a, inf) is the Chasles difference of that and [0, a]; finite
     intervals use the two-sided Jackson sum.
@@ -212,8 +212,10 @@ def jackson_integral(f, grid, a=0.0, b=math.inf):
     for endpoint in (a, b):
         if endpoint in (0.0, math.inf):
             continue
-        n = round(math.log(endpoint) / math.log(q))
-        if not math.isclose(q ** n, endpoint, rel_tol=1e-12):
+        # a negative, -inf or nan endpoint has no log to round
+        if not (endpoint > 0.0 and math.isclose(
+                q ** round(math.log(endpoint) / math.log(q)), endpoint,
+                rel_tol=1e-12)):
             raise ValueError(f"endpoint {endpoint} is not a grid point")
     if a > b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")

@@ -28,8 +28,8 @@ from mpmath.libmp import from_float, mpf_mul, round_nearest, to_float
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_round, dd_split,
-                           dd_split_floats, kappa_row, lattice_kernel,
-                           mp_context, mp_dot, spectrum_dps)
+                           dd_split_floats, fsum_rows, kappa_row,
+                           lattice_kernel, mp_context, mp_dot, spectrum_dps)
 from qwave.qgrid import GridFunction, jackson_weights, mp_weight_exponent
 
 CALIBRATION_SPREAD_TOL = 1e-6
@@ -52,9 +52,9 @@ class TransformPlan:
     over all index sums, rounded from the FLOAT_ROW_DPS kappa row, the
     Jackson weights, and the normalization c_qv. The constructor
     calibrates c_qv on a small interior probe family
-    (_calibration_probes): it measures the double-transform ratio rho
-    at c = 1, sets c = 1/sqrt(rho) and records the probes' involution
-    residual. A kernel order nu <= -1 is refused with OrderError before
+    (_calibration_probes), read as one block: it measures the
+    double-transform ratio rho at c = 1, sets c = 1/sqrt(rho) and
+    records the probes' involution residual. A kernel order nu <= -1 is refused with OrderError before
     any table is built.
 
     Its high-precision operands are kept with it, per working precision
@@ -93,21 +93,19 @@ class TransformPlan:
         self._kappa_rows = {}
         self._dd_operands = {}
         self.c_qv = 1.0  # while rho is measured
-        rhos = []
-        for f in probes:
-            g = self.fourier_values(self.fourier_values(f.values))
-            denom = self.norm_sq(f.values)
-            if denom == 0.0:
-                raise ValueError("calibration probe is identically zero")
-            rhos.append(math.fsum((g * f.values * self.weights).tolist())
-                        / denom)
+        F = np.array([f.values for f in probes])
+        denoms = fsum_rows(F * F * self.weights)
+        if not denoms.all():
+            raise ValueError("calibration probe is identically zero")
+        G = self.fourier_values(self.fourier_values(F))
+        rhos = fsum_rows(G * F * self.weights) / denoms
         rho = rhos[0]
         if not (math.isfinite(rho) and rho > 0.0):
             raise CalibrationError(
                 f"double-transform ratio {rho:g} of the first probe is not "
                 "finite positive; grid too small for this (q, v)")
-        spread = max(abs(r / rho - 1.0) for r in rhos)
-        if spread > CALIBRATION_SPREAD_TOL:
+        spread = np.max(np.abs(rhos / rho - 1.0))
+        if not spread <= CALIBRATION_SPREAD_TOL:
             raise CalibrationError(
                 f"double-transform ratios spread {spread:.3e} across "
                 "probes; grid too small for this (q, v)")
@@ -281,13 +279,14 @@ class TransformPlan:
         return math.fsum((values * values * self.weights).tolist())
 
     def involution_residual(self, probes):
-        """Worst relative norm of (double transform - input) over probes."""
-        resid = 0.0
-        for f in probes:
-            g = self.fourier_values(self.fourier_values(f.values))
-            resid = max(resid, math.sqrt(
-                self.norm_sq(g - f.values) / self.norm_sq(f.values)))
-        return resid
+        """Worst relative norm of (double transform - input) over probes,
+        read as one block."""
+        if not probes:
+            raise ValueError("need at least one probe")
+        F = np.array([f.values for f in probes])
+        D = self.fourier_values(self.fourier_values(F)) - F
+        return float(np.max(np.sqrt(fsum_rows(D * D * self.weights)
+                                    / fsum_rows(F * F * self.weights))))
 
 
 def _calibration_probes(grid):

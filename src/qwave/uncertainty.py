@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qwave.qbessel import fsum_rows
 from qwave.qgrid import GridFunction
 from qwave.qwavelet import WaveletPlane
 
@@ -144,30 +145,24 @@ def uncertainty_report(plane):
                              ratio=math.sqrt(I_R * I_S) / nf)
 
 
-def _slice_ratio(row, n2, plan):
-    """N1 N2 / ||C||^2 for one coefficient slice C of squared norm n2,
-    where N1 weights C by position and N2 its transform by position."""
-    points = plan.grid.points
-    return (math.sqrt(plan.norm_sq(points * row))
-            * math.sqrt(plan.norm_sq(points * plan.fourier_values(row))) / n2)
-
-
 def heisenberg_slice_minimum(plane):
-    """Minimum slice ratio over the rows of a WaveletPlane at the scales
-    that its position moment I_R uses, read as one block, skipping
-    slices at the noise floor."""
+    """Minimum slice ratio N1 N2 / ||C||^2 over the rows C of a
+    WaveletPlane at the scales that its position moment I_R uses, where
+    N1 weights C by position and N2 its transform by position. The rows
+    are read as one block, and slices at the noise floor are skipped; a
+    nan norm or ratio gives nan."""
     plan = plane.spec.plan
+    points, weights = plan.grid.points, plan.weights
     _, used = plane.position_moment()
     rows = plane.rows(sorted(used))
-    norms = [plan.norm_sq(row) for row in rows]
-    top = max(norms)
-    best = math.inf
-    for row, n2 in zip(rows, norms):
-        if n2 > SLICE_NORM_FLOOR * top:
-            best = min(best, _slice_ratio(row, n2, plan))
-    if not math.isfinite(best):
+    norms = fsum_rows(rows * rows * weights)
+    kept = ~(norms <= SLICE_NORM_FLOOR * np.max(norms))
+    if not kept.any():
         raise ValueError("no coefficient slice rises above the noise floor")
-    return best
+    X = points * rows[kept]
+    Y = points * plan.fourier_values(rows[kept])
+    return float(np.min(np.sqrt(fsum_rows(X * X * weights))
+                        * np.sqrt(fsum_rows(Y * Y * weights)) / norms[kept]))
 
 
 def weighted_energy_ratio(plane):
@@ -210,4 +205,4 @@ def empirical_lower_constant(probes, spec):
     probe_reports."""
     if not probes:
         raise ValueError("need at least one probe")
-    return min(r.ratio for r in probe_reports(probes, spec))
+    return float(np.min([r.ratio for r in probe_reports(probes, spec)]))

@@ -4,6 +4,7 @@ high-precision mother construction dominate test runtime. Also the
 helpers the process-pool tests share, and the reference versions that
 faster library routes must equal."""
 
+import dataclasses
 import json
 import math
 import os
@@ -99,6 +100,18 @@ def set_cpus(monkeypatch, n):
 def exit_abruptly(*args):
     """A worker function that kills its process."""
     os._exit(3)
+
+
+def nan_ratio_for(probe, report):
+    """report (uncertainty_report), with a nan ratio for the plane of
+    probe. The plane is found by its input's values, so that a forked
+    worker finds it too."""
+    def patched(plane):
+        r = report(plane)
+        if np.array_equal(plane.f.values, probe.values):
+            r = dataclasses.replace(r, ratio=math.nan)
+        return r
+    return patched
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,7 @@ from qwave.qbessel import (
     generalized_q_bessel_operator,
     lattice_kernel,
     modified_q_bessel,
+    modified_q_bessel_bound,
     normalized_q_bessel,
     normalized_q_bessel_bound,
 )
@@ -116,6 +117,19 @@ class TestModifiedKernel:
         v = BesselParams(0.5, 0.25)
         with pytest.raises(ValueError, match="x > 0"):
             modified_q_bessel(v, 0.0, 0.5)
+
+    @pytest.mark.parametrize("alpha,beta,x,power", [
+        (0.0, 2000.0, 1.0, r"q\^\(-beta\) = 0.5\^-2000.0"),
+        (3000.0, -2000.0, 4.0, r"x\^\(-2 beta\) = 4.0\^4000.0"),
+        (1.0, 1.0, 1e-300, r"x\^\(-2 beta\) = 1e-300\^-2.0"),
+    ], ids=("q-power", "x-power", "tiny-x"))
+    def test_power_overflow_named(self, alpha, beta, x, power):
+        # each power raised OverflowError (34, 'Numerical result out of
+        # range'), which no caller catches
+        with pytest.raises(ValueError,
+                           match=f"^the kernel's power {power} overflows "
+                                 "float64$"):
+            modified_q_bessel_bound(BesselParams(alpha, beta), x, 0.5)
 
 
 class TestDifferenceOperator:

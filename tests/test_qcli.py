@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qwave.qgrid import (BesselParams, GridFunction, build_grid,
 from qwave.qtransform import make_plan, q_bessel_fourier
 from qwave.uncertainty import UncertaintyReport
 
-from conftest import exit_abruptly, rel_err, set_cpus
+from conftest import exit_abruptly, nan_ratio_for, rel_err, set_cpus
 
 
 def run(capsys, *argv):
@@ -37,6 +38,17 @@ def _reject_cell(*cell):
 def _nan_report(plane):
     return UncertaintyReport(I_R=math.nan, I_S=1.0, norm_sq=1.0,
                              ratio=math.nan)
+
+
+def _nan_on_call(index, fn):
+    """fn, with a nan in place of its value on call number index (from
+    0)."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return math.nan if len(calls) == index + 1 else fn(*args)
+    return patched
 
 
 # A sidecar field of the wrong JSON type: q wants a real number, n_low and
@@ -387,6 +399,39 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert len(recwarn) == 0
+
+    def test_nan_past_the_first_probe_exits_1(self, capsys, recwarn,
+                                              tmp_path, monkeypatch):
+        # the third probe's ratio alone: min() dropped it, printed the
+        # minimum of the other eight and exited 0
+        grid = build_grid(0.5, -20, 40)
+        third = GridFunction.from_pairs(grid, [(1, 1.0)])
+        assert np.array_equal(third.values, uncertainty.probe_family(
+            make_plan(grid, BesselParams(0.0, 0.0)))[2].values)
+        monkeypatch.setattr(uncertainty, "uncertainty_report", nan_ratio_for(
+            third, uncertainty.uncertainty_report))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("q_list=0.5\nalpha_list=0\nbeta_list=0\n")
+        rc, out, err = run(capsys, "uncertainty", "--sweep", str(cfg))
+        assert (rc, out) == (1, "")
+        assert err.startswith("qwave: K_emp is nan at q = 0.5")
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("--beta", "2000", "--nlow", "0", "--nhigh", "2"),
+        ("--alpha", "3000", "--beta", "-2000", "--nlow", "-2", "--nhigh", "0"),
+        ("--eigencheck", "--lam", "1e-300", "--beta", "1", "--nlow", "0",
+         "--nhigh", "4"),
+    ], ids=("q-power", "x-power", "eigencheck"))
+    def test_kernel_power_overflow_exits_1(self, capsys, argv):
+        # a power of the kernel's prefactor leaves float64: this was an
+        # OverflowError traceback
+        rc, out, err = run(capsys, "bessel", *argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("qwave: the kernel's power ")
+        assert err.endswith(" overflows float64\n")
+        assert err.count("\n") == 1
 
     def test_dead_worker_exits_1(self, capsys, monkeypatch):
         set_cpus(monkeypatch, 2)
@@ -799,6 +844,52 @@ class TestVerifyCommand:
         names = [c["name"] for c in report["checks"]]
         assert names[0] == "jackson-power-rule"
         assert names[-1] == "uncertainty-constant"
+
+    def test_nan_detail_is_json(self, capsys, monkeypatch, tmp_path):
+        # a nan in a check's details fails it, and --out writes it as
+        # json's NaN, which json.loads reads
+        monkeypatch.setattr(qcli, "weighted_energy_ratio", _nan_on_call(
+            1, qcli.weighted_energy_ratio))
+        out_path = tmp_path / "report.json"
+        rc, out, _ = run(capsys, "verify", "--q", "0.5", "--out",
+                         str(out_path))
+        assert rc == 1
+        assert out.endswith("verify: FAIL\n")
+        text = out_path.read_text()
+        assert '"spread": NaN' in text
+        report = json.loads(text)
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["weighted-energy-identity"]
+        assert math.isnan(failed[0]["spread"])
+
+    @pytest.mark.parametrize("non_finite,token", [
+        (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"),
+        (np.float64(math.nan), "NaN")],
+        ids=("nan", "inf", "minus-inf", "numpy-nan"))
+    def test_json_writes_non_finite_tokens(self, non_finite, token):
+        text = qcli._json_text({"x": non_finite, "y": [0.1, non_finite]})
+        assert text == f'{{"x": {token}, "y": [0.10000000000000001, {token}]}}'
+        assert json.dumps(json.loads(text)) == text.replace(
+            "0.10000000000000001", "0.1")
+
+    def test_nan_past_the_first_fails_a_spread(self, monkeypatch):
+        # kappa = (1, nan, 1): max() dropped the nan and read spread 0.0
+        monkeypatch.setattr(qcli, "weighted_energy_ratio", lambda k: k)
+        cell = SimpleNamespace(planes={2: [1.0, math.nan, 1.0]},
+                               specs={2: SimpleNamespace(admissibility=1.0)})
+        ok, details = qcli._check_weighted_energy(cell)
+        assert not ok
+        assert math.isnan(details["spread"])
+        assert details["kappa"] == 1.0
+
+    def test_nan_past_the_first_fails_the_power_rule(self, monkeypatch):
+        # the third power's Jackson integral alone
+        monkeypatch.setattr(qcli, "jackson_integral", _nan_on_call(
+            2, qcli.jackson_integral))
+        cell = SimpleNamespace(q=0.5)
+        ok, details = qcli._check_jackson_power(cell)
+        assert not ok
+        assert math.isnan(details["max_rel_err"])
 
     def test_jackson_power_rule_at_q_01(self):
         # the check once built its own grid [0, 350], and 0.1^324

@@ -223,6 +223,18 @@ class TestJacksonIntegral:
         with pytest.raises(ValueError):
             jackson_integral(lambda x: 1.0, g, 0.0, 0.3)
 
+    @pytest.mark.parametrize("end", ["a", "b"])
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.nan],
+                             ids=("negative", "minus-inf", "nan"))
+    def test_endpoint_with_no_log_rejected(self, end, bad):
+        # these raised "math domain error" or "cannot convert float NaN
+        # to integer", from the log and the round of the grid-point test
+        g = build_grid(0.5, -10, 30)
+        a, b = (bad, 1.0) if end == "a" else (0.0, bad)
+        with pytest.raises(ValueError,
+                           match=f"^endpoint {bad} is not a grid point$"):
+            jackson_integral(lambda x: 1.0, g, a, b)
+
     def test_unbounded_upper_limit(self):
         # int_0^inf e-like decay: f(x) = q-geometric tail sums in closed form
         # with f = indicator-free closed form: int_0^inf x d_q x diverges, so

@@ -3,6 +3,7 @@ columns, translation, and the high-precision spectrum route."""
 
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -67,6 +68,51 @@ class TestCalibration:
         probes.append(GridFunction.from_pairs(
             grid00, [(mid, 1.0), (mid + 3, -0.5)]))
         assert plan00.involution_residual(probes) < 1e-9
+
+    def test_empty_probe_list_rejected(self, plan00):
+        # this returned 0.0, a residual that no probe measured
+        with pytest.raises(ValueError, match="need at least one probe"):
+            plan00.involution_residual([])
+
+    @pytest.mark.parametrize("q,alpha,beta", [
+        (0.3, 0.0, 0.0), (0.5, 0.5, 0.25), (0.7, 1.0, -0.25)])
+    def test_block_reads_each_probe_alone(self, q, alpha, beta):
+        # the probes are read as one block; each ratio and residual has
+        # the bits of its probe's own transforms and math.fsum sums
+        plan = make_plan(build_grid(q, -20, 40), BesselParams(alpha, beta))
+        probes = qtransform._calibration_probes(plan.grid)
+        c, plan.c_qv = plan.c_qv, 1.0
+        rhos = []
+        for f in probes:
+            g = plan.fourier_values(plan.fourier_values(f.values))
+            rhos.append(math.fsum((g * f.values * plan.weights).tolist())
+                        / plan.norm_sq(f.values))
+        assert c == 1.0 / math.sqrt(rhos[0])
+        plan.c_qv = c
+        resid = 0.0
+        for f in probes:
+            g = plan.fourier_values(plan.fourier_values(f.values))
+            resid = max(resid, math.sqrt(plan.norm_sq(g - f.values)
+                                         / plan.norm_sq(f.values)))
+        assert plan.calibration_residual == resid
+        assert plan.involution_residual(probes) == resid
+
+    def test_nan_spread_refused(self, monkeypatch):
+        # a nan ratio past the first probe: max() over the spreads
+        # dropped it, and the plan was made
+        probes = qtransform._calibration_probes
+
+        def with_nan(grid):
+            fam = probes(grid)
+            values = fam[2].values.copy()
+            values[values != 0.0] = math.nan
+            fam[2] = SimpleNamespace(values=values)
+            return fam
+
+        monkeypatch.setattr(qtransform, "_calibration_probes", with_nan)
+        with pytest.raises(CalibrationError,
+                           match="spread nan across probes"):
+            TransformPlan(build_grid(0.5, -20, 40), BesselParams(0.0, 0.0))
 
     def test_one_plan_per_call(self, grid00, monkeypatch):
         # c is calibrated on the plan it is measured on, not on a copy

@@ -15,14 +15,13 @@ import pytest
 
 from qwave.qgrid import BesselParams, GridFunction, build_grid
 from qwave.qtransform import make_plan, spectrum
-from qwave import qtransform, qwavelet
+from qwave import qtransform, qwavelet, uncertainty
 from qwave.qwavelet import (WaveletPlane, _scale_bounds,
                             factorization_error, operator_mother,
                             scale_rows, wavelet_plancherel_ratio)
 from qwave.uncertainty import (
     SLICE_NORM_FLOOR,
     WorkerError,
-    _slice_ratio,
     empirical_lower_constant,
     heisenberg_slice_minimum,
     parallel_map,
@@ -32,7 +31,17 @@ from qwave.uncertainty import (
     weighted_energy_ratio,
 )
 
-from conftest import eager_gated_scale_sum, exit_abruptly, rel_err, set_cpus
+from conftest import (eager_gated_scale_sum, exit_abruptly, nan_ratio_for,
+                      rel_err, set_cpus)
+
+
+def slice_ratio(row, n2, plan):
+    """The per-row reference of heisenberg_slice_minimum's ratio: N1 N2
+    / ||C||^2 for one coefficient slice C of squared norm n2, each norm
+    summed by plan.norm_sq and the transform taken of the row alone."""
+    points = plan.grid.points
+    return (math.sqrt(plan.norm_sq(points * row))
+            * math.sqrt(plan.norm_sq(points * plan.fourier_values(row))) / n2)
 
 
 class TestProbeFamily:
@@ -212,7 +221,7 @@ class TestPlaneIntegral:
         norms = {m: plan.norm_sq(rows[m]) for m in want[1]}
         top = max(norms.values())
         assert heisenberg_slice_minimum(plane) == min(
-            _slice_ratio(rows[m], norms[m], plan) for m in want[1]
+            slice_ratio(rows[m], norms[m], plan) for m in want[1]
             if norms[m] > SLICE_NORM_FLOOR * top)
 
     def test_weighted_energy_term(self, plane, monkeypatch):
@@ -338,19 +347,19 @@ class TestProbeReports:
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_nan_ratio_reaches_the_constant(self, monkeypatch, plan00,
+                                            spec00, cpus):
+        # a nan past the first place: min() over the ratios dropped it
+        # and gave the minimum of the other eight, 0.8145548349683932
+        probes = probe_family(plan00)
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(uncertainty, "uncertainty_report",
+                            nan_ratio_for(probes[2], uncertainty_report))
+        assert math.isnan(empirical_lower_constant(probes, spec00))
+
 
 class TestSliceRatios:
-    def test_slice_value_matches_by_hand(self, plan00, spec00):
-        f = probe_family(plan00)[1]
-        mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
-        row = WaveletPlane(f, spec00).rows([mid])[0]
-        pts = plan00.grid.points
-        n2 = plan00.norm_sq(row)
-        ref = (math.sqrt(plan00.norm_sq(pts * row))
-               * math.sqrt(plan00.norm_sq(pts * plan00.fourier_values(row)))
-               / n2)
-        assert _slice_ratio(row, n2, plan00) == pytest.approx(ref, rel=1e-15)
-
     def test_zero_slice_rejected(self, spec00, grid00):
         # a zero input leaves every slice at the noise floor
         with pytest.raises(ValueError, match="noise floor"):
@@ -368,7 +377,32 @@ class TestSliceRatios:
         msl = heisenberg_slice_minimum(plane)
         mid = spec00.scale_indices[len(spec00.scale_indices) // 2]
         row = plane.rows([mid])[0]
-        assert msl <= _slice_ratio(row, plan00.norm_sq(row), plan00) + 1e-12
+        assert msl <= slice_ratio(row, plan00.norm_sq(row), plan00) + 1e-12
+
+    @pytest.mark.parametrize("where", ["row", "transform"])
+    def test_nan_slice_gives_nan(self, plan00, spec00, monkeypatch, where):
+        # a nan in the third used slice, or in its transform: the block's
+        # minimum reads it, where a loop of min() dropped it
+        plane = WaveletPlane(probe_family(plan00)[-1], spec00)
+        assert math.isfinite(heisenberg_slice_minimum(plane))
+        if where == "row":
+            rows = WaveletPlane.rows
+
+            def patched(self, ms):
+                block = rows(self, ms)
+                block[2, 5] = math.nan
+                return block
+            monkeypatch.setattr(WaveletPlane, "rows", patched)
+        else:
+            transform = qtransform.TransformPlan.fourier_values
+
+            def patched(self, values):
+                out = transform(self, values)
+                out[2, 5] = math.nan
+                return out
+            monkeypatch.setattr(qtransform.TransformPlan, "fourier_values",
+                                patched)
+        assert math.isnan(heisenberg_slice_minimum(plane))
 
 
 class TestEnergyRatio:

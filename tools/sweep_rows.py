@@ -30,6 +30,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 CELLS = [(q, a, b) for q in (0.3, 0.5, 0.7)
          for a, b in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))]
 N_LOW, N_HIGH = -160, 320
@@ -108,7 +110,8 @@ def main():
             total_scales += len(spec.scale_indices)
             total_time += dt
         cell = records[-9:]
-        print(f"q={q} v=({alpha}, {beta}): K_emp {min(ratios)!r}, rows "
+        print(f"q={q} v=({alpha}, {beta}): K_emp "
+              f"{float(np.min(ratios))!r}, rows "
               f"{sum(r['rows'] for r in cell)} of "
               f"{9 * len(spec.scale_indices)} in "
               f"{sum(r['calls'] for r in cell)} scale_rows calls, "

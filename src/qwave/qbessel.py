@@ -59,7 +59,7 @@ def _series_sum(order, x, q):
     total = 1.0
     peak = 1.0
     for n in range(1, SERIES_MAX_TERMS + 1):
-        denom_a = 1.0 - Q ** (order + n)
+        denom_a = 1.0 - _power(Q, order + n, "(q^2)^(order + n)")
         denom_b = 1.0 - Q ** n
         if abs(denom_a) < DEGENERATE_TOL or abs(denom_b) < DEGENERATE_TOL:
             raise DegenerateParameterError(
@@ -68,7 +68,8 @@ def _series_sum(order, x, q):
         total += term
         peak = max(peak, abs(term), abs(total))
         if abs(term) < SERIES_REL_TOL * abs(total):
-            denom_a = 1.0 - Q ** (order + n + 1)
+            denom_a = 1.0 - _power(Q, order + n + 1,
+                                   "(q^2)^(order + n + 1)")
             denom_b = 1.0 - Q ** (n + 1)
             omitted = abs(term * (Q ** (n + 1)) * x2 / (denom_a * denom_b))
             return total, omitted + EPS * peak * (5 * n + 5)

@@ -280,13 +280,18 @@ class TransformPlan:
 
     def involution_residual(self, probes):
         """Worst relative norm of (double transform - input) over probes,
-        read as one block."""
+        read as one block. A probe that is identically zero, whose
+        relative norm is 0 / 0, raises ValueError."""
         if not probes:
             raise ValueError("need at least one probe")
         F = np.array([f.values for f in probes])
+        denoms = fsum_rows(F * F * self.weights)
+        zero = np.flatnonzero(denoms == 0.0)
+        if zero.size:
+            raise ValueError(f"involution probe {zero[0]} is identically zero")
         D = self.fourier_values(self.fourier_values(F)) - F
         return float(np.max(np.sqrt(fsum_rows(D * D * self.weights)
-                                    / fsum_rows(F * F * self.weights))))
+                                    / denoms)))
 
 
 def _calibration_probes(grid):

@@ -5,11 +5,14 @@ v in {(0,0), (0.5,0.25), (1,-0.25)} on the default grid [-20, 40].
 Each cell runs the verification suite once (module-scoped fixture); the
 tests then hold the individual checks to their pinned tolerances and pin
 the cell's computed constants against values frozen from a verified
-high-precision run. The last two tests rerun the CLI: twice on one
-cell, demanding byte-identical output, and once on the whole lattice,
-demanding the report the benchmark pins."""
+high-precision run. Two tests rerun the CLI: twice on one cell,
+demanding byte-identical output, and once on the whole lattice,
+demanding the report the benchmark pins. The last two pin the other
+two benchmark workloads: the transform stream's seed-0 digest, and the
+uncertainty sweep's nine K_emp with the work its probes do."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,13 +21,14 @@ from pathlib import Path
 
 import pytest
 
+from qwave import qwavelet
 from qwave.qcli import run_cell_checks
 from qwave.qgrid import BesselParams, build_grid
-from qwave.qtransform import make_plan
+from qwave.qtransform import TransformPlan, make_plan
 from qwave.qwavelet import operator_mother
 from qwave.uncertainty import empirical_lower_constant, probe_family
 
-from conftest import rel_err
+from conftest import rel_err, set_cpus
 
 CELLS = [(q, a, b)
          for q in (0.3, 0.5, 0.7)
@@ -186,27 +190,89 @@ def test_full_lattice_report_matches_benchmark_reference(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
-def sweep_constant(q, alpha, beta):
-    """K_emp on the sweep grid [-160, 320], built the way
-    `qwave uncertainty --sweep` builds it, as the 17 digits it reports."""
-    plan = make_plan(build_grid(q, -160, 320), BesselParams(alpha, beta))
-    K = empirical_lower_constant(probe_family(plan), operator_mother(plan))
-    return "%.17g" % K
+def test_stream_matches_benchmark_reference(tmp_path):
+    # the transform-stream workload's seed-0 run: 7 passes over its 30
+    # seeded inputs, whose written transforms, sidecars and wavelet
+    # coefficients check() hashes against the recorded digest
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REFERENCES.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stream = workloads.TransformStream()
+    stream.setup(0, tmp_path)
+    ops, passes = stream.run(0)
+    detail, ok = stream.check()
+    assert (len(ops), passes) == (210, 7)
+    assert all(op.ok for op in ops)
+    want = json.loads(REFERENCES.read_text())["transform-stream"]
+    assert want["seed"] == 0
+    assert detail["digest"] == want["digest"]
+    assert ok
 
 
-def test_sweep_shifted_cell_matches_benchmark_reference():
+# K_emp at q = 0.3 on the sweep grid. The benchmark reference still
+# reads "nan" there, from before the deep-grid position moment was made
+# overflow-safe, and its gate accepts any finite positive K_emp.
+SWEEP_DEEP = {"0.3,0,0": "0.34064703367865895",
+              "0.3,0.5,0.25": "2.0762414231899764",
+              "0.3,1,-0.25": "3.5213551066400464"}
+
+
+def test_sweep_counts_and_constants(monkeypatch):
+    """The nine cells of `qwave uncertainty --sweep` on [-160, 320],
+    each built the way the sweep builds it, with the 81 probe planes
+    run in this process so that their work can be counted: the rows
+    scale_rows builds and its calls, the gate's batches and the rows it
+    sums, and the spectrum outputs of the mothers and of the probes that
+    take the exact route (mp_transform). A change to the gate, to the
+    plane's rows or to its block size, or to the certificate, moves a
+    count; a change to any bit of a K_emp moves its 17 digits."""
     sweep = json.loads(REFERENCES.read_text())["uncertainty-sweep"]
     assert sweep["grid"] == [-160, 320]
-    assert sweep_constant(0.5, 1.0, -0.25) == sweep["K_emp"]["0.5,1,-0.25"]
+    want = {**sweep["K_emp"], **SWEEP_DEEP}
+    counts = dict.fromkeys(("rows", "calls", "batches", "summed"), 0)
+    scale_rows = qwavelet.scale_rows
+    gated_scale_sum = qwavelet.gated_scale_sum
 
+    def counted_rows(Ff, spec, scale_indices=None):
+        rows = scale_rows(Ff, spec, scale_indices)
+        counts["rows"] += len(rows)
+        counts["calls"] += 1
+        return rows
 
-@pytest.mark.parametrize("alpha,beta,want", [
-    (0.0, 0.0, "0.34064703367865895"),
-    (0.5, 0.25, "2.0762414231899764"),
-    (1.0, -0.25, "3.5213551066400464"),
-], ids=("0.3,0,0", "0.3,0.5,0.25", "0.3,1,-0.25"))
-def test_sweep_deep_cell_pinned(alpha, beta, want):
-    # the benchmark reference still reads "nan" at q = 0.3, from before
-    # the deep-grid position moment was made overflow-safe, and its gate
-    # accepts any finite positive K_emp there
-    assert sweep_constant(0.3, alpha, beta) == want
+    def counted_gate(bounds, contributions):
+        def batch(ms):
+            counts["batches"] += 1
+            return contributions(ms)
+        total, used = gated_scale_sum(bounds, batch)
+        counts["summed"] += len(used)
+        return total, used
+
+    # spectrum outputs that take the exact route, by part
+    exact = {"mothers": 0, "probes": 0}
+    mp_transform = TransformPlan.mp_transform
+
+    def counted_exact(self, values, s_lo, s_hi, dps):
+        exact[part] += max(0, s_hi - s_lo + 1)
+        return mp_transform(self, values, s_lo, s_hi, dps)
+
+    set_cpus(monkeypatch, 1)
+    monkeypatch.setattr(qwavelet, "scale_rows", counted_rows)
+    monkeypatch.setattr(qwavelet, "gated_scale_sum", counted_gate)
+    monkeypatch.setattr(TransformPlan, "mp_transform", counted_exact)
+    scales = 0
+    got = {}
+    for q, alpha, beta in CELLS:
+        part = "mothers"
+        plan = make_plan(build_grid(q, -160, 320), BesselParams(alpha, beta))
+        spec = operator_mother(plan)
+        part = "probes"
+        probes = probe_family(plan)
+        K = empirical_lower_constant(probes, spec)
+        got[f"{q:g},{alpha:g},{beta:g}"] = "%.17g" % K
+        scales += len(probes) * len(spec.scale_indices)
+    assert got == want
+    assert scales == 38637
+    assert counts == {"rows": 7481, "calls": 227, "batches": 162,
+                      "summed": 7128}
+    assert exact == {"mothers": 5512, "probes": 5454}

@@ -670,11 +670,11 @@ def test_writer_guard_allows_the_file_home(source):
     assert write_breaches(source, "qgrid") == []
 
 
-# Every name the package exports is called somewhere in the library,
-# bench/ or tools/, outside its own definition and __init__.py: the
-# product's callers define the public surface. The exceptions are the
-# reference definitions that tests compare the fast routes against.
-CALLER_DIRS = (SRC, SRC.parent.parent / "bench", SRC.parent.parent / "tools")
+# Every name the package exports is called somewhere in the library or
+# bench/, outside its own definition and __init__.py: the product's
+# callers define the public surface. The exceptions are the reference
+# definitions that tests compare the fast routes against.
+CALLER_DIRS = (SRC, SRC.parent.parent / "bench")
 REFERENCE_ONLY = {"normalized_q_bessel", "modified_q_bessel", "cwt_direct"}
 
 

@@ -122,7 +122,8 @@ class TestModifiedKernel:
         (0.0, 2000.0, 1.0, r"q\^\(-beta\) = 0.5\^-2000.0"),
         (3000.0, -2000.0, 4.0, r"x\^\(-2 beta\) = 4.0\^4000.0"),
         (1.0, 1.0, 1e-300, r"x\^\(-2 beta\) = 1e-300\^-2.0"),
-    ], ids=("q-power", "x-power", "tiny-x"))
+        (0.0, 600.0, 1.0, r"\(q\^2\)\^\(order \+ n\) = 0.25\^-599.0"),
+    ], ids=("q-power", "x-power", "tiny-x", "series-power"))
     def test_power_overflow_named(self, alpha, beta, x, power):
         # each power raised OverflowError (34, 'Numerical result out of
         # range'), which no caller catches

@@ -423,7 +423,10 @@ class TestExitCodes:
         ("--alpha", "3000", "--beta", "-2000", "--nlow", "-2", "--nhigh", "0"),
         ("--eigencheck", "--lam", "1e-300", "--beta", "1", "--nlow", "0",
          "--nhigh", "4"),
-    ], ids=("q-power", "x-power", "eigencheck"))
+        ("--beta", "1000", "--nlow", "-2", "--nhigh", "2"),
+        ("--beta", "600", "--nlow", "0", "--nhigh", "1"),
+    ], ids=("q-power", "x-power", "eigencheck", "series-power-1000",
+            "series-power-600"))
     def test_kernel_power_overflow_exits_1(self, capsys, argv):
         # a power of the kernel's prefactor leaves float64: this was an
         # OverflowError traceback

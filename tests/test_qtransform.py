@@ -74,6 +74,15 @@ class TestCalibration:
         with pytest.raises(ValueError, match="need at least one probe"):
             plan00.involution_residual([])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_probe_rejected(self, grid00, plan00):
+        # this returned nan, with a RuntimeWarning from dividing 0 by 0
+        probes = [GridFunction.from_pairs(grid00, [(0, 1.0)]),
+                  GridFunction.from_pairs(grid00, [])]
+        with pytest.raises(ValueError,
+                           match="^involution probe 1 is identically zero$"):
+            plan00.involution_residual(probes)
+
     @pytest.mark.parametrize("q,alpha,beta", [
         (0.3, 0.0, 0.0), (0.5, 0.5, 0.25), (0.7, 1.0, -0.25)])
     def test_block_reads_each_probe_alone(self, q, alpha, beta):

@@ -7,9 +7,10 @@ tests then hold the individual checks to their pinned tolerances and pin
 the cell's computed constants against values frozen from a verified
 high-precision run. Two tests rerun the CLI: twice on one cell,
 demanding byte-identical output, and once on the whole lattice,
-demanding the report the benchmark pins. The last two pin the other
-two benchmark workloads: the transform stream's seed-0 digest, and the
-uncertainty sweep's nine K_emp with the work its probes do."""
+demanding the report the benchmark pins. The rest pin the other two
+benchmark workloads: the transform stream's seed-0 digest, and the
+uncertainty sweep's nine K_emp with the work its probes do, run once
+(module-scoped fixture)."""
 
 import hashlib
 import importlib.util
@@ -218,18 +219,16 @@ SWEEP_DEEP = {"0.3,0,0": "0.34064703367865895",
               "0.3,1,-0.25": "3.5213551066400464"}
 
 
-def test_sweep_counts_and_constants(monkeypatch):
+@pytest.fixture(scope="module")
+def sweep_run():
     """The nine cells of `qwave uncertainty --sweep` on [-160, 320],
     each built the way the sweep builds it, with the 81 probe planes
     run in this process so that their work can be counted: the rows
     scale_rows builds and its calls, the gate's batches and the rows it
     sums, and the spectrum outputs of the mothers and of the probes that
-    take the exact route (mp_transform). A change to the gate, to the
-    plane's rows or to its block size, or to the certificate, moves a
-    count; a change to any bit of a K_emp moves its 17 digits."""
-    sweep = json.loads(REFERENCES.read_text())["uncertainty-sweep"]
-    assert sweep["grid"] == [-160, 320]
-    want = {**sweep["K_emp"], **SWEEP_DEEP}
+    take the exact route (mp_transform). Returns each cell's K_emp as
+    the 17 digits the sweep reports, the probe-scale count and the
+    counts."""
     counts = dict.fromkeys(("rows", "calls", "batches", "summed"), 0)
     scale_rows = qwavelet.scale_rows
     gated_scale_sum = qwavelet.gated_scale_sum
@@ -256,23 +255,46 @@ def test_sweep_counts_and_constants(monkeypatch):
         exact[part] += max(0, s_hi - s_lo + 1)
         return mp_transform(self, values, s_lo, s_hi, dps)
 
-    set_cpus(monkeypatch, 1)
-    monkeypatch.setattr(qwavelet, "scale_rows", counted_rows)
-    monkeypatch.setattr(qwavelet, "gated_scale_sum", counted_gate)
-    monkeypatch.setattr(TransformPlan, "mp_transform", counted_exact)
     scales = 0
     got = {}
-    for q, alpha, beta in CELLS:
-        part = "mothers"
-        plan = make_plan(build_grid(q, -160, 320), BesselParams(alpha, beta))
-        spec = operator_mother(plan)
-        part = "probes"
-        probes = probe_family(plan)
-        K = empirical_lower_constant(probes, spec)
-        got[f"{q:g},{alpha:g},{beta:g}"] = "%.17g" % K
-        scales += len(probes) * len(spec.scale_indices)
-    assert got == want
+    with pytest.MonkeyPatch.context() as mp:
+        set_cpus(mp, 1)
+        mp.setattr(qwavelet, "scale_rows", counted_rows)
+        mp.setattr(qwavelet, "gated_scale_sum", counted_gate)
+        mp.setattr(TransformPlan, "mp_transform", counted_exact)
+        for q, alpha, beta in CELLS:
+            part = "mothers"
+            plan = make_plan(build_grid(q, -160, 320),
+                             BesselParams(alpha, beta))
+            spec = operator_mother(plan)
+            part = "probes"
+            probes = probe_family(plan)
+            K = empirical_lower_constant(probes, spec)
+            got[f"{q:g},{alpha:g},{beta:g}"] = "%.17g" % K
+            scales += len(probes) * len(spec.scale_indices)
+    return got, scales, counts, exact
+
+
+def test_sweep_counts_and_constants(sweep_run):
+    # a change to the gate, to the plane's rows or to its block size,
+    # or to the certificate, moves a count; a change to any bit of a
+    # K_emp moves its 17 digits
+    got, scales, counts, exact = sweep_run
+    sweep = json.loads(REFERENCES.read_text())["uncertainty-sweep"]
+    assert sweep["grid"] == [-160, 320]
+    assert got == {**sweep["K_emp"], **SWEEP_DEEP}
     assert scales == 38637
     assert counts == {"rows": 7481, "calls": 227, "batches": 162,
                       "summed": 7128}
     assert exact == {"mothers": 5512, "probes": 5454}
+
+
+def test_sweep_shifted_cell_matches_benchmark_reference(sweep_run):
+    sweep = json.loads(REFERENCES.read_text())["uncertainty-sweep"]
+    assert sweep["grid"] == [-160, 320]
+    assert sweep_run[0]["0.5,1,-0.25"] == sweep["K_emp"]["0.5,1,-0.25"]
+
+
+@pytest.mark.parametrize("cell_id", SWEEP_DEEP, ids=str)
+def test_sweep_deep_cell_pinned(sweep_run, cell_id):
+    assert sweep_run[0][cell_id] == SWEEP_DEEP[cell_id]

@@ -7,6 +7,7 @@ therefore independent of term order; results are bit-reproducible.
 """
 
 import contextlib
+import functools
 import json
 import math
 import operator
@@ -37,6 +38,8 @@ class QGrid:
 
     q^{n_low} is the largest point; points decrease strictly. The point 0
     is never on the grid, so every weight and kernel below is finite.
+    The index and point arrays are read-only, so that one grid can be
+    shared (read_function keeps one per sidecar).
     """
 
     __slots__ = ("q", "n_low", "n_high", "indices", "points")
@@ -67,6 +70,8 @@ class QGrid:
             raise ValueError(
                 f"grid [{self.n_low}, {self.n_high}] of {self.size} points "
                 f"is too large to allocate (q = {self.q})") from None
+        self.indices.flags.writeable = False
+        self.points.flags.writeable = False
 
     @property
     def size(self):
@@ -408,11 +413,13 @@ def read_function(path):
     must be `n,value`: an index that int() takes (`+3`, `-0`, spaces
     around it) and a value that float() takes. An index off the grid or
     listed twice is an error, and so is a value that is not finite.
-    Indices not listed are zero. The lines are read one at a time, and
-    the ValueError raised is that of the first line that fails, at its
-    first failing step: unpack, int, repeat, float, range (the value is
-    converted before its index is placed). Values that are not finite
-    are refused after the last line, by GridFunction."""
+    Indices not listed are zero. Files whose sidecars give the same
+    (q, n_low, n_high) share one QGrid, kept in a small cache. The lines
+    are read one at a time, and the ValueError raised is that of the
+    first line that fails, at its first failing step: unpack, int,
+    repeat, float, range (the value is converted before its index is
+    placed). Values that are not finite are refused after the last
+    line, by GridFunction."""
     desc = json.loads(_read_text(sidecar_path(path)))
     if not isinstance(desc, dict):
         raise ValueError("sidecar is not a JSON object")
@@ -424,7 +431,7 @@ def read_function(path):
         if not isinstance(desc[key], kind) or isinstance(desc[key], bool):
             raise ValueError(
                 f"sidecar key {key!r} must be {want}, got {desc[key]!r}")
-    grid = QGrid(desc["q"], desc["n_low"], desc["n_high"])
+    grid = _sidecar_grid(desc["q"], desc["n_low"], desc["n_high"])
     header, newline, body = _read_text(path).partition("\n")
     if header.strip() != "n,value":
         raise ValueError(f"unexpected header {header + newline!r} in {path}")
@@ -441,6 +448,13 @@ def read_function(path):
         seen.add(n)
         vals[grid.pos(n)] = float(v_str)
     return GridFunction(grid, vals)
+
+
+@functools.lru_cache(maxsize=8)
+def _sidecar_grid(q, n_low, n_high):
+    """QGrid(q, n_low, n_high), one per sidecar triple: a stream of files
+    on one grid reads one grid, not one per file."""
+    return QGrid(q, n_low, n_high)
 
 
 def _read_text(path):

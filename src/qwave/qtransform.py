@@ -27,8 +27,8 @@ import numpy as np
 from mpmath.libmp import from_float, mpf_mul, round_nearest, to_float
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_round, dd_split,
-                           dd_split_floats, fsum_rows, kappa_row,
+from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_halves, dd_round,
+                           dd_split, dd_split_floats, fsum_rows, kappa_row,
                            lattice_kernel, mp_context, mp_dot, spectrum_dps)
 from qwave.qgrid import GridFunction, jackson_weights, mp_weight_exponent
 
@@ -36,6 +36,8 @@ CALIBRATION_SPREAD_TOL = 1e-6
 # terms per block of float_transform, so that no call makes a
 # support x outputs temporary
 _DD_BLOCK = 1 << 14
+# the largest column exponent k_j of a plan's scaled kernel
+_MAX_SHIFT = 64
 
 
 class CalibrationError(RuntimeError):
@@ -49,8 +51,13 @@ class OrderError(ValueError):
 
 class TransformPlan:
     """Transform state for one (grid, v) pair: the float64 kernel matrix
-    over all index sums, rounded from the FLOAT_ROW_DPS kappa row, the
-    Jackson weights, and the normalization c_qv. The constructor
+    M over all index sums, rounded from the FLOAT_ROW_DPS kappa row, the
+    Jackson weights, and the normalization c_qv. M is kept scaled in
+    place, column by column, by a power of two, so that its products
+    with operands of tiny magnitude avoid subnormal arithmetic:
+    scaled_kernel holds M[:, j] 2^-k_j and kernel_exponents the ints
+    k_j. gemv is the one product with M, and it never builds M but for
+    an operand that would overflow. The constructor
     calibrates c_qv on a small interior probe family
     (_calibration_probes), read as one block: it measures the
     double-transform ratio rho at c = 1, sets c = 1/sqrt(rho) and
@@ -67,9 +74,9 @@ class TransformPlan:
     float_transform reads, are kept the same way per (dps, c_qv), with
     c_qv folded into the weights (dd_operands)."""
 
-    __slots__ = ("grid", "v", "c_qv", "matrix", "weights",
-                 "calibration_residual", "_table", "_mp_weights",
-                 "_kappa_rows", "_dd_operands")
+    __slots__ = ("grid", "v", "c_qv", "scaled_kernel", "kernel_exponents",
+                 "weights", "calibration_residual", "_table", "_powers",
+                 "_mp_weights", "_kappa_rows", "_dd_operands")
 
     def __init__(self, grid, v):
         if not v.nu > -1.0:
@@ -81,11 +88,20 @@ class TransformPlan:
         self.weights = jackson_weights(grid, v)
         self._table = lattice_kernel(v.nu, grid.q, 2 * grid.n_low,
                                      2 * grid.n_high)
-        # matrix[i, j] = kernel at index sum n_i + n_j, entry i + j of
-        # the row: Hankel, so each matrix row is a window of the kappa row
+        # M[i, j] = kernel at index sum n_i + n_j, entry i + j of the
+        # row: Hankel, so row and column j of M are the window
+        # row[j:j + N]. k_j takes its least nonzero magnitude,
+        # 2^(e-1) <= |x| < 2^e, down to 2^-1022 at most, so every
+        # nonzero entry stays normal and the scaling in place is exact.
         row = np.array([to_float(k, rnd=round_nearest) for k in
                         kappa_row(self._table, grid, v, FLOAT_ROW_DPS)])
-        self.matrix = sliding_window_view(row, grid.size).copy()
+        self.scaled_kernel = sliding_window_view(row, grid.size).copy()
+        mags = np.abs(row)
+        mags[mags == 0.0] = math.inf
+        _, least = np.frexp(sliding_window_view(mags, grid.size).min(axis=1))
+        self.kernel_exponents = np.clip(least + 1021, 0, _MAX_SHIFT)
+        self.scaled_kernel *= np.ldexp(1.0, -self.kernel_exponents)
+        self._powers = np.ldexp(1.0, self.kernel_exponents)
         # dps -> {n: weight}; dps -> kappa row; (dps, c_qv) -> (c w(n)
         # as dd arrays by grid position, hi nan until built; the kappa
         # row's dd windows)
@@ -170,8 +186,10 @@ class TransformPlan:
         """The double-double forms (qbessel.dd_split) at dps of the
         weights times c, and of kappa_row: the (hi, lo, exp) arrays of
         the exact products c w(n), c = c_qv, for n in ns, and the row's
-        (hi, lo, exp) as sliding windows, 2-D views whose entry [t, j]
-        is the row's entry t + j. The plan keeps them per (dps, c_qv):
+        (hi, lo, exp) and the two Dekker halves of its hi (qbessel's
+        dd_dot takes them so as not to split the highs on every call)
+        as sliding windows, 2-D views whose entry [t, j] is the row's
+        entry t + j. The plan keeps them per (dps, c_qv):
         c w(n) in arrays over the grid's positions, each entry built on
         the first request for it, and the row on the first request.
         Indices off the grid are built on every request and not kept."""
@@ -180,12 +198,13 @@ class TransformPlan:
             size = self.grid.size
             # windows[t, j] is entry t + j of the row, zero-padded past
             # its end so that every t on the row has a full window
+            hi, lo, exp = dd_split(self.kappa_row(dps))
             self._dd_operands[key] = (
                 (np.full(size, np.nan), np.empty(size),
                  np.empty(size, dtype=np.int64)),
                 tuple(sliding_window_view(np.concatenate((part, 0 * part)),
                                           len(part))
-                      for part in dd_split(self.kappa_row(dps))))
+                      for part in (hi, lo, exp, *dd_halves(hi))))
         kept, windows = self._dd_operands[key]
         n_low = self.grid.n_low
         if min(ns) < n_low or max(ns) > self.grid.n_high:
@@ -268,12 +287,39 @@ class TransformPlan:
 
     def fourier_values(self, values):
         """Raw transform of a value array (same index range in and out),
-        or of each row of a (k, N) block. The product is one stacked
-        np.matmul of the matrix with the values as (N, 1) columns, which
-        calls BLAS's GEMV once per row, as scale_rows does: a row of a
-        block has the bits of the same row alone."""
-        x = self.weights * values
-        return self.c_qv * np.matmul(self.matrix, x[..., None])[..., 0]
+        or of each row of a (k, N) block: c_qv times gemv of the
+        weighted values x, one GEMV per row, so a row of a block has the
+        bits of the same row alone. gemv multiplies the column-scaled
+        kernel by x_j 2^k_j: each product is M_ij x_j exactly, as both
+        scalings are exact, so each row has the bits of np.dot(M, x)
+        with the kernel M itself."""
+        return self.c_qv * self.gemv(self.weights * values)
+
+    def gemv(self, x):
+        """M x for the plan's kernel M, of an operand x of shape (N,) or
+        of each row of a (k, N) block, bit for bit np.dot(M, x_i) per
+        row, from the scaled kernel and never M itself.
+
+        The product is one stacked np.matmul of scaled_kernel with the
+        operand times 2^k as (N, 1) columns: with a right operand of one
+        column, matmul calls BLAS's GEMV once per stacked row, the call
+        np.dot makes. Column j of the scaled kernel holds M[:, j] 2^-k_j
+        exactly, as every nonzero entry stays normal, and x_j 2^k_j is
+        exact unless it overflows. So every product
+        (M_ij 2^-k_j)(x_j 2^k_j) is the real number M_ij x_j, and it
+        rounds as M_ij x_j does, in any order, blocking or FMA use of
+        the BLAS sums. What changes is the operands' speed: an x_j that
+        is subnormal, as where the Jackson weights underflow, is lifted
+        to a normal float when k_j is large enough. A finite x_j whose
+        scaled value overflows sends the call to M itself, rebuilt
+        exactly for that call."""
+        with np.errstate(over="ignore"):
+            scaled = x * self._powers
+        lifted = np.isinf(scaled)
+        if lifted.any() and np.isfinite(x[lifted]).any():
+            kernel = np.ldexp(self.scaled_kernel, self.kernel_exponents)
+            return np.matmul(kernel, x[..., None])[..., 0]
+        return np.matmul(self.scaled_kernel, scaled[..., None])[..., 0]
 
     def norm_sq(self, values):
         return math.fsum((values * values * self.weights).tolist())
@@ -333,9 +379,10 @@ def translate(f, n, plan):
 
     Quadratic cost; intended for small-support inputs like wavelets."""
     grid = plan.grid
-    col = plan.matrix[grid.pos(n)]
+    # row pos(n) of the kernel, its columns' scaling undone exactly
+    col = np.ldexp(plan.scaled_kernel[grid.pos(n)], plan.kernel_exponents)
     Ff = plan.fourier_values(f.values)
-    shifted = plan.c_qv * (plan.matrix @ (plan.weights * Ff * col))
+    shifted = plan.c_qv * plan.gemv(plan.weights * Ff * col)
     return GridFunction(grid, shifted)
 
 

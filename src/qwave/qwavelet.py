@@ -188,16 +188,20 @@ def scale_rows(Ff, spec, scale_indices=None):
     one block: row i is the scale scale_indices[i].
 
     Row m is sqrt(q^m) c M (w (spec.windows row of m) Ff), for the
-    plan's matrix M, weights w and normalization c, with the steps
+    plan's kernel M, weights w and normalization c, with the steps
     taken in that order: the window, weight and c products as block
     operations, M x as one GEMV per row (a GEMM over the block rounds
     differently), and sqrt(q^m), from spec.roots, as one block multiply:
     the same IEEE product, entry by entry, as a float per row. So each
     row has the bits of the same steps on that row alone.
 
-    The GEMVs are one stacked np.matmul of M with the block as a stack
-    of (n, 1) columns: for a right operand of one column, matmul calls
-    BLAS's GEMV once per stacked row, the call np.dot(M, x_i) makes."""
+    The GEMVs are plan.gemv: one stacked np.matmul of the plan's
+    column-scaled kernel with the block times the column powers 2^k_j
+    as a stack of (n, 1) columns, which calls BLAS's GEMV once per
+    stacked row. Each product is exact-scaled, M_ij 2^-k_j times
+    x_j 2^k_j, the real number M_ij x_j, so each row has the bits of
+    np.dot(M, x_i); the operands that the weights leave subnormal are
+    lifted to normal floats, which the GEMV multiplies at full speed."""
     plan = spec.plan
     if scale_indices is None:
         block = slice(None)
@@ -211,7 +215,7 @@ def scale_rows(Ff, spec, scale_indices=None):
     # 2-D operands keep a one-row block off numpy's broadcasting path
     x = spec.windows[block] * Ff[None]
     x *= plan.weights[None]
-    rows = np.matmul(plan.matrix, x[:, :, None])[:, :, 0]
+    rows = plan.gemv(x)
     rows *= plan.c_qv
     rows *= spec.roots[block, None]
     return rows
@@ -261,11 +265,15 @@ class WaveletPlane:
             with np.errstate(over="ignore", invalid="ignore"):
                 x2w = points ** 2 * weights
                 finite = np.isfinite(x2w)
-                xsw = points * np.sqrt(weights)
-                total, used = self.integral(
-                    lambda rows: np.where(finite, x2w * rows * rows,
-                                          (xsw * rows) ** 2),
-                    np.where(finite, np.sqrt(x2w), xsw))
+                if finite.all():
+                    total, used = self.integral(
+                        lambda rows: x2w * rows * rows, np.sqrt(x2w))
+                else:
+                    xsw = points * np.sqrt(weights)
+                    total, used = self.integral(
+                        lambda rows: np.where(finite, x2w * rows * rows,
+                                              (xsw * rows) ** 2),
+                        np.where(finite, np.sqrt(x2w), xsw))
             self._moment = total, frozenset(used)
         return self._moment
 
@@ -407,11 +415,21 @@ def _log2_sum_exp2(x):
     return shift[..., 0] + np.log2(x.sum(axis=-1))
 
 
-def _log2_abs_matvec(A, log_v, power=1.0):
-    """log2(|A|^power @ 2^log_v), one block of rows at a time."""
+def _log2_abs_matvec(plan, log_v, power=1.0, transposed=False):
+    """log2(|M|^power @ 2^log_v) for the plan's kernel M, or its
+    transpose, one block of rows at a time. Each block of |M| is undone
+    from the plan's scaled kernel exactly: its column powers 2^k_j are
+    multiplied back in place, so the block has the layout and the bits
+    of the same block of |M|."""
+    A, k = plan.scaled_kernel, plan.kernel_exponents
     out = np.empty(A.shape[0])
     for i in range(0, A.shape[0], _BLOCK):
-        blk = np.abs(A[i:i + _BLOCK])
+        if transposed:
+            blk = np.abs(A.T[i:i + _BLOCK])
+            np.ldexp(blk, k[i:i + _BLOCK, None], out=blk)
+        else:
+            blk = np.abs(A[i:i + _BLOCK])
+            np.ldexp(blk, k, out=blk)
         np.log2(blk, out=blk)
         blk *= power
         blk += log_v
@@ -435,7 +453,7 @@ def _term_bound(spec, d, transformed):
     if key in spec._term_bounds:
         return spec._term_bounds[key]
     plan = spec.plan
-    M, n = plan.matrix, plan.grid.size
+    n = plan.grid.size
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # D = d + sqrt(2^-1075) absorbs the underflow of one term form
         log_d = np.logaddexp2(np.log2(d), 0.5 * _LOG2_UNDERFLOW)
@@ -444,21 +462,27 @@ def _term_bound(spec, d, transformed):
         log_dnorm = 0.5 * _log2_sum_exp2(2.0 * log_d)
         # G_j = ||D |M|_{:,j}||, then for L = c M diag(w) its Minkowski
         # bound c sum_k |M_kj| w_k G_k
-        log_g = 0.5 * _log2_abs_matvec(M.T, 2.0 * log_d, 2.0)
+        log_g = 0.5 * _log2_abs_matvec(plan, 2.0 * log_d, 2.0,
+                                       transposed=True)
         # the overflow check's column: max_i of |M| and, through the
-        # transform, of |M| W and |M| W |M|, W = diag(w), entry by entry
-        log_k = np.log2(np.maximum(M.max(axis=0), -M.min(axis=0)))
+        # transform, of |M| W and |M| W |M|, W = diag(w), entry by entry;
+        # a column's extremes scale back exactly with the column
+        scaled = plan.scaled_kernel
+        log_k = np.log2(np.ldexp(
+            np.maximum(scaled.max(axis=0), -scaled.min(axis=0)),
+            plan.kernel_exponents))
         if transformed:
-            log_g = log_c + _log2_abs_matvec(M.T, log_w + log_g)
+            log_g = log_c + _log2_abs_matvec(plan, log_w + log_g,
+                                             transposed=True)
             log_a = log_c + 0.5 * _log2_sum_exp2(
-                2.0 * (log_d + _log2_abs_matvec(M, log_w)))
+                2.0 * (log_d + _log2_abs_matvec(plan, log_w)))
             log_e = np.logaddexp2(
                 log_c + 0.5 * _log2_sum_exp2(
-                    2.0 * (log_d + _log2_abs_matvec(M, np.zeros(n)))),
+                    2.0 * (log_d + _log2_abs_matvec(plan, np.zeros(n)))),
                 math.log2(plan.c_qv * n + 1.0) + log_dnorm)
             log_k = np.maximum.reduce([
-                log_k, _log2_abs_matvec(M.T, log_w),
-                _log2_abs_matvec(M.T, log_k + log_w)])
+                log_k, _log2_abs_matvec(plan, log_w, transposed=True),
+                _log2_abs_matvec(plan, log_k + log_w, transposed=True)])
         else:
             log_a, log_e = log_dnorm, -math.inf
         slack_n = _LOG2_UNDERFLOW + math.log2(n + 2.0 / plan.c_qv) + log_a

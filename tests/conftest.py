@@ -92,6 +92,12 @@ def line_read_function(path):
     return GridFunction(grid, vals)
 
 
+def plan_kernel(plan):
+    """The plan's kernel matrix M itself, rebuilt exactly from its
+    column-scaled array: column j times 2^k_j."""
+    return np.ldexp(plan.scaled_kernel, plan.kernel_exponents)
+
+
 def set_cpus(monkeypatch, n):
     """Make parallel_map see n CPUs in the affinity mask."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

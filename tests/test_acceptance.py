@@ -20,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qwave import qwavelet
@@ -29,7 +30,7 @@ from qwave.qtransform import TransformPlan, make_plan
 from qwave.qwavelet import operator_mother
 from qwave.uncertainty import empirical_lower_constant, probe_family
 
-from conftest import rel_err, set_cpus
+from conftest import plan_kernel, rel_err, set_cpus
 
 CELLS = [(q, a, b)
          for q in (0.3, 0.5, 0.7)
@@ -226,18 +227,53 @@ def sweep_run():
     run in this process so that their work can be counted: the rows
     scale_rows builds and its calls, the gate's batches and the rows it
     sums, and the spectrum outputs of the mothers and of the probes that
-    take the exact route (mp_transform). Returns each cell's K_emp as
-    the 17 digits the sweep reports, the probe-scale count and the
-    counts."""
+    take the exact route (mp_transform). Every row is compared, bit for
+    bit, with the same steps through np.dot and the kernel itself, and
+    each cell's plan takes one operand forced near overflow. Returns
+    each cell's K_emp as the 17 digits the sweep reports, the
+    probe-scale count, the counts and the GEMV comparisons."""
     counts = dict.fromkeys(("rows", "calls", "batches", "summed"), 0)
+    gemv = dict.fromkeys(("rows", "differ", "forced"), 0)
+    kernel = {}
     scale_rows = qwavelet.scale_rows
     gated_scale_sum = qwavelet.gated_scale_sum
+
+    def unscaled(plan):
+        if kernel.get("plan") is not plan:
+            kernel.update(plan=plan, M=plan_kernel(plan))
+        return kernel["M"]
 
     def counted_rows(Ff, spec, scale_indices=None):
         rows = scale_rows(Ff, spec, scale_indices)
         counts["rows"] += len(rows)
         counts["calls"] += 1
+        plan = spec.plan
+        block = np.array(scale_indices) - spec.scale_indices[0]
+        x = spec.windows[block] * Ff[None]
+        x *= plan.weights[None]
+        want = np.empty_like(x)
+        for xi, wi in zip(x, want):
+            np.dot(unscaled(plan), xi, out=wi)
+        want *= plan.c_qv
+        want *= spec.roots[block, None]
+        gemv["rows"] += len(rows)
+        gemv["differ"] += sum(a.tobytes() != b.tobytes()
+                              for a, b in zip(rows, want))
         return rows
+
+    def forced_overflow(spec):
+        # an operand whose entry j, times 2^k_j, overflows: the scaled
+        # kernel alone would give other bits than the kernel itself
+        plan = spec.plan
+        M, k = unscaled(plan), plan.kernel_exponents
+        x = spec.profile[:plan.grid.size] * plan.weights
+        j = int(np.argmax(k))
+        x[j] = -np.ldexp(1.0, 1024 - int(k[j]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.dot(M, x)
+            scaled_only = np.dot(plan.scaled_kernel, np.ldexp(x, k))
+            got = plan.gemv(x)
+        return got.tobytes() == want.tobytes() != scaled_only.tobytes()
 
     def counted_gate(bounds, contributions):
         def batch(ms):
@@ -272,14 +308,15 @@ def sweep_run():
             K = empirical_lower_constant(probes, spec)
             got[f"{q:g},{alpha:g},{beta:g}"] = "%.17g" % K
             scales += len(probes) * len(spec.scale_indices)
-    return got, scales, counts, exact
+            gemv["forced"] += forced_overflow(spec)
+    return got, scales, counts, exact, gemv
 
 
 def test_sweep_counts_and_constants(sweep_run):
     # a change to the gate, to the plane's rows or to its block size,
     # or to the certificate, moves a count; a change to any bit of a
     # K_emp moves its 17 digits
-    got, scales, counts, exact = sweep_run
+    got, scales, counts, exact, _ = sweep_run
     sweep = json.loads(REFERENCES.read_text())["uncertainty-sweep"]
     assert sweep["grid"] == [-160, 320]
     assert got == {**sweep["K_emp"], **SWEEP_DEEP}
@@ -287,6 +324,14 @@ def test_sweep_counts_and_constants(sweep_run):
     assert counts == {"rows": 7481, "calls": 227, "batches": 162,
                       "summed": 7128}
     assert exact == {"mothers": 5512, "probes": 5454}
+
+
+def test_sweep_rows_equal_the_unscaled_gemvs(sweep_run):
+    # on all nine cells, every row the sweep builds through the plan's
+    # column-scaled kernel has the bits of np.dot with the kernel
+    # itself, signs of zero included, and an operand forced near
+    # overflow takes the kernel itself and matches too
+    assert sweep_run[4] == {"rows": 7481, "differ": 0, "forced": 9}
 
 
 def test_sweep_shifted_cell_matches_benchmark_reference(sweep_run):

@@ -144,7 +144,7 @@ def test_precision_home_may_set_digits():
 # Calls that make a process pool or a process: parallel_map alone may
 # make them, so that there is one worker path and workers never nest.
 PROCESS_CALLS = ("ProcessPoolExecutor", "Pool", "Process", "get_context",
-                 "fork", "forkpty")
+                 "fork", "forkpty", "posix_spawn", "posix_spawnp")
 PROCESS_HOME = "uncertainty.parallel_map"
 
 
@@ -292,7 +292,11 @@ def test_gate_finder_sees_the_constants(source, gates):
 # that one function holds the row arithmetic and the bound's premises.
 ROW_HOME = "qwavelet.scale_rows"
 MATRIX_PRODUCTS = ("dot", "matmul", "einsum", "vdot", "inner", "tensordot")
-PRODUCT_CALLS = ("fourier_values",) + MATRIX_PRODUCTS
+# the plan's products with its kernel: the transform, and the GEMVs
+TRANSFORM_CALLS = ("fourier_values", "gemv")
+PRODUCT_CALLS = TRANSFORM_CALLS + MATRIX_PRODUCTS
+# the attributes that hold a plan's kernel matrix, scaled or not
+MATRIX_ATTRS = ("matrix", "scaled_kernel")
 
 
 def _call_name(func):
@@ -301,9 +305,10 @@ def _call_name(func):
 
 
 def _is_matrix(node, aliases):
-    """node reads a plan's matrix: x.matrix, or a name bound to one."""
-    return (isinstance(node, ast.Attribute) and node.attr == "matrix") or (
-        isinstance(node, ast.Name) and node.id in aliases)
+    """node reads a plan's matrix: x.matrix or x.scaled_kernel, or a name
+    bound to one."""
+    return (isinstance(node, ast.Attribute) and node.attr in MATRIX_ATTRS) \
+        or (isinstance(node, ast.Name) and node.id in aliases)
 
 
 def _is_transposed(node):
@@ -357,13 +362,13 @@ def gemm_breaches(source):
 
 
 def row_breaches(source, module="qwavelet"):
-    """(line, what) for every call of the transform (fourier_values)
-    outside scale_rows, every block GEMM through a plan's matrix
-    (gemm_breaches), and, inside WaveletPlane, every matrix product and
-    every read of a plan's matrix."""
-    found = [(call.lineno, f"fourier_values called in {scope}")
+    """(line, what) for every call of the transform (fourier_values) or
+    of the plan's GEMVs (gemv) outside scale_rows, every block GEMM
+    through a plan's matrix (gemm_breaches), and, inside WaveletPlane,
+    every matrix product and every read of a plan's matrix."""
+    found = [(call.lineno, f"{_call_name(call.func)} called in {scope}")
              for call, scope in scoped_calls(source, module)
-             if _call_name(call.func) == "fourier_values"
+             if _call_name(call.func) in TRANSFORM_CALLS
              and scope != ROW_HOME]
     found += gemm_breaches(source)
     for node in ast.parse(source).body:
@@ -373,7 +378,7 @@ def row_breaches(source, module="qwavelet"):
         for sub in ast.walk(node):
             if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.MatMult):
                 found.append((sub.lineno, "matrix product in WaveletPlane"))
-            elif isinstance(sub, ast.Attribute) and sub.attr == "matrix":
+            elif isinstance(sub, ast.Attribute) and sub.attr in MATRIX_ATTRS:
                 found.append((sub.lineno, "plan matrix read in WaveletPlane"))
             elif isinstance(sub, ast.Call) and _call_name(sub.func) in \
                     PRODUCT_CALLS:
@@ -414,6 +419,13 @@ def test_plane_builds_rows_through_scale_rows():
     "    return np.einsum('ij,kj->ki', spec.plan.matrix, X)",
     "class TransformPlan:\n    def block(self, X):\n"
     "        return (self.weights * X) @ self.matrix",
+    # the same through the scaled kernel, or the GEMVs outside scale_rows
+    "def scale_rows(Ff, spec, ms):\n    return x @ spec.plan.scaled_kernel",
+    "class TransformPlan:\n    def block(self, X):\n"
+    "        return np.matmul(X, self.scaled_kernel)",
+    "class WaveletPlane:\n    def row(self, m):\n"
+    "        return self.spec.plan.scaled_kernel[m]",
+    "def _row(plane, m):\n    return plane.spec.plan.gemv(x)",
 ])
 def test_row_guard_flags_each_breach(source):
     assert row_breaches(source)
@@ -433,6 +445,9 @@ def test_row_guard_flags_each_breach(source):
     "    return [M @ x for x in X]",
     "class TransformPlan:\n    def fourier_values(self, values):\n"
     "        return self.matrix @ (self.weights * values)",
+    "def scale_rows(Ff, spec, ms):\n    return spec.plan.gemv(x)",
+    "class TransformPlan:\n    def gemv(self, x):\n"
+    "        return np.matmul(self.scaled_kernel, x[..., None])[..., 0]",
 ])
 def test_row_guard_allows_scale_rows(source):
     assert row_breaches(source) == []
@@ -468,10 +483,12 @@ def test_processes_start_only_in_parallel_map(path):
 
 
 def test_parallel_map_makes_the_pool():
+    # its workers are forked directly: one os.fork call, and no other
+    # process call in the library
     calls = [(name, scope) for path in SRC.glob("*.py")
              for _, name, scope in sum_calls(path.read_text(), path.stem,
                                              PROCESS_CALLS)]
-    assert ("ProcessPoolExecutor", PROCESS_HOME) in calls
+    assert calls == [("fork", PROCESS_HOME)]
 
 
 @pytest.mark.parametrize("source,module", [
@@ -491,6 +508,11 @@ def test_parallel_map_makes_the_pool():
     ("from concurrent.futures import ProcessPoolExecutor as Executor",
      "uncertainty"),
     ("from os import fork as spawn_copy", "qcli"),
+    ("import os\npid, fd = os.forkpty()", "qcli"),
+    ("import os\npid = os.posix_spawn('/bin/true', ['true'], {})",
+     "qbessel"),
+    ("import os\ndef _work(fn, items, fd, pipes):\n"
+     "    return os.posix_spawnp('true', ['true'], {})", "uncertainty"),
 ])
 def test_process_guard_flags_each_breach(source, module):
     assert process_breaches(source, module)
@@ -505,6 +527,8 @@ def test_process_guard_flags_each_breach(source, module):
     ("from concurrent.futures import ProcessPoolExecutor", "uncertainty"),
     ("def probe_reports(probes, spec):\n"
      "    return list(parallel_map(f, probes, (spec,)))", "uncertainty"),
+    ("import os\ndef parallel_map(fn, items):\n"
+     "    for w in range(2):\n        pid = os.fork()", "uncertainty"),
 ])
 def test_process_guard_allows_parallel_map(source, module):
     assert process_breaches(source, module) == []
@@ -654,6 +678,11 @@ def test_writer_guard_flags_breaches_in_every_module(source, module):
     "def cmd_fourier(g, path):\n    write_function(g, path)",
     "import os\ndef f(p):\n    return os.open(p, os.O_RDONLY | os.O_CLOEXEC)",
     "import os\ndef f(p):\n    return os.open(p, 0)",
+    # parallel_map's pipes: os.pipe opens no file by name, a worker
+    # writes its end with os.write, and the map reads the other end
+    "import os\ndef _send(fd, data):\n    os.write(fd, data)",
+    "import os\ndef parallel_map(fn, items):\n"
+    "    rfd, wfd = os.pipe()\n    return os.fdopen(rfd, 'rb')",
 ])
 def test_writer_guard_allows_emit_and_reads(source):
     assert write_breaches(source) == []

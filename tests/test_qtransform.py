@@ -25,7 +25,7 @@ from qwave.qtransform import (
 )
 from qwave.qwavelet import operator_mother
 
-from conftest import rel_err
+from conftest import plan_kernel, rel_err
 
 
 class TestCalibration:
@@ -149,7 +149,8 @@ class TestCalibration:
         plan, want = TransformPlan(grid, v), make_plan(grid, v)
         assert plan.c_qv == want.c_qv != 1.0
         assert plan.calibration_residual == want.calibration_residual
-        assert np.array_equal(plan.matrix, want.matrix)
+        assert np.array_equal(plan.scaled_kernel, want.scaled_kernel)
+        assert np.array_equal(plan.kernel_exponents, want.kernel_exponents)
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-0.5, 0.75)],
                              ids=("nu-1", "nu-1.25"))
@@ -261,10 +262,27 @@ class TestPlanMatrix:
                         for k in plan.kappa_row(FLOAT_ROW_DPS)])
         sums = np.add.outer(grid.indices, grid.indices) - 2 * grid.n_low
         gathered = row[sums]
-        assert plan.matrix.shape == (grid.size, grid.size)
-        assert plan.matrix.tobytes() == gathered.tobytes()
-        # its own C-ordered buffer, not a view of the row
-        assert plan.matrix.flags.c_contiguous and plan.matrix.flags.owndata
+        kernel = plan_kernel(plan)
+        assert kernel.shape == (grid.size, grid.size)
+        assert kernel.tobytes() == gathered.tobytes()
+        # scaled in place in its own C-ordered buffer, not a view of the row
+        scaled = plan.scaled_kernel
+        assert scaled.flags.c_contiguous and scaled.flags.owndata
+
+    def test_column_exponents_keep_every_entry_normal(self, plan):
+        # k_j in [0, 64], as large as keeps every nonzero entry of column
+        # j normal: its least magnitude is then below 2^-1021 unless k_j
+        # is 64, and a column holding a subnormal entry keeps k_j = 0
+        k = plan.kernel_exponents
+        assert 0 <= k.min() and k.max() <= 64
+        mags = np.abs(plan_kernel(plan))
+        mags[mags == 0.0] = math.inf
+        least = np.ldexp(mags.min(axis=0), -k)
+        tiny = np.finfo(float).tiny
+        assert np.all((least >= tiny) | (k == 0))
+        assert np.all((least < 2 * tiny) | (k == 64)
+                      | (mags.min(axis=0) < tiny))
+        assert k.max() > 0
 
 
 class TestTranslate:
@@ -280,7 +298,7 @@ class TestTranslate:
         f = GridFunction.from_pairs(grid00, [(1, 1.0)])
         x_idx, y_idx = 1, 1
         w = plan00.weights
-        ker = plan00.matrix
+        ker = plan_kernel(plan00)
         Ff = plan00.c_qv * ker @ (w * f.values)
         oracle = plan00.c_qv * math.fsum(
             ker[grid00.pos(y_idx)] * w * Ff * ker[grid00.pos(x_idx)])

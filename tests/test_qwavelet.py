@@ -29,7 +29,7 @@ from qwave.qwavelet import (
 )
 from qwave.uncertainty import probe_family
 
-from conftest import eager_gated_scale_sum, rel_err
+from conftest import eager_gated_scale_sum, plan_kernel, rel_err
 
 
 class TestMothers:
@@ -225,8 +225,9 @@ class TestScaleRowBlock:
     (q, a, b) for q in (0.3, 0.5, 0.7)
     for a, b in ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))])
 def test_stacked_gemv_equals_per_row_dot(q, alpha, beta):
-    """scale_rows' one stacked matmul gives each row the bits of its own
-    np.dot(M, x_i), the loop it replaced, on every lattice cell at
+    """scale_rows' one stacked matmul over the plan's column-scaled
+    kernel gives each row the bits of its own np.dot(M, x_i) with the
+    kernel M itself, the loop it replaced, on every lattice cell at
     N = 61, 121, 241 and 481, for blocks of one, two, seven and 64 rows
     (every scale at N = 61). The profile and spectrum are random over a
     wide exponent range, with zeros and subnormals among them."""
@@ -236,6 +237,7 @@ def test_stacked_gemv_equals_per_row_dot(q, alpha, beta):
                          BesselParams(alpha, beta))
         n = plan.grid.size
         ms = mother_scale_range((0, 2), plan.grid)
+        kernel = plan_kernel(plan)
 
         def wide(size):
             x = rng.standard_normal(size) * np.exp2(
@@ -252,7 +254,7 @@ def test_stacked_gemv_equals_per_row_dot(q, alpha, beta):
             x *= plan.weights[None]
             want = np.empty_like(x)
             for xi, wi in zip(x, want):
-                np.dot(plan.matrix, xi, out=wi)
+                np.dot(kernel, xi, out=wi)
             want *= plan.c_qv
             want *= spec.roots[start:start + count, None]
             got = scale_rows(Ff, spec, ms[start:start + count])

@@ -441,24 +441,21 @@ def dd_split_floats(x):
     return hi, np.copysign(0.0, hi), ex
 
 
-def dd_halves(a):
-    """Dekker's split of a float array: a = hi + lo, each half 26 bits
-    or fewer, elementwise, so the halves of a gather are the gather of
-    the halves."""
+def _split(a):
+    """Dekker's split: a = hi + lo, each half 26 bits or fewer."""
     hi = _SPLITTER * a
     hi -= hi - a
     return hi, a - hi
 
 
-def _two_prod(a, b, b_halves=None):
+def _two_prod(a, b):
     """Dekker's TwoProduct: p = fl(a b) and e with p + e = a b exactly,
     for floats whose halves neither overflow nor underflow. e is summed
     in place, in the order ((a_hi b_hi - p) + a_hi b_lo + a_lo b_hi)
-    + a_lo b_lo. b_halves, when given, is dd_halves(b), made
-    beforehand."""
+    + a_lo b_lo."""
     p = a * b
-    a_hi, a_lo = dd_halves(a)
-    b_hi, b_lo = dd_halves(b) if b_halves is None else b_halves
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
     e = a_hi * b_hi
     e -= p
     e += a_hi * b_lo
@@ -490,8 +487,8 @@ def _scaled_terms(uh, ul, ue, kap):
     scaled by 2^-(its largest term exponent), and those exponents. u is
     given as (hi, lo, exp) columns of shape (m, 1), kap as dd_dot's.
     A function of its own, so that its temporaries go when it returns."""
-    kh, kl, ke, kh_hi, kh_lo = kap
-    ph, pl = _two_prod(uh, kh, (kh_hi, kh_lo))
+    kh, kl, ke = kap
+    ph, pl = _two_prod(uh, kh)
     cross = uh * kl
     cross += ul * kh
     pl += cross
@@ -510,9 +507,7 @@ def dd_dot(w, v, kap, prec):
     weighted_k = round(w_k v_k), every round to nearest at prec bits,
     evaluated in double-double with a rigorous bound on the distance to
     R_i. w holds the exact products c w_k and v the values v_k, as
-    dd_split arrays of shape (m,), and kap as dd_split's (hi, lo, exp)
-    of shape (m, rows) followed by dd_halves(hi), which a caller can
-    keep with the others rather than split on every call. Returns
+    dd_split arrays of shape (m,), and kap of shape (m, rows). Returns
     arrays (hi, lo, err, exp) over the rows with hi = fl(hi + lo) and
         |R_i - (hi_i + lo_i) 2^exp_i| <= err_i 2^exp_i.
 

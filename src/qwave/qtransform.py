@@ -27,8 +27,8 @@ import numpy as np
 from mpmath.libmp import from_float, mpf_mul, round_nearest, to_float
 from numpy.lib.stride_tricks import sliding_window_view
 
-from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_halves, dd_round,
-                           dd_split, dd_split_floats, fsum_rows, kappa_row,
+from qwave.qbessel import (FLOAT_ROW_DPS, dd_dot, dd_round, dd_split,
+                           dd_split_floats, fsum_rows, kappa_row,
                            lattice_kernel, mp_context, mp_dot, spectrum_dps)
 from qwave.qgrid import GridFunction, jackson_weights, mp_weight_exponent
 
@@ -186,10 +186,8 @@ class TransformPlan:
         """The double-double forms (qbessel.dd_split) at dps of the
         weights times c, and of kappa_row: the (hi, lo, exp) arrays of
         the exact products c w(n), c = c_qv, for n in ns, and the row's
-        (hi, lo, exp) and the two Dekker halves of its hi (qbessel's
-        dd_dot takes them so as not to split the highs on every call)
-        as sliding windows, 2-D views whose entry [t, j] is the row's
-        entry t + j. The plan keeps them per (dps, c_qv):
+        (hi, lo, exp) as sliding windows, 2-D views whose entry [t, j]
+        is the row's entry t + j. The plan keeps them per (dps, c_qv):
         c w(n) in arrays over the grid's positions, each entry built on
         the first request for it, and the row on the first request.
         Indices off the grid are built on every request and not kept."""
@@ -198,13 +196,12 @@ class TransformPlan:
             size = self.grid.size
             # windows[t, j] is entry t + j of the row, zero-padded past
             # its end so that every t on the row has a full window
-            hi, lo, exp = dd_split(self.kappa_row(dps))
             self._dd_operands[key] = (
                 (np.full(size, np.nan), np.empty(size),
                  np.empty(size, dtype=np.int64)),
                 tuple(sliding_window_view(np.concatenate((part, 0 * part)),
                                           len(part))
-                      for part in (hi, lo, exp, *dd_halves(hi))))
+                      for part in dd_split(self.kappa_row(dps))))
         kept, windows = self._dd_operands[key]
         n_low = self.grid.n_low
         if min(ns) < n_low or max(ns) > self.grid.n_high:

@@ -11,32 +11,28 @@ probe family therefore carries mean-free members, and the minimizing
 probe is always one of them, which is what makes the reported lower
 constant stable under grid refinement.
 
+The moments' rows are GEMVs with the plan's kernel M (qwavelet's
+scale_rows, TransformPlan.gemv), which keeps column j scaled by 2^-k_j
+and multiplies operand entry x_j by 2^k_j. Both scalings are exact
+(powers of two, k_j chosen so that every nonzero entry of column j stays
+normal, and an operand that would overflow takes M itself), so every
+product is M_ij x_j and every row keeps the bits of np.dot(M, x); but
+the operand entries that underflowing Jackson weights leave subnormal
+become normal, which the BLAS GEMV multiplies two to three times faster.
+
 The one parallel path is ``parallel_map``, which runs independent work
 in forked worker processes: a verify or sweep cell, or one probe's plane
 and report (``probe_reports``). The work is mpmath and small float64
 kernels that hold the interpreter lock, so threads cannot overlap it.
-The workers are forked directly, one per CPU, each with a task pipe
-and a result pipe: the function and the items reach them through fork,
-each worker is handed one item index at a time, and each result comes
-back pickled as soon as it is done, to be yielded in input order. A
-worker is handed its next index when its result is read, so a worker
-on a CPU that other load slows takes fewer items (on a shared 2-vCPU
-host, a fixed split of verify's nine cells left one worker idle for
-half the map while the other ran its cells 1.7 times slower). Workers
-never nest: inside a worker, ``parallel_map`` runs inline, so a sweep
-runs its cells on workers and each cell's probes in its worker.
+Workers never nest: inside a worker, ``parallel_map`` runs inline, so a
+sweep runs its cells on workers and each cell's probes in its worker.
 Callers may still call in from several threads: no result depends on
-threads, workers or ``mpmath.mp``, as each high-precision block has
-its own mpmath context.
+threads, workers or ``mpmath.mp``, as each high-precision block has its
+own mpmath context.
 """
 
-import contextlib
 import math
 import os
-import pickle
-import selectors
-import signal
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,149 +58,56 @@ class WorkerError(RuntimeError):
     result (killed, or out of memory)."""
 
 
-# True in a worker process that parallel_map forked, where a
-# parallel_map runs inline
-_in_worker = False
+# fn of the parallel_map that started this worker process; fork hands
+# it over, so it is never pickled.
+_worker_fn = None
+
+
+def _start_worker(fn):
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _run_in_worker(item):
+    return _worker_fn(item)
 
 
 def parallel_map(fn, items):
     """Map fn over independent items on worker processes, yielding the
     results in input order as they arrive.
 
-    One worker per CPU in the affinity mask, at most one per item, each
-    forked by os.fork with two pipes: a task pipe on which this process
-    hands it the index of one item at a time, and a result pipe back.
-    fn and the items reach the workers through fork and are never
-    pickled (fn may be a closure over mpf values of a private mpmath
-    context); only the indices and the results cross. A worker pickles
-    each result to its pipe as soon as it is done and is handed the
-    next index when this process reads it, so a worker on a slower CPU
-    takes fewer items. The results are yielded in input order. fn runs
-    inline, in this process, when the worker count is 1, inside a
-    worker (so workers never nest: a parallel_map inside a worker runs
-    in that worker), inside any multiprocessing child, or where the
+    Workers are forked, so each starts from the caller's state: fn
+    reaches them through fork and is never pickled (it may be a closure
+    over mpf values of a private mpmath context); only the items and the
+    results are. One worker per CPU in the affinity mask, at most one
+    per item. fn runs inline, in this process, when that count is 1,
+    inside any multiprocessing child (so workers never nest: a
+    parallel_map inside a worker runs in that worker) or where the
     affinity mask is unavailable (not Linux). Any thread may call it:
     fork copies only the calling thread, and qwave's own code holds no
     lock a worker could inherit held. An exception fn raises in a
-    worker is raised here, at its item's position, and a worker that
-    ends while it holds an item raises WorkerError. However the map
-    ends (done, an exception, or the caller closing it early), every
-    worker is killed, if still running, and reaped before it returns."""
+    worker is raised here, at its item's position; a worker that dies
+    raises WorkerError."""
     items = list(items)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(items))
-    mp = sys.modules.get("multiprocessing")
-    if _in_worker or (mp is not None and mp.parent_process() is not None):
-        workers = 1
+    if workers > 1:
+        import multiprocessing
+        if multiprocessing.parent_process() is not None:
+            workers = 1
     if workers <= 1:
         yield from map(fn, items)
         return
-    # this process's ends of the pipes: the task pipes' write ends (None
-    # once closed) and the result pipes' read ends
-    pids, tasks, pipes = [], [], []
-    try:
-        for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            tasks.append(task_w)
-            pipes.append(os.fdopen(result_r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _work(fn, items, task_r, result_w, tasks, pipes)
-            finally:
-                os.close(task_r)
-                os.close(result_w)
-            pids.append(pid)
-        with selectors.DefaultSelector() as ready:
-            indices = iter(range(len(items)))
-            # held[w]: the index worker w is computing, None once it has
-            # been told to stop (its task pipe closed)
-            held = [None] * workers
-            done = {}
-
-            def hand(w):
-                held[w] = next(indices, None)
-                if held[w] is None:
-                    os.close(tasks[w])
-                    tasks[w] = None
-                    ready.unregister(pipes[w])
-                else:
-                    # a worker that died here shows as the end of its
-                    # result pipe
-                    with contextlib.suppress(BrokenPipeError):
-                        os.write(tasks[w], held[w].to_bytes(8, "little"))
-
-            for w, pipe in enumerate(pipes):
-                ready.register(pipe, selectors.EVENT_READ, w)
-                hand(w)
-            for i in range(len(items)):
-                while i not in done:
-                    for key, _ in ready.select():
-                        w = key.data
-                        try:
-                            done[held[w]] = pickle.load(pipes[w])
-                        except (EOFError, pickle.UnpicklingError):
-                            raise WorkerError(
-                                "a worker process ended before returning "
-                                "its result") from None
-                        hand(w)
-                ok, result = done.pop(i)
-                if not ok:
-                    raise result
-                yield result
-    finally:
-        for fd in tasks:
-            if fd is not None:
-                os.close(fd)
-        # a worker already reaped by the system (SIGCHLD ignored) is
-        # neither killed nor waited for
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-
-
-def _work(fn, items, task_fd, result_fd, tasks, pipes):
-    """The body of a worker that parallel_map forked. It first closes
-    the map's ends of every pipe it inherited, so that a closed task
-    pipe reads as the end of its work, and a write to a closed map
-    fails rather than blocks. Then, for each index that task_fd hands
-    it, it pickles (True, fn(item)) or, when fn or the pickling raises,
-    (False, exception) to result_fd, until the task pipe is closed. It
-    never returns: the worker leaves by os._exit, with status 0 once
-    the task pipe is closed, and 1 if anything else fails first (an
-    exception that does not pickle, say), which the map sees as a
-    worker that ended early."""
-    global _in_worker
-    status = 1
-    try:
-        _in_worker = True
-        for fd in tasks:
-            os.close(fd)
-        for pipe in pipes:
-            pipe.close()
-        while index := os.read(task_fd, 8):
-            item = items[int.from_bytes(index, "little")]
-            try:
-                data = pickle.dumps((True, fn(item)))
-            except Exception as exc:
-                data = pickle.dumps((False, exc))
-            _send(result_fd, data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _send(fd, data):
-    """Write all of data to the file descriptor fd."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(fn,)) as pool:
+        try:
+            yield from pool.map(_run_in_worker, items)
+        except BrokenProcessPool as exc:
+            raise WorkerError("a worker process ended before returning "
+                              "its result") from exc
 
 
 def probe_family(plan):

@@ -17,8 +17,8 @@ from mpmath.libmp import (from_float, from_man_exp, mpf_abs, mpf_add,
                           mpf_le, mpf_lt, mpf_mul, mpf_neg, mpf_shift,
                           round_nearest, to_float, to_int)
 
-from qwave.qbessel import dd_dot, dd_halves, dd_round, dd_split, \
-    dd_split_floats, mp_context, mp_dot, spectrum_dps
+from qwave.qbessel import dd_dot, dd_round, dd_split, dd_split_floats, \
+    mp_context, mp_dot, spectrum_dps
 from qwave.qgrid import BesselParams, GridFunction, build_grid, \
     weight_exponent
 from qwave.qtransform import TransformPlan, make_plan, spectrum
@@ -404,10 +404,9 @@ def _check_dd_dot(w, v, kap, c, prec, where):
     dd_round certifies."""
     c_raw = from_float(c)
     cw = [mpf_mul(c_raw, a) for a in w]
-    # dd_dot's kap is (terms, rows), with its highs' Dekker halves
+    # dd_dot's kap is (terms, rows)
     kap_dd = tuple(np.array(part).T for part in
                    zip(*[dd_split(col) for col in kap]))
-    kap_dd += dd_halves(kap_dd[0])
     hi, lo, err, exp = dd_dot(dd_split(cw), dd_split(v), kap_dd, prec)
     weighted = [mpf_mul(a, b, prec, round_nearest) for a, b in zip(w, v)]
     for i, col in enumerate(kap):

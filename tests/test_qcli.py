@@ -2,6 +2,7 @@
 17-digit formatting, and exit codes. Commands run in-process through
 main(argv) so stdout/stderr land in capsys."""
 
+import concurrent.futures
 import contextlib
 import gc
 import io
@@ -751,19 +752,17 @@ class TestUncertaintyCommand:
     def test_sweep_starts_one_level_of_workers(self, capsys, monkeypatch,
                                                tmp_path):
         # the cells run on workers, and each cell's probes in its worker:
-        # one fork per cell, all made here, and every probe report made
-        # in a worker
+        # one pool, made here, and every probe report made in a worker
         log = tmp_path / "pids.log"
 
         def record(what):
             with open(log, "a") as fh:
                 fh.write(f"{what} {os.getpid()}\n")
 
-        fork = os.fork
-
-        def recorded_fork():
-            record("fork")
-            return fork()
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                record("pool")
+                super().__init__(*args, **kwargs)
 
         report = uncertainty.uncertainty_report
 
@@ -771,7 +770,8 @@ class TestUncertaintyCommand:
             record("report")
             return report(plane)
 
-        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorded)
         monkeypatch.setattr(uncertainty, "uncertainty_report",
                             recorded_report)
         set_cpus(monkeypatch, 2)
@@ -782,10 +782,10 @@ class TestUncertaintyCommand:
         assert (rc, err) == (0, "")
         assert len(out.splitlines()) == 3
         entries = [line.split() for line in log.read_text().splitlines()]
-        assert [pid for what, pid in entries if what == "fork"] == \
-            [str(os.getpid())] * 2
+        assert [pid for what, pid in entries if what == "pool"] == \
+            [str(os.getpid())]
         reporters = {pid for what, pid in entries if what == "report"}
-        assert len(entries) == 2 + 2 * 9
+        assert len(entries) == 1 + 2 * 9
         assert 1 <= len(reporters) <= 2
         assert str(os.getpid()) not in reporters
 

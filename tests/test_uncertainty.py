@@ -6,10 +6,8 @@ import concurrent.futures
 import math
 import multiprocessing
 import os
-import signal
 import sys
 import threading
-import time
 
 import mpmath
 import numpy as np
@@ -440,11 +438,6 @@ def _reject_three(x):
 
 
 def _map_in_daemon(items):
-    # in a multiprocessing child the map runs here, with no fork
-    def refuse():
-        raise AssertionError("parallel_map forked in a multiprocessing child")
-
-    os.fork = refuse
     return list(parallel_map(_pid_of, items))
 
 
@@ -455,32 +448,6 @@ def _pid_and_inner_pids(_):
 class _Unpicklable:
     def __reduce__(self):
         raise TypeError("fn must not be pickled")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the workers that parallel_map forks from this process,
-    recorded through os.fork."""
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
-def reaped(pid):
-    """pid is no child of this process any more: it was reaped."""
-    try:
-        os.waitpid(pid, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
 
 
 class TestParallelMap:
@@ -498,9 +465,8 @@ class TestParallelMap:
         assert list(parallel_map(_pid_of, [])) == []
 
     def test_daemonic_process_runs_inline(self, monkeypatch):
-        # in a multiprocessing.Pool worker, which is daemonic and may not
-        # start children, the map runs in that worker and never calls
-        # os.fork
+        # a multiprocessing.Pool worker is daemonic and may not start
+        # children; the map must fall back to running in that worker
         set_cpus(monkeypatch, 4)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             pids = pool.apply_async(_map_in_daemon, ([0, 1, 2],)).get(60)
@@ -508,8 +474,8 @@ class TestParallelMap:
         assert pids[0] != os.getpid()
 
     def test_workers_never_nest(self, monkeypatch):
-        # a parallel_map inside a worker runs in that worker, although a
-        # worker is no multiprocessing child and may fork
+        # a parallel_map inside a worker runs in that worker, even though
+        # a ProcessPoolExecutor worker is not daemonic and may fork
         set_cpus(monkeypatch, 2)
         results = list(parallel_map(_pid_and_inner_pids, range(4)))
         for pid, inner in results:
@@ -535,83 +501,29 @@ class TestParallelMap:
             [("_Unpicklable", 10 + x) for x in range(4)]
         assert os.getpid() not in {pid for _, pid, _ in got}
 
-    def test_worker_exception_raised_at_its_item(self, monkeypatch, forks):
-        # item 3's worker pickles its exception to its result pipe; the
-        # results before it are yielded first
+    # However the map ends (an exception, a dead worker, the caller
+    # closing it early), no worker outlives it: the pool is shut down and
+    # its workers joined before parallel_map raises or returns.
+    def test_worker_exception_raised_at_its_item(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         results = parallel_map(_reject_three, range(6))
         assert [next(results) for _ in range(3)] == [0, 1, 2]
         with pytest.raises(ValueError, match="item 3 rejected"):
             next(results)
-        assert len(forks) == 2
-        assert all(map(reaped, forks))
-
-    def test_free_worker_takes_the_next_item(self, monkeypatch):
-        # items are handed out one at a time: while one worker sleeps on
-        # item 0, the other takes every item after it
-        set_cpus(monkeypatch, 2)
-
-        def fn(x):
-            if x == 0:
-                time.sleep(1.0)
-            return os.getpid()
-
-        pids = list(parallel_map(fn, range(6)))
-        assert len(set(pids[1:])) == 1
-        assert pids[0] != pids[1]
+        assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises_worker_error(self, monkeypatch):
         set_cpus(monkeypatch, 2)
         with pytest.raises(WorkerError, match="ended before returning"):
             list(parallel_map(exit_abruptly, range(3)))
+        assert multiprocessing.active_children() == []
 
-    # The three ways a map ends early. In each, the other worker is
-    # still in a long sleep, and must be killed and reaped at once.
-    def test_no_worker_outlives_an_exception(self, monkeypatch, forks):
+    def test_no_worker_outlives_an_early_close(self, monkeypatch):
         set_cpus(monkeypatch, 2)
-
-        def fn(x):
-            if x == 0:
-                raise ValueError("item 0 rejected")
-            time.sleep(60)
-
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="item 0 rejected"):
-            list(parallel_map(fn, range(2)))
-        assert time.monotonic() - start < 30
-        assert len(forks) == 2
-        assert all(map(reaped, forks))
-
-    def test_no_worker_outlives_a_killed_worker(self, monkeypatch, forks):
-        set_cpus(monkeypatch, 2)
-
-        def fn(x):
-            if x == 0:
-                os.kill(os.getpid(), signal.SIGKILL)
-            time.sleep(60)
-
-        start = time.monotonic()
-        with pytest.raises(WorkerError, match="ended before returning"):
-            list(parallel_map(fn, range(2)))
-        assert time.monotonic() - start < 30
-        assert len(forks) == 2
-        assert all(map(reaped, forks))
-
-    def test_no_worker_outlives_an_early_close(self, monkeypatch, forks):
-        set_cpus(monkeypatch, 2)
-
-        def fn(x):
-            if x:
-                time.sleep(60)
-            return x
-
-        start = time.monotonic()
-        results = parallel_map(fn, range(4))
-        assert next(results) == 0
+        results = parallel_map(_square_minus_one, range(6))
+        assert next(results) == -1
         results.close()
-        assert time.monotonic() - start < 30
-        assert len(forks) == 2
-        assert all(map(reaped, forks))
+        assert multiprocessing.active_children() == []
 
 
 class TestThreading:
@@ -619,16 +531,24 @@ class TestThreading:
     # threads compute them; the library itself runs in the calling
     # thread, and every high-precision block works on a private mpmath
     # context, so callers may call in from several threads at once
-    def test_default_uses_all_cores(self, monkeypatch, forks):
+    def test_default_uses_all_cores(self, monkeypatch):
         # one worker per CPU in the affinity mask, capped at the items,
-        # each forked by os.fork and reaped when the map is done
+        # on forked workers
+        pools = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context, initializer,
+                         initargs):
+                pools.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context,
+                                 initializer=initializer, initargs=initargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
         set_cpus(monkeypatch, 3)
         assert list(parallel_map(_square_minus_one, range(5))) == \
             [x * x - 1 for x in range(5)]
-        assert len(forks) == 3
         assert list(parallel_map(_square_minus_one, range(2))) == [-1, 0]
-        assert len(forks) == 5
-        assert all(map(reaped, forks))
+        assert pools == [(3, "fork"), (2, "fork")]
 
     def test_map_order_independent_of_workers(self, monkeypatch):
         items = list(range(40))

@@ -420,7 +420,9 @@ def _log2_abs_matvec(plan, log_v, power=1.0, transposed=False):
     transpose, one block of rows at a time. Each block of |M| is undone
     from the plan's scaled kernel exactly: its column powers 2^k_j are
     multiplied back in place, so the block has the layout and the bits
-    of the same block of |M|."""
+    of the same block of |M|. M is Hankel, so symmetric, but the
+    transpose's blocks are column-major views, whose rows numpy sums in
+    another order: the two products differ in their last bits."""
     A, k = plan.scaled_kernel, plan.kernel_exponents
     out = np.empty(A.shape[0])
     for i in range(0, A.shape[0], _BLOCK):

@@ -132,6 +132,10 @@ def generalized_q_bessel_operator(f, v):
     B = q ** (2.0 * v.alpha + 2.0 * v.beta)
     out_grid = QGrid(q, grid.n_low + 1, grid.n_high - 1)
     x = grid.points[1:-1]
+    low = np.flatnonzero(x * x < np.finfo(float).tiny)
+    if low.size:
+        raise ValueError(f"x^2 = q^(2n) leaves float64's normal range at "
+                         f"n = {out_grid.n_low + low[0]} (q = {q})")
     vals = (f.values[:-2] - A * f.values[1:-1] + B * f.values[2:]) / (x * x)
     return GridFunction(out_grid, vals)
 

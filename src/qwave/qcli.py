@@ -1,5 +1,5 @@
-"""Command-line entry point: configuration, data ingestion, the
-verification suites, and CSV/JSON emission.
+"""Command-line entry point: configuration, data ingestion, and CSV/JSON
+emission.
 
 Every numeric field is printed through one formatter at 17 significant
 digits, so identical inputs produce byte-identical outputs. CSV column
@@ -19,21 +19,15 @@ import numpy as np
 
 from qwave.qbessel import (TruncationError, generalized_q_bessel_operator,
                            modified_q_bessel_bound)
-from qwave.qgrid import (BesselParams, GridFunction, build_grid, dilate,
-                         function_csv, jackson_integral, jackson_weights,
-                         q_derivative, read_function, sidecar_path,
-                         write_function, write_in_place)
+from qwave.qgrid import (BesselParams, GridFunction, build_grid,
+                         function_csv, jackson_weights, read_function,
+                         sidecar_path, write_function, write_in_place)
 from qwave.qtransform import CalibrationError, make_plan, q_bessel_fourier
-from qwave.qwavelet import (WaveletPlane, cwt, factorization_error,
-                            indicator_difference_mother, operator_mother,
-                            wavelet_plancherel_ratio)
+from qwave.qwavelet import (WaveletPlane, cwt, indicator_difference_mother,
+                            operator_mother, wavelet_plancherel_ratio)
 from qwave.uncertainty import (WorkerError, empirical_lower_constant,
-                               heisenberg_slice_minimum, parallel_map,
-                               probe_family, probe_reports, uncertainty_report,
-                               weighted_energy_ratio)
-
-ACCEPTANCE_Q = (0.3, 0.5, 0.7)
-ACCEPTANCE_V = ((0.0, 0.0), (0.5, 0.25), (1.0, -0.25))
+                               parallel_map, probe_family, probe_reports)
+from qwave.verify import ACCEPTANCE_Q, ACCEPTANCE_V, run_cell_checks
 
 _MOTHERS = {"operator": operator_mother, "indicator": indicator_difference_mother}
 
@@ -338,166 +332,9 @@ def _sweep_cell(cell):
                                     _MOTHERS[cell.mother](plan))
 
 
-# --- verification suite ----------------------------------------------------
-
-
-class _Cell:
-    """Plans, wavelets and probe families for one (q, v) cell, keyed by
-    grid factor 4, 2, 1, and the probe planes at factors 1 and 2: all
-    built once, when the cell is constructed. A plane keeps its rows and
-    its position moment, so the checks that read a plane share them."""
-
-    def __init__(self, q, alpha, beta, n_low, n_high):
-        self.q = q
-        self.v = BesselParams(alpha, beta)
-        # The x4 plan first: its kernel table then covers the index sums
-        # of the x2 and x1 plans, so the cell builds one table.
-        self.plans = {k: make_plan(build_grid(q, k * n_low, k * n_high),
-                                   self.v) for k in (4, 2, 1)}
-        self.specs = {k: operator_mother(p) for k, p in self.plans.items()}
-        self.probes = {k: probe_family(p) for k, p in self.plans.items()}
-        self.planes = {k: [WaveletPlane(f, self.specs[k])
-                           for f in self.probes[k]] for k in (1, 2)}
-
-
-def _check_jackson_power(cell):
-    # jackson_integral over [0, 1] sums its own depth and reads only
-    # grid.q, so a one-point grid serves every q
-    grid = build_grid(cell.q, 0, 0)
-    q = cell.q
-    got = [jackson_integral(lambda x: x ** k, grid, 0.0, 1.0)
-           for k in range(9)]
-    want = [(1.0 - q) / (1.0 - q ** (k + 1)) for k in range(9)]
-    worst = float(np.max(np.abs(np.divide(got, want) - 1.0)))
-    return worst < 1e-12, {"max_rel_err": worst, "tol": 1e-12}
-
-
-def _check_q_derivative(cell):
-    grid = cell.plans[1].grid
-    q = cell.q
-    errs = []
-    for k in range(1, 9):
-        d = q_derivative(GridFunction(grid, grid.points ** float(k)))
-        bracket = (1.0 - q ** k) / (1.0 - q)
-        errs.append(d.values / (bracket * d.grid.points ** float(k - 1)))
-    worst = float(np.max(np.abs(np.array(errs) - 1.0)))
-    return worst < 1e-12, {"max_rel_err": worst, "tol": 1e-12}
-
-
-def _check_change_of_variables(cell):
-    grid = cell.plans[1].grid
-    q = cell.q
-    probes = [GridFunction.from_pairs(grid, [(0, 1.0)]),
-              GridFunction.from_pairs(grid, [(-1, 1.0), (2, -1.0)]),
-              GridFunction.from_pairs(
-                  grid, [(n, q ** (2.0 * n)) for n in range(-2, 5)])]
-
-    def integral(g):
-        return (1.0 - q) * math.fsum(g.values * grid.points)
-
-    ratios = [integral(dilate(f, m)) / (q ** m * integral(f))
-              for f in probes for m in range(-2, 4)]
-    worst = float(np.max(np.abs(np.array(ratios) - 1.0)))
-    return worst < 1e-12, {"max_rel_err": worst, "tol": 1e-12}
-
-
-def _check_involution(cell):
-    plan = cell.plans[1]
-    resid = plan.involution_residual(cell.probes[1])
-    c_fine = cell.plans[2].c_qv
-    drift = abs(c_fine / plan.c_qv - 1.0)
-    ok = resid < 1e-6 and drift < 1e-3
-    return ok, {"residual": resid, "c_qv": plan.c_qv, "c_refined": c_fine,
-                "c_drift": drift, "tol_residual": 1e-6, "tol_drift": 1e-3}
-
-
-def _check_factorization(cell):
-    spec = cell.specs[1]
-    scales = spec.scale_indices
-    mid = len(scales) // 2
-    sample = scales[mid - 2: mid + 3]
-    err = factorization_error(spec, sample, (-2, 0, 1, 2, 4), range(-10, 11))
-    return err < 1e-8, {"max_rel_err": err, "tol": 1e-8}
-
-
-def _check_weighted_energy(cell):
-    kappas = np.array([weighted_energy_ratio(p) for p in cell.planes[2]])
-    kappa = float(kappas[0])
-    spread = float(np.max(np.abs(kappas / kappa - 1.0)))
-    C = cell.specs[2].admissibility
-    return spread < 1e-6, {"kappa": kappa, "spread": spread, "C_v_psi": C,
-                           "kappa_over_C": kappa / C, "tol": 1e-6}
-
-
-def _check_plancherel(cell):
-    ratios = np.array([wavelet_plancherel_ratio(p) for p in cell.planes[2]])
-    ratio = float(ratios[0])
-    spread = float(np.max(np.abs(ratios / ratio - 1.0)))
-    fine = wavelet_plancherel_ratio(
-        WaveletPlane(cell.probes[4][0], cell.specs[4]))
-    drift = abs(fine / ratio - 1.0)
-    C = cell.specs[2].admissibility
-    qpow = cell.q ** (4.0 * cell.v.abs_v + 2.0)
-    ok = spread < 1e-6 and drift < 1e-2
-    return ok, {"ratio": ratio, "spread": spread, "C_v_psi": C,
-                "ratio_over_C": ratio / C, "q_power_C": qpow * C,
-                "refinement_drift": drift, "tol_spread": 1e-6,
-                "tol_drift": 1e-2}
-
-
-def _check_heisenberg(cell):
-    worst = float(np.min([heisenberg_slice_minimum(p)
-                          for p in cell.planes[1]]))
-    bound = 0.5 - 1e-3
-    return worst >= bound, {"min_slice": worst, "bound": bound}
-
-
-def _check_uncertainty(cell):
-    reports = [uncertainty_report(p) for p in cell.planes[1]]
-    K = float(np.min([r.ratio for r in reports]))
-    fine = float(np.min([uncertainty_report(p).ratio
-                         for p in cell.planes[2]]))
-    drift = abs(fine / K - 1.0)
-    scaled = WaveletPlane(cell.probes[1][0].scaled(7.0), cell.specs[1])
-    inv_err = abs(uncertainty_report(scaled).ratio / reports[0].ratio - 1.0)
-    ok = K > 0.0 and drift < 1e-2 and inv_err < 1e-13
-    return ok, {"K_emp": K, "K_refined": fine, "refinement_drift": drift,
-                "scale_invariance_err": inv_err, "tol_drift": 1e-2,
-                "tol_scale": 1e-13}
-
-
-_CHECKS = (
-    ("jackson-power-rule", _check_jackson_power),
-    ("q-derivative-power-rule", _check_q_derivative),
-    ("change-of-variables", _check_change_of_variables),
-    ("fourier-involution", _check_involution),
-    ("daughter-factorization", _check_factorization),
-    ("weighted-energy-identity", _check_weighted_energy),
-    ("plancherel-ratio", _check_plancherel),
-    ("heisenberg-slices", _check_heisenberg),
-    ("uncertainty-constant", _check_uncertainty),
-)
-
-
-def run_cell_checks(q, alpha, beta, n_low=RunConfig.n_low,
-                    n_high=RunConfig.n_high):
-    """All verification checks for one (q, v) cell; returns a report dict
-    with one entry per check, in fixed order."""
-    cell = _Cell(q, alpha, beta, n_low, n_high)
-    checks = []
-    for name, fn in _CHECKS:
-        ok, details = fn(cell)
-        entry = {"name": name, "passed": bool(ok)}
-        entry.update(details)
-        checks.append(entry)
-    return {"q": q, "alpha": alpha, "beta": beta,
-            "passed": all(c["passed"] for c in checks), "checks": checks}
-
-
 def _format_table(report):
-    head = (f"cell q={fmt17(report['q'])} alpha={fmt17(report['alpha'])} "
-            f"beta={fmt17(report['beta'])}")
-    lines = [head]
+    lines = [f"cell q={fmt17(report['q'])} alpha={fmt17(report['alpha'])} "
+             f"beta={fmt17(report['beta'])}"]
     for c in report["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
         detail = " ".join(
@@ -512,10 +349,9 @@ def cmd_verify(cfg, args):
         cells = [(cfg.q, cfg.alpha, cfg.beta)]
     else:
         cells = [(q, a, b) for q in ACCEPTANCE_Q for a, b in ACCEPTANCE_V]
-    grid = (cfg.n_low, cfg.n_high)
     reports = []
     for report in parallel_map(lambda c: run_cell_checks(*c),
-                               [c + grid for c in cells]):
+                               [c + (cfg.n_low, cfg.n_high) for c in cells]):
         reports.append(report)
         _emit(_format_table(report) + "\n")
     passed = all(r["passed"] for r in reports)

@@ -57,12 +57,11 @@ class TransformPlan:
     with operands of tiny magnitude avoid subnormal arithmetic:
     scaled_kernel holds M[:, j] 2^-k_j and kernel_exponents the ints
     k_j. gemv is the one product with M, and it never builds M but for
-    an operand that would overflow. The constructor
-    calibrates c_qv on a small interior probe family
-    (_calibration_probes), read as one block: it measures the
-    double-transform ratio rho at c = 1, sets c = 1/sqrt(rho) and
-    records the probes' involution residual. A kernel order nu <= -1 is refused with OrderError before
-    any table is built.
+    an operand that would overflow. The constructor calibrates c_qv on a
+    small interior probe family (_calibration_probes), read as one block:
+    it measures the double-transform ratio rho at c = 1, sets
+    c = 1/sqrt(rho) and records the probes' involution residual. A kernel
+    order nu <= -1 is refused with OrderError before any table is built.
 
     Its high-precision operands are kept with it, per working precision
     from qbessel's table: kappa_row(dps) and mp_weights(ns, dps) build

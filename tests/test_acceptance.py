@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qwave
 from qwave import qwavelet
-from qwave.qcli import run_cell_checks
 from qwave.qgrid import BesselParams, build_grid
 from qwave.qtransform import TransformPlan, make_plan
 from qwave.qwavelet import operator_mother
 from qwave.uncertainty import empirical_lower_constant, probe_family
+from qwave.verify import run_cell_checks
 
 from conftest import plan_kernel, rel_err, set_cpus
 
@@ -64,7 +65,7 @@ FROZEN = {
                 ids=lambda c: f"q{c[0]}_a{c[1]}_b{c[2]}")
 def cell(request):
     q, alpha, beta = request.param
-    report = run_cell_checks(q, alpha, beta)
+    report = run_cell_checks(q, alpha, beta, -20, 40)
     plan = make_plan(build_grid(q, -20, 40), BesselParams(alpha, beta))
     spec = operator_mother(plan)
     return request.param, report, spec
@@ -162,13 +163,22 @@ def test_pinned_cell_constants(cell):
                    slice_ref) < 1e-9
 
 
+def child_env():
+    """This process's environment, with the package's source directory
+    first on PYTHONPATH, so a child finds the qwave under test from a
+    checkout too."""
+    src = str(Path(qwave.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_verify_is_byte_deterministic(tmp_path):
     def one_run(tag):
         out = tmp_path / f"report_{tag}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "qwave.qcli", "verify", "--q", "0.5",
              "--alpha", "0", "--beta", "0", "--out", str(out)],
-            capture_output=True, env=dict(os.environ))
+            capture_output=True, env=child_env())
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout, out.read_bytes()
 
@@ -187,7 +197,7 @@ def test_full_lattice_report_matches_benchmark_reference(tmp_path):
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, "-m", "qwave.qcli", "verify", "--out", str(out)],
-        capture_output=True, env=dict(os.environ))
+        capture_output=True, env=child_env())
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 

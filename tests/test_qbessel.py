@@ -172,6 +172,30 @@ class TestDifferenceOperator:
             generalized_q_bessel_operator(
                 GridFunction.zeros(g), BesselParams(0.0, 0.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_low,first", [(150, 154), (160, 161),
+                                             (300, 301)])
+    def test_subnormal_x_squared_refused(self, n_low, first):
+        # 0.1^(2n) is subnormal from n = 154 and zero from n = 162: the
+        # quotient overflowed or was nan, with a warning
+        g = build_grid(0.1, n_low, n_low + 6)
+        with pytest.raises(ValueError, match=(
+                r"^x\^2 = q\^\(2n\) leaves float64's normal range at "
+                rf"n = {first} \(q = 0\.1\)$")):
+            generalized_q_bessel_operator(GridFunction(g, np.ones(g.size)),
+                                          BesselParams(0.5, 0.25))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normal_x_squared_kept(self):
+        # up to n = 153, x^2 = 1e-306 is normal and the quotient finite
+        g = build_grid(0.1, 147, 154)
+        out = generalized_q_bessel_operator(GridFunction(g, np.ones(g.size)),
+                                            BesselParams(0.5, 0.25))
+        A = 0.1 ** 1.0 + 0.1 ** 0.5
+        B = 0.1 ** 1.5
+        assert np.array_equal(out.values,
+                              (1.0 - A + B) / (out.grid.points ** 2))
+
     def test_eigenfunction_property(self):
         # the modified kernel at argument lam*x is an eigenfunction with
         # eigenvalue -lam^2, here checked on interior lattice points

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwave import qbessel, qcli, qgrid, qtransform, qwavelet, uncertainty
+from qwave import (qbessel, qcli, qgrid, qtransform, qwavelet, uncertainty,
+                   verify)
 from qwave.qcli import fmt17, main
 from qwave.qgrid import (BesselParams, GridFunction, build_grid,
                          read_function, write_function)
@@ -38,6 +39,16 @@ def _reject_cell(*cell):
 def _nan_report(plane):
     return UncertaintyReport(I_R=math.nan, I_S=1.0, norm_sq=1.0,
                              ratio=math.nan)
+
+
+def _one_check(monkeypatch, cell, name):
+    """(passed, entry) of the check called name, as run_cell_checks
+    reports it with cell in place of the cell it builds."""
+    monkeypatch.setattr(verify, "_Cell", lambda *args: cell)
+    monkeypatch.setattr(verify, "_CHECKS", [c for c in verify._CHECKS
+                                            if c[0] == name])
+    entry, = verify.run_cell_checks(0.5, 0.0, 0.0, -20, 40)["checks"]
+    return entry["passed"], entry
 
 
 def _nan_on_call(index, fn):
@@ -385,7 +396,6 @@ class TestExitCodes:
                                             monkeypatch, sweep):
         # the library returns a non-finite ratio as it is; the command
         # refuses to print it
-        monkeypatch.setattr(qcli, "uncertainty_report", _nan_report)
         monkeypatch.setattr(uncertainty, "uncertainty_report", _nan_report)
         if sweep:
             cfg = tmp_path / "sweep.cfg"
@@ -607,6 +617,20 @@ class TestBesselCommand:
         for line in lines[1:]:
             _, ratio = (float(tok) for tok in line.split(","))
             assert ratio == pytest.approx(-1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("n_low,first", [(160, 161), (300, 301)])
+    def test_eigencheck_subnormal_x_squared_exits_1(self, capsys, recwarn,
+                                                    n_low, first):
+        # 0.1^(2n) is subnormal from n = 154 and zero from n = 162; the
+        # division by x^2 warned, and the command failed on the nan or inf
+        rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", "0.1",
+                           "--nlow", str(n_low), "--nhigh", str(n_low + 6),
+                           "--alpha", "0.5", "--beta", "0.25")
+        assert (rc, out) == (1, "")
+        assert err == ("qwave: x^2 = q^(2n) leaves float64's normal range "
+                       f"at n = {first} (q = 0.1)\n")
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
 
 
 class TestFourierCommand:
@@ -851,8 +875,8 @@ class TestVerifyCommand:
     def test_nan_detail_is_json(self, capsys, monkeypatch, tmp_path):
         # a nan in a check's details fails it, and --out writes it as
         # json's NaN, which json.loads reads
-        monkeypatch.setattr(qcli, "weighted_energy_ratio", _nan_on_call(
-            1, qcli.weighted_energy_ratio))
+        monkeypatch.setattr(verify, "weighted_energy_ratio", _nan_on_call(
+            1, verify.weighted_energy_ratio))
         out_path = tmp_path / "report.json"
         rc, out, _ = run(capsys, "verify", "--q", "0.5", "--out",
                          str(out_path))
@@ -877,20 +901,20 @@ class TestVerifyCommand:
 
     def test_nan_past_the_first_fails_a_spread(self, monkeypatch):
         # kappa = (1, nan, 1): max() dropped the nan and read spread 0.0
-        monkeypatch.setattr(qcli, "weighted_energy_ratio", lambda k: k)
+        monkeypatch.setattr(verify, "weighted_energy_ratio", lambda k: k)
         cell = SimpleNamespace(planes={2: [1.0, math.nan, 1.0]},
                                specs={2: SimpleNamespace(admissibility=1.0)})
-        ok, details = qcli._check_weighted_energy(cell)
+        ok, details = _one_check(monkeypatch, cell, "weighted-energy-identity")
         assert not ok
         assert math.isnan(details["spread"])
         assert details["kappa"] == 1.0
 
     def test_nan_past_the_first_fails_the_power_rule(self, monkeypatch):
         # the third power's Jackson integral alone
-        monkeypatch.setattr(qcli, "jackson_integral", _nan_on_call(
-            2, qcli.jackson_integral))
+        monkeypatch.setattr(verify, "jackson_integral", _nan_on_call(
+            2, verify.jackson_integral))
         cell = SimpleNamespace(q=0.5)
-        ok, details = qcli._check_jackson_power(cell)
+        ok, details = _one_check(monkeypatch, cell, "jackson-power-rule")
         assert not ok
         assert math.isnan(details["max_rel_err"])
 
@@ -971,7 +995,7 @@ class TestVerifyCommand:
         # alpha + beta = 1.45 is rounded in float64: with exponents formed
         # from that sum, four checks failed here (daughter factorization,
         # weighted energy, Plancherel and the uncertainty constant)
-        report = qcli.run_cell_checks(0.5, 1.0, 0.45)
+        report = qcli.run_cell_checks(0.5, 1.0, 0.45, -20, 40)
         assert [c["name"] for c in report["checks"] if not c["passed"]] == []
         assert report["passed"]
 

@@ -12,8 +12,8 @@ from qwave.qgrid import (
     dilate,
 )
 from qwave.qbessel import (
-    normalized_q_bessel,
-    modified_q_bessel,
+    normalized_q_bessel_bound,
+    modified_q_bessel_bound,
     generalized_q_bessel_operator,
 )
 from qwave.qtransform import (

@@ -77,30 +77,20 @@ def _series_sum(order, x, q):
         f"series did not converge within {SERIES_MAX_TERMS} terms (x={x})")
 
 
-def normalized_q_bessel(alpha, x, q):
-    """Normalized q-Bessel series j_alpha(x, q^2); equals 1 at x = 0."""
-    value, _ = normalized_q_bessel_bound(alpha, x, q)
-    return value
-
-
 def normalized_q_bessel_bound(alpha, x, q):
-    """Same as normalized_q_bessel but returns (value, err_bound)."""
+    """Normalized q-Bessel series j_alpha(x, q^2), which equals 1 at
+    x = 0, as (value, err_bound)."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0,1), got {q}")
     return _series_sum(float(alpha), float(x), float(q))
 
 
-def modified_q_bessel(v, x, q):
-    """Two-parameter kernel x^{-2 beta} j_{alpha-beta}(q^{-beta} x, q^2).
+def modified_q_bessel_bound(v, x, q):
+    """Two-parameter kernel x^{-2 beta} j_{alpha-beta}(q^{-beta} x, q^2),
+    as (value, err_bound).
 
     x must be positive: the prefactor is singular at 0 when beta > 0.
     """
-    value, _ = modified_q_bessel_bound(v, x, q)
-    return value
-
-
-def modified_q_bessel_bound(v, x, q):
-    """Same as modified_q_bessel but returns (value, err_bound)."""
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"modified kernel needs x > 0, got {x}")
@@ -123,7 +113,8 @@ def _power(base, exponent, name):
 def generalized_q_bessel_operator(f, v):
     """[f(x/q) - (q^{2a} + q^{2b}) f(x) + q^{2a+2b} f(qx)] / x^2 on the
     interior points; both neighbors must exist, so the output grid drops
-    one index at each end."""
+    one index at each end. Refused with a ValueError naming the first n
+    where x^2 leaves float64's normal range or the quotient overflows."""
     grid = f.grid
     if grid.size < 3:
         raise ValueError("operator stencil needs at least three grid points")
@@ -136,7 +127,13 @@ def generalized_q_bessel_operator(f, v):
     if low.size:
         raise ValueError(f"x^2 = q^(2n) leaves float64's normal range at "
                          f"n = {out_grid.n_low + low[0]} (q = {q})")
-    vals = (f.values[:-2] - A * f.values[1:-1] + B * f.values[2:]) / (x * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (f.values[:-2] - A * f.values[1:-1]
+                + B * f.values[2:]) / (x * x)
+    high = np.flatnonzero(~np.isfinite(vals))
+    if high.size:
+        raise ValueError(f"the stencil's quotient by x^2 overflows float64 "
+                         f"at n = {out_grid.n_low + high[0]} (q = {q})")
     return GridFunction(out_grid, vals)
 
 

@@ -415,26 +415,22 @@ def _log2_sum_exp2(x):
     return shift[..., 0] + np.log2(x.sum(axis=-1))
 
 
-def _log2_abs_matvec(plan, log_v, power=1.0, transposed=False):
-    """log2(|M|^power @ 2^log_v) for the plan's kernel M, or its
-    transpose, one block of rows at a time. Each block of |M| is undone
-    from the plan's scaled kernel exactly: its column powers 2^k_j are
-    multiplied back in place, so the block has the layout and the bits
-    of the same block of |M|. M is Hankel, so symmetric, but the
-    transpose's blocks are column-major views, whose rows numpy sums in
-    another order: the two products differ in their last bits."""
-    A, k = plan.scaled_kernel, plan.kernel_exponents
+def _log2_abs_matvec(plan, log_v, power=1.0):
+    """log2(|M|^power @ 2^log_v) for the plan's kernel M, which is
+    Hankel, so also |M|^T's, one block of rows of the plan's scaled
+    kernel S at a time, read in row order. The term of M_ij is formed
+    as power fl(log2 |S_ij|) + fl(log_v_j + power k_j), not as the log
+    of M_ij undone exactly. Each step rounds a number under 2^13 in
+    magnitude, so a term's exponent is off by under 2^-36, a factor
+    under 1 + 2^-36, which _scale_bounds' factor 4 covers."""
+    A = plan.scaled_kernel
+    shift = log_v + power * plan.kernel_exponents
     out = np.empty(A.shape[0])
     for i in range(0, A.shape[0], _BLOCK):
-        if transposed:
-            blk = np.abs(A.T[i:i + _BLOCK])
-            np.ldexp(blk, k[i:i + _BLOCK, None], out=blk)
-        else:
-            blk = np.abs(A[i:i + _BLOCK])
-            np.ldexp(blk, k, out=blk)
+        blk = np.abs(A[i:i + _BLOCK])
         np.log2(blk, out=blk)
         blk *= power
-        blk += log_v
+        blk += shift
         out[i:i + _BLOCK] = _log2_sum_exp2(blk)
     return out
 
@@ -463,28 +459,24 @@ def _term_bound(spec, d, transformed):
         log_c = math.log2(plan.c_qv)
         log_dnorm = 0.5 * _log2_sum_exp2(2.0 * log_d)
         # G_j = ||D |M|_{:,j}||, then for L = c M diag(w) its Minkowski
-        # bound c sum_k |M_kj| w_k G_k
-        log_g = 0.5 * _log2_abs_matvec(plan, 2.0 * log_d, 2.0,
-                                       transposed=True)
+        # bound c sum_k |M_kj| w_k G_k (M is symmetric)
+        log_g = 0.5 * _log2_abs_matvec(plan, 2.0 * log_d, 2.0)
         # the overflow check's column: max_i of |M| and, through the
         # transform, of |M| W and |M| W |M|, W = diag(w), entry by entry;
-        # a column's extremes scale back exactly with the column
+        # column j's extremes are those of S's column j times 2^k_j
         scaled = plan.scaled_kernel
-        log_k = np.log2(np.ldexp(
-            np.maximum(scaled.max(axis=0), -scaled.min(axis=0)),
-            plan.kernel_exponents))
+        log_k = plan.kernel_exponents + np.log2(
+            np.maximum(scaled.max(axis=0), -scaled.min(axis=0)))
         if transformed:
-            log_g = log_c + _log2_abs_matvec(plan, log_w + log_g,
-                                             transposed=True)
-            log_a = log_c + 0.5 * _log2_sum_exp2(
-                2.0 * (log_d + _log2_abs_matvec(plan, log_w)))
+            log_mw = _log2_abs_matvec(plan, log_w)
+            log_g = log_c + _log2_abs_matvec(plan, log_w + log_g)
+            log_a = log_c + 0.5 * _log2_sum_exp2(2.0 * (log_d + log_mw))
             log_e = np.logaddexp2(
                 log_c + 0.5 * _log2_sum_exp2(
                     2.0 * (log_d + _log2_abs_matvec(plan, np.zeros(n)))),
                 math.log2(plan.c_qv * n + 1.0) + log_dnorm)
             log_k = np.maximum.reduce([
-                log_k, _log2_abs_matvec(plan, log_w, transposed=True),
-                _log2_abs_matvec(plan, log_k + log_w, transposed=True)])
+                log_k, log_mw, _log2_abs_matvec(plan, log_k + log_w)])
         else:
             log_a, log_e = log_dnorm, -math.inf
         slack_n = _LOG2_UNDERFLOW + math.log2(n + 2.0 / plan.c_qv) + log_a

@@ -695,7 +695,7 @@ def test_writer_guard_allows_the_file_home(source):
 # callers define the public surface. The exceptions are the reference
 # definitions that tests compare the fast routes against.
 CALLER_DIRS = (SRC, SRC.parent.parent / "bench")
-REFERENCE_ONLY = {"normalized_q_bessel", "modified_q_bessel", "cwt_direct"}
+REFERENCE_ONLY = {"cwt_direct"}
 
 
 def exported_names(source):

@@ -22,9 +22,7 @@ from qwave.qbessel import (
     fsum_rows,
     generalized_q_bessel_operator,
     lattice_kernel,
-    modified_q_bessel,
     modified_q_bessel_bound,
-    normalized_q_bessel,
     normalized_q_bessel_bound,
 )
 from qwave.qgrid import BesselParams, GridFunction, build_grid
@@ -53,7 +51,7 @@ class TestSeries:
             assert err == 0.0
 
     def test_matches_high_precision_sum(self):
-        got = normalized_q_bessel(0.0, 0.5, 0.5)
+        got = normalized_q_bessel_bound(0.0, 0.5, 0.5)[0]
         ref = series_reference(0.0, 0.5, 0.5)
         assert abs(got - ref) < 1e-12
         # regression pin for the same point
@@ -78,45 +76,46 @@ class TestSeries:
     def test_degenerate_order_rejected(self):
         # order -1 makes (q^{2a+2}; q^2)_n vanish at n = 1
         with pytest.raises(DegenerateParameterError):
-            normalized_q_bessel(-1.0, 0.5, 0.5)
+            normalized_q_bessel_bound(-1.0, 0.5, 0.5)[0]
 
     def test_q_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="q must lie in"):
-            normalized_q_bessel(0.0, 0.5, 1.5)
+            normalized_q_bessel_bound(0.0, 0.5, 1.5)[0]
 
     def test_tight_term_cap_raises(self):
         # near q = 1 the series needs more than SERIES_MAX_TERMS terms
         with pytest.raises(TruncationError):
-            normalized_q_bessel(0.0, 1.0, 0.999)
+            normalized_q_bessel_bound(0.0, 1.0, 0.999)[0]
 
 
 class TestModifiedKernel:
     def test_reduces_to_plain_series_at_beta_zero(self):
         v = BesselParams(0.7, 0.0)
-        assert modified_q_bessel(v, 0.3, 0.5) == normalized_q_bessel(0.7, 0.3, 0.5)
+        assert (modified_q_bessel_bound(v, 0.3, 0.5)[0]
+                == normalized_q_bessel_bound(0.7, 0.3, 0.5)[0])
 
     def test_prefactor_vanishes_at_one(self):
         # x = 1 leaves only the argument shift q^{-beta}
         v = BesselParams(0.5, 0.25)
         q = 0.5
-        assert modified_q_bessel(v, 1.0, q) == normalized_q_bessel(
-            v.nu, q ** -0.25, q)
+        assert (modified_q_bessel_bound(v, 1.0, q)[0]
+                == normalized_q_bessel_bound(v.nu, q ** -0.25, q)[0])
 
     def test_composition_identity(self):
         # jtilde(x) = x^{-2 beta} j_nu(q^{-beta} x) rebuilt by hand
         v = BesselParams(0.5, 0.25)
         q = 0.5
         x = q ** 2
-        by_hand = x ** (-2.0 * v.beta) * normalized_q_bessel(
-            v.nu, q ** (-v.beta) * x, q)
-        got = modified_q_bessel(v, x, q)
+        by_hand = x ** (-2.0 * v.beta) * normalized_q_bessel_bound(
+            v.nu, q ** (-v.beta) * x, q)[0]
+        got = modified_q_bessel_bound(v, x, q)[0]
         assert got == by_hand
         assert math.isclose(got, 1.9288615822629438, rel_tol=1e-15)
 
     def test_nonpositive_argument_rejected(self):
         v = BesselParams(0.5, 0.25)
         with pytest.raises(ValueError, match="x > 0"):
-            modified_q_bessel(v, 0.0, 0.5)
+            modified_q_bessel_bound(v, 0.0, 0.5)[0]
 
     @pytest.mark.parametrize("alpha,beta,x,power", [
         (0.0, 2000.0, 1.0, r"q\^\(-beta\) = 0.5\^-2000.0"),
@@ -186,6 +185,20 @@ class TestDifferenceOperator:
                                           BesselParams(0.5, 0.25))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n_low,first", [(140, 141), (148, 149)])
+    def test_quotient_overflow_refused(self, n_low, first):
+        # x^2 = q^(2n) is normal there, but the kernel's x^(-1/2) over it
+        # is not: the division overflowed, with a warning
+        q, v = 0.1, BesselParams(0.5, 0.25)
+        g = build_grid(q, n_low, n_low + 6)
+        f = GridFunction(g, np.array(
+            [modified_q_bessel_bound(v, x, q)[0] for x in g.points]))
+        with pytest.raises(ValueError, match=(
+                r"^the stencil's quotient by x\^2 overflows float64 at "
+                rf"n = {first} \(q = 0\.1\)$")):
+            generalized_q_bessel_operator(f, v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_normal_x_squared_kept(self):
         # up to n = 153, x^2 = 1e-306 is normal and the quotient finite
         g = build_grid(0.1, 147, 154)
@@ -205,7 +218,7 @@ class TestDifferenceOperator:
         v = BesselParams(0.5, 0.25)
         g = build_grid(q, -2, 8)
         f = GridFunction(g, np.array(
-            [modified_q_bessel(v, lam * x, q) for x in g.points]))
+            [modified_q_bessel_bound(v, lam * x, q)[0] for x in g.points]))
         out = generalized_q_bessel_operator(f, v)
         inner = f.values[1:-1]
         ratios = out.values / inner
@@ -218,7 +231,7 @@ class TestLatticeTable:
         nu, q = 0.25, 0.5
         tab = lattice_kernel(nu, q, 0, 12)
         for s in range(0, 13):
-            ref = normalized_q_bessel(nu, q ** s, q)
+            ref = normalized_q_bessel_bound(nu, q ** s, q)[0]
             assert math.isclose(tab[s], ref, rel_tol=1e-12)
 
     def test_matches_high_precision_series_below_zero(self):

@@ -632,6 +632,56 @@ class TestBesselCommand:
         assert err.count("\n") == 1
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("n_low,first", [(140, 141), (148, 149)])
+    def test_eigencheck_quotient_overflow_exits_1(self, capsys, recwarn,
+                                                  n_low, first):
+        # x^2 is normal, but the kernel's x^(-1/2) over it overflows: the
+        # division warned, and the command failed naming no n
+        rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", "0.1",
+                           "--nlow", str(n_low), "--nhigh", str(n_low + 6),
+                           "--alpha", "0.5", "--beta", "0.25")
+        assert (rc, out) == (1, "")
+        assert err == ("qwave: the stencil's quotient by x^2 overflows "
+                       f"float64 at n = {first} (q = 0.1)\n")
+        assert err.count("\n") == 1
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("argv,x", [
+        (("--q", "0.1", "--nlow", "148", "--nhigh", "153"),
+         "1.0000000000000082e-149"),
+        (("--q", "0.1", "--nlow", "20", "--nhigh", "26", "--alpha", "0.5",
+          "--beta", "0.25"), "1.0000000000000012e-21"),
+        (("--q", "0.1", "--nlow", "100", "--nhigh", "106", "--alpha", "0.5",
+          "--beta", "0.25"), "1.0000000000000056e-101"),
+        ((), "524288"),
+        (("--q", "0.5", "--nlow", "400", "--nhigh", "406", "--alpha", "1",
+          "--beta", "1"), "1.9362959574246591e-121"),
+    ], ids=("q0.1-deep", "q0.1-shallow", "q0.1-mid", "default-grid",
+            "bound-overflows"))
+    def test_eigencheck_ratio_with_no_digit_exits_1(self, capsys, recwarn,
+                                                    argv, x):
+        # the stencil cancels below the series' error bound, or the series
+        # has lost its digits: the ratio printed 0, -3.0e25 or 2.57 where
+        # the eigenvalue is -1, with exit 0
+        rc, out, err = run(capsys, "bessel", "--eigencheck", *argv)
+        assert (rc, out) == (1, "")
+        assert err == (f"qwave: the eigencheck ratio at x = {x} has no "
+                       "correct digit: the series' error bound reaches it\n")
+        assert len(recwarn) == 0
+
+    def test_eigencheck_bytes_where_every_ratio_holds(self, capsys):
+        rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", "0.5",
+                           "--nlow", "-4", "--nhigh", "4")
+        assert (rc, err) == (0, "")
+        assert out == ("x,ratio\n"
+                       "8,-1.0000000000499849\n"
+                       "4,-0.99999999999997624\n"
+                       "2,-1.0000000000000004\n"
+                       "1,-1\n"
+                       "0.5,-0.99999999999999967\n"
+                       "0.25,-1.0000000000000009\n"
+                       "0.125,-1.0000000000000002\n")
+
 
 class TestFourierCommand:
     def test_calibrate_schema(self, capsys):

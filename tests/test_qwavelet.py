@@ -262,6 +262,23 @@ def test_stacked_gemv_equals_per_row_dot(q, alpha, beta):
             assert got.tobytes() == want.tobytes(), (k, start, count)
 
 
+@pytest.mark.parametrize("power", [1.0, 2.0])
+@pytest.mark.parametrize("plan_of", [
+    lambda request: request.getfixturevalue("plan_shifted"),
+    lambda request: request.getfixturevalue("spec_sweep00").plan],
+    ids=("stream-grid", "sweep-grid"))
+def test_log2_abs_matvec_reads_the_transpose(request, plan_of, power):
+    """The bounds' |M| product, read from the scaled kernel's rows with
+    log2 |S_ij| + k_j, is log2(|M^T|^p @ 2^v) for the kernel M rebuilt
+    exactly: M is symmetric, and the shift k_j restores each column."""
+    plan = plan_of(request)
+    v = np.random.default_rng(1).uniform(-40.0, 40.0, plan.grid.size)
+    want = np.log2(np.abs(plan_kernel(plan).T) ** power @ np.exp2(v))
+    with np.errstate(divide="ignore"):
+        got = qwavelet._log2_abs_matvec(plan, v, power)
+    np.testing.assert_allclose(got, want, rtol=2.0 ** -40, atol=0.0)
+
+
 class TestScaleogram:
     def test_shape_mismatch_rejected(self, grid00):
         with pytest.raises(ValueError, match="does not match"):

@@ -12,7 +12,6 @@ from qwave.qgrid import (
     dilate,
 )
 from qwave.qbessel import (
-    normalized_q_bessel_bound,
     modified_q_bessel_bound,
     generalized_q_bessel_operator,
 )

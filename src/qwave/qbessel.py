@@ -5,14 +5,9 @@ rows, the exact dot product and its certified double-double twin, a
 certified vectorized math.fsum over the rows of a block, and the table
 of working precisions.
 
-Two evaluation routes coexist on purpose. The series is the definition
-and works at any real argument, but in float64 it loses digits once the
-argument grows (terms alternate and the partial sums peak far above the
-result); its error bound reports that honestly. On-lattice values, which
-the transform machinery consumes by the thousands, come instead from a
-backward three-term recurrence run in high precision and normalized
-against the series at the origin, which is exact to working precision at
-every lattice depth.
+One loop, _Series, sums the q-Bessel series: for the on-lattice table
+at s >= 0 (a backward recurrence normalized against it fills s < 0),
+and for the float64 kernels at any x, rounded once with a rigorous bound.
 """
 
 import functools
@@ -21,17 +16,13 @@ import weakref
 
 import mpmath
 import numpy as np
-from mpmath.libmp import (from_man_exp, mpf_abs, mpf_add, mpf_lt, mpf_mul,
-                          round_nearest)
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_lt,
+                          mpf_mul, round_nearest)
 
 from qwave.qgrid import GridFunction, QGrid
 
-EPS = 2.0 ** -52
 # A q-Pochhammer factor 1 - Q^{order+n} below this counts as vanished.
 DEGENERATE_TOL = 1e-14
-# The float64 series stops at a term below SERIES_REL_TOL times the sum.
-SERIES_REL_TOL = 1e-15
-SERIES_MAX_TERMS = 200
 
 
 class DegenerateParameterError(ValueError):
@@ -42,72 +33,20 @@ class TruncationError(RuntimeError):
     """A series did not converge within its term cap."""
 
 
-def _series_sum(order, x, q):
-    """Partial sum of sum_n (-1)^n q^{n(n+1)} x^{2n} / ((q^{2a+2};q^2)_n (q^2;q^2)_n).
-
-    Returns (value, err_bound). The bound is the first omitted term plus
-    a round-off floor of eps * (largest partial magnitude) * O(terms);
-    the term count matters because each term carries rounding from the
-    recursion and each addition rounds the running total, so near q = 1
-    (slow convergence) the drift is many ulps even without cancellation.
-    """
-    Q = q * q
-    x2 = x * x
-    if x2 == 0.0:
-        return 1.0, 0.0
-    term = 1.0
-    total = 1.0
-    peak = 1.0
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        denom_a = 1.0 - _power(Q, order + n, "(q^2)^(order + n)")
-        denom_b = 1.0 - Q ** n
-        if abs(denom_a) < DEGENERATE_TOL or abs(denom_b) < DEGENERATE_TOL:
-            raise DegenerateParameterError(
-                f"q-Pochhammer factor ~0 at n={n} for order {order}")
-        term *= -(Q ** n) * x2 / (denom_a * denom_b)
-        total += term
-        peak = max(peak, abs(term), abs(total))
-        if abs(term) < SERIES_REL_TOL * abs(total):
-            denom_a = 1.0 - _power(Q, order + n + 1,
-                                   "(q^2)^(order + n + 1)")
-            denom_b = 1.0 - Q ** (n + 1)
-            omitted = abs(term * (Q ** (n + 1)) * x2 / (denom_a * denom_b))
-            return total, omitted + EPS * peak * (5 * n + 5)
-    raise TruncationError(
-        f"series did not converge within {SERIES_MAX_TERMS} terms (x={x})")
-
-
 def normalized_q_bessel_bound(alpha, x, q):
     """Normalized q-Bessel series j_alpha(x, q^2), which equals 1 at
-    x = 0, as (value, err_bound)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0,1), got {q}")
-    return _series_sum(float(alpha), float(x), float(q))
+    x = 0, as (value, err_bound): see _rounded_kernel."""
+    return _rounded_kernel(float(alpha), 0.0, float(x), float(q))
 
 
 def modified_q_bessel_bound(v, x, q):
-    """Two-parameter kernel x^{-2 beta} j_{alpha-beta}(q^{-beta} x, q^2),
-    as (value, err_bound).
-
-    x must be positive: the prefactor is singular at 0 when beta > 0.
-    """
+    """Two-parameter kernel x^{-2 beta} j_{alpha-beta}(q^{-beta} x, q^2)
+    at x > 0 (the prefactor is singular at 0 when beta > 0), as
+    (value, err_bound): see _rounded_kernel."""
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"modified kernel needs x > 0, got {x}")
-    scale = _power(x, -2.0 * v.beta, "x^(-2 beta)")
-    base, bound = normalized_q_bessel_bound(
-        v.nu, _power(q, -v.beta, "q^(-beta)") * x, q)
-    return scale * base, abs(scale) * bound
-
-
-def _power(base, exponent, name):
-    """base ** exponent, or a ValueError naming the power as name where
-    it overflows float64."""
-    try:
-        return base ** exponent
-    except OverflowError:
-        raise ValueError(f"the kernel's power {name} = {base!r}^"
-                         f"{exponent!r} overflows float64") from None
+    return _rounded_kernel(float(v.nu), float(v.beta), x, float(q))
 
 
 def generalized_q_bessel_operator(f, v):
@@ -153,7 +92,7 @@ def spectrum_dps(q, depth):
     return int(2 * depth * math.log10(1.0 / q)) + 80
 
 
-# --- on-lattice kernel table ---------------------------------------------
+# --- the q-Bessel series and the on-lattice kernel table -----------------
 
 class _Table(dict):
     """A kernel table: {s: mpf}. A dict that _tables can refer to weakly."""
@@ -184,93 +123,151 @@ def mp_context(dps):
     return ctx
 
 
-def _kernel_values(nu, q, s_min, s_max):
-    """j_nu(q^s; q^2) for integer s in [s_min, s_max], s_min <= 0 <= s_max,
-    as an mpf dict.
+class _Series:
+    """The q-Bessel series j_nu(x; q^2) = sum_k t_k at ctx's precision,
+    t_0 = 1, t_k = t_{k-1} r_k x^2, r_k = -Q^k / ((1 - Q^{nu+k})(1 - Q^k)),
+    Q = q^2: the one loop in qwave that sums it. Each r_k is built once,
+    from a running product of Q. The loop runs on raw tuples through the
+    libmp calls of mpf * mpf and mpf + mpf, so its sums are theirs."""
 
-    s >= 0 comes straight from the series. s < 0 uses the three-term
-    recurrence downward in depth (the target solution dominates in that
-    direction, so backward recursion is stable), seeded past the range
-    and normalized at s = 0 against the series value.
+    def __init__(self, nu, q, ctx):
+        self.ctx, self.nu, self.Q = ctx, nu, ctx.mpf(q) * ctx.mpf(q)
+        self.Qnu, self._Qk = self.Q ** ctx.mpf(nu), ctx.mpf(1)
+        self._ratios = [None]  # _ratios[k] is r_k as a raw tuple
+        self._tiny = (ctx.mpf(10) ** (-ctx.dps - 5))._mpf_
 
-    No mpmath power runs inside a loop. The series ratios
-    r_k = -Q^k / ((1 - Q^{nu+k})(1 - Q^k)), Q = q^2, do not depend on s:
-    they are built once, from running products of Q, and every s reuses
-    them (term_k = term_{k-1} r_k x^2). The arguments x^2 = Q^s and the
-    recurrence's q^{-2k} are running products too.
-
-    The series and x^2 run on raw mpf tuples, through the libmp calls
-    that mpf * mpf and mpf + mpf make (mpf_mul, mpf_add, round to
-    nearest at the context's precision), so every entry is the one the
-    mpf objects give. The stopping test |term| < tiny |tot| is read off
-    the operands' magnitude exponents (exp + bitcount) where they
-    decide it, and computed exactly where they do not.
-    """
-    ctx = mp_context(KERNEL_DPS)
-    prec = ctx.prec
-    qq = ctx.mpf(q)
-    Q = qq * qq
-    Qnu = Q ** ctx.mpf(nu)
-    tiny = (ctx.mpf(10) ** (-KERNEL_DPS - 5))._mpf_
-    # |term| < 2^(e_term) and tiny |tot| >= 2^(e_tiny + e_tot - 2) after
-    # rounding; |term| >= 2^(e_term - 1) and tiny |tot| <= 2^(e_tiny + e_tot).
-    e_tiny = tiny[2] + tiny[3]
-    one = ctx.mpf(1)._mpf_
-    ratios = [None]  # ratios[k] is r_k as a raw tuple, built on first use
-    Qk = ctx.mpf(1)
-    out = _Table()
-
-    def ratio(k):
-        nonlocal Qk
-        while len(ratios) <= k:
-            Qk *= Q
-            denom_a = 1 - Qnu * Qk
+    def ratio(self, k):
+        while len(self._ratios) <= k:
+            self._Qk *= self.Q
+            denom_a = 1 - self.Qnu * self._Qk
             if abs(denom_a) < DEGENERATE_TOL:
                 raise DegenerateParameterError(
-                    f"q-Pochhammer factor ~0 at n={len(ratios)} "
-                    f"for order {nu}")
-            ratios.append((-Qk / (denom_a * (1 - Qk)))._mpf_)
-        return ratios[k]
+                    f"q-Pochhammer factor ~0 at n={len(self._ratios)} "
+                    f"for order {self.nu}")
+            self._ratios.append((-self._Qk / (denom_a * (1 - self._Qk)))._mpf_)
+        return self._ratios[k]
 
-    def converged(term, tot):
-        if term[1] and tot[1]:
-            gap = term[2] + term[3] - tot[2] - tot[3] - e_tiny
-            if gap <= -2:
-                return True
-            if gap >= 1:
-                return False
-        return mpf_lt(mpf_abs(term), mpf_mul(tiny, mpf_abs(tot), prec,
-                                             round_nearest))
-
-    def series(s, x2):
-        term = tot = one
-        n = 0
+    def sum(self, x2):
+        """(S, K, t_K, peak) at x^2 = x2, a raw tuple: the sum S through
+        t_K, as mpfs, for the first K with K + 2 > -nu (any K at nu > -3)
+        and |t_K| < 10^-(dps + 5) |S|; every partial sum, 1 and S too, is
+        below 2^peak. A TruncationError past 800 terms."""
+        ctx, tiny, ratios = self.ctx, self._tiny, self._ratios
+        prec, e_tiny = ctx.prec, tiny[2] + tiny[3]
+        term, tot, n, peak = fone, fone, 0, 1
         while True:
             n += 1
-            term = mpf_mul(term, mpf_mul(ratio(n), x2, prec, round_nearest),
-                           prec, round_nearest)
+            r = ratios[n] if n < len(ratios) else self.ratio(n)
+            term = mpf_mul(term, mpf_mul(r, x2, prec, round_nearest), prec,
+                           round_nearest)
             tot = mpf_add(tot, term, prec, round_nearest)
-            if converged(term, tot):
-                return ctx.make_mpf(tot)
+            e_tot = tot[2] + tot[3]
+            if e_tot > peak:
+                peak = e_tot
+            # exponents (exp + bitcount) decide |term| < tiny |tot| unless
+            # 2^(e_term - 1) <= |term| < 2^e_term straddles tiny |tot|
+            gap = term[2] + term[3] - e_tot - e_tiny
+            if n + 2 > -self.nu and (
+                    gap <= -2 if term[1] and tot[1] and not -2 < gap < 1
+                    else mpf_lt(mpf_abs(term), mpf_mul(
+                        tiny, mpf_abs(tot), prec, round_nearest))):
+                return ctx.make_mpf(tot), n, ctx.make_mpf(term), peak
             if n > 800:
-                raise TruncationError(f"high-precision series stalled at s={s}")
+                x = ctx.nstr(ctx.sqrt(ctx.make_mpf(x2)), 17)
+                raise TruncationError(
+                    f"series did not converge within 800 terms (x={x})")
 
-    x2 = one
-    Q_raw = Q._mpf_
+
+def _rounded_kernel(nu, beta, x, q):
+    """x^{-2 beta} j_nu(q^{-beta} x; q^2) (x = 0 only at beta = 0) rounded
+    once to float64, and a rigorous bound on its distance from the exact
+    kernel at these floats: (value, err_bound). A value past float64
+    raises a ValueError. Ziv's scheme (ACM TOMS 17, 1991): where a pass's
+    bound E is not below the value's half-ulp, one more pass adds the
+    digits its sum lost, log2(peak partial / |sum|), at most the precision.
+
+    E at p bits, u = 2^-p, after Higham (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3): an mp operation is within u,
+    mpmath's s^t within 16 (1 + |t ln s|) u (measured: a sixteenth of
+    that). Errors are relative, in units of u, first order times 1.01,
+    which holds while lam <= 2^-20 (else, or at rho >= 1/2, E = inf).
+    1. Q = q q, Q^k (a running product) and Q^nu are off by 1, 2.02 k and
+       e_nu = 1.01 |nu| + 16 (1 + 2 |nu ln q|). As |1 - Q^{nu+k}| >= 2^-47
+       (DEGENERATE_TOL) and 1 - Q^k >= 1 - q >= 2^-53, r_k is off by
+       2^55 (k + 1) + 2^48 e_nu; x^2 = (q^{-beta} x)^2 by e_x =
+       2.02 (17 + 16 |beta ln q|) + 1.
+    2. t_k, k <= K + 2 (k ratios and arguments, 2k roundings), is off by
+       lam = 1.01 (K + 2)(2^55 (K + 3) + 2^48 e_nu + e_x + 2) u. A computed
+       term, a difference of partial sums, is below 2.01 P, P = 2^peak:
+       the K terms are off by 2.01 lam K P, the K additions by u K P.
+    3. From k = K + 2 on, both factors of r_k's denominator lie in (0, 1)
+       and grow, so |r_k| falls: the tail is below |t_{K+1}| / (1 - rho)
+       <= 2.01 |t_{K+1}| for rho = |r_{K+2} x^2| < 1/2, both as the loop
+       forms them. So S is off by E_S = K P (u + 2.01 lam) + 2.01 |t_{K+1}|.
+    4. pi = x^{-2 beta} is off by eps = 16 (1 + 2 |beta ln x|) u, and V =
+       pi S rounds within 2 u |V|: |V - kernel| is below
+       E = 2 u |V| + |pi| (1 + 2 eps)(eps |S| + E_S).
+    5. err_bound = (|value - V| + E)(1 + 2^-50), value = float(V): 2^-50
+       covers forming it, and the next float up converting it.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must lie in (0,1), got {q}")
+    if x == 0.0:
+        return 1.0, 0.0
+    ln_q = -math.log(q)
+    e_r = 2.0 ** 48 * (1.01 * abs(nu) + 16 * (1 + 2 * abs(nu) * ln_q)) + (
+        2.02 * (17 + 16 * abs(beta) * ln_q) + 3)  # 2^48 e_nu + e_x + 2
+    eps_pi = 16 * (1 + 2 * abs(beta) * abs(math.log(abs(x))))
+    dps = KERNEL_DPS
+    for _ in range(2):
+        ctx = mp_context(dps)
+        u = ctx.ldexp(1, -ctx.prec)
+        series = _Series(nu, q, ctx)
+        x2 = (ctx.mpf(q) ** -ctx.mpf(beta) * x) ** 2
+        S, K, t_K, peak = series.sum(x2._mpf_)
+        r1, rho = (ctx.make_mpf(series.ratio(k)) * x2 for k in (K + 1, K + 2))
+        pi = ctx.mpf(x) ** (-2 * ctx.mpf(beta))
+        V = pi * S
+        lam = 1.01 * (K + 2) * (2.0 ** 55 * (K + 3) + e_r) * u
+        eps = eps_pi * u
+        E_S = K * ctx.ldexp(1, peak) * (u + 2.01 * lam) + 2.01 * abs(t_K * r1)
+        if lam > 2.0 ** -20 or not abs(rho) < 0.5:
+            E_S = ctx.inf
+        E = 2 * u * abs(V) + abs(pi) * (1 + 2 * eps) * (eps * abs(S) + E_S)
+        value = float(V)
+        if not math.isinf(value) and E < math.ulp(value) / 2:
+            break
+        dps += math.ceil(min(peak - ctx.mag(S), ctx.prec) * math.log10(2))
+    if math.isinf(value):
+        raise ValueError(f"the kernel value {ctx.nstr(V, 5)} at x = {x!r} "
+                         "leaves float64")
+    bound = (abs(V - value) + E) * (1 + 2.0 ** -50)
+    return value, math.nextafter(float(bound), math.inf)
+
+
+def _kernel_values(nu, q, s_min, s_max):
+    """j_nu(q^s; q^2) for integer s in [s_min, s_max], s_min <= 0 <= s_max,
+    as an mpf dict: _Series's sums at x^2 = Q^s (a running product) for
+    s >= 0, and for s < 0 the three-term recurrence run downward in depth,
+    where the target solution dominates, so stably, seeded past the range
+    and normalized against the series at s = 0.
+    """
+    ctx = mp_context(KERNEL_DPS)
+    series = _Series(nu, q, ctx)
+    Q, Qnu = series.Q, series.Qnu
+    out = _Table()
+    x2 = fone
     for s in range(s_max + 1):
-        out[s] = series(s, x2)
-        x2 = mpf_mul(x2, Q_raw, prec, round_nearest)
+        out[s] = series.sum(x2)[0]
+        x2 = mpf_mul(x2, Q._mpf_, ctx.prec, round_nearest)
     if s_min < 0:
         kmax = -s_min
-        y_hi = ctx.mpf(0)
-        y = ctx.mpf(1)
+        y_hi, y = ctx.mpf(0), ctx.mpf(1)
         q_m2k = Q ** -(kmax + RECURRENCE_BUFFER)
         vals = {}
         for k in range(kmax + RECURRENCE_BUFFER, -1, -1):
             vals[k] = y
-            y_lo = ((1 + Qnu - q_m2k) * y - y_hi) / Qnu
-            y_hi = y
-            y = y_lo
+            y_hi, y = y, ((1 + Qnu - q_m2k) * y - y_hi) / Qnu
             q_m2k *= Q
         scale = out[0] / vals[0]
         for k in range(1, kmax + 1):

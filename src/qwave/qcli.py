@@ -203,6 +203,9 @@ def cmd_bessel(cfg, args):
         if not 0.0 < lam < math.inf:
             raise UsageError(
                 f"lam must be positive and finite, got {fmt17(lam)}")
+        if math.isinf(lam * float(grid.points[0])):  # the largest x
+            raise ValueError(f"the kernel argument lam * x = {fmt17(lam)} "
+                             f"* {fmt17(grid.points[0])} overflows float64")
         vals, errs = np.array([modified_q_bessel_bound(v, lam * x, cfg.q)
                                for x in grid.points]).T
         f = GridFunction(grid, vals)

@@ -43,6 +43,20 @@ def series_reference(alpha, x, q, terms=60, dps=60):
         return float(total)
 
 
+def kernel_distance(value, nu, beta, x, q, dps=2 * qbessel.KERNEL_DPS):
+    """|value - x^{-2 beta} j_nu(q^{-beta} x; q^2)| at dps digits, from
+    mpmath's qhyper([0], [Q^{nu+1}], Q, Q y^2), y = q^{-beta} x, Q = q^2:
+    the series as a 1phi1, summed by mpmath, which adds the digits that
+    its cancellation costs. q, beta and x enter as mpfs."""
+    with mp.workdps(dps):
+        q = mp.mpf(q)
+        Q = q * q
+        y2 = (q ** -mp.mpf(beta) * x) ** 2
+        ref = (mp.qhyper([0], [Q ** (mp.mpf(nu) + 1)], Q, Q * y2)
+               * mp.mpf(x) ** (-2 * mp.mpf(beta)))
+        return abs(mp.mpf(value) - ref)
+
+
 class TestSeries:
     def test_value_at_zero_is_one(self):
         for alpha in (0.0, 0.5, 1.25):
@@ -68,7 +82,7 @@ class TestSeries:
 
     def test_bound_grows_in_cancellation_regime(self):
         # at large x the terms alternate with huge magnitudes before
-        # collapsing; the round-off floor must reflect that peak
+        # collapsing; the bound on the float follows the value, 5.2e4 here
         _, small = normalized_q_bessel_bound(0.0, 0.5, 0.5)
         _, big = normalized_q_bessel_bound(0.0, 30.0, 0.5)
         assert big > 1e3 * small
@@ -83,7 +97,7 @@ class TestSeries:
             normalized_q_bessel_bound(0.0, 0.5, 1.5)[0]
 
     def test_tight_term_cap_raises(self):
-        # near q = 1 the series needs more than SERIES_MAX_TERMS terms
+        # near q = 1 the series needs more than its 800 terms
         with pytest.raises(TruncationError):
             normalized_q_bessel_bound(0.0, 1.0, 0.999)[0]
 
@@ -95,11 +109,12 @@ class TestModifiedKernel:
                 == normalized_q_bessel_bound(0.7, 0.3, 0.5)[0])
 
     def test_prefactor_vanishes_at_one(self):
-        # x = 1 leaves only the argument shift q^{-beta}
+        # x = 1 leaves only the argument shift q^{-beta}, which the kernel
+        # forms in mp, not as the float q ** -0.25
         v = BesselParams(0.5, 0.25)
         q = 0.5
-        assert (modified_q_bessel_bound(v, 1.0, q)[0]
-                == normalized_q_bessel_bound(v.nu, q ** -0.25, q)[0])
+        val, err = modified_q_bessel_bound(v, 1.0, q)
+        assert kernel_distance(val, v.nu, v.beta, 1.0, q) <= err
 
     def test_composition_identity(self):
         # jtilde(x) = x^{-2 beta} j_nu(q^{-beta} x) rebuilt by hand
@@ -117,19 +132,50 @@ class TestModifiedKernel:
         with pytest.raises(ValueError, match="x > 0"):
             modified_q_bessel_bound(v, 0.0, 0.5)[0]
 
-    @pytest.mark.parametrize("alpha,beta,x,power", [
-        (0.0, 2000.0, 1.0, r"q\^\(-beta\) = 0.5\^-2000.0"),
-        (3000.0, -2000.0, 4.0, r"x\^\(-2 beta\) = 4.0\^4000.0"),
-        (1.0, 1.0, 1e-300, r"x\^\(-2 beta\) = 1e-300\^-2.0"),
-        (0.0, 600.0, 1.0, r"\(q\^2\)\^\(order \+ n\) = 0.25\^-599.0"),
+    @pytest.mark.parametrize("alpha,beta,x,error,message", [
+        (0.0, 2000.0, 1.0, TruncationError,
+         r"series did not converge within 800 terms "
+         r"\(x=1\.1481306952742545e\+602\)"),
+        (3000.0, -2000.0, 4.0, ValueError,
+         r"the kernel value 1\.7377e\+2408 at x = 4\.0 leaves float64"),
+        (1.0, 1.0, 1e-300, ValueError,
+         r"the kernel value 1\.0e\+600 at x = 1e-300 leaves float64"),
+        (0.0, 600.0, 1.0, DegenerateParameterError,
+         r"q-Pochhammer factor ~0 at n=600 for order -600\.0"),
     ], ids=("q-power", "x-power", "tiny-x", "series-power"))
-    def test_power_overflow_named(self, alpha, beta, x, power):
-        # each power raised OverflowError (34, 'Numerical result out of
-        # range'), which no caller catches
-        with pytest.raises(ValueError,
-                           match=f"^the kernel's power {power} overflows "
-                                 "float64$"):
+    def test_power_overflow_named(self, alpha, beta, x, error, message):
+        # each float power raised OverflowError (34, 'Numerical result
+        # out of range'), which no caller caught; in mp no power
+        # overflows, and each case fails for what it is: the series at
+        # q^-2000 does not converge, the value leaves float64, or the
+        # order -600 is degenerate
+        with pytest.raises(error, match=f"^{message}$"):
             modified_q_bessel_bound(BesselParams(alpha, beta), x, 0.5)
+
+
+class TestRoundedKernel:
+    @pytest.mark.parametrize("q,alpha,beta", [
+        (0.3, 0.0, 0.0), (0.5, 0.0, 0.0), (0.9, 0.0, 0.0),
+        (0.5, 0.5, 0.25)])
+    def test_default_grid_rows_are_certified(self, q, alpha, beta):
+        v = BesselParams(alpha, beta)
+        rows = [(x, *modified_q_bessel_bound(v, x, q))
+                for x in build_grid(q, -20, 40).points]
+        # the float64 series left 17, 16 and 10 rows of the first three
+        # grids with err_bound >= |value|: no correct digit
+        assert [r for r in rows if not r[2] < abs(r[1])] == []
+        assert [r for r in rows if not r[2] < 2.0 ** -50 * abs(r[1])] == []
+        assert [r for r in rows
+                if not kernel_distance(r[1], v.nu, v.beta, r[0], q) <= r[2]
+                ] == []
+
+    def test_deep_cancellation_row(self):
+        # 241 of the sum's digits cancel at x = 2^20; the float64 series
+        # printed 3.18e98 with bound 1.8e101
+        val, err = normalized_q_bessel_bound(0.0, 2.0 ** 20, 0.5)
+        assert "%.17g" % val == "5.3638200504768915e-127"
+        assert err < 2.0 ** -52 * val
+        assert kernel_distance(val, 0.0, 0.0, 2.0 ** 20, 0.5) <= err
 
 
 class TestDifferenceOperator:
@@ -227,7 +273,7 @@ class TestDifferenceOperator:
 
 class TestLatticeTable:
     def test_matches_series_at_nonnegative_indices(self):
-        # float64 series is trustworthy where no cancellation occurs
+        # the rounded series against the table's entries at x = q^s
         nu, q = 0.25, 0.5
         tab = lattice_kernel(nu, q, 0, 12)
         for s in range(0, 13):

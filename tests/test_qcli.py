@@ -9,11 +9,12 @@ import io
 import json
 import math
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qwave import (qbessel, qcli, qgrid, qtransform, qwavelet, uncertainty,
                    verify)
@@ -373,7 +374,7 @@ class TestExitCodes:
         assert out.startswith("x,value,err_bound\n")
 
     def test_series_truncation_exits_1(self, capsys):
-        # near q = 1 the float64 series needs more than SERIES_MAX_TERMS terms
+        # near q = 1 the series needs more than its 800 terms
         rc, out, err = run(capsys, "bessel", "--q", "0.999")
         assert rc == 1
         assert out == ""
@@ -428,23 +429,52 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(recwarn) == 0
 
-    @pytest.mark.parametrize("argv", [
-        ("--beta", "2000", "--nlow", "0", "--nhigh", "2"),
-        ("--alpha", "3000", "--beta", "-2000", "--nlow", "-2", "--nhigh", "0"),
-        ("--eigencheck", "--lam", "1e-300", "--beta", "1", "--nlow", "0",
-         "--nhigh", "4"),
-        ("--beta", "1000", "--nlow", "-2", "--nhigh", "2"),
-        ("--beta", "600", "--nlow", "0", "--nhigh", "1"),
+    @pytest.mark.parametrize("argv,message", [
+        (("--beta", "2000", "--nlow", "0", "--nhigh", "2"),
+         "series did not converge within 800 terms "
+         "(x=1.1481306952742545e+602)"),
+        (("--alpha", "3000", "--beta", "-2000", "--nlow", "-2", "--nhigh",
+          "0"), "the kernel value 1.7377e+2408 at x = 4.0 leaves float64"),
+        (("--eigencheck", "--lam", "1e-300", "--beta", "1", "--nlow", "0",
+          "--nhigh", "4"), "q-Pochhammer factor ~0 at n=1 for order -1.0"),
+        (("--beta", "1000", "--nlow", "-2", "--nhigh", "2"),
+         "series did not converge within 800 terms "
+         "(x=4.2860344287450693e+301)"),
+        (("--beta", "600", "--nlow", "0", "--nhigh", "1"),
+         "q-Pochhammer factor ~0 at n=600 for order -600.0"),
     ], ids=("q-power", "x-power", "eigencheck", "series-power-1000",
             "series-power-600"))
-    def test_kernel_power_overflow_exits_1(self, capsys, argv):
-        # a power of the kernel's prefactor leaves float64: this was an
-        # OverflowError traceback
+    def test_kernel_power_overflow_exits_1(self, capsys, argv, message):
+        # a float power of the kernel's prefactor or argument left
+        # float64: this was an OverflowError traceback. In mp no power
+        # overflows, and each case fails for what it is
         rc, out, err = run(capsys, "bessel", *argv)
         assert (rc, out) == (1, "")
-        assert err.startswith("qwave: the kernel's power ")
-        assert err.endswith(" overflows float64\n")
-        assert err.count("\n") == 1
+        assert err == f"qwave: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--beta", "2", "--nlow", "30", "--nhigh", "32"),
+        ("--eigencheck", "--beta", "2", "--q", "0.1", "--nlow", "60",
+         "--nhigh", "66"),
+    ], ids=("values", "eigencheck"))
+    def test_order_minus_two_exits_1(self, capsys, argv):
+        # nu = -2 at tiny x: the float64 series stopped after one term and
+        # divided by the next factor 1 - Q^(nu + 2) = 0, a
+        # ZeroDivisionError traceback
+        rc, out, err = run(capsys, "bessel", *argv)
+        assert (rc, out) == (1, "")
+        assert err == "qwave: q-Pochhammer factor ~0 at n=2 for order -2.0\n"
+
+    def test_eigencheck_argument_overflow_exits_1(self, capsys, recwarn):
+        # lam * x = 1e300 * 2^40 overflowed with numpy's RuntimeWarning,
+        # and the series was blamed for not converging at x = inf
+        rc, out, err = run(capsys, "bessel", "--eigencheck", "--lam",
+                           "1e300", "--nlow", "-40", "--nhigh", "-36")
+        assert (rc, out) == (1, "")
+        assert err == ("qwave: the kernel argument lam * x = "
+                       "1.0000000000000001e+300 * 1099511627776 overflows "
+                       "float64\n")
+        assert len(recwarn) == 0
 
     def test_dead_worker_exits_1(self, capsys, monkeypatch):
         set_cpus(monkeypatch, 2)
@@ -565,6 +595,48 @@ class TestExitCodes:
             == ("old\n" if existing else False)
 
 
+@st.composite
+def cli_argvs(draw):
+    """argv for grid, bessel, bessel --eigencheck or fourier --calibrate
+    with q in [0.01, 0.999], alpha and beta in [-5, 300], and a grid of
+    3 to 31 points within n = -300 to 130."""
+    command = draw(st.sampled_from([["grid"], ["bessel"],
+                                    ["bessel", "--eigencheck"],
+                                    ["fourier", "--calibrate"]]))
+    size = draw(st.integers(3, 31))
+    n_low = draw(st.integers(-300, 131 - size))
+    return command + [
+        "--q", repr(draw(st.floats(0.01, 0.999))),
+        "--alpha", repr(draw(st.floats(-5.0, 300.0))),
+        "--beta", repr(draw(st.floats(-5.0, 300.0))),
+        "--nlow", str(n_low), "--nhigh", str(n_low + size - 1)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(argv=cli_argvs())
+@example(argv=["bessel", "--eigencheck", "--lam", "1e300", "--nlow", "-40",
+               "--nhigh", "-36"])
+@example(argv=["bessel", "--beta", "2", "--nlow", "30", "--nhigh", "32"])
+@example(argv=["bessel", "--eigencheck", "--beta", "2", "--q", "0.1",
+               "--nlow", "60", "--nhigh", "66"])
+def test_every_argv_exits_cleanly(argv):
+    # a number, or one typed stderr line with exit 1 or 2: no traceback,
+    # no warning
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert caught == []
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert rc in (1, 2)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("qwave: ")
+        assert err.getvalue().count("\n") == 1
+
+
 class TestGridCommand:
     def test_schema_and_values(self, capsys):
         rc, out, _ = run(capsys, "grid", "--q", "0.5", "--nlow", "-2",
@@ -653,7 +725,7 @@ class TestBesselCommand:
           "--beta", "0.25"), "1.0000000000000012e-21"),
         (("--q", "0.1", "--nlow", "100", "--nhigh", "106", "--alpha", "0.5",
           "--beta", "0.25"), "1.0000000000000056e-101"),
-        ((), "524288"),
+        ((), "5.9604644775390625e-08"),
         (("--q", "0.5", "--nlow", "400", "--nhigh", "406", "--alpha", "1",
           "--beta", "1"), "1.9362959574246591e-121"),
     ], ids=("q0.1-deep", "q0.1-shallow", "q0.1-mid", "default-grid",
@@ -662,7 +734,9 @@ class TestBesselCommand:
                                                     argv, x):
         # the stencil cancels below the series' error bound, or the series
         # has lost its digits: the ratio printed 0, -3.0e25 or 2.57 where
-        # the eigenvalue is -1, with exit 0
+        # the eigenvalue is -1, with exit 0. On the default grid the
+        # series now holds at x = 524288, and the stencil's own rounding
+        # cancels at x = 2^-24
         rc, out, err = run(capsys, "bessel", "--eigencheck", *argv)
         assert (rc, out) == (1, "")
         assert err == (f"qwave: the eigencheck ratio at x = {x} has no "
@@ -670,16 +744,18 @@ class TestBesselCommand:
         assert len(recwarn) == 0
 
     def test_eigencheck_bytes_where_every_ratio_holds(self, capsys):
+        # the x = 8 row read -1.0000000000499849 from the float64 series,
+        # off by its own error of 5e-11
         rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", "0.5",
                            "--nlow", "-4", "--nhigh", "4")
         assert (rc, err) == (0, "")
         assert out == ("x,ratio\n"
-                       "8,-1.0000000000499849\n"
-                       "4,-0.99999999999997624\n"
-                       "2,-1.0000000000000004\n"
-                       "1,-1\n"
-                       "0.5,-0.99999999999999967\n"
-                       "0.25,-1.0000000000000009\n"
+                       "8,-1\n"
+                       "4,-1\n"
+                       "2,-1\n"
+                       "1,-1.0000000000000004\n"
+                       "0.5,-1.0000000000000002\n"
+                       "0.25,-1.0000000000000011\n"
                        "0.125,-1.0000000000000002\n")
 
 

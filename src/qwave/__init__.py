@@ -11,10 +11,7 @@ from qwave.qgrid import (
     q_derivative,
     dilate,
 )
-from qwave.qbessel import (
-    modified_q_bessel_bound,
-    generalized_q_bessel_operator,
-)
+from qwave.qbessel import modified_q_bessel_bound
 from qwave.qtransform import (
     TransformPlan,
     make_plan,

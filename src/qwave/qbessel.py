@@ -1,13 +1,15 @@
 """q-Bessel kernels: the normalized series, the two-parameter modified
-kernel, the generalized second-order q-difference operator, and the
-library's one high-precision layer: the on-lattice kernel table, kappa
-rows, the exact dot product and its certified double-double twin, a
-certified vectorized math.fsum over the rows of a block, and the table
-of working precisions.
+kernel, the generalized second-order q-difference operator and its
+eigencheck, and the library's one high-precision layer: the on-lattice
+kernel table, kappa rows, the exact dot product and its certified
+double-double twin, a certified vectorized math.fsum over the rows of a
+block, and the table of working precisions.
 
 One loop, _Series, sums the q-Bessel series: for the on-lattice table
 at s >= 0 (a backward recurrence normalized against it fills s < 0),
 and for the float64 kernels at any x, rounded once with a rigorous bound.
+One function, q_bessel_operator, forms the operator's stencil in mp: for
+the operator mother, and for the eigencheck's certified ratios.
 """
 
 import functools
@@ -18,8 +20,6 @@ import mpmath
 import numpy as np
 from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_lt,
                           mpf_mul, round_nearest)
-
-from qwave.qgrid import GridFunction, QGrid
 
 # A q-Pochhammer factor 1 - Q^{order+n} below this counts as vanished.
 DEGENERATE_TOL = 1e-14
@@ -47,33 +47,6 @@ def modified_q_bessel_bound(v, x, q):
     if x <= 0.0:
         raise ValueError(f"modified kernel needs x > 0, got {x}")
     return _rounded_kernel(float(v.nu), float(v.beta), x, float(q))
-
-
-def generalized_q_bessel_operator(f, v):
-    """[f(x/q) - (q^{2a} + q^{2b}) f(x) + q^{2a+2b} f(qx)] / x^2 on the
-    interior points; both neighbors must exist, so the output grid drops
-    one index at each end. Refused with a ValueError naming the first n
-    where x^2 leaves float64's normal range or the quotient overflows."""
-    grid = f.grid
-    if grid.size < 3:
-        raise ValueError("operator stencil needs at least three grid points")
-    q = grid.q
-    A = q ** (2.0 * v.alpha) + q ** (2.0 * v.beta)
-    B = q ** (2.0 * v.alpha + 2.0 * v.beta)
-    out_grid = QGrid(q, grid.n_low + 1, grid.n_high - 1)
-    x = grid.points[1:-1]
-    low = np.flatnonzero(x * x < np.finfo(float).tiny)
-    if low.size:
-        raise ValueError(f"x^2 = q^(2n) leaves float64's normal range at "
-                         f"n = {out_grid.n_low + low[0]} (q = {q})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = (f.values[:-2] - A * f.values[1:-1]
-                + B * f.values[2:]) / (x * x)
-    high = np.flatnonzero(~np.isfinite(vals))
-    if high.size:
-        raise ValueError(f"the stencil's quotient by x^2 overflows float64 "
-                         f"at n = {out_grid.n_low + high[0]} (q = {q})")
-    return GridFunction(out_grid, vals)
 
 
 # --- precision table -----------------------------------------------------
@@ -131,7 +104,8 @@ class _Series:
     libmp calls of mpf * mpf and mpf + mpf, so its sums are theirs."""
 
     def __init__(self, nu, q, ctx):
-        self.ctx, self.nu, self.Q = ctx, nu, ctx.mpf(q) * ctx.mpf(q)
+        self.ctx, self.nu, self.q = ctx, nu, q
+        self.Q = ctx.mpf(q) * ctx.mpf(q)
         self.Qnu, self._Qk = self.Q ** ctx.mpf(nu), ctx.mpf(1)
         self._ratios = [None]  # _ratios[k] is r_k as a raw tuple
         self._tiny = (ctx.mpf(10) ** (-ctx.dps - 5))._mpf_
@@ -173,18 +147,44 @@ class _Series:
                         tiny, mpf_abs(tot), prec, round_nearest))):
                 return ctx.make_mpf(tot), n, ctx.make_mpf(term), peak
             if n > 800:
-                x = ctx.nstr(ctx.sqrt(ctx.make_mpf(x2)), 17)
                 raise TruncationError(
-                    f"series did not converge within 800 terms (x={x})")
+                    "series did not converge within 800 terms")
 
 
 def _rounded_kernel(nu, beta, x, q):
-    """x^{-2 beta} j_nu(q^{-beta} x; q^2) (x = 0 only at beta = 0) rounded
-    once to float64, and a rigorous bound on its distance from the exact
-    kernel at these floats: (value, err_bound). A value past float64
-    raises a ValueError. Ziv's scheme (ACM TOMS 17, 1991): where a pass's
-    bound E is not below the value's half-ulp, one more pass adds the
-    digits its sum lost, log2(peak partial / |sum|), at most the precision.
+    """x^{-2 beta} j_nu(q^{-beta} x; q^2) (x = 0 only at beta = 0) as
+    (value, err_bound): value = float(V), and (|value - V| + E)(1 + 2^-50)
+    raised to the next float bounds its distance from the exact kernel
+    (_kernel_enclosure). Ziv's scheme (ACM TOMS 17, 1991): where E is not
+    below value's half-ulp, one more pass adds the digits the sum lost.
+    A value past float64 raises a ValueError."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"q must lie in (0,1), got {q}")
+    if x == 0.0:
+        return 1.0, 0.0
+    dps = KERNEL_DPS
+    for _ in range(2):
+        ctx = mp_context(dps)
+        V, E, lost = _kernel_enclosure(_Series(nu, q, ctx), beta,
+                                       ctx.mpf(x), 0, x)
+        value = float(V)
+        if not math.isinf(value) and E < math.ulp(value) / 2:
+            break
+        dps += math.ceil(lost * math.log10(2))
+    if math.isinf(value):
+        raise ValueError(f"the kernel value {ctx.nstr(V, 5)} at x = {x!r} "
+                         "leaves float64")
+    bound = (abs(V - value) + E) * (1 + 2.0 ** -50)
+    return value, math.nextafter(float(bound), math.inf)
+
+
+def _kernel_enclosure(series, beta, x, roundings, at):
+    """(V, E, lost): the kernel x^{-2 beta} j_nu(q^{-beta} x; q^2) at an
+    mpf x != 0 in the context of series = _Series(nu, q, ctx), a rigorous
+    bound E on its distance from the kernel at the x* that x was rounded
+    from `roundings` times (0 or 1), and the bits the sum lost,
+    log2(peak partial / |sum|), at most the precision. A TruncationError
+    names at as its x.
 
     E at p bits, u = 2^-p, after Higham (Accuracy and Stability of
     Numerical Algorithms, 2nd ed., ch. 3): an mp operation is within u,
@@ -194,8 +194,8 @@ def _rounded_kernel(nu, beta, x, q):
     1. Q = q q, Q^k (a running product) and Q^nu are off by 1, 2.02 k and
        e_nu = 1.01 |nu| + 16 (1 + 2 |nu ln q|). As |1 - Q^{nu+k}| >= 2^-47
        (DEGENERATE_TOL) and 1 - Q^k >= 1 - q >= 2^-53, r_k is off by
-       2^55 (k + 1) + 2^48 e_nu; x^2 = (q^{-beta} x)^2 by e_x =
-       2.02 (17 + 16 |beta ln q|) + 1.
+       2^55 (k + 1) + 2^48 e_nu; x^2 = (q^{-beta} x)^2 from x* by e_x =
+       2.02 (17 + roundings + 16 |beta ln q|) + 1.
     2. t_k, k <= K + 2 (k ratios and arguments, 2k roundings), is off by
        lam = 1.01 (K + 2)(2^55 (K + 3) + 2^48 e_nu + e_x + 2) u. A computed
        term, a difference of partial sums, is below 2.01 P, P = 2^peak:
@@ -204,45 +204,109 @@ def _rounded_kernel(nu, beta, x, q):
        and grow, so |r_k| falls: the tail is below |t_{K+1}| / (1 - rho)
        <= 2.01 |t_{K+1}| for rho = |r_{K+2} x^2| < 1/2, both as the loop
        forms them. So S is off by E_S = K P (u + 2.01 lam) + 2.01 |t_{K+1}|.
-    4. pi = x^{-2 beta} is off by eps = 16 (1 + 2 |beta ln x|) u, and V =
-       pi S rounds within 2 u |V|: |V - kernel| is below
+    4. pi = x^{-2 beta} is off from x*^{-2 beta} by eps = (16 (1 + 2
+       |beta ln x|) + 2.02 |beta| roundings) u, and V = pi S rounds
+       within 2 u |V|: |V - kernel at x*| is below
        E = 2 u |V| + |pi| (1 + 2 eps)(eps |S| + E_S).
-    5. err_bound = (|value - V| + E)(1 + 2^-50), value = float(V): 2^-50
-       covers forming it, and the next float up converting it.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0,1), got {q}")
-    if x == 0.0:
-        return 1.0, 0.0
+    ctx, nu, q = series.ctx, series.nu, series.q
+    u = ctx.ldexp(1, -ctx.prec)
     ln_q = -math.log(q)
-    e_r = 2.0 ** 48 * (1.01 * abs(nu) + 16 * (1 + 2 * abs(nu) * ln_q)) + (
-        2.02 * (17 + 16 * abs(beta) * ln_q) + 3)  # 2^48 e_nu + e_x + 2
-    eps_pi = 16 * (1 + 2 * abs(beta) * abs(math.log(abs(x))))
-    dps = KERNEL_DPS
-    for _ in range(2):
-        ctx = mp_context(dps)
-        u = ctx.ldexp(1, -ctx.prec)
-        series = _Series(nu, q, ctx)
-        x2 = (ctx.mpf(q) ** -ctx.mpf(beta) * x) ** 2
+    x2 = (ctx.mpf(q) ** -ctx.mpf(beta) * x) ** 2
+    try:
         S, K, t_K, peak = series.sum(x2._mpf_)
-        r1, rho = (ctx.make_mpf(series.ratio(k)) * x2 for k in (K + 1, K + 2))
-        pi = ctx.mpf(x) ** (-2 * ctx.mpf(beta))
-        V = pi * S
-        lam = 1.01 * (K + 2) * (2.0 ** 55 * (K + 3) + e_r) * u
-        eps = eps_pi * u
-        E_S = K * ctx.ldexp(1, peak) * (u + 2.01 * lam) + 2.01 * abs(t_K * r1)
-        if lam > 2.0 ** -20 or not abs(rho) < 0.5:
-            E_S = ctx.inf
-        E = 2 * u * abs(V) + abs(pi) * (1 + 2 * eps) * (eps * abs(S) + E_S)
-        value = float(V)
-        if not math.isinf(value) and E < math.ulp(value) / 2:
-            break
-        dps += math.ceil(min(peak - ctx.mag(S), ctx.prec) * math.log10(2))
-    if math.isinf(value):
-        raise ValueError(f"the kernel value {ctx.nstr(V, 5)} at x = {x!r} "
-                         "leaves float64")
-    bound = (abs(V - value) + E) * (1 + 2.0 ** -50)
-    return value, math.nextafter(float(bound), math.inf)
+    except TruncationError as exc:
+        raise TruncationError(f"{exc} (x={at!r})") from None
+    r1, rho = (ctx.make_mpf(series.ratio(k)) * x2 for k in (K + 1, K + 2))
+    pi = x ** (-2 * ctx.mpf(beta))
+    V = pi * S
+    # 2^48 e_nu + e_x + 2
+    e_r = 2.0 ** 48 * (1.01 * abs(nu) + 16 * (1 + 2 * abs(nu) * ln_q)) + (
+        2.02 * (17 + roundings + 16 * abs(beta) * ln_q) + 3)
+    lam = 1.01 * (K + 2) * (2.0 ** 55 * (K + 3) + e_r) * u
+    eps = (16 * (1 + 2 * abs(beta * ctx.ln(abs(x))))
+           + 2.02 * abs(beta) * roundings) * u
+    E_S = K * ctx.ldexp(1, peak) * (u + 2.01 * lam) + 2.01 * abs(t_K * r1)
+    if lam > 2.0 ** -20 or not abs(rho) < 0.5:
+        E_S = ctx.inf
+    E = 2 * u * abs(V) + abs(pi) * (1 + 2 * eps) * (eps * abs(S) + E_S)
+    return V, E, min(peak - ctx.mag(S), ctx.prec)
+
+
+def q_bessel_operator(ctx, q, v, rows):
+    """Delta_{alpha,beta} f(x) = [f(x/q) - (q^{2 alpha} + q^{2 beta}) f(x)
+    + q^{2 alpha + 2 beta} f(qx)] / x^2 for each (f(x/q), f(x), f(qx), x^2)
+    in rows, at ctx's precision, as a list. The modified kernel at lam x
+    is its eigenfunction, with eigenvalue -lam^2."""
+    qmp = ctx.mpf(q)
+    alpha, beta = ctx.mpf(v.alpha), ctx.mpf(v.beta)
+    A = qmp ** (2 * alpha) + qmp ** (2 * beta)
+    B = qmp ** (2 * (alpha + beta))
+    return [(lo - A * mid + B * hi) / x2 for lo, mid, hi, x2 in rows]
+
+
+def eigencheck_ratios(v, lam, grid):
+    """(x, (Delta K)(x) / K(x)) at each interior grid point x, for K the
+    modified kernel at lam x: the ratio is -lam^2, rounded once to
+    float64 where its bound E cannot change the rounding: r - E and
+    r + E round alike. Else one more pass adds the bits lost (Ziv's
+    scheme): the sums', plus the stencil's, log2(M_q / |R|), or where R
+    has no correct bit, the log2(1 / y^2) of Delta K = -lam^2 K. Else a
+    ValueError names x.
+
+    E at p bits, u = 2^-p, first order times 1.01:
+    1. Values f, mid = K(y) among them, at y = lam x (exact) and its
+       neighbours y / q and y q (one rounding each) are within E_f of
+       the kernel there (_kernel_enclosure).
+    2. A and B, both positive, are off by at most (17.2 + 34.4 s) u,
+       s = (|alpha| + |beta|) |ln q| (powers, the sum alpha + beta, A's
+       sum); x^2 is exact. So with q_bessel_operator's R and its rows of
+       the bounds and of the magnitudes, E_q and M_q (each sum of
+       positive terms off by 5 u), R is within E_R = 1.01 (E_q + d M_q)
+       + u |R| of the exact quotient, d = (40 + 70 s) u <= 2^-20.
+    3. r = R / mid is within E = ((E_R + 1.01 |r| E_mid) / (|mid| -
+       E_mid) + u |r|)(1 + 2^-40) of the exact ratio, the last factor
+       for E's own roundings; E = inf where d > 2^-20 or E_mid >= |mid|.
+    """
+    if grid.size < 3:
+        raise ValueError("operator stencil needs at least three grid points")
+    lam, q = float(lam), grid.q
+    s = (abs(v.alpha) + abs(v.beta)) * -math.log(q)
+    first = _Series(v.nu, q, mp_context(KERNEL_DPS))
+    out = []
+    for x in grid.points[1:-1].tolist():
+        series = first
+        for _ in range(2):
+            ctx = series.ctx
+            u = ctx.ldexp(1, -ctx.prec)
+            d = (40 + 70 * s) * u
+            y, x2 = ctx.mpf(lam) * x, ctx.mpf(x) ** 2
+            V, Ef, lost = zip(*(_kernel_enclosure(series, v.beta, t, n, x)
+                                for t, n in ((y / q, 1), (y, 0), (y * q, 1))))
+            R, E_q, M_q = q_bessel_operator(ctx, q, v, [
+                (*V, x2), (Ef[0], -Ef[1], Ef[2], x2),
+                (abs(V[0]), -abs(V[1]), abs(V[2]), x2)])
+            r = R / V[1]
+            E_R = 1.01 * (E_q + d * M_q) + u * abs(R)
+            E = ctx.inf
+            if d <= 2.0 ** -20 and Ef[1] < abs(V[1]):
+                E = ((E_R + 1.01 * abs(r) * Ef[1]) / (abs(V[1]) - Ef[1])
+                     + u * abs(r)) * (1 + 2.0 ** -40)
+            a = float(ctx.fsub(r, E, exact=True))
+            if a == float(ctx.fadd(r, E, exact=True)):
+                break
+            bits = ctx.mag(M_q / R) if E_R < abs(R) else -2 * ctx.mag(y)
+            series = _Series(v.nu, q, mp_context(ctx.dps + math.ceil(
+                math.log10(2) * (max(lost) + max(bits, 0)))))
+        else:
+            raise ValueError(f"the eigencheck ratio at x = {x:.17g} has no "
+                             "correct digit: the series' error bound "
+                             "reaches it")
+        if math.isinf(a):
+            raise ValueError(f"the eigencheck ratio at x = {x:.17g} leaves "
+                             "float64")
+        out.append((x, a))
+    return out
 
 
 def _kernel_values(nu, q, s_min, s_max):

@@ -17,11 +17,11 @@ import sys
 
 import numpy as np
 
-from qwave.qbessel import (TruncationError, generalized_q_bessel_operator,
+from qwave.qbessel import (TruncationError, eigencheck_ratios,
                            modified_q_bessel_bound)
-from qwave.qgrid import (BesselParams, GridFunction, build_grid,
-                         function_csv, jackson_weights, read_function,
-                         sidecar_path, write_function, write_in_place)
+from qwave.qgrid import (BesselParams, build_grid, function_csv,
+                         jackson_weights, read_function, sidecar_path,
+                         write_function, write_in_place)
 from qwave.qtransform import CalibrationError, make_plan, q_bessel_fourier
 from qwave.qwavelet import (WaveletPlane, cwt, indicator_difference_mother,
                             operator_mother, wavelet_plancherel_ratio)
@@ -203,34 +203,8 @@ def cmd_bessel(cfg, args):
         if not 0.0 < lam < math.inf:
             raise UsageError(
                 f"lam must be positive and finite, got {fmt17(lam)}")
-        if math.isinf(lam * float(grid.points[0])):  # the largest x
-            raise ValueError(f"the kernel argument lam * x = {fmt17(lam)} "
-                             f"* {fmt17(grid.points[0])} overflows float64")
-        vals, errs = np.array([modified_q_bessel_bound(v, lam * x, cfg.q)
-                               for x in grid.points]).T
-        f = GridFunction(grid, vals)
-        op = generalized_q_bessel_operator(f, v)
-        # the series' bounds through the stencil, plus 2^-50 of each of
-        # its terms for the roundings of A, B and the stencil; the factor
-        # 2 covers forming the bound and dividing it by x^2. Where the
-        # stencil cancels, the bound can overflow: inf refuses the ratio
-        A = cfg.q ** (2.0 * v.alpha) + cfg.q ** (2.0 * v.beta)
-        B = cfg.q ** (2.0 * v.alpha + 2.0 * v.beta)
-        mags = np.abs(vals)
-        with np.errstate(over="ignore"):
-            stencil_err = 2.0 * (
-                errs[:-2] + A * errs[1:-1] + B * errs[2:] + 2.0 ** -50 * (
-                    mags[:-2] + A * mags[1:-1] + B * mags[2:])) \
-                / op.grid.points ** 2
-        lines = ["x,ratio"]
-        for i, x in enumerate(op.grid.points):
-            if not (stencil_err[i] < abs(op.values[i])
-                    and errs[i + 1] < mags[i + 1]):
-                raise ValueError(
-                    f"the eigencheck ratio at x = {fmt17(x)} has no "
-                    "correct digit: the series' error bound reaches it")
-            denom = f.value_at(op.grid.n_low + i)
-            lines.append(f"{fmt17(x)},{fmt17(op.values[i] / denom)}")
+        lines = ["x,ratio"] + [f"{fmt17(x)},{fmt17(r)}"
+                               for x, r in eigencheck_ratios(v, lam, grid)]
     else:
         lines = ["x,value,err_bound"]
         for x in grid.points:

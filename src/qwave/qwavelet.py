@@ -26,7 +26,7 @@ from mpmath.libmp import mpf_mul, round_nearest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from qwave.qbessel import (FACTORIZATION_DPS, MOTHER_DPS, fsum_rows,
-                           mp_context, mp_dot)
+                           mp_context, mp_dot, q_bessel_operator)
 from qwave.qgrid import (GridFunction, dilate, mp_weight_exponent,
                          weight_exponent)
 from qwave.qtransform import spectrum, translate
@@ -81,8 +81,11 @@ class Scaleogram:
         if coeffs.shape != (len(scale_indices), len(position_indices)):
             raise ValueError(f"coefficient shape {coeffs.shape} does not match "
                              f"{len(scale_indices)} scales x {len(position_indices)} positions")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("scaleogram entries must be finite")
+        bad = np.flatnonzero(~np.isfinite(coeffs).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                "scaleogram entries must be finite: the row at scale index "
+                f"m = {scale_indices[bad[0]]} leaves float64 (q = {grid.q:g})")
         self.scale_indices = list(scale_indices)
         self.position_indices = list(position_indices)
         self.scales = grid.q ** np.asarray(self.scale_indices, dtype=float)
@@ -152,20 +155,15 @@ def indicator_difference_mother(plan):
 
 
 def operator_mother(plan):
-    """The generalized q-Bessel operator applied to the bump (1, 2, 1) at
-    indices (-1, 0, 1); the operator output is mean-free by construction.
-    Mirrors the float64 generalized_q_bessel_operator stencil in mp."""
-    grid, v = plan.grid, plan.v
+    """The generalized q-Bessel operator (qbessel.q_bessel_operator)
+    applied to the bump (1, 2, 1) at indices (-1, 0, 1); the operator
+    output is mean-free by construction."""
     ctx = mp_context(MOTHER_DPS)
-    qmp = ctx.mpf(grid.q)
-    alpha, beta = ctx.mpf(v.alpha), ctx.mpf(v.beta)
-    A = qmp ** (2 * alpha) + qmp ** (2 * beta)
-    B = qmp ** (2 * (alpha + beta))
-    bump = {-1: ctx.mpf(1), 0: ctx.mpf(2), 1: ctx.mpf(1)}
-    zero = ctx.mpf(0)
-    raw = {n: (bump.get(n - 1, zero) - A * bump.get(n, zero)
-               + B * bump.get(n + 1, zero)) / qmp ** (2 * n)
-           for n in range(-2, 3)}
+    q = plan.grid.q
+    bump = [ctx.mpf(c) for c in (0, 0, 1, 2, 1, 0, 0)]  # indices -3 to 3
+    ns = range(-2, 3)
+    rows = [(*bump[n + 2:n + 5], ctx.mpf(q) ** (2 * n)) for n in ns]
+    raw = dict(zip(ns, q_bessel_operator(ctx, q, plan.v, rows)))
     return _normalized_mp_mother(plan, raw)
 
 
@@ -296,28 +294,48 @@ class WaveletPlane:
         the sum over every row. The gate asks for at most three batches
         of scales, in ascending order as the bounds are; each is taken
         _BLOCK rows at a time, and each block's row sums are
-        qbessel.fsum_rows, math.fsum's bits."""
+        qbessel.fsum_rows, math.fsum's bits. A contribution that leaves
+        float64 raises a ValueError naming its scale."""
         q = self.spec.plan.grid.q
 
         def contributions(ms):
             found = []
             for i in range(0, len(ms), _BLOCK):
                 block = ms[i:i + _BLOCK]
-                sums = fsum_rows(term(self.rows(block))).tolist()
-                found += [(1.0 - q) / (q ** float(m)) * s
-                          for m, s in zip(block, sums)]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    terms = term(self.rows(block))
+                try:
+                    sums = fsum_rows(terms).tolist()
+                except OverflowError:  # math.fsum's, for a row's sum
+                    sums = [_fsum_or_inf(row) for row in terms]
+                for m, s in zip(block, sums):
+                    found.append((1.0 - q) / (q ** float(m)) * s)
+                    if not math.isfinite(found[-1]):
+                        raise ValueError(f"the plane's term leaves float64 "
+                                         f"at scale index m = {m} (q = {q:g})")
             return found
 
         return gated_scale_sum(_scale_bounds(self, d, transformed),
                                contributions)
 
 
+def _fsum_or_inf(row):
+    """math.fsum of a row of non-negative floats, inf where it overflows."""
+    try:
+        return math.fsum(row.tolist())
+    except OverflowError:
+        return math.inf
+
+
 def cwt(f, spec, scale_indices=None):
     """Continuous wavelet transform as a Scaleogram over the full position
     grid, for any admissible scale indices; scale_indices defaults to
-    every admissible scale. The coefficients are scale_rows' block."""
+    every admissible scale. The coefficients are scale_rows' block; a
+    row that leaves float64 raises Scaleogram's ValueError."""
     grid = spec.plan.grid
-    rows = scale_rows(spectrum(f, spec.plan), spec, scale_indices)
+    Ff = spectrum(f, spec.plan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = scale_rows(Ff, spec, scale_indices)
     if scale_indices is None:
         scale_indices = spec.scale_indices
     return Scaleogram(scale_indices, grid.indices.tolist(), rows, grid)

@@ -1,11 +1,12 @@
 """Module boundaries of the library: qbessel is its one high-precision
 layer and the one place that sets a working precision, no module
 reaches into another module's private names, each kind of sum has one
-home, WaveletPlane builds its rows only through scale_rows, no module
-turns the per-row transform into a block GEMM, parallel_map is the one
-place that starts processes, qcli's _emit is the one place that writes
-to stdout, qgrid's write_in_place the one place that opens a file
-for writing, and every name the package exports has a caller."""
+home, the q-difference stencil has its two callers, WaveletPlane
+builds its rows only through scale_rows, no module turns the per-row
+transform into a block GEMM, parallel_map is the one place that starts
+processes, qcli's _emit is the one place that writes to stdout, qgrid's
+write_in_place the one place that opens a file for writing, and every
+name the package exports has a caller."""
 
 import ast
 import functools
@@ -180,20 +181,20 @@ def sum_calls(source, module, names=SUM_HOMES):
     return calls
 
 
-def sum_breaches(source, module):
-    """(line, what) for every call of a SUM_HOMES function outside its
-    homes or past the count a home allows, and every import that
-    renames one."""
+def sum_breaches(source, module, homes=SUM_HOMES):
+    """(line, what) for every call of a function in homes (SUM_HOMES by
+    default) outside its homes or past the count a home allows, and
+    every import that renames one."""
     found = []
     seen = Counter()
-    for line, name, scope in sum_calls(source, module):
+    for line, name, scope in sum_calls(source, module, homes):
         seen[name, scope] += 1
-        if seen[name, scope] > SUM_HOMES[name].get(scope, 0):
+        if seen[name, scope] > homes[name].get(scope, 0):
             found.append((line, f"{name} called in {scope}"))
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in SUM_HOMES and alias.asname not in (
+                if alias.name in homes and alias.asname not in (
                         None, alias.name):
                     found.append((node.lineno, f"{alias.name} renamed"))
     return found
@@ -254,6 +255,45 @@ def test_sum_guard_flags_each_breach(source, module):
 ])
 def test_sum_guard_allows_the_homes(source, module):
     assert sum_breaches(source, module) == []
+
+
+# The one home of the q-difference stencil, qbessel.q_bessel_operator:
+# the operator mother, and the eigencheck's certified ratio, which
+# carries the values, their error bounds and their magnitudes through
+# it in one call.
+STENCIL_HOMES = {"q_bessel_operator": {"qwavelet.operator_mother": 1,
+                                       "qbessel.eigencheck_ratios": 1}}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_stencil_stays_in_its_homes(path):
+    assert sum_breaches(path.read_text(), path.stem, STENCIL_HOMES) == []
+
+
+def test_each_stencil_home_calls_it():
+    seen = Counter((name, scope) for path in SRC.glob("*.py")
+                   for _, name, scope in sum_calls(
+                       path.read_text(), path.stem, STENCIL_HOMES))
+    assert seen == Counter({(name, scope): n
+                            for name, homes in STENCIL_HOMES.items()
+                            for scope, n in homes.items()})
+
+
+@pytest.mark.parametrize("source,module", [
+    ("def cmd_bessel(cfg, args):\n"
+     "    return qbessel.q_bessel_operator(ctx, q, v, rows)", "qcli"),
+    ("def operator_mother(plan):\n    a = q_bessel_operator(c, q, v, r)\n"
+     "    return q_bessel_operator(c, q, v, r)", "qwavelet"),
+    ("def eigencheck_ratios(v, lam, grid):\n"
+     "    a = q_bessel_operator(c, q, v, r)\n"
+     "    return q_bessel_operator(c, q, v, a)", "qbessel"),
+    ("def _kernel_enclosure(series, beta, x, roundings, at):\n"
+     "    return q_bessel_operator(c, q, v, r)", "qbessel"),
+    ("from qwave.qbessel import q_bessel_operator as stencil", "qcli"),
+])
+def test_stencil_guard_flags_each_breach(source, module):
+    assert sum_breaches(source, module, STENCIL_HOMES)
 
 
 def gate_functions(source):

@@ -19,13 +19,14 @@ from qwave.qbessel import (
     DegenerateParameterError,
     TruncationError,
     _kernel_values,
+    eigencheck_ratios,
     fsum_rows,
-    generalized_q_bessel_operator,
     lattice_kernel,
     modified_q_bessel_bound,
     normalized_q_bessel_bound,
+    q_bessel_operator,
 )
-from qwave.qgrid import BesselParams, GridFunction, build_grid
+from qwave.qgrid import BesselParams, build_grid
 from qwave.qtransform import make_plan
 
 
@@ -134,8 +135,7 @@ class TestModifiedKernel:
 
     @pytest.mark.parametrize("alpha,beta,x,error,message", [
         (0.0, 2000.0, 1.0, TruncationError,
-         r"series did not converge within 800 terms "
-         r"\(x=1\.1481306952742545e\+602\)"),
+         r"series did not converge within 800 terms \(x=1\.0\)"),
         (3000.0, -2000.0, 4.0, ValueError,
          r"the kernel value 1\.7377e\+2408 at x = 4\.0 leaves float64"),
         (1.0, 1.0, 1e-300, ValueError,
@@ -178,97 +178,80 @@ class TestRoundedKernel:
         assert kernel_distance(val, 0.0, 0.0, 2.0 ** 20, 0.5) <= err
 
 
+def stencil_rows(f, grid):
+    """A context at KERNEL_DPS and q_bessel_operator's rows (f(x/q),
+    f(x), f(qx), x^2) at the interior points x = q^n of the grid, for f
+    mapping (that context's q, n) to f(q^n) in it; x^2 = q^(2n)."""
+    ctx = qbessel.mp_context(qbessel.KERNEL_DPS)
+    qmp = ctx.mpf(grid.q)
+    return ctx, [(f(qmp, n - 1), f(qmp, n), f(qmp, n + 1), qmp ** (2 * n))
+                 for n in range(grid.n_low + 1, grid.n_high)]
+
+
 class TestDifferenceOperator:
     def test_constant_closed_form(self):
         # Delta c = c (1 - q^{2a})(1 - q^{2b}) / x^2
-        q, c = 0.5, 3.0
-        v = BesselParams(0.5, 0.25)
+        q, v = 0.5, BesselParams(0.5, 0.25)
         g = build_grid(q, -4, 8)
-        out = generalized_q_bessel_operator(GridFunction(g, np.full(g.size, c)), v)
-        ref = c * (1.0 - q ** (2 * v.alpha)) * (1.0 - q ** (2 * v.beta)) \
-            / out.grid.points ** 2
-        np.testing.assert_allclose(out.values, ref, rtol=1e-13)
+        ctx, rows = stencil_rows(lambda qmp, n: 3 * qmp ** 0, g)
+        out = q_bessel_operator(ctx, q, v, rows)
+        qmp = ctx.mpf(q)
+        ref = [3 * (1 - qmp ** (2 * ctx.mpf(v.alpha)))
+               * (1 - qmp ** (2 * ctx.mpf(v.beta))) / x2
+               for *_, x2 in rows]
+        assert max(abs(a / b - 1) for a, b in zip(out, ref)) < 2.0 ** -700
 
     def test_square_closed_form(self):
         # Delta x^2 = q^{-2} - q^{2a} - q^{2b} + q^{2a+2b+2}, a constant
-        q = 0.5
-        v = BesselParams(1.0, -0.25)
+        q, v = 0.5, BesselParams(1.0, -0.25)
         g = build_grid(q, -4, 8)
-        out = generalized_q_bessel_operator(GridFunction(g, g.points ** 2), v)
-        ref = q ** -2 - q ** (2 * v.alpha) - q ** (2 * v.beta) \
-            + q ** (2 * v.alpha + 2 * v.beta + 2)
-        np.testing.assert_allclose(out.values, ref, rtol=1e-12)
+        ctx, rows = stencil_rows(lambda qmp, n: qmp ** (2 * n), g)
+        out = q_bessel_operator(ctx, q, v, rows)
+        qmp = ctx.mpf(q)
+        a, b = 2 * ctx.mpf(v.alpha), 2 * ctx.mpf(v.beta)
+        ref = qmp ** -2 - qmp ** a - qmp ** b + qmp ** (a + b + 2)
+        assert max(abs(val / ref - 1) for val in out) < 2.0 ** -700
 
     def test_zero_maps_to_zero(self):
         g = build_grid(0.5, -4, 8)
-        out = generalized_q_bessel_operator(
-            GridFunction.zeros(g), BesselParams(0.0, 0.0))
-        assert np.all(out.values == 0.0)
+        ctx, rows = stencil_rows(lambda qmp, n: 0 * qmp, g)
+        out = q_bessel_operator(ctx, 0.5, BesselParams(0.0, 0.0), rows)
+        assert len(out) == 11 and all(val == 0 for val in out)
 
     def test_output_drops_both_ends(self):
+        # one ratio per interior point: n = -3 .. 7
         g = build_grid(0.5, -4, 8)
-        out = generalized_q_bessel_operator(
-            GridFunction.zeros(g), BesselParams(0.0, 0.0))
-        assert (out.grid.n_low, out.grid.n_high) == (-3, 7)
+        assert [x for x, _ in eigencheck_ratios(BesselParams(0.0, 0.0), 1.0,
+                                                g)] == g.points[1:-1].tolist()
 
     def test_too_few_points_rejected(self):
         g = build_grid(0.5, 0, 1)
         with pytest.raises(ValueError, match="three grid points"):
-            generalized_q_bessel_operator(
-                GridFunction.zeros(g), BesselParams(0.0, 0.0))
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n_low,first", [(150, 154), (160, 161),
-                                             (300, 301)])
-    def test_subnormal_x_squared_refused(self, n_low, first):
-        # 0.1^(2n) is subnormal from n = 154 and zero from n = 162: the
-        # quotient overflowed or was nan, with a warning
-        g = build_grid(0.1, n_low, n_low + 6)
-        with pytest.raises(ValueError, match=(
-                r"^x\^2 = q\^\(2n\) leaves float64's normal range at "
-                rf"n = {first} \(q = 0\.1\)$")):
-            generalized_q_bessel_operator(GridFunction(g, np.ones(g.size)),
-                                          BesselParams(0.5, 0.25))
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n_low,first", [(140, 141), (148, 149)])
-    def test_quotient_overflow_refused(self, n_low, first):
-        # x^2 = q^(2n) is normal there, but the kernel's x^(-1/2) over it
-        # is not: the division overflowed, with a warning
-        q, v = 0.1, BesselParams(0.5, 0.25)
-        g = build_grid(q, n_low, n_low + 6)
-        f = GridFunction(g, np.array(
-            [modified_q_bessel_bound(v, x, q)[0] for x in g.points]))
-        with pytest.raises(ValueError, match=(
-                r"^the stencil's quotient by x\^2 overflows float64 at "
-                rf"n = {first} \(q = 0\.1\)$")):
-            generalized_q_bessel_operator(f, v)
+            eigencheck_ratios(BesselParams(0.0, 0.0), 1.0, g)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_normal_x_squared_kept(self):
-        # up to n = 153, x^2 = 1e-306 is normal and the quotient finite
-        g = build_grid(0.1, 147, 154)
-        out = generalized_q_bessel_operator(GridFunction(g, np.ones(g.size)),
-                                            BesselParams(0.5, 0.25))
-        A = 0.1 ** 1.0 + 0.1 ** 0.5
-        B = 0.1 ** 1.5
-        assert np.array_equal(out.values,
-                              (1.0 - A + B) / (out.grid.points ** 2))
+        # float64's x^2 = q^(2n) is subnormal from n = 154 and zero from
+        # n = 162 at q = 0.1, which the float stencil refused; in mp
+        # every x^2 is kept, and the stencil of 1 is (1 - A + B) / x^2
+        q, v = 0.1, BesselParams(0.5, 0.25)
+        g = build_grid(q, 147, 170)
+        ctx, rows = stencil_rows(lambda qmp, n: qmp ** 0, g)
+        out = q_bessel_operator(ctx, q, v, rows)
+        qmp = ctx.mpf(q)
+        num = (1 - qmp ** (2 * ctx.mpf(v.alpha))
+               - qmp ** (2 * ctx.mpf(v.beta)) + qmp ** ctx.mpf(1.5))
+        assert max(abs(val * x2 / num - 1)
+                   for val, (*_, x2) in zip(out, rows)) < 2.0 ** -700
 
     def test_eigenfunction_property(self):
         # the modified kernel at argument lam*x is an eigenfunction with
-        # eigenvalue -lam^2, here checked on interior lattice points
-        # keep x away from 0: the stencil difference shrinks like x^2, so
-        # dividing by x^2 at tiny x amplifies rounding past any fixed rtol
-        q, lam = 0.5, 1.0
-        v = BesselParams(0.5, 0.25)
-        g = build_grid(q, -2, 8)
-        f = GridFunction(g, np.array(
-            [modified_q_bessel_bound(v, lam * x, q)[0] for x in g.points]))
-        out = generalized_q_bessel_operator(f, v)
-        inner = f.values[1:-1]
-        ratios = out.values / inner
-        np.testing.assert_allclose(ratios, -lam ** 2, rtol=1e-9)
+        # eigenvalue -lam^2: every certified ratio is exactly -lam^2,
+        # down to x = 2^-8, where the float stencil needed rtol=1e-9
+        g = build_grid(0.5, -2, 8)
+        for lam in (1.0, 0.5, 2.0):
+            assert [r for _, r in eigencheck_ratios(
+                BesselParams(0.5, 0.25), lam, g)] == [-lam * lam] * 9
 
 
 class TestLatticeTable:

@@ -392,6 +392,36 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize("argv,m", [
+        (("uncertainty", "--alpha", "5", "--beta", "5"), 26),
+        (("plancherel", "--alpha", "4", "--beta", "4"), 2),
+    ], ids=("uncertainty", "plancherel"))
+    def test_plane_term_overflow_exits_1(self, capsys, recwarn, monkeypatch,
+                                         argv, m):
+        # large (alpha, beta) on the default grid: uncertainty's row sum
+        # raised math.fsum's OverflowError, a 74-line traceback, and
+        # plancherel printed numpy's overflow warning twice and wrote
+        # {"ratio": Infinity, ...} with exit 0
+        set_cpus(monkeypatch, 1)  # the probes inline, so recwarn sees them
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == ("qwave: the plane's term leaves float64 at scale "
+                       f"index m = {m} (q = 0.5)\n")
+        assert len(recwarn) == 0
+
+    def test_cwt_row_overflow_exits_1(self, capsys, recwarn, tmp_path):
+        # a point indicator at n = 0: scale_rows' window product
+        # overflowed, and numpy's warning escaped before the line
+        path = str(tmp_path / "f.csv")
+        write_function(GridFunction.from_pairs(build_grid(0.5, -20, 40),
+                                               [(0, 1.0)]), path)
+        rc, out, err = run(capsys, "cwt", "--alpha", "5", "--beta", "5",
+                           "--in", path)
+        assert (rc, out) == (1, "")
+        assert err == ("qwave: scaleogram entries must be finite: the row "
+                       "at scale index m = 38 leaves float64 (q = 0.5)\n")
+        assert len(recwarn) == 0
+
     @pytest.mark.parametrize("sweep", [False, True], ids=("single", "sweep"))
     def test_non_finite_uncertainty_exits_1(self, capsys, recwarn, tmp_path,
                                             monkeypatch, sweep):
@@ -431,15 +461,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (("--beta", "2000", "--nlow", "0", "--nhigh", "2"),
-         "series did not converge within 800 terms "
-         "(x=1.1481306952742545e+602)"),
+         "series did not converge within 800 terms (x=1.0)"),
         (("--alpha", "3000", "--beta", "-2000", "--nlow", "-2", "--nhigh",
           "0"), "the kernel value 1.7377e+2408 at x = 4.0 leaves float64"),
         (("--eigencheck", "--lam", "1e-300", "--beta", "1", "--nlow", "0",
           "--nhigh", "4"), "q-Pochhammer factor ~0 at n=1 for order -1.0"),
         (("--beta", "1000", "--nlow", "-2", "--nhigh", "2"),
-         "series did not converge within 800 terms "
-         "(x=4.2860344287450693e+301)"),
+         "series did not converge within 800 terms (x=4.0)"),
         (("--beta", "600", "--nlow", "0", "--nhigh", "1"),
          "q-Pochhammer factor ~0 at n=600 for order -600.0"),
     ], ids=("q-power", "x-power", "eigencheck", "series-power-1000",
@@ -447,7 +475,9 @@ class TestExitCodes:
     def test_kernel_power_overflow_exits_1(self, capsys, argv, message):
         # a float power of the kernel's prefactor or argument left
         # float64: this was an OverflowError traceback. In mp no power
-        # overflows, and each case fails for what it is
+        # overflows, and each case fails for what it is. A series that
+        # does not converge names the x the command evaluated at, not
+        # the series' argument q^-beta x (1.15e602 at x = 1)
         rc, out, err = run(capsys, "bessel", *argv)
         assert (rc, out) == (1, "")
         assert err == f"qwave: {message}\n"
@@ -467,13 +497,15 @@ class TestExitCodes:
 
     def test_eigencheck_argument_overflow_exits_1(self, capsys, recwarn):
         # lam * x = 1e300 * 2^40 overflowed with numpy's RuntimeWarning,
-        # and the series was blamed for not converging at x = inf
+        # and the series was blamed for not converging at x = inf. Formed
+        # in mp, lam * x leaves no range: at the first interior row,
+        # x = 2^39, the series' argument near 5.5e311 needs more than its
+        # 800 terms, and the line names that row's x
         rc, out, err = run(capsys, "bessel", "--eigencheck", "--lam",
                            "1e300", "--nlow", "-40", "--nhigh", "-36")
         assert (rc, out) == (1, "")
-        assert err == ("qwave: the kernel argument lam * x = "
-                       "1.0000000000000001e+300 * 1099511627776 overflows "
-                       "float64\n")
+        assert err == ("qwave: series did not converge within 800 terms "
+                       "(x=549755813888.0)\n")
         assert len(recwarn) == 0
 
     def test_dead_worker_exits_1(self, capsys, monkeypatch):
@@ -694,28 +726,30 @@ class TestBesselCommand:
     def test_eigencheck_subnormal_x_squared_exits_1(self, capsys, recwarn,
                                                     n_low, first):
         # 0.1^(2n) is subnormal from n = 154 and zero from n = 162; the
-        # division by x^2 warned, and the command failed on the nan or inf
+        # float stencil refused x^2 there, naming n = first, with exit 1.
+        # In mp every x^2 is kept, and every ratio is certified: -1
         rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", "0.1",
                            "--nlow", str(n_low), "--nhigh", str(n_low + 6),
                            "--alpha", "0.5", "--beta", "0.25")
-        assert (rc, out) == (1, "")
-        assert err == ("qwave: x^2 = q^(2n) leaves float64's normal range "
-                       f"at n = {first} (q = 0.1)\n")
-        assert err.count("\n") == 1
+        assert (rc, err) == (0, "")
+        assert out == eigencheck_bytes(0.1, n_low, n_low + 6, "-1")
+        x = build_grid(0.1, n_low, n_low + 6).points[first - n_low]
+        assert f"\n{fmt17(x)},-1\n" in out
         assert len(recwarn) == 0
 
     @pytest.mark.parametrize("n_low,first", [(140, 141), (148, 149)])
     def test_eigencheck_quotient_overflow_exits_1(self, capsys, recwarn,
                                                   n_low, first):
-        # x^2 is normal, but the kernel's x^(-1/2) over it overflows: the
-        # division warned, and the command failed naming no n
+        # x^2 is normal, but the kernel's x^(-1/2) over it overflowed
+        # float64: the float stencil refused the quotient at n = first,
+        # with exit 1. In mp no quotient overflows: every row reads -1
         rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", "0.1",
                            "--nlow", str(n_low), "--nhigh", str(n_low + 6),
                            "--alpha", "0.5", "--beta", "0.25")
-        assert (rc, out) == (1, "")
-        assert err == ("qwave: the stencil's quotient by x^2 overflows "
-                       f"float64 at n = {first} (q = 0.1)\n")
-        assert err.count("\n") == 1
+        assert (rc, err) == (0, "")
+        assert out == eigencheck_bytes(0.1, n_low, n_low + 6, "-1")
+        x = build_grid(0.1, n_low, n_low + 6).points[first - n_low]
+        assert f"\n{fmt17(x)},-1\n" in out
         assert len(recwarn) == 0
 
     @pytest.mark.parametrize("argv,x", [
@@ -732,20 +766,33 @@ class TestBesselCommand:
             "bound-overflows"))
     def test_eigencheck_ratio_with_no_digit_exits_1(self, capsys, recwarn,
                                                     argv, x):
-        # the stencil cancels below the series' error bound, or the series
-        # has lost its digits: the ratio printed 0, -3.0e25 or 2.57 where
-        # the eigenvalue is -1, with exit 0. On the default grid the
-        # series now holds at x = 524288, and the stencil's own rounding
-        # cancels at x = 2^-24
+        # the float stencil cancelled below the series' error bound or
+        # its own roundings, and exited 1 naming x (where it had printed
+        # 0, -3.0e25 or 2.57 before that). The certified ratio, formed
+        # in mp with one more pass at the digits the first lost, is -1
+        # on every row
+        cfg = dict(zip(argv[::2], argv[1::2]))
         rc, out, err = run(capsys, "bessel", "--eigencheck", *argv)
+        assert (rc, err) == (0, "")
+        assert out == eigencheck_bytes(
+            float(cfg.get("--q", 0.5)), int(cfg.get("--nlow", -20)),
+            int(cfg.get("--nhigh", 40)), "-1")
+        assert f"\n{x},-1\n" in out
+        assert len(recwarn) == 0
+
+    def test_eigencheck_ratio_leaving_float64_exits_1(self, capsys, recwarn):
+        # -lam^2 = -1e400 is certain, and past float64's range
+        rc, out, err = run(capsys, "bessel", "--eigencheck", "--lam", "1e200",
+                           "--q", "0.01", "--nlow", "125", "--nhigh", "127")
         assert (rc, out) == (1, "")
-        assert err == (f"qwave: the eigencheck ratio at x = {x} has no "
-                       "correct digit: the series' error bound reaches it\n")
+        assert err == ("qwave: the eigencheck ratio at x = "
+                       "1.0000000000000026e-252 leaves float64\n")
         assert len(recwarn) == 0
 
     def test_eigencheck_bytes_where_every_ratio_holds(self, capsys):
         # the x = 8 row read -1.0000000000499849 from the float64 series,
-        # off by its own error of 5e-11
+        # off by its own error of 5e-11, and the float stencil's rows at
+        # x = 1 to 0.125 read -1.0000000000000004 to -1.0000000000000011
         rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", "0.5",
                            "--nlow", "-4", "--nhigh", "4")
         assert (rc, err) == (0, "")
@@ -753,10 +800,34 @@ class TestBesselCommand:
                        "8,-1\n"
                        "4,-1\n"
                        "2,-1\n"
-                       "1,-1.0000000000000004\n"
-                       "0.5,-1.0000000000000002\n"
-                       "0.25,-1.0000000000000011\n"
-                       "0.125,-1.0000000000000002\n")
+                       "1,-1\n"
+                       "0.5,-1\n"
+                       "0.25,-1\n"
+                       "0.125,-1\n")
+
+
+def eigencheck_bytes(q, n_low, n_high, ratio):
+    """The eigencheck's CSV with every interior row reading ratio."""
+    points = build_grid(q, n_low, n_high).points[1:-1]
+    return "x,ratio\n" + "".join(f"{x:.17g},{ratio}\n" for x in points)
+
+
+@pytest.mark.parametrize("q,alpha,beta", [
+    (0.3, 0.0, 0.0), (0.5, 0.0, 0.0), (0.9, 0.0, 0.0), (0.5, 0.5, 0.25),
+    (0.7, 1.0, -0.25)])
+@pytest.mark.parametrize("lam,ratio", [("1", "-1"), ("0.5", "-0.25"),
+                                       ("2", "-4")])
+def test_eigencheck_reads_minus_lam_squared(capsys, q, alpha, beta, lam,
+                                            ratio):
+    # the oracle: the kernel at lam x is the operator's eigenfunction
+    # with eigenvalue -lam^2, exact in float64 for these lam, and every
+    # row of the default grid [-20, 40] prints it. The float stencil
+    # exited 1 on these grids, at x = 2^-24 for q = 0.5
+    rc, out, err = run(capsys, "bessel", "--eigencheck", "--q", str(q),
+                       "--alpha", str(alpha), "--beta", str(beta),
+                       "--lam", lam)
+    assert (rc, err) == (0, "")
+    assert out == eigencheck_bytes(q, -20, 40, ratio)
 
 
 class TestFourierCommand:

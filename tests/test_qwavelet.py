@@ -1,6 +1,7 @@
 """Mother wavelets, admissibility, the two transform routes, and the
 gated scale summation."""
 
+import hashlib
 import math
 
 import mpmath
@@ -28,8 +29,14 @@ from qwave.qwavelet import (
     wavelet_plancherel_ratio,
 )
 from qwave.uncertainty import probe_family
+from qwave.verify import ACCEPTANCE_Q, ACCEPTANCE_V
 
 from conftest import eager_gated_scale_sum, plan_kernel, rel_err
+
+# sha256 of both mothers' sorted (n, raw mpf tuple) pairs over the nine
+# acceptance cells on [-20, 40], from before the stencil was shared
+MOTHER_DIGEST = ("7b74bb371da6c39399b5d2dcb2f04e0c"
+                 "25279e84904c36188489aee1d5593161")
 
 
 class TestMothers:
@@ -95,6 +102,24 @@ class TestMothers:
         psi = GridFunction.from_pairs(other, [(0, 1.0), (1, -2.0)])
         with pytest.raises(ValueError, match="different grids"):
             make_wavelet(psi, plan00)
+
+    def test_mother_mp_values_are_pinned(self):
+        # both mothers' excess-precision values, as raw mpf tuples, at
+        # the nine acceptance cells on the default grid: operator_mother
+        # forms them through qbessel.q_bessel_operator, the stencil the
+        # eigencheck shares, so a change to that stencil's operations
+        # shows here, not only in the float64 roundings downstream
+        digest = hashlib.sha256()
+        for q in ACCEPTANCE_Q:
+            for alpha, beta in ACCEPTANCE_V:
+                plan = make_plan(build_grid(q, -20, 40),
+                                 BesselParams(alpha, beta))
+                for mother in (operator_mother, indicator_difference_mother):
+                    digest.update(repr(sorted(
+                        (n, val._mpf_)
+                        for n, val in mother(plan).mp_values.items()
+                    )).encode())
+        assert digest.hexdigest() == MOTHER_DIGEST
 
     def test_scale_range_keeps_support_on_grid(self, grid00):
         ms = mother_scale_range((-2, 2), grid00)
